@@ -100,6 +100,17 @@ def _int_entry(grouped, key, default=None):
         raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col)
 
 
+def _index(e, word: str, dim: int) -> int:
+    """The index ``word`` of entry ``e``, which must be an integer in 1..dim."""
+    try:
+        i = int(word)
+    except ValueError:
+        raise SpecSyntaxError(f"index {word!r} is not an integer", e.line, 1) from None
+    if not 1 <= i <= dim:
+        raise SpecSyntaxError(f"index {i} is outside 1..{dim}", e.line, 1)
+    return i
+
+
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
     dim = _int_entry(grouped, "dim")
@@ -109,7 +120,7 @@ def build_constants(section) -> tuple[StructureConstants, int]:
         if len(e.key) != 4:
             raise SpecSyntaxError("structure constants read 'c i j k = value'",
                                   e.line, 1)
-        i, j, kk = (int(x) for x in e.key[1:])
+        i, j, kk = (_index(e, x, dim) for x in e.key[1:])
         c[(i, j, kk)] = _scalar(e)
     return StructureConstants(dim, c), k
 
@@ -126,10 +137,12 @@ def build_tk(section) -> tuple[PolynomialDiffeo, int]:
     dst_names = {v.name: v for v in dst.variables}
     fwd = {}
     inv = {}
-    for e in grouped.get("forward", []):
-        fwd[int(e.key[1])] = parse_expression(e.value, src_names, e.line, e.col)
-    for e in grouped.get("inverse", []):
-        inv[int(e.key[1])] = parse_expression(e.value, dst_names, e.line, e.col)
+    for side, names, comps in (("forward", src_names, fwd), ("inverse", dst_names, inv)):
+        for e in grouped.get(side, []):
+            if len(e.key) != 2:
+                raise SpecSyntaxError(f"tk entries read '{side} i = expr'", e.line, 1)
+            i = _index(e, e.key[1], dim)
+            comps[i] = parse_expression(e.value, names, e.line, e.col)
     missing = [i for i in range(1, dim + 1) if i not in fwd or i not in inv]
     if missing:
         raise SpecSyntaxError(f"tk structure misses components {missing}")

@@ -20,6 +20,13 @@ literals and the operators + - * ^ with parentheses.  The full grammar:
                 | "-" , factor ;
     rational    = integer , [ "/" , natural ] ;
 
+An exponent may not exceed ``MAX_EXPONENT`` and parentheses and unary
+minus signs may not nest deeper than ``MAX_NESTING``.  Both limits sit far
+above anything a hand-written spec needs; the first bounds the degree a
+single ``^`` can build, the second keeps a deeply nested expression from
+exhausting the interpreter's stack.  Neither bounds the size of an
+expression as a whole.
+
 Section kinds: ``[bundle]`` (keys arity, degree), ``[chart NAME]`` with
 weightspec entries, ``[map SRC -> DST]`` with expression entries keyed by
 target coordinates, ``[structure KIND]`` for lie-tower / prolong / tk /
@@ -162,6 +169,11 @@ def _check_known(sections):
 
 
 # ------------------------------------------------------------- expressions
+# Largest exponent accepted after ``^``; shipped specs use at most 3.
+MAX_EXPONENT = 16
+# Deepest nesting of parentheses and unary minus signs in one expression.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
 )
@@ -179,6 +191,12 @@ def _tokenize(text: str, line: int, col0: int):
             )
         pos = m.end()
         kind = m.lastgroup
+        if kind == "num":
+            try:
+                int(m.group(kind))
+            except ValueError:  # more digits than int() accepts
+                raise SpecSyntaxError("numeral is too long", line,
+                                      col0 + m.start(kind)) from None
         tokens.append((kind, m.group(kind), col0 + m.start(kind)))
     tokens.append(("end", "", col0 + len(text)))
     return tokens
@@ -190,6 +208,7 @@ class _ExprParser:
         self.pos = 0
         self.names = names
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -248,7 +267,24 @@ class _ExprParser:
             if kind != "num":
                 raise SpecSyntaxError("exponent must be a natural number",
                                       self.line, col)
+            if int(num) > MAX_EXPONENT:
+                raise SpecSyntaxError(
+                    f"exponent {num} exceeds the limit of {MAX_EXPONENT}",
+                    self.line, col,
+                )
             value = value ** int(num)
+        return value
+
+    def nested(self, parse, col):
+        """Run ``parse`` one nesting level deeper, within ``MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SpecSyntaxError(
+                f"expression nests deeper than {MAX_NESTING} levels",
+                self.line, col,
+            )
+        value = parse()
+        self.depth -= 1
         return value
 
     def atom(self):
@@ -270,11 +306,11 @@ class _ExprParser:
                 )
             return SuperPolynomial.from_var(self.names[val])
         if kind == "op" and val == "(":
-            value = self.expression()
+            value = self.nested(self.expression, col)
             self.expect_op(")")
             return value
         if kind == "op" and val == "-":
-            return -self.factor()
+            return -self.nested(self.factor, col)
         raise SpecSyntaxError(f"unexpected {val!r}", self.line, col)
 
 
@@ -358,6 +394,8 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
         for nm in (src, dst):
             if nm not in charts:
                 raise UnknownVariableError(f"unknown chart {nm!r}", s.line, 1)
+        if (src, dst) in maps:
+            raise SpecSyntaxError(f"duplicate map {src} -> {dst}", s.line, 1)
         src_names = {v.name: v for v in charts[src].variables}
         comp = {}
         for e in s.entries:
@@ -366,6 +404,11 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
             if e.key[0] not in charts[dst]:
                 raise UnknownVariableError(
                     f"{e.key[0]!r} is not a coordinate of chart {dst!r}",
+                    e.line, 1,
+                )
+            if e.key[0] in comp:
+                raise SpecSyntaxError(
+                    f"duplicate component {e.key[0]!r} in map {src} -> {dst}",
                     e.line, 1,
                 )
             comp[e.key[0]] = parse_expression(e.value, src_names, e.line, e.col)

@@ -35,6 +35,24 @@ SMALL = [Fraction(n) for n in (-2, -1, 0, 1, 2, 3)] + [Fraction(1, 2), Fraction(
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
+# The acceptance gate's shipped commands: (spec file under specs/, CLI args).
+SHIPPED_COMMANDS = [
+    ("degree2.spec", ["validate"]),
+    ("degree2.spec", ["linearise"]),
+    ("degree2.spec", ["dual"]),
+    ("degree2.spec", ["mironian"]),
+    ("degree2.spec", ["embed"]),
+    ("degree3.spec", ["linearise"]),
+    ("degree3.spec", ["dual"]),
+    ("so3-tower.spec", ["check-q"]),
+    ("sl2-tower.spec", ["check-q"]),
+    ("heisenberg-tower.spec", ["check-q"]),
+    ("bracket-so3.spec", ["bracket"]),
+    ("t2m-shear.spec", ["construct", "tk"]),
+    ("prolong-tm.spec", ["construct", "prolong"]),
+    ("cotangent-so3.spec", ["construct", "cotangent"]),
+]
+
 
 def run_cli_subprocess(args, seed=None, timeout=60):
     """Run ``python -m gradedbundles.cli *args`` in a scrubbed child process.

@@ -49,6 +49,7 @@ from gradedbundles.constructions import (
     tower_section_polynomial,
 )
 from helpers import (
+    SHIPPED_COMMANDS,
     homogeneous_section_poly,
     random_antisym_constants,
     random_bundle,
@@ -341,24 +342,6 @@ def test_criterion_10_prolongation_consistency():
     assert prolongation_algebroid(bad, 2).kind == "skew"
     _report(10, "prolongation over a point reproduces the tower bit-exactly; "
                 "the A1 leg returns the input field; kinds match")
-
-
-SHIPPED_COMMANDS = [
-    ("degree2.spec", ["validate"]),
-    ("degree2.spec", ["linearise"]),
-    ("degree2.spec", ["dual"]),
-    ("degree2.spec", ["mironian"]),
-    ("degree2.spec", ["embed"]),
-    ("degree3.spec", ["linearise"]),
-    ("degree3.spec", ["dual"]),
-    ("so3-tower.spec", ["check-q"]),
-    ("sl2-tower.spec", ["check-q"]),
-    ("heisenberg-tower.spec", ["check-q"]),
-    ("bracket-so3.spec", ["bracket"]),
-    ("t2m-shear.spec", ["construct", "tk"]),
-    ("prolong-tm.spec", ["construct", "prolong"]),
-    ("cotangent-so3.spec", ["construct", "cotangent"]),
-]
 
 
 def test_criterion_11_cli_determinism(tmp_path):

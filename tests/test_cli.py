@@ -6,12 +6,16 @@ import sys
 import pytest
 
 from gradedbundles import cli
+from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     SpecSyntaxError,
     UnknownVariableError,
     WeightArityMismatchError,
     build_bundle,
     parse,
+    parse_expression,
 )
 from helpers import run_cli_subprocess
 
@@ -199,3 +203,114 @@ def test_determinism_across_hash_seeds():
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# ------------------------------------------------ hostile specs: exit 2, located
+TWO_CHARTS = (
+    "[chart a]\nx = weight 0\ny = weight 1\n"
+    "[chart b]\nX = weight 0\nY = weight 1\n"
+)
+
+
+def run_cli_hostile(tmp_path, capsys, args, text):
+    """Run a command on ``text``; it must exit 2 with a located error."""
+    doc = tmp_path / "hostile.spec"
+    doc.write_text(text)
+    code = cli.main([*args, "--spec", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out + captured.err
+    assert captured.out == ""
+    assert "at line" in captured.err
+    return captured.err
+
+
+def test_deep_parentheses_exit_two(tmp_path, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
+        f"[map a -> b]\nX = {deep}\nY = y\n[map b -> a]\nx = X\ny = Y\n"
+    ))
+    assert "nests deeper than" in err and "line 8" in err
+
+
+def test_deep_unary_minus_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
+        f"[map a -> b]\nX = {'-' * 3000}x\nY = y\n[map b -> a]\nx = X\ny = Y\n"
+    ))
+    assert "nests deeper than" in err
+
+
+def test_nesting_within_the_limit_parses():
+    depth = MAX_NESTING - 1
+    names = {"x": Variable("a", "x", (0,), 0, 0)}
+    p = parse_expression("(" * depth + "x" + ")" * depth, names, 1, 1)
+    assert p == parse_expression("x", names, 1, 1)
+
+
+def test_structure_constant_index_out_of_range_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["check-q"],
+                          "[structure lie-tower]\nk = 2\ndim = 2\nc 1 2 7 = 1\n")
+    assert "index 7 is outside 1..2" in err and "line 4" in err
+
+
+def test_structure_constant_index_not_an_integer_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["check-q"],
+                          "[structure lie-tower]\nk = 2\ndim = 2\nc 1 two 1 = 1\n")
+    assert "'two' is not an integer" in err
+
+
+def test_tk_key_not_an_integer_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["construct", "tk"],
+                          "[structure tk]\nk = 2\ndim = 1\n"
+                          "forward one = x1\ninverse 1 = X1\n")
+    assert "'one' is not an integer" in err and "line 4" in err
+
+
+def test_tk_key_out_of_range_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["construct", "tk"],
+                          "[structure tk]\nk = 2\ndim = 1\n"
+                          "forward 1 = x1\ninverse 2 = X1\n")
+    assert "index 2 is outside 1..1" in err and "line 5" in err
+
+
+def test_exponent_above_limit_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
+        f"[map a -> b]\nX = (1 + x)^{MAX_EXPONENT + 1}\nY = y\n"
+        "[map b -> a]\nx = X\ny = Y\n"
+    ))
+    assert f"exceeds the limit of {MAX_EXPONENT}" in err and "line 8" in err
+
+
+def test_exponent_at_limit_parses():
+    names = {"x": Variable("a", "x", (0,), 0, 0)}
+    p = parse_expression(f"(1 + x)^{MAX_EXPONENT}", names, 1, 1)
+    assert len(p.terms) == MAX_EXPONENT + 1
+
+
+def test_overlong_numeral_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
+        f"[map a -> b]\nX = x + {'9' * 6000}\nY = y\n"
+        "[map b -> a]\nx = X\ny = Y\n"
+    ))
+    assert "numeral is too long" in err
+
+
+def test_duplicate_map_section_rejected(tmp_path, capsys):
+    text = TWO_CHARTS + (
+        "[map a -> b]\nX = x\nY = 2*y\n"
+        "[map a -> b]\nX = x\nY = 3*y\n"
+        "[map b -> a]\nx = X\ny = 1/3*Y\n"
+    )
+    with pytest.raises(SpecSyntaxError) as err:
+        build_bundle(parse(text))
+    assert err.value.line == 10 and "duplicate map a -> b" in str(err.value)
+    run_cli_hostile(tmp_path, capsys, ["validate"], text)
+
+
+def test_duplicate_map_component_rejected():
+    text = TWO_CHARTS + (
+        "[map a -> b]\nX = x\nY = 2*y\nY = 3*y\n"
+        "[map b -> a]\nx = X\ny = 1/3*Y\n"
+    )
+    with pytest.raises(SpecSyntaxError) as err:
+        build_bundle(parse(text))
+    assert err.value.line == 10 and "duplicate component 'Y'" in str(err.value)

@@ -1,0 +1,280 @@
+"""Differential tests: the live ``superalg`` core against a frozen reference.
+
+``reference_superalg`` is the plain dict-of-Fraction core as it stood before
+the live core was optimised.  Every operation here runs on the same random
+polynomials in both, and the results must have the same term maps, keyed
+by ``(system, name, exponent)`` so that the two modules' ``Variable``
+classes never meet.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_superalg as ref
+from gradedbundles import superalg as live
+
+EVEN, ODD = 0, 1
+
+# (system, name, weight, parity, index); "u" is the polynomials' own chart,
+# declared with even and odd coordinates interleaved
+SOURCE = [
+    ("u", "x", (0,), EVEN, 0),
+    ("u", "xi", (1,), ODD, 1),
+    ("u", "y", (1,), EVEN, 2),
+    ("u", "eta", (1,), ODD, 3),
+    ("u", "z", (2,), EVEN, 4),
+    ("u", "theta", (2,), ODD, 5),
+]
+# a second chart, declared so that REVERSING below reverses every monomial
+TARGET = [
+    ("t", "rho", (1,), ODD, 0),
+    ("t", "a", (0,), EVEN, 1),
+    ("t", "sigma", (1,), ODD, 2),
+    ("t", "b", (1,), EVEN, 3),
+    ("t", "tau", (2,), ODD, 4),
+    ("t", "c", (2,), EVEN, 5),
+]
+SPECS = SOURCE + TARGET
+
+
+def universe(mod):
+    return {spec[1]: mod.Variable(*spec) for spec in SPECS}
+
+
+LIVE, REF = universe(live), universe(ref)
+SOURCE_NAMES = [spec[1] for spec in SOURCE]
+TARGET_NAMES = [spec[1] for spec in TARGET]
+PARITY = {spec[1]: spec[3] for spec in SPECS}
+
+
+def build(mod, variables, desc):
+    """A polynomial from (coefficient, {name: exponent}) terms, by mod's own
+    public arithmetic; odd exponents above 1 give zero terms on purpose."""
+    p = mod.SuperPolynomial.zero()
+    for c, exps in desc:
+        m = mod.SuperPolynomial.constant(c)
+        for name, e in exps:
+            for _ in range(e):
+                m = m * mod.SuperPolynomial.from_var(variables[name])
+        p = p + m
+    return p
+
+
+def both(desc):
+    return build(live, LIVE, desc), build(ref, REF, desc)
+
+
+def key(p):
+    """The term map keyed by (system, name, exponent); checks the invariants."""
+    out = {}
+    for m, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        out[tuple((v.system, v.name, e) for v, e in m)] = c
+    return out
+
+
+def same(a, b):
+    assert key(a) == key(b)
+
+
+def poly_desc(names=SOURCE_NAMES, max_terms=4):
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    exps = st.lists(
+        st.tuples(st.sampled_from(names), st.integers(1, 2)), max_size=3
+    )
+    return st.lists(st.tuples(coeff, exps), max_size=max_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_desc(), poly_desc())
+def test_ring_operations(d1, d2):
+    (p, rp), (q, rq) = both(d1), both(d2)
+    same(p, rp)
+    same(p + q, rp + rq)
+    same(p - q, rp - rq)
+    same(-p, -rp)
+    same(p * q, rp * rq)
+    same(q * p, rq * rp)
+    same(p * Fraction(-2, 3), rp * Fraction(-2, 3))
+    same(3 - p, 3 - rp)
+    same(p * 0, rp * 0)
+
+
+def test_products_of_all_square_free_monomials():
+    # every interleaving of two monomials' factors, with every sign
+    from itertools import product
+
+    monomials = [
+        both([(Fraction(1), [(n, 1) for n, used in zip(SOURCE_NAMES, mask) if used])])
+        for mask in product((0, 1), repeat=len(SOURCE_NAMES))
+    ]
+    for (p, rp), (q, rq) in product(monomials, repeat=2):
+        same(p * q, rp * rq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_desc(max_terms=3), st.integers(0, 5))
+def test_powers(d, n):
+    p, rp = both(d)
+    same(p ** n, rp ** n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_desc())
+def test_partial_derivatives(d):
+    p, rp = both(d)
+    for name in SOURCE_NAMES:
+        same(live.partial(p, LIVE[name]), ref.partial(rp, REF[name]))
+        same(live.partial_right(p, LIVE[name]), ref.partial_right(rp, REF[name]))
+
+
+def images_strategy():
+    """For each source variable, either nothing or an image of its parity
+    (a random polynomial cut down to that parity)."""
+    return st.lists(
+        st.one_of(st.none(), poly_desc(SOURCE_NAMES + TARGET_NAMES, 3)),
+        min_size=len(SOURCE_NAMES), max_size=len(SOURCE_NAMES),
+    )
+
+
+def assignments(image_descs):
+    live_map, ref_map = {}, {}
+    for name, d in zip(SOURCE_NAMES, image_descs):
+        if d is None:
+            continue
+        img, rimg = both(d)
+        live_map[LIVE[name]] = img.parity_part(PARITY[name])
+        ref_map[REF[name]] = rimg.parity_part(PARITY[name])
+    return live_map, ref_map
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_desc(), images_strategy())
+def test_substitute(d, image_descs):
+    p, rp = both(d)
+    live_map, ref_map = assignments(image_descs)
+    same(live.substitute(p, live_map), ref.substitute(rp, ref_map))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_desc(), poly_desc(SOURCE_NAMES + TARGET_NAMES, 2))
+def test_substitute_parity_mismatch(d, image_desc):
+    p, rp = both(d)
+    img, rimg = both(image_desc)
+    odd_img, rodd_img = img.parity_part(ODD), rimg.parity_part(ODD)
+    if odd_img.is_zero():
+        return
+    with pytest.raises(live.ParityMismatch):
+        live.substitute(p, {LIVE["x"]: odd_img})
+    with pytest.raises(ref.ParityMismatch):
+        ref.substitute(rp, {REF["x"]: rodd_img})
+
+
+def renaming(pairs):
+    return ({LIVE[a]: LIVE[b] for a, b in pairs}, {REF[a]: REF[b] for a, b in pairs})
+
+
+def check_remap(d, pairs):
+    p, rp = both(d)
+    live_map, ref_map = renaming(pairs)
+    same(live.remap(p, live_map), ref.remap(rp, ref_map))
+
+
+def renaming_strategy():
+    """A parity-preserving map of some source variables into either chart."""
+    choices = []
+    for name in SOURCE_NAMES:
+        same_parity = [n for n in SOURCE_NAMES + TARGET_NAMES if PARITY[n] == PARITY[name]]
+        choices.append(st.one_of(st.none(), st.sampled_from(same_parity)))
+    return st.tuples(*choices).map(
+        lambda picks: [(a, b) for a, b in zip(SOURCE_NAMES, picks) if b is not None]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_desc(), renaming_strategy())
+def test_remap_random(d, pairs):
+    check_remap(d, pairs)
+
+
+# fixed maps that exercise every branch of the direct renaming
+REVERSING = [("x", "c"), ("xi", "tau"), ("y", "b"),
+             ("eta", "sigma"), ("z", "a"), ("theta", "rho")]
+EVEN_COLLAPSE = [("x", "b"), ("y", "b"), ("z", "a")]
+ODD_COLLAPSE = [("xi", "rho"), ("eta", "rho")]
+SWAP_IN_PLACE = [("xi", "theta"), ("theta", "xi"), ("x", "z"), ("z", "x")]
+
+
+@pytest.mark.parametrize(
+    "pairs", [REVERSING, EVEN_COLLAPSE, ODD_COLLAPSE, SWAP_IN_PLACE],
+    ids=["reversing", "even-collapse", "odd-collapse", "swap-in-place"],
+)
+@settings(max_examples=80, deadline=None)
+@given(d=poly_desc())
+def test_remap_fixed_maps(pairs, d):
+    check_remap(d, pairs)
+
+
+def test_remap_fixed_maps_on_full_products():
+    # every variable once: the reversing map reorders all three odd factors
+    full = [(Fraction(5, 2), [(n, 1) for n in SOURCE_NAMES]),
+            (Fraction(-1), [("x", 2), ("xi", 1), ("eta", 1)])]
+    for pairs in (REVERSING, EVEN_COLLAPSE, ODD_COLLAPSE, SWAP_IN_PLACE):
+        check_remap(full, pairs)
+    p, _ = both(full)
+    # xi*eta*theta -> tau*sigma*rho: an odd permutation of three odd factors
+    reversed_p = live.remap(p, renaming(REVERSING)[0])
+    assert key(reversed_p)[(("t", "rho", 1), ("t", "a", 1), ("t", "sigma", 1),
+                            ("t", "b", 1), ("t", "tau", 1), ("t", "c", 1))] == Fraction(-5, 2)
+    # two odd variables sent to one: xi*eta terms vanish
+    assert all(("t", "rho", 2) not in m for m in key(live.remap(p, renaming(ODD_COLLAPSE)[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_desc())
+def test_remap_parity_mismatch(d):
+    p, rp = both(d)
+    live_map, ref_map = renaming([("x", "rho")])
+    with pytest.raises(live.ParityMismatch):
+        live.remap(p, live_map)
+    with pytest.raises(ref.ParityMismatch):
+        ref.remap(rp, ref_map)
+
+
+def derivation_strategy():
+    return st.tuples(
+        st.integers(0, 1),
+        st.lists(st.one_of(st.none(), poly_desc(max_terms=3)),
+                 min_size=len(SOURCE_NAMES), max_size=len(SOURCE_NAMES)),
+    )
+
+
+def derivations(spec):
+    par, descs = spec
+    action, raction = {}, {}
+    for name, d in zip(SOURCE_NAMES, descs):
+        if d is None:
+            continue
+        c, rc = both(d)
+        want = (PARITY[name] + par) % 2
+        action[LIVE[name]] = c.parity_part(want)
+        raction[REF[name]] = rc.parity_part(want)
+    return (live.Derivation(action, par, (0,), check=False),
+            ref.Derivation(raction, par, (0,), check=False))
+
+
+def derivation_key(D):
+    return {v.name: key(p) for v, p in D.action.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivation_strategy(), derivation_strategy(), poly_desc())
+def test_apply_and_commutator(s1, s2, d):
+    (D1, R1), (D2, R2) = derivations(s1), derivations(s2)
+    p, rp = both(d)
+    same(live.apply(D1, p), ref.apply(R1, rp))
+    C, RC = live.commutator(D1, D2), ref.commutator(R1, R2)
+    assert derivation_key(C) == derivation_key(RC)
+    assert (C.parity, C.weight_shift) == (RC.parity, RC.weight_shift)

@@ -1,0 +1,48 @@
+"""Golden reports: each shipped command's stdout, byte for byte.
+
+``tests/golden/<spec stem>.<command words joined by '-'>.<txt|json>`` holds
+the report of one acceptance-gate command in ``--format text`` or
+``--format json``.  Any change to the algebra core, the constructions or the
+renderers must leave these files byte-identical.  Each case runs in a fresh
+interpreter under its own ``PYTHONHASHSEED``, so set iteration order cannot
+leak into a report unnoticed.
+"""
+
+import pathlib
+
+import pytest
+
+from helpers import SHIPPED_COMMANDS, run_cli_subprocess
+
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
+SPEC_DIR = TESTS_DIR.parent / "specs"
+GOLDEN_DIR = TESTS_DIR / "golden"
+HASH_SEEDS = ("0", "1", "7", "42", "1234")
+
+CASES = [
+    (name, command, fmt, ext)
+    for name, command in SHIPPED_COMMANDS
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+]
+
+
+def golden_path(name, command, ext):
+    return GOLDEN_DIR / f"{name[:-len('.spec')]}.{'-'.join(command)}.{ext}"
+
+
+def test_every_golden_file_has_a_case():
+    expected = {golden_path(n, c, e).name for n, c, _, e in CASES}
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
+
+
+@pytest.mark.parametrize(
+    "name,command,fmt,ext", CASES,
+    ids=[f"{n[:-len('.spec')]}-{'-'.join(c)}-{f}" for n, c, f, _ in CASES],
+)
+def test_report_matches_golden(name, command, fmt, ext):
+    seed = HASH_SEEDS[CASES.index((name, command, fmt, ext)) % len(HASH_SEEDS)]
+    proc = run_cli_subprocess(
+        [*command, "--spec", str(SPEC_DIR / name), "--format", fmt], seed=seed
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.encode() == golden_path(name, command, ext).read_bytes()

@@ -1,9 +1,14 @@
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedbundles import superalg
 from gradedbundles.superalg import (
     Derivation,
     EVEN,
@@ -16,9 +21,11 @@ from gradedbundles.superalg import (
     commutator,
     partial,
     partial_right,
+    remap,
     substitute,
     weight_of,
 )
+from helpers import SRC_DIR
 
 # one fixed mixed universe: three even, three odd generators
 X = Variable("u", "x", (0,), EVEN, 0)
@@ -257,3 +264,57 @@ def test_commutator_weight_shift_adds():
     d1 = Derivation({Y: z}, EVEN, (1,))
     d2 = Derivation({Z: y * y}, EVEN, (0,))
     assert commutator(d1, d2).weight_shift == (1,)
+
+
+# ------------------------------------------------------ invariants of the core
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), poly_strategy())
+def test_results_never_share_a_dict(p, q):
+    results = [p + q, p - q, p * q, p ** 1, p ** 0, -p, p * 1,
+               p.parity_part(EVEN), p.parity_part(ODD),
+               substitute(p, {}), remap(p, {}),
+               partial(p, X), partial_right(p, XI)]
+    for r in results:
+        assert r.terms is not p.terms and r.terms is not q.terms
+    assert len({id(r.terms) for r in results}) == len(results)
+
+
+def test_power_uses_repeated_squaring(monkeypatch):
+    calls = []
+    mul_terms = superalg._mul_terms
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(superalg, "_mul_terms", counting)
+    p = (1 + x) ** 400
+    # 400 = 0b110010000: 8 squarings and 2 further products
+    assert len(calls) == 10
+    monkeypatch.undo()
+    assert p.terms == {((X, k),) if k else (): Fraction(comb(400, k)) for k in range(401)}
+
+
+def test_variable_equality_and_hash_are_by_value():
+    a = Variable("u", "x", (0,), EVEN, 0)
+    assert a is not X and a == X and hash(a) == hash(X)
+    assert hash(a) == hash(("u", "x", (0,), EVEN, 0))
+    for other in (Variable("v", "x", (0,), EVEN, 0),
+                  Variable("u", "x", (1,), EVEN, 0),
+                  Variable("u", "x", (0,), ODD, 0),
+                  Variable("u", "x", (0,), EVEN, 1)):
+        assert a != other
+    assert a.sort_key == (0, "x", "u")
+    assert (a == ("u", "x", (0,), EVEN, 0)) is False
+
+
+def test_variable_hash_survives_pickling_across_processes():
+    # the hash is cached per process, and string hashes differ between
+    # processes, so an unpickled variable must hash afresh
+    code = ("import pickle, sys; from gradedbundles.superalg import Variable; "
+            "sys.stdout.write(pickle.dumps(Variable('u', 'x', (0,), 0, 0)).hex())")
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR), "PYTHONHASHSEED": "12345"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    v = pickle.loads(bytes.fromhex(out))
+    assert v == X and hash(v) == hash(X) and v in {X}
