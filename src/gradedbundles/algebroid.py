@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .superalg import (
     Derivation,
@@ -36,11 +37,16 @@ from .superalg import (
     partial_right,
     remap,
     render,
+    substitute,
     total,
     weight_of,
 )
-from .bundle import CoordinateSystem, ValidationReport
-from .linfun import GLBundle, NotSymmetric, reconstruct
+from .bundle import CoordinateSystem
+from .linfun import GLBundle, NotSymmetric, holonomic_assignment
+from .report import Report
+
+if TYPE_CHECKING:
+    from .constructions import StructureConstants, TowerInfo
 
 
 class CoordinateMismatch(ValueError):
@@ -310,7 +316,7 @@ class AlgebroidCheck:
     weight_ok: bool
     residual: Derivation
     kind: str
-    report: ValidationReport
+    report: Report
 
     @property
     def is_lie(self) -> bool:
@@ -319,7 +325,7 @@ class AlgebroidCheck:
 
 def check_weighted_algebroid(Q: HomologicalField, k: int | None = None) -> AlgebroidCheck:
     """Verify oddness and the (0,1) weight, then decide lie vs skew by Q^2."""
-    report = ValidationReport()
+    report = Report()
     phase = Q.phase
     if k is not None and k != phase.k:
         report.add(f"carrier degree is {k}", phase.k == k)
@@ -341,7 +347,13 @@ def check_weighted_algebroid(Q: HomologicalField, k: int | None = None) -> Algeb
 
 @dataclass
 class WeightedAlgebroid:
-    """A carrier with a structure field, its Hamiltonian and classification."""
+    """A carrier with a structure field, its Hamiltonian and classification.
+
+    The optional fields record what a construction built it from: the
+    tower data and structure constants of a prolongation or Lie tower, and
+    the Poisson data P, its [P,P] and the A1 projection of a cotangent
+    algebroid.
+    """
 
     carrier: GLBundle
     phase: OddPhaseSpace
@@ -349,11 +361,16 @@ class WeightedAlgebroid:
     hamiltonian: AlgebroidHamiltonian | None
     kind: str
     check: AlgebroidCheck | None
+    tower: TowerInfo | None = None
+    constants: StructureConstants | None = None
+    poisson_data: SuperPolynomial | None = None
+    poisson_residual: SuperPolynomial | None = None
+    a1_field: Derivation | None = None
 
     @classmethod
-    def from_q(cls, carrier: GLBundle, Q: HomologicalField) -> "WeightedAlgebroid":
+    def from_q(cls, carrier: GLBundle, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
         chk = check_weighted_algebroid(Q)
-        return cls(carrier, Q.phase, Q, p_from_q(Q), chk.kind, chk)
+        return cls(carrier, Q.phase, Q, p_from_q(Q), chk.kind, chk, **fields)
 
     @property
     def is_lie(self) -> bool:
@@ -478,21 +495,13 @@ class AnchorData:
         Needs the carrier to be a linearisation; raises NotALinearisation
         otherwise.  Components are polynomials over the source bundle F.
         """
-        from .superalg import substitute
-        from .linfun import holonomic_assignment
-
         carrier = self.algebroid.carrier
-        chart = self.algebroid.phase.chart
-        if getattr(carrier, "lin_source", None) is not None:
-            holo = holonomic_assignment(carrier, chart)
-        else:
-            try:
-                F = reconstruct(carrier)
-            except NotSymmetric as exc:
-                raise NotALinearisation(
-                    "carrier is not symmetric, graded-bundle anchors undefined"
-                ) from exc
-            holo = F.holonomic_assignments[chart]
+        try:
+            holo = holonomic_assignment(carrier, self.algebroid.phase.chart)
+        except NotSymmetric as exc:
+            raise NotALinearisation(
+                "carrier is not symmetric, graded-bundle anchors undefined"
+            ) from exc
         k = carrier.gl_degree
         q = q if q is not None else k
         return {

@@ -6,8 +6,24 @@ transitions are required input, never computed: the declared pair is checked
 by symbolic composition, which turns invertibility into a decidable
 verification.
 
-Validation never raises; it returns a report listing every check with its
-residual, so callers can surface honest failures.
+Every construction keeps the atlas and changes the chart.  ``rechart`` is
+the one primitive for that: a ``spec_fn`` builds one new chart per old chart,
+and a ``component_fn`` carries each transition across, forward and inverse.
+The result's ``provenance`` (a ``Provenance``) records the construction's
+tag, its source and, per role, one map per chart from source keys to new
+variables.  The roles in use:
+
+* ``vars``: each kept coordinate to its copy (restrictions, projections,
+  parity reversal, pairing charts); for ``reconstruct`` each coordinate of
+  the GL-bundle to the coordinate it pulls back to;
+* ``undotted`` and ``dotted``: a coordinate and its dotted partner in a
+  vertical or tangent lift and in a linearisation;
+* ``base`` and ``dual``: base-leg coordinates and dual fibre coordinates of
+  a linear dual or cotangent bundle (``linfun.contragredient``), and on a
+  pairing chart the dual bundle's coordinates.
+
+Validation never raises; it returns a ``report.Report`` listing every check
+with its residual, so callers can surface honest failures.
 """
 
 from __future__ import annotations
@@ -15,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .report import Report
 from .superalg import (
     Derivation,
     SuperPolynomial,
@@ -83,9 +100,6 @@ class CoordinateSystem:
     def nonbase(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if total(v.weight) > 0)
 
-    def of_total_weight(self, w: int) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if total(v.weight) == w)
-
     @property
     def degree(self) -> int:
         return max((total(v.weight) for v in self.variables), default=0)
@@ -106,57 +120,30 @@ class TransitionMap:
     forward: dict[Variable, SuperPolynomial]
     inverse: dict[Variable, SuperPolynomial]
 
-    def forward_assignment(self):
-        """Assignment substituting target variables by source expressions."""
-        return self.forward
-
-    def inverse_assignment(self):
-        return self.inverse
-
     def reversed(self) -> "TransitionMap":
         return TransitionMap(self.target, self.source, self.inverse, self.forward)
 
 
 @dataclass
-class CheckItem:
-    check_id: str
-    ok: bool
-    residual: str = ""
+class Provenance:
+    """What a construction built a bundle from.
 
-    def __str__(self):
-        verdict = "PASS" if self.ok else "FAIL"
-        tail = f"  residual: {self.residual}" if (self.residual and not self.ok) else ""
-        return f"{verdict}  {self.check_id}{tail}"
+    ``maps[role][i]`` sends keys of the source's chart ``i`` (variables) to
+    variables of the bundle's chart ``i``; ``tag`` names the construction.
+    """
 
-
-@dataclass
-class ValidationReport:
-    items: list[CheckItem] = field(default_factory=list)
-
-    def add(self, check_id: str, ok: bool, residual: str = ""):
-        self.items.append(CheckItem(check_id, bool(ok), residual))
-
-    def extend(self, other: "ValidationReport"):
-        self.items.extend(other.items)
-
-    @property
-    def passed(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    def failures(self) -> list[CheckItem]:
-        return [i for i in self.items if not i.ok]
-
-    def __str__(self):
-        return "\n".join(str(i) for i in self.items)
+    tag: str = "declared"
+    source: object = None
+    maps: dict[str, list[dict]] = field(default_factory=dict)
 
 
 class GradedBundle:
     """An atlas of charts with weight-homogeneous polynomial transitions."""
 
-    def __init__(self, charts, transitions=None, origin=None):
+    def __init__(self, charts, transitions=None, provenance=None):
         self.charts: list[CoordinateSystem] = list(charts)
         self.transitions: dict[tuple[int, int], TransitionMap] = dict(transitions or {})
-        self.origin = origin
+        self.provenance: Provenance = provenance or Provenance()
         arities = {c.arity for c in self.charts}
         if len(arities) != 1:
             raise ValueError(f"charts disagree on grading arity: {arities}")
@@ -170,15 +157,6 @@ class GradedBundle:
     def chart(self) -> CoordinateSystem:
         return self.charts[0]
 
-    def transition_pairs(self):
-        """Transitions in declaration order, one per unordered chart pair."""
-        seen = set()
-        for (i, j), t in self.transitions.items():
-            if (j, i) in seen:
-                continue
-            seen.add((i, j))
-            yield (i, j), t
-
     def __repr__(self):
         return (
             f"{type(self).__name__}(degree {self.degree}, arity {self.arity}, "
@@ -189,13 +167,14 @@ class GradedBundle:
 class NTupleBundle(GradedBundle):
     """A graded bundle whose weights have arity at least two."""
 
-    def __init__(self, charts, transitions=None, origin=None):
-        super().__init__(charts, transitions, origin)
+    def __init__(self, charts, transitions=None, provenance=None):
+        super().__init__(charts, transitions, provenance)
         if self.arity < 2:
             raise ValueError("n-tuple bundles need weight arity >= 2")
 
 
-def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle, origin=None):
+def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle,
+                     provenance=None):
     """Convenience constructor for the default desk-scale atlas.
 
     ``forward`` and ``inverse`` map coordinate names of the respective target
@@ -204,11 +183,12 @@ def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle, origi
     fwd = {chart_b[name]: p for name, p in forward.items()}
     inv = {chart_a[name]: p for name, p in inverse.items()}
     t = TransitionMap(chart_a, chart_b, fwd, inv)
-    return cls([chart_a, chart_b], {(0, 1): t, (1, 0): t.reversed()}, origin=origin)
+    return cls([chart_a, chart_b], {(0, 1): t, (1, 0): t.reversed()},
+               provenance=provenance)
 
 
-def single_chart_bundle(chart, cls=GradedBundle, origin=None):
-    return cls([chart], {}, origin=origin)
+def single_chart_bundle(chart, cls=GradedBundle):
+    return cls([chart], {})
 
 
 # ------------------------------------------------------------------ validate
@@ -268,9 +248,9 @@ def _check_linear_block(report, label, t: TransitionMap):
         )
 
 
-def validate(bundle: GradedBundle) -> ValidationReport:
+def validate(bundle: GradedBundle) -> Report:
     """Check homogeneity, declared invertibility and structure of an atlas."""
-    report = ValidationReport()
+    report = Report()
     for (i, j), t in sorted(bundle.transitions.items()):
         label = f"transition {i}->{j}"
         _check_components(
@@ -311,51 +291,73 @@ def weight_vector_field(chart: CoordinateSystem, component: int = 0) -> Derivati
     return Derivation(action, 0, shift)
 
 
-def _restrict_system(chart: CoordinateSystem, keep) -> tuple[CoordinateSystem, dict]:
-    specs = [(v.name, v.weight, v.parity) for v in chart.variables if keep(v)]
-    new = CoordinateSystem(specs, name=f"{chart.name}", arity=chart.arity)
-    varmap = {v: new[v.name] for v in chart.variables if keep(v)}
-    return new, varmap
+# ---------------------------------------------------------------- re-charting
+def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
+            tag: str = "", source=None, inverse: bool = True, **kwargs):
+    """Re-chart every chart of ``bundle`` and carry its transitions across.
 
-
-def _restrict_bundle(bundle, keep, origin, on_component=None, cls=None):
-    """Rebuild the atlas on the kept variables.
-
-    ``on_component`` post-processes each transition polynomial (already
-    remapped into the new variables); dropped variables appearing in a kept
-    image raise IllDefinedProjection.
+    ``spec_fn(i, chart)`` returns ``(name, arity, specs, roles)``: the new
+    chart's name, weight arity and (name, weight, parity) triples, and per
+    role a dict from old keys to new coordinate names.  ``component_fn(comps,
+    other, src, dst, key)`` returns the new components of one direction of a
+    transition: ``comps`` are its old components, ``other`` those of the
+    opposite direction, ``src`` and ``dst`` the role maps (now to new
+    variables) of its source and target charts, ``key`` their indices.  With
+    ``inverse=False`` only forward components are built.  The role maps
+    become the result's provenance; further keywords go to ``cls``.
     """
-    new_charts = []
-    varmaps = []
-    for chart in bundle.charts:
-        nc, vm = _restrict_system(chart, keep)
-        new_charts.append(nc)
-        varmaps.append(vm)
-
-    def convert(p, src_map, what):
-        for v in p.variables():
-            if v not in src_map:
-                raise IllDefinedProjection(
-                    f"{what} depends on dropped coordinate {v.name}"
-                )
-        q = remap(p, src_map)
-        return on_component(q) if on_component else q
-
-    new_transitions = {}
+    charts, maps = [], []
+    for i, chart in enumerate(bundle.charts):
+        name, arity, specs, roles = spec_fn(i, chart)
+        new = CoordinateSystem(specs, name=name, arity=arity)
+        charts.append(new)
+        maps.append({role: {old: new[n] for old, n in names.items()}
+                     for role, names in roles.items()})
+    transitions = {}
     for (i, j), t in bundle.transitions.items():
-        fwd = {}
-        for v, p in t.forward.items():
-            if keep(v):
-                fwd[varmaps[j][v]] = convert(p, varmaps[i], f"image of {v.name}")
-        inv = {}
-        for v, p in t.inverse.items():
-            if keep(v):
-                inv[varmaps[i][v]] = convert(p, varmaps[j], f"image of {v.name}")
-        new_transitions[(i, j)] = TransitionMap(new_charts[i], new_charts[j], fwd, inv)
-    cls = cls or type(bundle)
-    out = cls(new_charts, new_transitions, origin=origin)
-    out._varmaps = varmaps
-    return out
+        fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
+        inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i)) if inverse else {}
+        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
+    provenance = Provenance(tag, bundle if source is None else source,
+                            {role: [m[role] for m in maps] for role in maps[0]})
+    return cls(charts, transitions, provenance=provenance, **kwargs)
+
+
+def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
+             zero=(), roles=None, **kwargs) -> GradedBundle:
+    """Rebuild the atlas on the coordinates ``keep`` accepts (role ``vars``).
+
+    ``reweight`` maps each kept weight to its new weight (unchanged by
+    default); coordinates in ``zero`` are set to zero first, and any other
+    dropped coordinate in a kept image raises IllDefinedProjection.
+    ``roles[role][i]`` adds a role map to names on chart ``i``.
+    """
+    reweight = reweight or (lambda w: w)
+    zero_map = dict.fromkeys(zero, ZERO)
+
+    def spec(i, chart):
+        kept = {v: v.name for v in chart.variables if keep(v)}
+        specs = [(v.name, reweight(v.weight), v.parity) for v in kept]
+        extra = {role: per_chart[i] for role, per_chart in (roles or {}).items()}
+        return chart.name, len(reweight((0,) * chart.arity)), specs, {"vars": kept, **extra}
+
+    def components(comps, other, src, dst, key):
+        vm = src["vars"]
+        out = {}
+        for v, p in comps.items():
+            if v not in dst["vars"]:
+                continue
+            if zero_map:
+                p = substitute(p, zero_map)
+            for u in p.variables():
+                if u not in vm:
+                    raise IllDefinedProjection(
+                        f"image of {v.name} depends on dropped coordinate {u.name}"
+                    )
+            out[dst["vars"][v]] = remap(p, vm)
+        return out
+
+    return rechart(bundle, spec, components, cls=cls or type(bundle), tag=tag, **kwargs)
 
 
 def project_leq(bundle: GradedBundle, l: int, component: int | None = None,
@@ -363,15 +365,13 @@ def project_leq(bundle: GradedBundle, l: int, component: int | None = None,
     """Base of the fibration keeping weights <= l (total or one component)."""
     if component is None:
         keep = lambda v: total(v.weight) <= l
-        tag = ("project_total", l)
     else:
         keep = lambda v: v.weight[component] <= l
-        tag = ("project_component", component, l)
-    return _restrict_bundle(bundle, keep, origin=(tag, bundle), cls=cls)
+    return restrict(bundle, keep, "project", cls=cls)
 
 
 def project_tower(bundle: GradedBundle, l: int) -> GradedBundle:
-    """The tower fibration F_k -> F_l, recorded in the result's origin.
+    """The tower fibration F_k -> F_l, recorded in the result's provenance.
 
     Levels above the degree act as the identity, so composites satisfy
     project(project(F, l), m) = project(F, min(l, m)).
@@ -393,102 +393,54 @@ def core_submanifold(bundle: GradedBundle, i: int) -> GradedBundle:
         for v in chart.variables
         if 0 < total(v.weight) <= i
     }
-    zero_map = {v: ZERO for v in killed}
-
-    new_charts = []
-    varmaps = []
-    for chart in bundle.charts:
-        nc, vm = _restrict_system(chart, lambda v: v not in killed)
-        new_charts.append(nc)
-        varmaps.append(vm)
-
-    new_transitions = {}
-    for (a, b), t in bundle.transitions.items():
-        def conv(p, vm):
-            q = substitute(p, zero_map)
-            return remap(q, vm)
-        fwd = {
-            varmaps[b][v]: conv(p, varmaps[a])
-            for v, p in t.forward.items() if v not in killed
-        }
-        inv = {
-            varmaps[a][v]: conv(p, varmaps[b])
-            for v, p in t.inverse.items() if v not in killed
-        }
-        new_transitions[(a, b)] = TransitionMap(new_charts[a], new_charts[b], fwd, inv)
-    return GradedBundle(new_charts, new_transitions,
-                        origin=(("core", i), bundle))
-
-
-def _lift_chart(chart: CoordinateSystem, dotted_weight, dotted_of_base: bool,
-                prefix: str = "d"):
-    """Bi-graded chart with a dotted copy of (some) coordinates.
-
-    Undotted variables get weight (w, 0); each dotted partner of a weight-w
-    variable gets ``dotted_weight(w)`` and the same parity.
-    """
-    specs = [(v.name, v.weight + (0,), v.parity) for v in chart.variables]
-    dotted_names = {}
-    taken = {v.name for v in chart.variables}
-    for v in chart.variables:
-        if not dotted_of_base and total(v.weight) == 0:
-            continue
-        name = prefix + v.name
-        while name in taken:
-            name = prefix + name
-        taken.add(name)
-        dotted_names[v] = name
-        specs.append((name, dotted_weight(total(v.weight)), v.parity))
-    new = CoordinateSystem(specs, name=chart.name + "_" + prefix,
-                           arity=chart.arity + 1)
-    varmap = {v: new[v.name] for v in chart.variables}
-    dotmap = {v: new[n] for v, n in dotted_names.items()}
-    return new, varmap, dotmap
+    return restrict(bundle, lambda v: v not in killed, "core", cls=GradedBundle,
+                    zero=killed)
 
 
 def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool,
-                       origin_tag: str, cls=NTupleBundle):
+                       tag: str, cls):
     """Adjoin dotted coordinates transforming by the differentials of the
     undotted transition laws.  Vertical bundles (dotted for fibre directions
     only) and full tangent bundles (dotted for everything) both come from
-    here."""
+    here.
+
+    Undotted variables get weight (w, 0); each dotted partner ``d<name>`` of
+    a weight-w variable gets ``dotted_weight(w)`` and the same parity.
+    """
     if bundle.arity != 1:
         raise ValueError("differential lifts are implemented for arity-1 bundles")
-    lifted = [
-        _lift_chart(c, dotted_weight, dotted_of_base) for c in bundle.charts
-    ]
-    charts = [lc[0] for lc in lifted]
-    varmaps = [lc[1] for lc in lifted]
-    dotmaps = [lc[2] for lc in lifted]
 
-    def lift_components(components, src_idx, dst_idx):
-        src_vm, src_dm = varmaps[src_idx], dotmaps[src_idx]
-        dst_vm, dst_dm = varmaps[dst_idx], dotmaps[dst_idx]
-        out = {}
-        for v, p in components.items():
-            out[dst_vm[v]] = remap(p, src_vm)
-        for v, p in components.items():
-            if v not in dst_dm:
+    def spec(i, chart):
+        specs = [(v.name, v.weight + (0,), v.parity) for v in chart.variables]
+        taken = {v.name for v in chart.variables}
+        dotted = {}
+        for v in chart.variables:
+            if not dotted_of_base and total(v.weight) == 0:
+                continue
+            name = "d" + v.name
+            while name in taken:
+                name = "d" + name
+            taken.add(name)
+            dotted[v] = name
+            specs.append((name, dotted_weight(total(v.weight)), v.parity))
+        undotted = {v: v.name for v in chart.variables}
+        return (chart.name + "_d", chart.arity + 1, specs,
+                {"undotted": undotted, "dotted": dotted})
+
+    def components(comps, other, src, dst, key):
+        und, dot = src["undotted"], src["dotted"]
+        out = {dst["undotted"][v]: remap(p, und) for v, p in comps.items()}
+        for v, p in comps.items():
+            if v not in dst["dotted"]:
                 continue
             dp = ZERO
             for u in p.variables():
-                if u in src_dm:
-                    dp = dp + SuperPolynomial.from_var(src_dm[u]) * remap(
-                        partial(p, u), src_vm
-                    )
-            out[dst_dm[v]] = dp
+                if u in dot:
+                    dp = dp + SuperPolynomial.from_var(dot[u]) * remap(partial(p, u), und)
+            out[dst["dotted"][v]] = dp
         return out
 
-    transitions = {}
-    for (i, j), t in bundle.transitions.items():
-        fwd = lift_components(t.forward, i, j)
-        inv = lift_components(t.inverse, j, i)
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    out = cls(charts, transitions, origin=((origin_tag,), bundle))
-    out.lift_source = bundle
-    out.undotted_of = varmaps
-    out.dotted_of = dotmaps
-    return out
+    return rechart(bundle, spec, components, cls=cls, tag=tag)
 
 
 def vertical_bundle(bundle: GradedBundle) -> NTupleBundle:
@@ -499,13 +451,10 @@ def vertical_bundle(bundle: GradedBundle) -> NTupleBundle:
     """
     if bundle.degree < 1:
         raise ValueError("vertical bundle needs degree >= 1")
-    return _differential_lift(
-        bundle, lambda w: (w - 1, 1), dotted_of_base=False, origin_tag="vertical"
-    )
+    return _differential_lift(bundle, lambda w: (w - 1, 1), False, "vertical",
+                              NTupleBundle)
 
 
-def tangent_bundle(bundle: GradedBundle) -> NTupleBundle:
+def tangent_bundle(bundle: GradedBundle, cls=NTupleBundle) -> NTupleBundle:
     """Full tangent lift; dotted weight-w coordinates carry bi-weight (w, 1)."""
-    return _differential_lift(
-        bundle, lambda w: (w, 1), dotted_of_base=True, origin_tag="tangent"
-    )
+    return _differential_lift(bundle, lambda w: (w, 1), True, "tangent", cls)

@@ -49,16 +49,6 @@ from .specfile import (
 from .superalg import render as render_poly
 from .superalg import weight_of
 
-COMMANDS = (
-    "validate",
-    "linearise",
-    "dual",
-    "mironian",
-    "embed",
-    "check-q",
-    "bracket",
-    "construct",
-)
 CONSTRUCTS = ("tangent", "cotangent", "tk", "lie-tower", "prolong")
 
 
@@ -193,7 +183,10 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
 
 
 def build_tower_section(section, tower) -> TowerSection:
+    """``Y a`` and ``Z a r`` entries: fibre indices a in 1..dim, levels r in
+    1..k-1, each key at most once."""
     phase = tower.phase
+    names, k = tower.tower.names, tower.tower.k
     base_names = {
         v.name: v for v in phase.system.variables if v.weight[1] == 0 and v.weight[2] == 0
     }
@@ -201,15 +194,19 @@ def build_tower_section(section, tower) -> TowerSection:
     Z = {}
     for e in section.entries:
         if e.key[0] == "Y" and len(e.key) == 2:
-            Y[e.key[1]] = parse_expression(e.value, base_names, e.line, e.col)
+            comps, key = Y, names[_index(e, e.key[1], len(names)) - 1]
         elif e.key[0] == "Z" and len(e.key) == 3:
-            Z[(e.key[1], int(e.key[2]))] = parse_expression(
-                e.value, base_names, e.line, e.col
-            )
+            comps = Z
+            key = (names[_index(e, e.key[1], len(names)) - 1], _index(e, e.key[2], k - 1))
         else:
             raise SpecSyntaxError(
                 "section entries read 'Y a = expr' or 'Z a r = expr'", e.line, 1
             )
+        if key in comps:
+            raise SpecSyntaxError(
+                f"duplicate key {' '.join(e.key)!r} in section {section.args[0]}", e.line, 1
+            )
+        comps[key] = parse_expression(e.value, base_names, e.line, e.col)
     return TowerSection(Y, Z)
 
 
@@ -417,6 +414,18 @@ def cmd_construct(doc: SpecDocument, what: str) -> Report:
 
 
 # ---------------------------------------------------------------------- main
+COMMANDS = {
+    "validate": cmd_validate,
+    "linearise": cmd_linearise,
+    "dual": cmd_dual,
+    "mironian": cmd_mironian,
+    "embed": cmd_embed,
+    "check-q": cmd_check_q,
+    "bracket": cmd_bracket,
+    "construct": cmd_construct,
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedbundles",
@@ -433,23 +442,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run_command(command: str, doc: SpecDocument, target: str | None = None) -> Report:
-    if command == "validate":
-        return cmd_validate(doc)
-    if command == "linearise":
-        return cmd_linearise(doc)
-    if command == "dual":
-        return cmd_dual(doc)
-    if command == "mironian":
-        return cmd_mironian(doc)
-    if command == "embed":
-        return cmd_embed(doc)
-    if command == "check-q":
-        return cmd_check_q(doc)
-    if command == "bracket":
-        return cmd_bracket(doc)
+    if command not in COMMANDS:
+        raise SpecSyntaxError(f"unknown command {command!r}")
     if command == "construct":
         return cmd_construct(doc, target)
-    raise SpecSyntaxError(f"unknown command {command!r}")
+    return COMMANDS[command](doc)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ components rather than equalities up to rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import (
@@ -28,24 +28,26 @@ from .superalg import (
     commutator,
     partial,
     remap,
+    substitute,
     total,
     weight_of,
 )
 from .bundle import (
     CoordinateSystem,
     GradedBundle,
-    NTupleBundle,
-    TransitionMap,
+    Provenance,
+    rechart,
     single_chart_bundle,
     tangent_bundle,
     two_chart_bundle,
 )
-from .linfun import GLBundle
+from .linfun import GLBundle, contragredient
 from .algebroid import (
     HomologicalField,
     OddPhaseSpace,
     OddPoissonSpace,
     WeightedAlgebroid,
+    restrict_to_A1,
 )
 
 
@@ -139,6 +141,8 @@ class AlgebroidData:
     fiber_names: list[str]
     anchor: dict[tuple[str, str], SuperPolynomial]
     bracket: dict[tuple[str, str, str], SuperPolynomial]
+    constants: StructureConstants | None = None
+    _pie: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full = {}
@@ -156,7 +160,6 @@ class AlgebroidData:
             for key, p in self.anchor.items()
             if not (isinstance(p, SuperPolynomial) and p.is_zero())
         }
-        self._pie = None
 
     def pie_system(self) -> tuple[CoordinateSystem, dict]:
         """The parity-reversed total space: base coordinates and odd xi's."""
@@ -171,26 +174,30 @@ class AlgebroidData:
             self._pie = (sys, maps)
         return self._pie
 
+    def structure_action(self, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
+        """Coefficients of xi P dx - 1/2 xi xi P dxi, with ``x_of`` sending
+        base coordinates and ``xi_of`` fibre names to the odd system's."""
+        action: dict[Variable, SuperPolynomial] = {}
+        for (a, aname), p in self.anchor.items():
+            x = x_of[self.base[aname]]
+            action[x] = action.get(x, ZERO) + (
+                SuperPolynomial.from_var(xi_of[a]) * remap(p, x_of)
+            )
+        for (a, b, c), p in self.bracket.items():
+            term = (
+                SuperPolynomial.from_var(xi_of[a])
+                * SuperPolynomial.from_var(xi_of[b])
+                * remap(p, x_of)
+                * Fraction(-1, 2)
+            )
+            action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
+        return action
+
     def q_field(self) -> Derivation:
         """The weight-one odd field xi P dx - 1/2 xi xi P dxi on the
         parity-reversed total space."""
         sys, maps = self.pie_system()
-        action: dict[Variable, SuperPolynomial] = {}
-        for (a, aname), p in self.anchor.items():
-            x = maps["x"][self.base[aname]]
-            action[x] = action.get(x, ZERO) + (
-                SuperPolynomial.from_var(maps["xi"][a]) * remap(p, maps["x"])
-            )
-        for (a, b, c), p in self.bracket.items():
-            xi_c = maps["xi"][c]
-            term = (
-                SuperPolynomial.from_var(maps["xi"][a])
-                * SuperPolynomial.from_var(maps["xi"][b])
-                * remap(p, maps["x"])
-                * Fraction(-1, 2)
-            )
-            action[xi_c] = action.get(xi_c, ZERO) + term
-        return Derivation(action, ODD, (1,))
+        return Derivation(self.structure_action(maps["x"], maps["xi"]), ODD, (1,))
 
     @property
     def is_lie(self) -> bool:
@@ -207,9 +214,7 @@ def point_algebroid(c: StructureConstants) -> AlgebroidData:
         for (i, j, k), v in c.c.items()
         if i < j
     }
-    data = AlgebroidData(base, names, {}, bracket)
-    data.constants = c
-    return data
+    return AlgebroidData(base, names, {}, bracket, constants=c)
 
 
 def tm_algebroid(dim: int) -> AlgebroidData:
@@ -225,25 +230,14 @@ def tm_algebroid(dim: int) -> AlgebroidData:
 
 
 # -------------------------------------------------------- tangent algebroid
-def _as_gl(bundle: NTupleBundle, gl_degree=None) -> GLBundle:
-    out = GLBundle(bundle.charts, bundle.transitions, origin=bundle.origin,
-                   gl_degree=gl_degree)
-    for attr in ("lift_source", "undotted_of", "dotted_of"):
-        if hasattr(bundle, attr):
-            setattr(out, attr, getattr(bundle, attr))
-    return out
-
-
 def tangent_algebroid(F: GradedBundle) -> WeightedAlgebroid:
     """The de Rham field on the parity-reversed tangent bundle of F."""
-    TF = _as_gl(tangent_bundle(F))
+    TF = tangent_bundle(F, cls=GLBundle)
     phase = OddPhaseSpace(TF)
     action = {}
-    for v, dv in TF.dotted_of[0].items():
-        base_leg_var = TF.undotted_of[0][v]
-        action[phase.x_of[base_leg_var]] = SuperPolynomial.from_var(
-            phase.theta_of[dv]
-        )
+    undotted = TF.provenance.maps["undotted"][0]
+    for v, dv in TF.provenance.maps["dotted"][0].items():
+        action[phase.x_of[undotted[v]]] = SuperPolynomial.from_var(phase.theta_of[dv])
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
     return WeightedAlgebroid.from_q(TF, Q)
 
@@ -252,61 +246,26 @@ def tangent_algebroid(F: GradedBundle) -> WeightedAlgebroid:
 def cotangent_bundle(F: GradedBundle) -> GLBundle:
     """T*F with the phase-lifted bi-weight: the momentum of a weight-w
     coordinate carries (deg F - w, 1).  Momentum transitions are the
-    contragredient of the Jacobian, from the declared inverse atlas."""
+    contragredient of the Jacobian, from the declared inverse atlas; the
+    provenance roles are ``base`` and ``dual`` (the momenta)."""
     km1 = F.degree
-    charts = []
-    base_maps = []
-    p_of = []
-    for chart in F.charts:
+
+    def spec(i, chart):
         specs = [(v.name, (total(v.weight), 0), v.parity) for v in chart.variables]
-        taken = {s[0] for s in specs}
-        momentum_names = {}
+        taken = {v.name for v in chart.variables}
+        momenta = {}
         for v in chart.variables:
             nm = "p_" + v.name
             while nm in taken:
                 nm = nm + "_"
             taken.add(nm)
-            momentum_names[v] = nm
+            momenta[v] = nm
             specs.append((nm, (km1 - total(v.weight), 1), v.parity))
-        nc = CoordinateSystem(specs, name=chart.name + "_t*", arity=2)
-        charts.append(nc)
-        base_maps.append({v: nc[v.name] for v in chart.variables})
-        p_of.append({v: nc[momentum_names[v]] for v in chart.variables})
+        base = {v: v.name for v in chart.variables}
+        return chart.name + "_t*", 2, specs, {"base": base, "dual": momenta}
 
-    from .superalg import substitute
-
-    transitions = {}
-    for (i, j), t in F.transitions.items():
-        fwd = {base_maps[j][v]: remap(p, base_maps[i]) for v, p in t.forward.items()}
-        inv = {base_maps[i][v]: remap(p, base_maps[j]) for v, p in t.inverse.items()}
-        for vp in F.charts[j].variables:
-            expr = ZERO
-            for u in F.charts[i].variables:
-                entry = partial(t.inverse[u], vp)
-                if entry.is_zero():
-                    continue
-                entry = substitute(entry, t.forward)
-                expr = expr + remap(entry, base_maps[i]) * SuperPolynomial.from_var(
-                    p_of[i][u]
-                )
-            fwd[p_of[j][vp]] = expr
-        for u in F.charts[i].variables:
-            expr = ZERO
-            for vp in F.charts[j].variables:
-                entry = partial(t.forward[vp], u)
-                if entry.is_zero():
-                    continue
-                entry = substitute(entry, t.inverse)
-                expr = expr + remap(entry, base_maps[j]) * SuperPolynomial.from_var(
-                    p_of[j][vp]
-                )
-            inv[p_of[i][u]] = expr
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    out = GLBundle(charts, transitions, origin=(("cotangent",), F),
+    return rechart(F, spec, contragredient, cls=GLBundle, tag="cotangent",
                    gl_degree=km1 + 1)
-    out.momentum_of = p_of
-    out.base_of = base_maps
-    return out
 
 
 def momentum_pairing(carrier: GLBundle, phase: OddPhaseSpace) -> OddPoissonSpace:
@@ -314,8 +273,9 @@ def momentum_pairing(carrier: GLBundle, phase: OddPhaseSpace) -> OddPoissonSpace
     each coordinate against the theta of its own momentum."""
     chart = phase.chart
     pairs = []
-    for v, pv in carrier.momentum_of[chart].items():
-        pairs.append((phase.x_of[carrier.base_of[chart][v]], phase.theta_of[pv]))
+    maps = carrier.provenance.maps
+    for v, pv in maps["dual"][chart].items():
+        pairs.append((phase.x_of[maps["base"][chart][v]], phase.theta_of[pv]))
     return OddPoissonSpace(phase.system, pairs)
 
 
@@ -343,13 +303,10 @@ def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial,
         parity=ODD,
     )
     Q = HomologicalField(derivation, phase)
-    alg = WeightedAlgebroid.from_q(carrier, Q)
-    alg.poisson_data = P
-    alg.poisson_residual = poisson.bracket(P, P)
-    from .algebroid import restrict_to_A1
-
-    alg.a1_field = restrict_to_A1(Q)
-    return alg
+    return WeightedAlgebroid.from_q(
+        carrier, Q, poisson_data=P, poisson_residual=poisson.bracket(P, P),
+        a1_field=restrict_to_A1(Q),
+    )
 
 
 def linear_poisson(c: StructureConstants):
@@ -414,8 +371,6 @@ class PolynomialDiffeo:
         return len(self.source.variables)
 
     def round_trip_exact(self) -> bool:
-        from .superalg import substitute
-
         for v in self.source.variables:
             if substitute(self.inverse[v], self.forward) != SuperPolynomial.from_var(v):
                 return False
@@ -497,9 +452,8 @@ def higher_tangent(phi: PolynomialDiffeo, k: int) -> GradedBundle:
         for r in range(1, k + 1):
             forward[f"{dst_stem}{i}_{r}"] = fwd_lift[(i, r)]
             inverse[f"{src_stem}{i}_{r}"] = inv_lift[(i, r)]
-    out = two_chart_bundle(chart_a, chart_b, forward, inverse,
-                           origin=(("higher_tangent", k), phi))
-    return out
+    return two_chart_bundle(chart_a, chart_b, forward, inverse,
+                            provenance=Provenance("higher_tangent", phi))
 
 
 # -------------------------------------------------------------- complete lift
@@ -574,27 +528,12 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
     for r in range(1, k):
         specs += [(f"dy{n}_{r + 1}", (r, 1), EVEN) for n in names]
     chart = CoordinateSystem(specs, name=f"prolong{k}_{E.base.name}", arity=2)
-    carrier = single_chart_bundle(chart, cls=GLBundle,
-                                  origin=(("prolongation", k), E))
-    carrier.gl_degree = k
+    carrier = GLBundle([chart], provenance=Provenance("prolongation", E), gl_degree=k)
     phase = OddPhaseSpace(carrier)
-    base_map = {v: phase.x_of[chart[v.name]] for v in E.base.variables}
-
-    action: dict[Variable, SuperPolynomial] = {}
-    for (a, aname), p in E.anchor.items():
-        x = phase.x_of[chart[aname]]
-        action[x] = action.get(x, ZERO) + (
-            SuperPolynomial.from_var(phase.theta_of[chart[f"xi{a}"]])
-            * remap(p, base_map)
-        )
-    for (a, b, c), p in E.bracket.items():
-        th_c = phase.theta_of[chart[f"xi{c}"]]
-        action[th_c] = action.get(th_c, ZERO) + (
-            SuperPolynomial.from_var(phase.theta_of[chart[f"xi{a}"]])
-            * SuperPolynomial.from_var(phase.theta_of[chart[f"xi{b}"]])
-            * remap(p, base_map)
-            * Fraction(-1, 2)
-        )
+    action = E.structure_action(
+        {v: phase.x_of[chart[v.name]] for v in E.base.variables},
+        {n: phase.theta_of[chart[f"xi{n}"]] for n in names},
+    )
     for r in range(1, k):
         for n in names:
             x = phase.x_of[chart[f"y{n}_{r}"]]
@@ -602,9 +541,8 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
                 phase.theta_of[chart[f"dy{n}_{r + 1}"]]
             )
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
-    alg = WeightedAlgebroid.from_q(carrier, Q)
-    alg.tower = TowerInfo(E, k, list(names))
-    return alg
+    return WeightedAlgebroid.from_q(carrier, Q, tower=TowerInfo(E, k, list(names)),
+                                    constants=E.constants)
 
 
 def prolongation_algebroid(E: AlgebroidData, k: int) -> WeightedAlgebroid:
@@ -620,9 +558,7 @@ def lie_tower(c: StructureConstants, k: int) -> WeightedAlgebroid:
     spanned by xi and the dy's, structure field sum dy d/dy + CE term."""
     if k < 1:
         raise ValueError("towers need k >= 1")
-    alg = _prolongation(point_algebroid(c), k)
-    alg.constants = c
-    return alg
+    return _prolongation(point_algebroid(c), k)
 
 
 # ------------------------------------------------------------ reduced bracket
@@ -694,7 +630,7 @@ def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,
     info = alg.tower
     if info.data.base.variables:
         raise ValueError("the reduced bracket is defined over a point base")
-    c = getattr(alg, "constants", None)
+    c = alg.constants
     if c is None:
         raise ValueError("reduced brackets need structure-constant data")
     names = info.names

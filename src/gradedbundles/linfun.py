@@ -10,7 +10,16 @@ k-1 base leg.
 Dual transitions are computed, never user-supplied: the linear part of the
 dotted laws is block-triangular in weight with the user's invertible
 diagonal blocks, so the contragredient comes out of the declared inverse
-atlas by differentiation and substitution alone.
+atlas by differentiation and substitution alone.  ``contragredient`` is that
+law, written once as a ``bundle.rechart`` component function; the linear
+dual and the cotangent bundle (``constructions``) both use it.
+
+Every construction here re-charts through ``bundle.rechart`` and records its
+maps in the result's ``provenance``: D(F) carries ``undotted`` and
+``dotted`` (F's coordinates to D(F)'s), the linear dual ``base`` and
+``dual`` (D(F)'s coordinates to base-leg and ``p<name>`` coordinates, with
+D(F) as source), and ``reconstruct`` ``vars`` (the GL-bundle's coordinates
+to the coordinates they pull back to on F).
 """
 
 from __future__ import annotations
@@ -33,11 +42,11 @@ from .bundle import (
     CoordinateSystem,
     GradedBundle,
     NTupleBundle,
-    TransitionMap,
-    ValidationReport,
-    project_leq,
+    rechart,
+    restrict,
     vertical_bundle,
 )
+from .report import Report
 
 
 class WeightViolation(ValueError):
@@ -64,8 +73,8 @@ class GLBundle(NTupleBundle):
     transition.
     """
 
-    def __init__(self, charts, transitions=None, origin=None, gl_degree=None):
-        super().__init__(charts, transitions, origin)
+    def __init__(self, charts, transitions=None, provenance=None, gl_degree=None):
+        super().__init__(charts, transitions, provenance)
         for chart in self.charts:
             for v in chart.variables:
                 if v.weight[1] not in (0, 1):
@@ -101,54 +110,25 @@ class GLBundle(NTupleBundle):
 
     def base_bundle(self) -> GradedBundle:
         """The degree k-1 bundle carried by the second-weight-0 leg."""
-        flat = project_leq(self, 0, component=1, cls=NTupleBundle)
-        charts, transitions = _collapse_to_arity_one(flat)
-        return GradedBundle(charts, transitions, origin=(("base_leg",), self))
-
-
-def _collapse_to_arity_one(bundle: GradedBundle):
-    """Rebuild an arity-2 bundle whose second weights are all zero as arity 1."""
-    charts = []
-    varmaps = []
-    for c in bundle.charts:
-        specs = [(v.name, (v.weight[0],), v.parity) for v in c.variables]
-        nc = CoordinateSystem(specs, name=c.name, arity=1)
-        charts.append(nc)
-        varmaps.append({v: nc[v.name] for v in c.variables})
-    transitions = {}
-    for (i, j), t in bundle.transitions.items():
-        fwd = {varmaps[j][v]: remap(p, varmaps[i]) for v, p in t.forward.items()}
-        inv = {varmaps[i][v]: remap(p, varmaps[j]) for v, p in t.inverse.items()}
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    return charts, transitions
+        return restrict(self, lambda v: v.weight[1] == 0, "base_leg", cls=GradedBundle,
+                        reweight=lambda w: w[:1])
 
 
 # --------------------------------------------------------------- linearise
 def linearise(F: GradedBundle) -> GLBundle:
     """D(F): vertical bundle with the top-weight undotted coordinates
-    projected out.  Carries maps from F's variables to its own."""
+    projected out.  Its provenance maps F's variables to its own."""
     if F.degree < 1:
         raise ValueError("linearisation needs degree >= 1")
     k = F.degree
     V = vertical_bundle(F)
-    D = project_leq(V, k - 1, component=0, cls=GLBundle)
-    D.gl_degree = k
-    proj_maps = D._varmaps
-    D.lin_source = F
-    D.undotted_of = []
-    D.dotted_of = []
-    for i in range(len(F.charts)):
-        und = {}
-        dot = {}
-        for v, vv in V.undotted_of[i].items():
-            if vv in proj_maps[i]:
-                und[v] = proj_maps[i][vv]
-        for v, vd in V.dotted_of[i].items():
-            dot[v] = proj_maps[i][vd]
-        D.undotted_of.append(und)
-        D.dotted_of.append(dot)
-    D.origin = (("linearise",), F)
-    return D
+    keep = lambda v: v.weight[0] <= k - 1
+    roles = {
+        role: [{v: w.name for v, w in m.items() if keep(w)} for m in V.provenance.maps[role]]
+        for role in ("undotted", "dotted")
+    }
+    return restrict(V, keep, "linearise", cls=GLBundle, roles=roles, source=F,
+                    gl_degree=k)
 
 
 # --------------------------------------------------------------- morphisms
@@ -159,12 +139,6 @@ class GradedMorphism:
     source: GradedBundle
     target: GradedBundle
     components: dict[Variable, SuperPolynomial]
-
-    def component(self, v: Variable) -> SuperPolynomial:
-        return self.components[v]
-
-    def assignment(self):
-        return self.components
 
     def validate(self) -> None:
         """Raise WeightViolation unless weight and parity are preserved.
@@ -228,14 +202,14 @@ def linearise_morphism(
     k = F.degree
     tops = {v for v in F.chart.variables if total(v.weight) == k}
     drop_top = {v: ZERO for v in tops}
-    und_src = DF.undotted_of[0]
-    dot_src = DF.dotted_of[0]
+    und_src = DF.provenance.maps["undotted"][0]
+    dot_src = DF.provenance.maps["dotted"][0]
 
     comps: dict[Variable, SuperPolynomial] = {}
-    for vt, dvt in DFp.undotted_of[0].items():
+    for vt, dvt in DFp.provenance.maps["undotted"][0].items():
         p = substitute(phi.components[vt], drop_top)
         comps[dvt] = remap(p, und_src)
-    for vt, dvt in DFp.dotted_of[0].items():
+    for vt, dvt in DFp.provenance.maps["dotted"][0].items():
         dp = ZERO
         body = phi.components[vt]
         for u in F.chart.nonbase:
@@ -247,19 +221,31 @@ def linearise_morphism(
     return GradedMorphism(DF, DFp, comps)
 
 
-def holonomic_assignment(DF: GLBundle, chart_idx: int = 0):
-    """Pullback data of the embedding F -> D(F) on one chart.
-
-    Undotted coordinates pull back to themselves, the dotted copy of a
-    weight-w coordinate pulls back to w times that coordinate.
-    """
-    F = DF.lin_source
+def _holonomic(pairs):
+    """Pullbacks along the holonomic embedding from (G-coordinate, F-coordinate)
+    pairs: a fibre coordinate of total weight w pulls back to w times its
+    partner, a base-leg coordinate to its partner."""
     out: dict[Variable, SuperPolynomial] = {}
-    for v, dv in DF.undotted_of[chart_idx].items():
-        out[dv] = SuperPolynomial.from_var(v)
-    for v, dv in DF.dotted_of[chart_idx].items():
-        out[dv] = SuperPolynomial.from_var(v) * total(v.weight)
+    for g, v in pairs:
+        p = SuperPolynomial.from_var(v)
+        out[g] = p * total(g.weight) if g.weight[1] == 1 else p
     return out
+
+
+def holonomic_assignment(G: GLBundle, chart_idx: int = 0):
+    """Pullback data of the embedding F -> G on one chart.
+
+    For G = D(F) the undotted coordinates pull back to themselves and the
+    dotted copy of a weight-w coordinate to w times that coordinate.  Any
+    other G is first reconstructed as a linearisation (NotSymmetric if it
+    is none), and the pullbacks are polynomials on the reconstruction.
+    """
+    prov = G.provenance
+    if prov.tag != "linearise":
+        return _holonomic(reconstruct(G).provenance.maps["vars"][chart_idx].items())
+    return _holonomic(
+        (g, v) for role in ("undotted", "dotted") for v, g in prov.maps[role][chart_idx].items()
+    )
 
 
 def holonomic_embedding(F: GradedBundle, DF: GLBundle | None = None) -> GradedMorphism:
@@ -267,15 +253,15 @@ def holonomic_embedding(F: GradedBundle, DF: GLBundle | None = None) -> GradedMo
     return GradedMorphism(F, DF, holonomic_assignment(DF, 0))
 
 
-def embedding_compatibility(F: GradedBundle, DF: GLBundle | None = None) -> ValidationReport:
+def embedding_compatibility(F: GradedBundle, DF: GLBundle | None = None) -> Report:
     """Check that the dotted laws pulled back through the embedding give
     the weight multiple of the undotted laws, on every transition."""
     DF = DF if DF is not None else linearise(F)
-    report = ValidationReport()
+    report = Report()
     for (i, j), t in sorted(DF.transitions.items()):
         holo_i = holonomic_assignment(DF, i)
         tF = F.transitions[(i, j)]
-        for v, dv in DF.dotted_of[j].items():
+        for v, dv in DF.provenance.maps["dotted"][j].items():
             lhs = substitute(t.forward[dv], holo_i)
             rhs = tF.forward[v] * total(v.weight)
             residual = lhs - rhs
@@ -309,14 +295,14 @@ def _paired_blocks(G: GLBundle, chart_idx: int):
     return pairs, G.fiber_block(k - 1, chart_idx)
 
 
-def symmetry_report(G: GLBundle) -> ValidationReport:
+def symmetry_report(G: GLBundle) -> Report:
     """Both halves of the symmetric criterion as report items.
 
     (a) the non-top fibre coordinates transform as the vertical lift of the
     base leg, (b) the lower-index tensors of the top block are symmetric,
     i.e. the top transition is the differential of some undotted law.
     """
-    report = ValidationReport()
+    report = Report()
     k = G.gl_degree
     try:
         block_data = [_paired_blocks(G, idx) for idx in range(len(G.charts))]
@@ -394,51 +380,35 @@ def reconstruct(G: GLBundle) -> GradedBundle:
         bad = rep.failures()[0]
         raise NotSymmetric(f"not a linearisation: {bad.check_id}", witness=bad)
     k = G.gl_degree
-    charts = []
-    assignments = []  # per chart: G-variable -> polynomial in new variables
-    new_name = []  # per chart: G-variable -> its coordinate name on F
-    for idx, chart in enumerate(G.charts):
-        pairs, top = _paired_blocks(G, idx)
-        specs = [(v.name, (v.weight[0],), v.parity) for v in G.base_leg_vars(idx)]
-        taken = {s[0] for s in specs}
-        naming = {v: v.name for v in G.base_leg_vars(idx)}
+
+    def spec(i, chart):
+        pairs, top = _paired_blocks(G, i)
+        base = G.base_leg_vars(i)
+        specs = [(v.name, (v.weight[0],), v.parity) for v in base]
+        taken = {v.name for v in base}
+        names = {v: v.name for v in base}
+        names.update((f, b.name) for entries in pairs.values() for f, b in entries)
         for zv in top:
-            nm = _strip_dot_name(zv.name, taken)
-            taken.add(nm)
-            naming[zv] = nm
-            specs.append((nm, (k,), zv.parity))
-        nc = CoordinateSystem(specs, name=chart.name + "_rec", arity=1)
-        charts.append(nc)
-        assign: dict[Variable, SuperPolynomial] = {}
-        for v in G.base_leg_vars(idx):
-            assign[v] = nc.var(v.name)
-        for w, entries in pairs.items():
-            for fvar, bvar in entries:
-                assign[fvar] = nc.var(bvar.name) * w
-        for zv in top:
-            assign[zv] = nc.var(naming[zv]) * k
-        assignments.append(assign)
-        new_name.append(naming)
+            names[zv] = _strip_dot_name(zv.name, taken)
+            taken.add(names[zv])
+            specs.append((names[zv], (k,), zv.parity))
+        return chart.name + "_rec", 1, specs, {"vars": names}
 
     inv_k = Fraction(1, k)
-    transitions = {}
-    for (i, j), t in G.transitions.items():
-        fwd = {}
-        inv = {}
-        for v in G.base_leg_vars(j):
-            fwd[charts[j][v.name]] = substitute(t.forward[v], assignments[i])
-        for zv in G.fiber_block(k - 1, j):
-            fwd[charts[j][new_name[j][zv]]] = substitute(
-                t.forward[zv], assignments[i]) * inv_k
-        for v in G.base_leg_vars(i):
-            inv[charts[i][v.name]] = substitute(t.inverse[v], assignments[j])
-        for zv in G.fiber_block(k - 1, i):
-            inv[charts[i][new_name[i][zv]]] = substitute(
-                t.inverse[zv], assignments[j]) * inv_k
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    out = GradedBundle(charts, transitions, origin=(("reconstruct",), G))
-    out.holonomic_assignments = assignments
-    return out
+
+    def components(comps, other, src, dst, key):
+        # the holonomic locus: w*y for each non-top fibre coordinate, and
+        # the top fibre coordinate rescaled by 1/k
+        assign = _holonomic(src["vars"].items())
+        out = {}
+        for g, v in dst["vars"].items():
+            if g.weight[1] == 0:
+                out[v] = substitute(comps[g], assign)
+            elif g.weight[0] == k - 1:
+                out[v] = substitute(comps[g], assign) * inv_k
+        return out
+
+    return rechart(G, spec, components, tag="reconstruct")
 
 
 # -------------------------------------------------------------- linear dual
@@ -452,67 +422,45 @@ def linear_dual(F: GradedBundle, DF: GLBundle | None = None) -> GLBundle:
     """
     DF = DF if DF is not None else linearise(F)
     k = DF.gl_degree
-    charts = []
-    base_maps = []
-    pi_of = []
-    for chart in DF.charts:
-        specs = [(v.name, v.weight, v.parity) for v in chart.variables if v.weight[1] == 0]
-        taken = {s[0] for s in specs}
-        fib = [v for v in chart.variables if v.weight[1] == 1]
-        dual_names = {}
-        for v in fib:
+
+    def spec(i, chart):
+        base = {v: v.name for v in chart.variables if v.weight[1] == 0}
+        specs = [(v.name, v.weight, v.parity) for v in base]
+        taken = set(base.values())
+        dual = {}
+        for v in chart.variables:
+            if v.weight[1] != 1:
+                continue
             nm = "p" + v.name
             while nm in taken:
                 nm = "p" + nm
             taken.add(nm)
-            dual_names[v] = nm
+            dual[v] = nm
             specs.append((nm, (k - 1 - v.weight[0], 1), v.parity))
-        nc = CoordinateSystem(specs, name=chart.name + "_dual", arity=2)
-        charts.append(nc)
-        base_maps.append({v: nc[v.name] for v in chart.variables if v.weight[1] == 0})
-        pi_of.append({v: nc[dual_names[v]] for v in fib})
+        return chart.name + "_dual", 2, specs, {"base": base, "dual": dual}
 
-    transitions = {}
-    for (i, j), t in DF.transitions.items():
-        fwd: dict[Variable, SuperPolynomial] = {}
-        inv: dict[Variable, SuperPolynomial] = {}
-        for v in DF.base_leg_vars(j):
-            fwd[base_maps[j][v]] = remap(t.forward[v], base_maps[i])
-        for v in DF.base_leg_vars(i):
-            inv[base_maps[i][v]] = remap(t.inverse[v], base_maps[j])
-        fwd_assign = t.forward
-        inv_assign = t.inverse
-        fib_i = [v for v in DF.charts[i].variables if v.weight[1] == 1]
-        fib_j = [v for v in DF.charts[j].variables if v.weight[1] == 1]
-        for ap in fib_j:
-            expr = ZERO
-            for b in fib_i:
-                entry = partial(t.inverse[b], ap)
-                if entry.is_zero():
-                    continue
-                entry = substitute(entry, fwd_assign)
-                expr = expr + remap(entry, base_maps[i]) * SuperPolynomial.from_var(
-                    pi_of[i][b]
-                )
-            fwd[pi_of[j][ap]] = expr
-        for b in fib_i:
-            expr = ZERO
-            for ap in fib_j:
-                entry = partial(t.forward[ap], b)
-                if entry.is_zero():
-                    continue
-                entry = substitute(entry, inv_assign)
-                expr = expr + remap(entry, base_maps[j]) * SuperPolynomial.from_var(
-                    pi_of[j][ap]
-                )
-            inv[pi_of[i][b]] = expr
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
+    return rechart(DF, spec, contragredient, cls=GLBundle, tag="linear_dual", gl_degree=k)
 
-    dual = GLBundle(charts, transitions, origin=(("linear_dual",), F), gl_degree=k)
-    dual.dual_of = DF
-    dual.pi_of = pi_of
-    dual.base_maps = base_maps
-    return dual
+
+def contragredient(comps, other, src, dst, key=None):
+    """Dual-bundle components of one direction of a transition.
+
+    A ``bundle.rechart`` component function for charts with roles ``base``
+    and ``dual``: base coordinates carry their own law, and the dual of a
+    fibre coordinate transforms by the transpose of the opposite direction's
+    Jacobian, pulled back along this direction.
+    """
+    base = src["base"]
+    out = {new: remap(comps[v], base) for v, new in dst["base"].items()}
+    for a, pa in dst["dual"].items():
+        expr = ZERO
+        for b, pb in src["dual"].items():
+            entry = partial(other[b], a)
+            if not entry.is_zero():
+                entry = remap(substitute(entry, comps), base)
+                expr = expr + entry * SuperPolynomial.from_var(pb)
+        out[pa] = expr
+    return out
 
 
 # ------------------------------------------------------------------ pairing
@@ -530,8 +478,8 @@ class PairingResult:
     def polynomial(self) -> SuperPolynomial:
         return self.polynomials[0]
 
-    def check_invariance(self) -> ValidationReport:
-        report = ValidationReport()
+    def check_invariance(self) -> Report:
+        report = Report()
         for (i, j), assign in sorted(self.transitions.items()):
             residual = substitute(self.polynomials[j], assign) - self.polynomials[i]
             report.add(
@@ -545,61 +493,47 @@ class PairingResult:
 def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
     """delta* = sum_w w pi y_w + k pi^1 z, of bi-weight (k, 1)."""
     dual = dual if dual is not None else linear_dual(F)
-    DF = dual.dual_of
-    k = DF.gl_degree
-    systems = []
-    polys = []
-    f_maps = []
-    d_maps = []
-    for idx, fchart in enumerate(F.charts):
-        specs = [(v.name, v.weight + (0,), v.parity) for v in fchart.variables]
-        dchart = dual.charts[idx]
-        taken = {v.name for v in fchart.variables}
-        dual_fib = [v for v in dchart.variables if v.weight[1] == 1]
-        for v in dual_fib:
+    DF = dual.provenance.source
+    dual_of = dual.provenance.maps["dual"]
+
+    def spec(i, chart):
+        specs = [(v.name, v.weight + (0,), v.parity) for v in chart.variables]
+        taken = {v.name for v in chart.variables}
+        # dual base-leg coordinates share their names with F's coordinates
+        lift = {}
+        for v in dual.charts[i].variables:
             nm = v.name
-            while nm in taken:
-                nm = nm + "_d"
-            taken.add(nm)
-            specs.append((nm, v.weight, v.parity))
-        sys = CoordinateSystem(specs, name=f"pairing_{fchart.name}", arity=2)
-        systems.append(sys)
-        fmap = {v: sys[v.name] for v in fchart.variables}
-        f_maps.append(fmap)
-        dmap = {}
-        names = iter([s[0] for s in specs[len(fchart.variables):]])
-        for v in dual_fib:
-            dmap[v] = sys[next(names)]
-        d_maps.append(dmap)
+            if v.weight[1] == 1:
+                while nm in taken:
+                    nm = nm + "_d"
+                taken.add(nm)
+                specs.append((nm, v.weight, v.parity))
+            lift[v] = nm
+        vars_ = {v: v.name for v in chart.variables}
+        return f"pairing_{chart.name}", 2, specs, {"vars": vars_, "dual": lift}
+
+    def components(comps, other, src, dst, key):
+        out = {dst["vars"][v]: remap(p, src["vars"]) for v, p in comps.items()}
+        for v, q in dual.transitions[key].forward.items():
+            if v.weight[1] == 1:
+                out[dst["dual"][v]] = remap(q, src["dual"])
+        return out
+
+    P = rechart(F, spec, components, tag="pairing", inverse=False)
+    on = P.provenance.maps
+    polys = []
+    for i, dotted in enumerate(DF.provenance.maps["dotted"]):
         delta = ZERO
-        for fvar, dot in DF.dotted_of[idx].items():
-            w = total(fvar.weight)
-            pi = dmap[dual.pi_of[idx][dot]]
+        for fvar, dot in dotted.items():
+            pi = on["dual"][i][dual_of[i][dot]]
             delta = delta + (
                 SuperPolynomial.from_var(pi)
-                * SuperPolynomial.from_var(fmap[fvar])
-                * w
+                * SuperPolynomial.from_var(on["vars"][i][fvar])
+                * total(fvar.weight)
             )
         polys.append(delta)
-
-    pair_transitions = {}
-    for (i, j), tF in F.transitions.items():
-        tD = dual.transitions[(i, j)]
-        assign = {}
-        for v, p in tF.forward.items():
-            assign[f_maps[j][v]] = remap(p, f_maps[i])
-        for v in dual.charts[j].variables:
-            if v.weight[1] != 1:
-                continue
-            q = tD.forward[v]
-            lift = {}
-            for u in q.variables():
-                # dual base-leg variables share their names with F variables
-                img = d_maps[i].get(u, None)
-                lift[u] = SuperPolynomial.from_var(img if img is not None else systems[i][u.name])
-            assign[d_maps[j][v]] = substitute(q, lift)
-        pair_transitions[(i, j)] = assign
-    return PairingResult(F, dual, systems, polys, pair_transitions)
+    transitions = {key: t.forward for key, t in P.transitions.items()}
+    return PairingResult(F, dual, P.charts, polys, transitions)
 
 
 # ----------------------------------------------------------------- mironian
@@ -608,17 +542,13 @@ def mironian(F: GradedBundle, dual: GLBundle | None = None) -> GLBundle:
     dual = dual if dual is not None else linear_dual(F)
     k = dual.gl_degree
     keep = lambda v: v.weight[0] + k * v.weight[1] <= k
-    from .bundle import _restrict_bundle
-
-    mi = _restrict_bundle(dual, keep, origin=(("mironian",), F), cls=GLBundle)
-    mi.gl_degree = k
-    return mi
+    return restrict(dual, keep, "mironian", cls=GLBundle, source=F, gl_degree=k)
 
 
-def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> ValidationReport:
+def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> Report:
     """Structural identification Mi(F) = F_{k-1} x_M (bar F_k)*."""
     dual = dual if dual is not None else linear_dual(F)
-    report = ValidationReport()
+    report = Report()
     try:
         mi = mironian(F, dual)
     except Exception as exc:  # pragma: no cover - defensive
@@ -640,15 +570,6 @@ def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> Validation
 
 
 # ---------------------------------------------------------- parity reversal
-def _relabel_ordered(p: SuperPolynomial, varmap) -> SuperPolynomial:
-    """Relabel variables assuming the map preserves the declaration order."""
-    out = {}
-    for m, c in p.terms.items():
-        nm = tuple((varmap.get(v, v), e) for v, e in m)
-        out[nm] = out.get(nm, 0) + c
-    return SuperPolynomial(out)
-
-
 def parity_reverse(G: GLBundle) -> GLBundle:
     """Flip the Grassmann parity of the vector-bundle leg.
 
@@ -663,25 +584,26 @@ def parity_reverse(G: GLBundle) -> GLBundle:
                     raise NonlinearFiber(
                         f"transition {i}->{j}: {v.name}-component is nonlinear: {render(p)}"
                     )
-    charts = []
-    varmaps = []
-    for chart in G.charts:
+    def spec(i, chart):
         specs = [
             (v.name, v.weight, (v.parity + 1) % 2 if v.weight[1] == 1 else v.parity)
             for v in chart.variables
         ]
-        nc = CoordinateSystem(specs, name=chart.name + "_pi", arity=2)
-        charts.append(nc)
-        varmaps.append({v: nc[v.name] for v in chart.variables})
-    transitions = {}
-    for (i, j), t in G.transitions.items():
-        fwd = {varmaps[j][v]: _relabel_ordered(p, varmaps[i]) for v, p in t.forward.items()}
-        inv = {varmaps[i][v]: _relabel_ordered(p, varmaps[j]) for v, p in t.inverse.items()}
-        transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    out = GLBundle(charts, transitions, origin=(("parity_reverse",), G),
+        return chart.name + "_pi", 2, specs, {"vars": {v: v.name for v in chart.variables}}
+
+    def components(comps, other, src, dst, key):
+        # relabel in place: the declaration order, and with it every sign,
+        # is unchanged, while remap would reject the deliberate parity flip
+        vm = src["vars"]
+        return {
+            dst["vars"][v]: SuperPolynomial(
+                {tuple((vm[u], e) for u, e in m): c for m, c in p.terms.items()}
+            )
+            for v, p in comps.items()
+        }
+
+    return rechart(G, spec, components, cls=GLBundle, tag="parity_reverse",
                    gl_degree=G.gl_degree)
-    out.reversed_of = G
-    return out
 
 
 # ------------------------------------------------------- structural equality
@@ -714,9 +636,9 @@ def bundles_structurally_equal(b1: GradedBundle, b2: GradedBundle,
     for (i, j), t1 in b1.transitions.items():
         t2 = b2.transitions[(i, j)]
         for v, p in t1.forward.items():
-            if _relabel_ordered(p, varmaps[i]) != t2.forward[varmaps[j][v]]:
+            if remap(p, varmaps[i]) != t2.forward[varmaps[j][v]]:
                 return False
         for v, p in t1.inverse.items():
-            if _relabel_ordered(p, varmaps[j]) != t2.inverse[varmaps[i][v]]:
+            if remap(p, varmaps[j]) != t2.inverse[varmaps[i][v]]:
                 return False
     return True

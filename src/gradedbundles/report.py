@@ -1,11 +1,14 @@
-"""Deterministic verdict reports with text and JSON renderings."""
+"""Deterministic verdict reports with text and JSON renderings.
+
+``Report`` is the one report type: the CLI commands fill it, and so do the
+library checks (``validate``, ``symmetry_report``, ``check_invariance``,
+...), whose reports a command folds in with ``merge_validation``.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-from .bundle import ValidationReport
 
 CONVENTIONS = (
     "coefficients: exact rationals",
@@ -27,7 +30,7 @@ class ReportItem:
 
 @dataclass
 class Report:
-    command: str
+    command: str = ""
     items: list[ReportItem] = field(default_factory=list)
     conventions: tuple[str, ...] = CONVENTIONS
 
@@ -39,13 +42,18 @@ class Report:
     def info(self, check_id: str, value: str = "", weights: str = ""):
         self.items.append(ReportItem(check_id, "INFO", value, weights))
 
-    def merge_validation(self, rep: ValidationReport, prefix: str = ""):
-        for item in rep.items:
-            self.add(prefix + item.check_id, item.ok, item.residual)
+    def merge_validation(self, rep: "Report", prefix: str = ""):
+        """Append the items of another report, their ids prefixed."""
+        self.items.extend(
+            ReportItem(prefix + i.check_id, i.verdict, i.residual, i.weights) for i in rep.items
+        )
 
     @property
     def passed(self) -> bool:
         return all(i.verdict != "FAIL" for i in self.items)
+
+    def failures(self) -> list[ReportItem]:
+        return [i for i in self.items if i.verdict == "FAIL"]
 
     @property
     def exit_code(self) -> int:

@@ -20,12 +20,14 @@ literals and the operators + - * ^ with parentheses.  The full grammar:
                 | "-" , factor ;
     rational    = integer , [ "/" , natural ] ;
 
-An exponent may not exceed ``MAX_EXPONENT`` and parentheses and unary
-minus signs may not nest deeper than ``MAX_NESTING``.  Both limits sit far
-above anything a hand-written spec needs; the first bounds the degree a
-single ``^`` can build, the second keeps a deeply nested expression from
-exhausting the interpreter's stack.  Neither bounds the size of an
-expression as a whole.
+An exponent may not exceed ``MAX_EXPONENT``, parentheses and unary minus
+signs may not nest deeper than ``MAX_NESTING``, and no product or power may
+be able to produce more than ``MAX_TERMS`` terms.  The limits sit far above
+anything a hand-written spec needs; the first bounds the degree a single
+``^`` can build, the second keeps a deeply nested expression from
+exhausting the interpreter's stack, and the third bounds the size of every
+intermediate polynomial, so the time to parse grows with the length of an
+expression rather than with the polynomials it describes.
 
 Section kinds: ``[bundle]`` (keys arity, degree), ``[chart NAME]`` with
 weightspec entries, ``[map SRC -> DST]`` with expression entries keyed by
@@ -36,6 +38,7 @@ cotangent-linear data, and ``[section NAME]`` for tower sections with keys
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,7 +142,7 @@ def parse(text: str) -> SpecDocument:
     return SpecDocument(sections)
 
 
-_KNOWN_SECTIONS = {"bundle", "chart", "map", "structure", "section", "poisson"}
+_KNOWN_SECTIONS = {"bundle", "chart", "map", "structure", "section"}
 _BUNDLE_KEYS = {"arity", "degree"}
 _STRUCTURE_KINDS = {"lie-tower", "prolong", "tk", "cotangent-linear"}
 
@@ -173,6 +176,10 @@ def _check_known(sections):
 MAX_EXPONENT = 16
 # Deepest nesting of parentheses and unary minus signs in one expression.
 MAX_NESTING = 100
+# Most terms a product or power may be able to produce: t1*t2 for a product
+# of t1 and t2 terms, C(t+n-1, n) for the n-th power of t terms.  No product
+# or power in the shipped or benchmark-generated specs exceeds 2.
+MAX_TERMS = 1_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
@@ -248,13 +255,22 @@ class _ExprParser:
             else:
                 return value
 
+    def bounded(self, bound, col):
+        """Reject an operation that may produce more than ``MAX_TERMS`` terms."""
+        if bound > MAX_TERMS:
+            raise SpecSyntaxError(
+                f"expression may grow to more than {MAX_TERMS} terms", self.line, col
+            )
+
     def term(self):
         value = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, col = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                value = value * self.factor()
+                rhs = self.factor()
+                self.bounded(len(value.terms) * len(rhs.terms), col)
+                value = value * rhs
             else:
                 return value
 
@@ -272,7 +288,9 @@ class _ExprParser:
                     f"exponent {num} exceeds the limit of {MAX_EXPONENT}",
                     self.line, col,
                 )
-            value = value ** int(num)
+            n = int(num)
+            self.bounded(math.comb(max(len(value.terms), 1) + n - 1, n), col)
+            value = value ** n
         return value
 
     def nested(self, parse, col):

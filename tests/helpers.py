@@ -54,8 +54,8 @@ SHIPPED_COMMANDS = [
 ]
 
 
-def run_cli_subprocess(args, seed=None, timeout=60):
-    """Run ``python -m gradedbundles.cli *args`` in a scrubbed child process.
+def run_python_subprocess(args, seed=None, timeout=60):
+    """Run ``python *args`` in a scrubbed child process.
 
     The child sees only ``PATH``, ``PYTHONPATH`` (this checkout's ``src``)
     and, when ``seed`` is given, ``PYTHONHASHSEED``; so it always runs the
@@ -67,9 +67,13 @@ def run_cli_subprocess(args, seed=None, timeout=60):
     if seed is not None:
         env["PYTHONHASHSEED"] = seed
     return subprocess.run(
-        [sys.executable, "-m", "gradedbundles.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def run_cli_subprocess(args, seed=None, timeout=60):
+    """Run ``python -m gradedbundles.cli *args`` as ``run_python_subprocess``."""
+    return run_python_subprocess(["-m", "gradedbundles.cli", *args], seed, timeout)
 
 
 def rational(rng):

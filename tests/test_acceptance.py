@@ -114,7 +114,7 @@ def test_criterion_2_holonomic_embedding_f3():
     for (i, j), t in sorted(D3.transitions.items()):
         holo = holonomic_assignment(D3, i)
         tF = F3.transitions[(i, j)]
-        for v, dv in D3.dotted_of[j].items():
+        for v, dv in D3.provenance.maps["dotted"][j].items():
             w = sum(v.weight)
             assert substitute(t.forward[dv], holo) == tF.forward[v] * w
     _report(2, "holonomic embedding reproduces 1x, 2x, 3x the undotted laws")

@@ -1,0 +1,49 @@
+"""The names the benchmark binds to, and the demos, stay alive.
+
+``perfbench/tracer.py`` wraps every public function of the engine's modules
+and the methods listed in its ``METHODS``, looked up through
+``cls.__dict__[attr]``; ``TIMED`` names the functions whose inclusive time it
+reports.  A rename in the engine would break the benchmark only when it
+runs, so these tests load the tracer by path and check both tables against
+the live engine.  The demos run as scripts on this checkout's ``src``.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+from helpers import run_python_subprocess
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"gradedbundles.{layer}")
+    return tracer
+
+
+def test_every_traced_method_resolves():
+    tracer = load_tracer()
+    targets = list(tracer.Tracer()._targets())
+    methods = {(owner.__name__, attr) for _, _, owner, attr, _ in targets if owner is not None}
+    expected = {key for table in tracer.METHODS.values() for key in table}
+    assert methods == expected
+
+
+def test_every_timed_key_names_a_live_public_function():
+    tracer = load_tracer()
+    keys = {key for _, key, _, _, _ in tracer.Tracer()._targets()}
+    assert tracer.TIMED <= keys, sorted(tracer.TIMED - keys)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    proc = run_python_subprocess([str(demo)], timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -177,7 +177,7 @@ def test_vertical_weights_shift():
     rng = random.Random(21)
     F = random_bundle(rng, 3)
     V = vertical_bundle(F)
-    for v, dv in V.dotted_of[0].items():
+    for v, dv in V.provenance.maps["dotted"][0].items():
         assert dv.weight == (sum(v.weight) - 1, 1)
         assert dv.parity == v.parity
 

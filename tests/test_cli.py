@@ -10,6 +10,7 @@ from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     SpecSyntaxError,
     UnknownVariableError,
     WeightArityMismatchError,
@@ -314,3 +315,86 @@ def test_duplicate_map_component_rejected():
     with pytest.raises(SpecSyntaxError) as err:
         build_bundle(parse(text))
     assert err.value.line == 10 and "duplicate component 'Y'" in str(err.value)
+
+
+# ---------------------------------------------- [section] keys of bracket specs
+SO3_K2 = "[structure lie-tower]\nk = 2\ndim = 3\nc 1 2 3 = 1\nc 2 3 1 = 1\nc 3 1 2 = 1\n"
+
+
+def bracket_sections(first):
+    return SO3_K2 + f"[section s1]\n{first}\n[section s2]\nY 2 = 1\n"
+
+
+def test_section_level_not_an_integer_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["bracket"], bracket_sections("Z 2 one = 1"))
+    assert "'one' is not an integer" in err and "line 8" in err
+
+
+def test_section_fibre_index_out_of_range_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["bracket"], bracket_sections("Y 9 = 1"))
+    assert "index 9 is outside 1..3" in err and "line 8" in err
+
+
+def test_section_z_fibre_index_out_of_range_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["bracket"], bracket_sections("Z 9 1 = 1"))
+    assert "index 9 is outside 1..3" in err and "line 8" in err
+
+
+def test_section_level_out_of_range_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["bracket"], bracket_sections("Z 2 5 = 1"))
+    assert "index 5 is outside 1..1" in err and "line 8" in err
+
+
+def test_section_duplicate_key_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["bracket"],
+                          bracket_sections("Y 1 = 1\nY 1 = 2"))
+    assert "duplicate key 'Y 1'" in err and "line 9" in err
+
+
+def test_poisson_section_is_unknown_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["validate"],
+                          TWO_CHARTS + "[poisson]\nP = 0\n")
+    assert "unknown section kind 'poisson'" in err
+
+
+# -------------------------------------------------- expression size while parsing
+FOUR = {n: Variable("a", n, (0,), 0, i) for i, n in enumerate("xyzw")}
+
+
+def test_product_above_term_bound_exit_two(tmp_path, capsys):
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
+        "[map a -> b]\nX = (1 + x + y)^16 * (1 + x + y)^16\nY = y\n"
+        "[map b -> a]\nx = X\ny = Y\n"
+    ))
+    assert f"more than {MAX_TERMS} terms" in err and "line 8" in err
+
+
+def test_nested_power_above_term_bound_rejected():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_expression("x + ((x + y + z)^8)^2", FOUR, 3, 5)
+    assert err.value.line == 3 and f"more than {MAX_TERMS} terms" in str(err.value)
+
+
+def test_degree_64_power_exits_two_in_time(tmp_path):
+    # without the bound this spec ran for more than a minute
+    doc = tmp_path / "hostile.spec"
+    doc.write_text(
+        "[chart a]\nx = weight 0\ny = weight 0\nz = weight 0\nw = weight 0\n"
+        "[chart b]\nX = weight 0\n"
+        "[map a -> b]\nX = x + ((x + y + z + w)^16)^4\n"
+        "[map b -> a]\nx = X\ny = X\nz = X\nw = X\n"
+    )
+    proc = run_cli_subprocess(["validate", "--spec", str(doc)], timeout=30)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert f"more than {MAX_TERMS} terms" in proc.stderr and "line 9" in proc.stderr
+
+
+def test_square_of_a_large_power_rejected():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_expression("(x + y + z + w)^16 * (x + y + z + w)^16", FOUR, 1, 1)
+    assert f"more than {MAX_TERMS} terms" in str(err.value)
+
+
+def test_power_within_term_bound_parses():
+    p = parse_expression("(x + y + z + w)^16", FOUR, 1, 1)
+    assert len(p.terms) == 969 <= MAX_TERMS

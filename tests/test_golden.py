@@ -1,8 +1,8 @@
 """Golden reports: each shipped command's stdout, byte for byte.
 
 ``tests/golden/<spec stem>.<command words joined by '-'>.<txt|json>`` holds
-the report of one acceptance-gate command in ``--format text`` or
-``--format json``.  Any change to the algebra core, the constructions or the
+the report of one acceptance-gate command, or of one command in
+``EXTRA_COMMANDS``, in ``--format text`` or ``--format json``.  Any change to the algebra core, the constructions or the
 renderers must leave these files byte-identical.  Each case runs in a fresh
 interpreter under its own ``PYTHONHASHSEED``, so set iteration order cannot
 leak into a report unnoticed.
@@ -18,10 +18,22 @@ TESTS_DIR = pathlib.Path(__file__).resolve().parent
 SPEC_DIR = TESTS_DIR.parent / "specs"
 GOLDEN_DIR = TESTS_DIR / "golden"
 HASH_SEEDS = ("0", "1", "7", "42", "1234")
+# The atlas-level golden file of tests/test_atlas_golden.py.
+ATLAS_GOLDEN = "atlas.json"
+
+# Commands pinned beyond the acceptance gate.
+EXTRA_COMMANDS = [
+    ("degree2.spec", ["construct", "tangent"]),
+    ("degree3.spec", ["construct", "tangent"]),
+    ("so3-tower.spec", ["construct", "lie-tower"]),
+    ("degree3.spec", ["validate"]),
+    ("degree3.spec", ["mironian"]),
+    ("degree3.spec", ["embed"]),
+]
 
 CASES = [
     (name, command, fmt, ext)
-    for name, command in SHIPPED_COMMANDS
+    for name, command in SHIPPED_COMMANDS + EXTRA_COMMANDS
     for fmt, ext in (("text", "txt"), ("json", "json"))
 ]
 
@@ -31,7 +43,7 @@ def golden_path(name, command, ext):
 
 
 def test_every_golden_file_has_a_case():
-    expected = {golden_path(n, c, e).name for n, c, _, e in CASES}
+    expected = {golden_path(n, c, e).name for n, c, _, e in CASES} | {ATLAS_GOLDEN}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbundles.superalg import SuperPolynomial, substitute, weight_of
+from gradedbundles.superalg import EVEN, SuperPolynomial, substitute, weight_of
 from gradedbundles.bundle import (
     CoordinateSystem,
     single_chart_bundle,
@@ -259,8 +259,8 @@ def test_projection_lift_diagram():
     vtau = {}
     for v in Fm.chart.variables:
         vtau[VFm.chart[v.name]] = SuperPolynomial.from_var(VF.chart[v.name])
-    for v, dv in VFm.dotted_of[0].items():
-        vtau[dv] = SuperPolynomial.from_var(VF.dotted_of[0][F.chart[v.name]])
+    for v, dv in VFm.provenance.maps["dotted"][0].items():
+        vtau[dv] = SuperPolynomial.from_var(VF.provenance.maps["dotted"][0][F.chart[v.name]])
     dkm = {v: SuperPolynomial.from_var(VFm.chart[v.name])
            for v in DFm.chart.variables}
     for target in DFm.chart.variables:
@@ -337,7 +337,8 @@ def test_dual_contragredience_blockwise():
     n = {}
     for a in fib_j:
         for b in fib_i:
-            entry = partial(t_pi.forward[dual.pi_of[1][a]], dual.pi_of[0][b])
+            pi_of = dual.provenance.maps["dual"]
+            entry = partial(t_pi.forward[pi_of[1][a]], pi_of[0][b])
             n[(b, a)] = remap(entry, dual_map)
     for b in fib_i:
         for c in fib_i:
@@ -472,3 +473,19 @@ def test_base_bundle_of_gl():
     assert B.degree == 2
     assert [v.name for v in B.chart.variables] == ["x", "y", "z"]
     assert validate(B).passed
+
+
+def test_structural_equality_ignores_declaration_order():
+    """The same atlas with its first chart declared (x, y) or (y, x)."""
+    def declared(order):
+        weights = {"x": 0, "y": 1}
+        a = CoordinateSystem([(n, weights[n], EVEN) for n in order], name="a")
+        b = CoordinateSystem([("X", 0, EVEN), ("Y", 1, EVEN)], name="b")
+        x, y = a.var("x"), a.var("y")
+        X, Y = b.var("X"), b.var("Y")
+        return two_chart_bundle(a, b, {"X": x, "Y": y + x * y}, {"x": X, "y": Y - X * Y})
+
+    assert bundles_structurally_equal(declared("xy"), declared("yx"))
+    other = declared("yx")
+    other.transitions[(0, 1)].forward[other.charts[1]["Y"]] = other.charts[0].var("y")
+    assert not bundles_structurally_equal(declared("xy"), other)

@@ -89,19 +89,12 @@ def test_parity_reversed_linearisation_of_t2m():
         1, lambda xs: [xs[0] + xs[0] ** 2], lambda Xs: [Xs[0] - Xs[0] ** 2]
     )
     PD = parity_reverse(linearise(higher_tangent(phi, 2)))
-    PT = parity_reverse(
-        _as_gl(tangent_bundle(higher_tangent(phi, 1)))
-    )
+    PT = parity_reverse(tangent_bundle(higher_tangent(phi, 1), cls=GLBundle))
     names = {"x1": "x1", "x1_1": "x1_1", "dx1_1": "dx1", "dx1_2": "dx1_1",
              "X1": "X1", "X1_1": "X1_1", "dX1_1": "dX1", "dX1_2": "dX1_1"}
     assert bundles_structurally_equal(PD, PT, names=lambda n: names[n])
     for v in PD.fiber_vars(0):
         assert v.parity == 1
-
-
-def _as_gl(b):
-    out = GLBundle(b.charts, b.transitions, origin=b.origin)
-    return out
 
 
 def test_de_rham_hamiltonian_is_delta_paired():
