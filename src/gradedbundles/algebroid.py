@@ -33,6 +33,7 @@ from .superalg import (
     Variable,
     ZERO,
     commutator,
+    linear_combination,
     partial,
     partial_right,
     remap,
@@ -97,11 +98,14 @@ class OddPoissonSpace:
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
         self._check(f, g)
-        out = ZERO
+        # a pair adds a term only when f and g each hold one of its variables
+        parts = []
         for q, qs in self.pairs:
-            out = out + partial_right(f, q) * partial(g, qs)
-            out = out - partial_right(f, qs) * partial(g, q)
-        return out
+            if f.involves(q) and g.involves(qs):
+                parts.append((1, partial_right(f, q) * partial(g, qs)))
+            if f.involves(qs) and g.involves(q):
+                parts.append((-1, partial_right(f, qs) * partial(g, q)))
+        return linear_combination(parts)
 
     def hamiltonian_field(self, h: SuperPolynomial, variables=None,
                           weight_shift=None, parity=None) -> Derivation:
@@ -249,14 +253,14 @@ class AlgebroidHamiltonian:
         thetas = set(self.phase.thetas)
         pis = set(self.phase.pis)
         chis = set(self.phase.chis)
-        for m in self.poly.terms:
+        for m in self.poly.monomials():
             n_theta = sum(e for v, e in m if v in thetas)
             n_pi = sum(e for v, e in m if v in pis)
             n_chi = sum(e for v, e in m if v in chis)
             if not ((n_theta, n_pi, n_chi) in ((1, 0, 1), (2, 1, 0))):
                 raise MalformedQ(
                     "Hamiltonian term outside the theta*chi + theta*theta*pi shape: "
-                    + render(SuperPolynomial({m: self.poly.terms[m]}))
+                    + render(SuperPolynomial({m: self.poly.coefficient(m)}))
                 )
 
 
@@ -268,14 +272,14 @@ def _check_q_shape(Q: HomologicalField):
         if not Q.coefficient(v).is_zero():
             raise MalformedQ(f"field acts on dual coordinate {v.name}")
     for v in phase.xs:
-        for m in Q.coefficient(v).terms:
+        for m in Q.coefficient(v).monomials():
             n_theta = sum(e for u, e in m if u in thetas)
             if n_theta != 1 or any(u in forbidden for u, _ in m):
                 raise MalformedQ(
                     f"coefficient of d/d{v.name} is not linear in theta"
                 )
     for v in phase.thetas:
-        for m in Q.coefficient(v).terms:
+        for m in Q.coefficient(v).monomials():
             n_theta = sum(e for u, e in m if u in thetas)
             if n_theta != 2 or any(u in forbidden for u, _ in m):
                 raise MalformedQ(
@@ -428,7 +432,7 @@ class AlgebroidSection:
     def __post_init__(self):
         pis = set(self.phase.pis)
         xs = set(self.phase.xs)
-        for m in self.poly.terms:
+        for m in self.poly.monomials():
             n_pi = sum(e for v, e in m if v in pis)
             if n_pi != 1 or any(v not in pis and v not in xs for v, _ in m):
                 raise ValueError(

@@ -37,6 +37,7 @@ from .superalg import (
     SuperPolynomial,
     Variable,
     ZERO,
+    declare_chart,
     partial,
     remap,
     render,
@@ -73,7 +74,9 @@ class CoordinateSystem:
                 raise ValueError(f"duplicate coordinate name {vname!r}")
             seen.add(vname)
             vars_.append(Variable(self.name, vname, weight, parity, i))
-        self.variables: tuple[Variable, ...] = tuple(vars_)
+        # the chart keeps its ring, which polynomials on it share
+        self._ring = declare_chart(vars_)
+        self.variables: tuple[Variable, ...] = self._ring.vars
         arities = {len(v.weight) for v in self.variables}
         if len(arities) > 1:
             raise ValueError(f"mixed weight arities in chart {self.name}: {arities}")
@@ -236,7 +239,7 @@ def _check_linear_block(report, label, t: TransitionMap):
         if p is None:
             continue
         found = False
-        for m in p.terms:
+        for m in p.monomials():
             nb = [(u, e) for u, e in m if total(u.weight) > 0]
             if len(nb) == 1 and nb[0][1] == 1 and nb[0][0].weight == v.weight:
                 found = True

@@ -77,17 +77,19 @@ def _scalar(e) -> Fraction:
     return p.constant_term()
 
 
-def _int_entry(grouped, key, default=None):
+def _int_entry(grouped, key, minimum: int) -> int:
+    """The integer value of the last ``key`` entry, at least ``minimum``."""
     entries = grouped.get(key)
     if not entries:
-        if default is None:
-            raise SpecSyntaxError(f"missing {key!r} entry")
-        return default
+        raise SpecSyntaxError(f"missing {key!r} entry")
     e = entries[-1]
     try:
-        return int(e.value)
+        value = int(e.value)
     except ValueError:
         raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col)
+    if value < minimum:
+        raise SpecSyntaxError(f"{key!r} must be at least {minimum}", e.line, e.col)
+    return value
 
 
 def _index(e, word: str, dim: int) -> int:
@@ -103,8 +105,8 @@ def _index(e, word: str, dim: int) -> int:
 
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
-    dim = _int_entry(grouped, "dim")
-    k = _int_entry(grouped, "k")
+    dim = _int_entry(grouped, "dim", 0)
+    k = _int_entry(grouped, "k", 1)
     c = {}
     for e in grouped.get("c", []):
         if len(e.key) != 4:
@@ -115,10 +117,12 @@ def build_constants(section) -> tuple[StructureConstants, int]:
     return StructureConstants(dim, c), k
 
 
-def build_tk(section) -> tuple[PolynomialDiffeo, int]:
+def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
+    """The diffeomorphism of a ``tk`` structure and its ``k``; the algebroid
+    of T^(k-1)M needs ``min_k = 2``."""
     grouped = structure_entries(section)
-    dim = _int_entry(grouped, "dim")
-    k = _int_entry(grouped, "k")
+    dim = _int_entry(grouped, "dim", 1)
+    k = _int_entry(grouped, "k", min_k)
     from .bundle import CoordinateSystem
 
     src = CoordinateSystem([(f"x{i}", 0, 0) for i in range(1, dim + 1)], name="m_src")
@@ -146,7 +150,7 @@ def build_tk(section) -> tuple[PolynomialDiffeo, int]:
 
 def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     grouped = structure_entries(section)
-    k = _int_entry(grouped, "k")
+    k = _int_entry(grouped, "k", 2)
     from .bundle import CoordinateSystem
 
     base_names = []
@@ -234,7 +238,7 @@ def _structure_algebroid(doc: SpecDocument, report: Report):
         F, carrier, phase, P = linear_poisson(c)
         return cotangent_algebroid(F, P, carrier, phase)
     if kind == "tk":
-        phi, k = build_tk(section)
+        phi, k = build_tk(section, min_k=2)
         report.info(f"structure: tangent algebroid of T^{k - 1}M")
         return tangent_algebroid(higher_tangent(phi, k - 1))
     raise SpecSyntaxError(f"no algebroid for structure kind {kind!r}")

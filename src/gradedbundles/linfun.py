@@ -32,6 +32,7 @@ from .superalg import (
     Variable,
     ZERO,
     partial,
+    relabel,
     remap,
     render,
     substitute,
@@ -578,7 +579,7 @@ def parity_reverse(G: GLBundle) -> GLBundle:
     """
     for (i, j), t in G.transitions.items():
         for v, p in t.forward.items():
-            for m in p.terms:
+            for m in p.monomials():
                 deg = sum(e for u, e in m if u.weight[1] == 1)
                 if deg > 1:
                     raise NonlinearFiber(
@@ -592,15 +593,9 @@ def parity_reverse(G: GLBundle) -> GLBundle:
         return chart.name + "_pi", 2, specs, {"vars": {v: v.name for v in chart.variables}}
 
     def components(comps, other, src, dst, key):
-        # relabel in place: the declaration order, and with it every sign,
-        # is unchanged, while remap would reject the deliberate parity flip
-        vm = src["vars"]
-        return {
-            dst["vars"][v]: SuperPolynomial(
-                {tuple((vm[u], e) for u, e in m): c for m, c in p.terms.items()}
-            )
-            for v, p in comps.items()
-        }
+        # relabel: the declaration order, and with it every sign, is
+        # unchanged, while remap would reject the deliberate parity flip
+        return {dst["vars"][v]: relabel(p, src["vars"]) for v, p in comps.items()}
 
     return rechart(G, spec, components, cls=GLBundle, tag="parity_reverse",
                    gl_degree=G.gl_degree)

@@ -269,7 +269,7 @@ class _ExprParser:
             if kind == "op" and val == "*":
                 self.take()
                 rhs = self.factor()
-                self.bounded(len(value.terms) * len(rhs.terms), col)
+                self.bounded(value.term_count() * rhs.term_count(), col)
                 value = value * rhs
             else:
                 return value
@@ -289,7 +289,7 @@ class _ExprParser:
                     self.line, col,
                 )
             n = int(num)
-            self.bounded(math.comb(max(len(value.terms), 1) + n - 1, n), col)
+            self.bounded(math.comb(max(value.term_count(), 1) + n - 1, n), col)
             value = value ** n
         return value
 

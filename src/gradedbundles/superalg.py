@@ -2,47 +2,74 @@
 
 Variables carry a multi-weight (a tuple of nonnegative integers, one entry
 per independent grading) and a Grassmann parity.  Polynomials are kept in a
-canonical form: the factors of every monomial are sorted by the declaration
-order of the variables, reordering signs are absorbed into the rational
-coefficients, and zero coefficients are never stored.  Two polynomials are
-equal exactly when their term dictionaries are equal.
+canonical form: every monomial is packed in the sort order of its variables,
+reordering signs are absorbed into the rational coefficients, and zero
+coefficients are never stored.
 
 Conventions fixed here and relied on by every module above this one:
 
-* coefficients are ``fractions.Fraction`` (arbitrary precision),
+* coefficients are exact rationals (arbitrary precision), never floats,
 * odd variables square to zero and anticommute,
 * ``partial`` is the *left* derivative,
 * a :class:`Derivation` acts as ``D(p) = sum_v action[v] * partial(p, v)``
   and therefore satisfies the graded Leibniz rule
   ``D(pq) = D(p) q + (-1)^{|D||p|} p D(q)``.
 
+Representation.  A polynomial lives over a *ring*: a tuple of variables in
+``sort_key`` order.  For everything the engine builds this is one chart's
+``CoordinateSystem.variables`` (bound by :func:`declare_chart`); operands
+over different rings are re-packed into the merged ring.  A monomial is one
+``int``: variable ``i`` of the ring owns the bit field ``[i*w, (i+1)*w)``,
+whose top bit is a guard that is always clear.  A polynomial is a dict from
+these keys to ``int`` numerators, over one positive common denominator.
+Zero and the constants live over the empty ring, and a chart equal to one
+in use shares its ring, so the engine's operands seldom need re-packing.
+
+``p.terms`` is a view built on each access: a dict from monomials
+``((Variable, exponent), ...)`` to ``Fraction``, in insertion order.  The
+engine never reads it; the public constructor accepts the same form.
+
 Performance invariants, kept by every operation in this module:
 
-* a polynomial is an immutable value: nothing mutates ``terms`` after
-  construction, which is what lets ``parity()`` be computed once and kept;
-* the public constructor ``SuperPolynomial(terms)`` copies its mapping and
-  coerces every coefficient to ``Fraction``; the internal constructor
-  ``SuperPolynomial._clean(terms)`` adopts ``terms`` as it is, and may only
-  be given a fresh dict, owned by nobody else and never aliased afterwards,
-  whose coefficients are already nonzero ``Fraction`` objects;
-* sums are accumulated in place (``_accumulate``) into such a fresh dict,
-  never as ``out = out + term``, which would copy the running sum per step;
-* a :class:`Variable` computes its hash and its ``sort_key`` once, at
-  construction; ``==`` tests identity first.  Equality and hash values are
-  those of the field tuple, as for any frozen dataclass.
+* a polynomial is an immutable value: nothing mutates its numerator dict
+  after construction, which is what lets ``parity()`` and the support (the
+  bitwise or of all keys) be computed once and kept;
+* the denominator is reduced: no prime divides it and every numerator, so
+  two polynomials over one ring are equal exactly when their denominators
+  and numerator dicts are;
+* a product of monomials is the sum of their keys; two odd variables clash
+  when the keys share a bit of the ring's odd mask, and the Koszul sign is
+  the parity of one ``bit_count()`` over odd bits; ``partial`` tests one
+  field per term;
+* a product whose fields could overflow is computed in a ring with fields
+  twice as wide (``_Ring.wider``), decided once per product from the two
+  supports, so no exponent ever wraps around;
+* sums are accumulated in place (``_add_into``, ``_Sum``) into a fresh
+  dict, never as ``out = out + term``, which would copy the running sum per
+  step; new keys are appended in the order the plain sum would give;
+* no per-term loop hashes a :class:`Variable`: a chart variable's field
+  index is its ``index``, checked by identity.  A variable computes its
+  hash and its ``sort_key`` once, at construction; ``==`` tests identity
+  first.  Equality and hash values are those of the field tuple, as for any
+  frozen dataclass.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Union
 
 Weight = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 EVEN = 0
 ODD = 1
+
+# bits per exponent field of a chart's ring, guard bit included
+_WIDTH = 8
 
 
 class ParityMismatch(ValueError):
@@ -69,8 +96,7 @@ class Variable:
     canonical form.
 
     Variables compare and hash by the tuple of all five fields.  The hash
-    and ``sort_key`` are computed once here, since every monomial lookup in
-    a term dict hashes each of its variables.
+    and ``sort_key`` are computed once here.
     """
 
     system: str
@@ -87,6 +113,9 @@ class Variable:
         fields = (self.system, self.name, self.weight, self.parity, self.index)
         object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "sort_key", (self.index, self.name, self.system))
+        # a weak reference to the ring of polynomials built from this
+        # variable (see _home); weak, since the ring holds the variable
+        object.__setattr__(self, "_ring", None)
 
     def __eq__(self, other):
         if self is other:
@@ -121,238 +150,464 @@ def parity_matches_weight(v: Variable, component: int) -> bool:
     return v.parity == v.weight[component] % 2
 
 
-# A monomial is a tuple of (variable, exponent) pairs sorted by sort_key.
+# A monomial of the ``terms`` view: (variable, exponent) pairs by sort_key.
 Monomial = tuple[tuple[Variable, int], ...]
 
-ONE_MONOMIAL: Monomial = ()
 
+# ------------------------------------------------------------------- rings
+class _Ring:
+    """Variables in ``sort_key`` order and the packing of their exponents.
 
-def monomial_weight(m: Monomial, arity: int | None = None) -> Weight:
-    if not m:
-        return (0,) * (arity or 0)
-    w = tuple(0 for _ in m[0][0].weight)
-    for v, e in m:
-        w = weight_add(w, tuple(e * c for c in v.weight))
-    return w
-
-
-def monomial_parity(m: Monomial) -> int:
-    return sum(v.parity * e for v, e in m) % 2
-
-
-def _merge_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:
-    """Merge two canonical monomials, returning (koszul sign, result).
-
-    Returns (0, None) when an odd variable would appear squared.  The sign
-    counts the transpositions needed to interleave the odd factors of m2
-    into m1: each odd factor of m1 that lands after an odd factor of m2
-    passes over it once.
+    Field ``i`` holds the exponent of ``vars[i]`` in bits ``[i*w, (i+1)*w)``
+    with ``w = width``; ``odd`` has the low bit of every odd variable's field
+    and ``guard`` the top bit of every field.  Rings are never mutated apart
+    from their caches.
     """
-    if not m2:
-        return 1, m1
-    if not m1:
-        return 1, m2
-    if m1[-1][0].sort_key < m2[0][0].sort_key:
-        return 1, m1 + m2
-    result = []
-    append = result.append
-    n1, n2 = len(m1), len(m2)
-    i = j = 0
-    odd2 = 0  # odd factors of m2 placed so far
-    flips = 0
-    f1, f2 = m1[0], m2[0]
-    v1, v2 = f1[0], f2[0]
-    while True:
-        k1, k2 = v1.sort_key, v2.sort_key
-        if k1 < k2:
-            append(f1)
-            if odd2 and v1.parity & f1[1] & 1:
-                flips += odd2
-            i += 1
-            if i == n1:
-                break
-            f1 = m1[i]
-            v1 = f1[0]
-        elif v1 is v2 or (k1 == k2 and v1 == v2):
-            if v1.parity == ODD:
-                return 0, None
-            append((v1, f1[1] + f2[1]))
-            i += 1
-            j += 1
-            if i == n1 or j == n2:
-                break
-            f1, f2 = m1[i], m2[j]
-            v1, v2 = f1[0], f2[0]
-        else:
-            append(f2)
-            if v2.parity == ODD and f2[1] == 1:
-                odd2 += 1
-            j += 1
-            if j == n2:
-                break
-            f2 = m2[j]
-            v2 = f2[0]
-    if odd2:
-        for v, e in m1[i:]:
-            if v.parity & e & 1:
-                flips += odd2
-    result.extend(m1[i:])
-    result.extend(m2[j:])
-    return (-1 if flips & 1 else 1), tuple(result)
+
+    __slots__ = ("vars", "width", "odd", "guard", "_pos", "_wider", "__weakref__")
+
+    def __init__(self, variables: tuple[Variable, ...], width: int = _WIDTH):
+        self.vars = variables
+        self.width = width
+        odd = guard = 0
+        top = 1 << (width - 1)
+        for i, v in enumerate(variables):
+            odd |= v.parity << (i * width)
+            guard |= top << (i * width)
+        self.odd = odd
+        self.guard = guard
+        self._pos = None
+        self._wider = None
+
+    def pos(self, v: Variable) -> int | None:
+        """The field index of ``v``, or None when ``v`` is not in the ring."""
+        vs = self.vars
+        i = v.index
+        if i < len(vs) and vs[i] is v:
+            return i
+        if self._pos is None:
+            self._pos = {u: j for j, u in enumerate(vs)}
+        return self._pos.get(v)
+
+    def wider(self) -> "_Ring":
+        """The same variables with fields twice as wide."""
+        if self._wider is None:
+            self._wider = _Ring(self.vars, 2 * self.width)
+        return self._wider
+
+    def fields(self, key: int) -> list[tuple[int, int]]:
+        """(field index, exponent) of every nonzero field of ``key``, ascending."""
+        w = self.width
+        mask = (1 << w) - 1
+        out = []
+        while key:
+            shift = ((key & -key).bit_length() - 1) // w * w
+            e = (key >> shift) & mask
+            out.append((shift // w, e))
+            key ^= e << shift
+        return out
+
+    def monomial(self, key: int) -> Monomial:
+        vs = self.vars
+        return tuple((vs[i], e) for i, e in self.fields(key))
+
+    def key(self, m: Monomial) -> int | None:
+        """The key of a canonical monomial, or None if it has none here."""
+        w = self.width
+        k, last = 0, -1
+        for v, e in m:
+            i = self.pos(v)
+            if (i is None or i <= last or e.__class__ is not int or e < 1
+                    or (v.parity and e != 1) or e >> (w - 1)):
+                return None
+            k += e << (i * w)
+            last = i
+        return k
 
 
-def _monomial_sort_key(m: Monomial):
-    return (sum(e for _, e in m), tuple((v.index, v.name, e) for v, e in m))
+_EMPTY = _Ring(())
 
 
-# Shared immutable coefficients; a Fraction never changes once made.
-_ZERO_FRACTION = Fraction(0)
-_ONE_FRACTION = Fraction(1)
+def _home(v: Variable) -> _Ring:
+    """The ring of ``v``'s chart while that is in use; otherwise, as for a
+    variable outside any chart, a ring of its own."""
+    ring = v._ring() if v._ring is not None else None
+    if ring is None:
+        ring = _Ring((v,))
+        object.__setattr__(v, "_ring", weakref.ref(ring))
+    return ring
 
 
-def _accumulate(acc: dict, terms: Mapping[Monomial, Fraction], scale=1) -> None:
-    """``acc += scale * terms`` in place, dropping zero coefficients.
+# The ring of every chart in use, by its variables (which compare by value).
+# An equal chart declared again (a construction run twice) shares the ring
+# and its variables, so polynomials of the two never need re-packing.  Rings
+# are held weakly here and by their variables, so a ring goes, without
+# waiting for the cycle collector, once no chart and no polynomial uses it.
+_CHARTS: "weakref.WeakValueDictionary[tuple, _Ring]" = weakref.WeakValueDictionary()
 
-    ``acc`` is a dict owned by the caller; ``terms`` is only read.  New
-    monomials are appended in the order of ``terms``, as ``acc + terms``
-    would, so results keep the insertion order of the plain sum.
+
+def declare_chart(variables: Iterable[Variable]) -> _Ring:
+    """The ring of a chart of ``variables``, to be kept with the chart.
+
+    ``variables`` must be in ``sort_key`` order, each ``index`` its
+    position.  When an equal chart is in use, its ring is returned, and the
+    chart should use that ring's ``vars``, equal to ``variables``.
     """
-    if not scale:
-        return
-    plain, negate = scale == 1, scale == -1
+    variables = tuple(variables)
+    ring = _CHARTS.get(variables)
+    if ring is None:
+        ring = _Ring(variables)
+        ref = weakref.ref(ring)
+        for i, v in enumerate(variables):
+            if v.index != i:
+                raise ValueError(f"{v.name} has index {v.index}, not its position {i}")
+            object.__setattr__(v, "_ring", ref)
+        _CHARTS[variables] = ring
+    return ring
+
+
+def _merged(r1: _Ring, r2: _Ring) -> _Ring:
+    """A ring that holds the variables of both, at the wider field width."""
+    if r1 is r2 or not r2.vars:
+        return r1
+    if not r1.vars:
+        return r2
+    if r1.vars == r2.vars:
+        return r1 if r1.width >= r2.width else r2
+    seen = set(r1.vars)
+    vs = list(r1.vars) + [v for v in r2.vars if v not in seen]
+    vs.sort(key=lambda v: v.sort_key)
+    vs = tuple(vs)
+    width = max(r1.width, r2.width)
+    for r in (r1, r2):
+        if r.vars == vs and r.width == width:
+            return r
+    return _Ring(vs, width)
+
+
+def _repack(num: dict, src: _Ring, dst: _Ring) -> dict:
+    """``num``, keyed in ``src``, keyed in ``dst``, which holds src's variables.
+
+    Returns ``num`` itself when the keys already agree; the caller may then
+    only read the result.  Insertion order is kept.
+    """
+    if src is dst or not src.vars:
+        return num
+    if src.width == dst.width and dst.vars[:len(src.vars)] == src.vars:
+        return num
+    shifts = [dst.pos(v) * dst.width for v in src.vars]
+    fields = src.fields
+    out = {}
+    for k, c in num.items():
+        nk = 0
+        for i, e in fields(k):
+            nk += e << shifts[i]
+        out[nk] = c
+    return out
+
+
+def _or(keys) -> int:
+    s = 0
+    for k in keys:
+        s |= k
+    return s
+
+
+# ------------------------------------------------------------ coefficients
+def _reduce(num: dict, den: int) -> int:
+    """Divide ``den`` and every value of ``num`` (in place) by their gcd;
+    returns the reduced denominator, which is 1 for an empty ``num``."""
+    if den == 1 or not num:
+        return 1
+    g = den
+    for n in num.values():
+        g = gcd(g, n)
+        if g == 1:
+            return den
+    for k, n in num.items():
+        num[k] = n // g
+    return den // g
+
+
+def _add_into(acc: dict, num: Mapping[int, int], scale: int = 1) -> None:
+    """``acc += scale * num`` in place, dropping zero numerators.
+
+    ``acc`` is a dict owned by the caller; ``num`` is only read.  New keys
+    are appended in the order of ``num``, as ``acc + num`` would, so results
+    keep the insertion order of the plain sum.
+    """
     get = acc.get
-    for m, c in terms.items():
-        if not plain:
-            c = -c if negate else c * scale
-        s = get(m)
+    items = num.items() if scale == 1 else ((k, c * scale) for k, c in num.items())
+    for k, c in items:
+        s = get(k)
         if s is None:
-            acc[m] = c
+            acc[k] = c
         else:
-            s = s + c
+            s += c
             if s:
-                acc[m] = s
+                acc[k] = s
             else:
-                del acc[m]
+                del acc[k]
 
 
-def _mul_terms(a: Mapping[Monomial, Fraction],
-               b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """The term dict of the product of two term dicts, as a fresh dict."""
-    out: dict[Monomial, Fraction] = {}
+class _Sum:
+    """A running sum of scaled polynomials, accumulated in place."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self):
+        self.ring = _EMPTY
+        self.num: dict[int, int] = {}
+        self.den = 1
+
+    def add(self, p: "SuperPolynomial", a: int = 1, b: int = 1) -> None:
+        """``self += (a / b) * p`` for integers ``a`` and ``b > 0``."""
+        if not p._num or not a:
+            return
+        ring = _merged(self.ring, p._ring)
+        if ring is not self.ring:
+            self.num = _repack(self.num, self.ring, ring)
+            self.ring = ring
+        t = p._den * b
+        den = self.den
+        if t != den:
+            common = lcm(den, t)
+            if common != den:
+                f = common // den
+                num = self.num
+                for k, n in num.items():
+                    num[k] = n * f
+                self.den = den = common
+            a *= den // t
+        _add_into(self.num, _repack(p._num, p._ring, ring), a)
+
+    def result(self) -> "SuperPolynomial":
+        return _make(self.ring, self.num, self.den)
+
+
+def _make(ring: _Ring, num: dict, den: int = 1) -> "SuperPolynomial":
+    """Adopt ``num`` over the positive denominator ``den``, without copying.
+
+    ``num`` must be a fresh dict that no other object holds or will mutate,
+    its values nonzero ints; ``num`` and ``den`` are reduced here.
+    """
+    p = object.__new__(SuperPolynomial)
+    # zero and the constants belong to no chart, so they never force a merge
+    p._ring = _EMPTY if len(num) <= 1 and (not num or 0 in num) else ring
+    p._num = num
+    p._den = den if den == 1 else _reduce(num, den)
+    p._parity = None
+    p._support = None
+    return p
+
+
+def _support_of(p: "SuperPolynomial") -> int:
+    """The bitwise or of p's keys: every field is at least its largest exponent."""
+    s = p._support
+    if s is None:
+        s = p._support = _or(p._num)
+    return s
+
+
+def _scalar(c) -> Scalar:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return c
+
+
+def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
+    """The product of two polynomials, as a fresh polynomial."""
+    A, B = p._num, q._num
+    if not A or not B:
+        return _make(_EMPTY, {})
+    ring = p._ring
+    sp, sq = p._support, q._support
+    if sp is None:
+        sp = p._support = _or(A)
+    if sq is None:
+        sq = q._support = _or(B)
+    # no field of a product key exceeds that field of the supports' sum
+    if ring is not q._ring or (sp + sq) & ring.guard:
+        ring = _merged(ring, q._ring)
+        while True:
+            A = _repack(p._num, p._ring, ring)
+            B = _repack(q._num, q._ring, ring)
+            if not (_or(A) + _or(B)) & ring.guard:
+                break
+            ring = ring.wider()
+    odd = ring.odd
+    items = B.items()
+    out: dict[int, int] = {}
     get = out.get
-    merge = _merge_monomials
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            sign, m = merge(m1, m2)
-            if m is None:
+    for k1, c1 in A.items():
+        o1 = k1 & odd
+        if o1:
+            # bit j of below is set when an odd number of k1's odd factors
+            # sit above j: each is passed by a later odd factor of k2 there
+            below, rest = 0, o1
+            while rest:
+                low = rest & -rest
+                below ^= low - 1
+                rest ^= low
+            below &= odd
+        else:
+            below = 0
+        for k2, c2 in items:
+            if k2 & o1:
                 continue
             c = c1 * c2
-            if sign < 0:
+            if below and (k2 & below).bit_count() & 1:
                 c = -c
-            s = get(m)
+            k = k1 + k2
+            s = get(k)
             if s is None:
-                out[m] = c
+                out[k] = c
             else:
-                s = s + c
+                s += c
                 if s:
-                    out[m] = s
+                    out[k] = s
                 else:
-                    del out[m]
-    return out
+                    del out[k]
+    return _make(ring, out, p._den * q._den)
+
+
+def _combine(p: "SuperPolynomial", q: "SuperPolynomial", scale: int) -> "SuperPolynomial":
+    """``p + scale * q`` for an int ``scale``, as a fresh polynomial."""
+    ring, P, Q = p._ring, p._num, q._num
+    if ring is not q._ring:
+        ring = _merged(ring, q._ring)
+        P = _repack(P, p._ring, ring)
+        Q = _repack(Q, q._ring, ring)
+    dp, dq = p._den, q._den
+    if dp == dq:
+        out = dict(P)
+        den = dp
+    else:
+        den = lcm(dp, dq)
+        f = den // dp
+        out = {k: n * f for k, n in P.items()} if f != 1 else dict(P)
+        scale *= den // dq
+    _add_into(out, Q, scale)
+    return _make(ring, out, den)
 
 
 class SuperPolynomial:
     """A finite sum of canonical monomials with nonzero rational coefficients.
 
-    Polynomials are immutable values; ``terms`` must not be mutated.
+    Polynomials are immutable values.
     """
 
-    __slots__ = ("terms", "_parity")
+    __slots__ = ("_ring", "_num", "_den", "_parity", "_support")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c.__class__ is not Fraction:
-                    c = Fraction(c)
-                if c != 0:
-                    clean[m] = c
-        self.terms = clean
+        """A polynomial from a dict like ``terms``: monomials sorted by
+        ``sort_key`` with odd exponents 1, to int or Fraction coefficients."""
+        ring = _EMPTY
+        items = []
+        den = top = 1
+        for m, c in (terms or {}).items():
+            if _scalar(c):
+                items.append((m, c))
+                den = lcm(den, c.denominator)
+                for v, e in m:
+                    ring = _merged(ring, _home(v))
+                    if e.__class__ is int and e > top:
+                        top = e
+        while top >> (ring.width - 1):
+            ring = ring.wider()
+        num = {}
+        for m, c in items:
+            k = ring.key(m)
+            if k is None:
+                raise ValueError(f"not a canonical monomial: {m}")
+            num[k] = c.numerator * (den // c.denominator)
+        self._ring = ring
+        self._num = num
+        self._den = den if num else 1
         self._parity = None
+        self._support = None
 
-    @staticmethod
-    def _clean(terms: dict[Monomial, Fraction]) -> "SuperPolynomial":
-        """Adopt ``terms`` without copying or coercing it.
-
-        ``terms`` must be a fresh dict that no other object holds or will
-        mutate, and every coefficient must be a nonzero ``Fraction``.
-        """
-        p = object.__new__(SuperPolynomial)
-        p.terms = terms
-        p._parity = None
-        return p
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """A fresh dict from monomials to ``Fraction`` coefficients."""
+        monomial, den = self._ring.monomial, self._den
+        return {monomial(k): Fraction(n, den) for k, n in self._num.items()}
 
     # ---------------------------------------------------------------- basics
     @staticmethod
     def zero() -> "SuperPolynomial":
-        return SuperPolynomial._clean({})
+        return _make(_EMPTY, {})
 
     @staticmethod
     def constant(c: Scalar) -> "SuperPolynomial":
-        if c.__class__ is not Fraction:
-            c = Fraction(c)
-        return SuperPolynomial._clean({ONE_MONOMIAL: c} if c else {})
+        if not _scalar(c):
+            return _make(_EMPTY, {})
+        return _make(_EMPTY, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def from_var(v: Variable) -> "SuperPolynomial":
-        return SuperPolynomial._clean({((v, 1),): _ONE_FRACTION})
+        ring = _home(v)
+        return _make(ring, {1 << (ring.pos(v) * ring.width): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
+
+    def term_count(self) -> int:
+        return len(self._num)
+
+    def monomials(self) -> list[Monomial]:
+        """The monomials of the nonzero terms, in insertion order."""
+        monomial = self._ring.monomial
+        return [monomial(k) for k in self._num]
 
     def variables(self) -> set[Variable]:
-        return {v for m in self.terms for v, _ in m}
+        vs = self._ring.vars
+        return {vs[i] for i, _ in self._ring.fields(_support_of(self))}
+
+    def involves(self, v: Variable) -> bool:
+        """Whether ``v`` occurs in some term."""
+        return _field(self, v) is not None
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, _ZERO_FRACTION)
+        k = self._ring.key(m)
+        n = self._num.get(k) if k is not None else None
+        return Fraction(n, self._den) if n else _ZERO_FRACTION
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, _ZERO_FRACTION)
+        n = self._num.get(0)
+        return Fraction(n, self._den) if n else _ZERO_FRACTION
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms)
-        return SuperPolynomial._clean(terms)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial._clean({m: -c for m, c in self.terms.items()})
+        return _make(self._ring, {k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms, -1)
-        return SuperPolynomial._clean(terms)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return SuperPolynomial._clean({})
-            return SuperPolynomial._clean({m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, SuperPolynomial):
+        if isinstance(other, SuperPolynomial):
+            return _mul_terms(self, other)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return SuperPolynomial._clean(_mul_terms(self.terms, other.terms))
+        if not other:
+            return _make(_EMPTY, {})
+        a = other.numerator
+        num = {k: n * a for k, n in self._num.items()}
+        return _make(self._ring, num, self._den * other.denominator)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -360,9 +615,11 @@ class SuperPolynomial:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / other)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n: int):
         """``self`` to the ``n``-th power by repeated squaring."""
@@ -371,7 +628,7 @@ class SuperPolynomial:
         if n == 0:
             return SuperPolynomial.constant(1)
         result = None
-        square = self.terms
+        square = self
         while True:
             if n & 1:
                 result = square if result is None else _mul_terms(result, square)
@@ -379,15 +636,19 @@ class SuperPolynomial:
             if not n:
                 break
             square = _mul_terms(square, square)
-        if result is self.terms:
-            result = dict(result)
-        return SuperPolynomial._clean(result)
+        if result is self:
+            result = _make(self._ring, dict(self._num), self._den)
+        return result
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        if self._den != other._den or len(self._num) != len(other._num):
+            return False
+        ring = _merged(self._ring, other._ring)
+        return (_repack(self._num, self._ring, ring)
+                == _repack(other._num, other._ring, ring))
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -397,10 +658,11 @@ class SuperPolynomial:
         """0, 1, 'zero', or 'mixed'; computed once per polynomial."""
         par = self._parity
         if par is None:
-            if not self.terms:
+            if not self._num:
                 par = "zero"
             else:
-                ps = {monomial_parity(m) for m in self.terms}
+                odd = self._ring.odd
+                ps = {(k & odd).bit_count() & 1 for k in self._num}
                 par = ps.pop() if len(ps) == 1 else "mixed"
             self._parity = par
         return par
@@ -408,18 +670,21 @@ class SuperPolynomial:
     def parity_part(self, p: int) -> "SuperPolynomial":
         par = self.parity()
         if par == p:
-            return SuperPolynomial._clean(dict(self.terms))
+            return _make(self._ring, dict(self._num), self._den)
         if par != "mixed":
-            return SuperPolynomial._clean({})
-        return SuperPolynomial._clean(
-            {m: c for m, c in self.terms.items() if monomial_parity(m) == p}
-        )
+            return _make(_EMPTY, {})
+        odd = self._ring.odd
+        num = {k: n for k, n in self._num.items() if (k & odd).bit_count() & 1 == p}
+        return _make(self._ring, num, self._den)
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
 
     def __str__(self):
         return render(self)
+
+
+_ZERO_FRACTION = Fraction(0)
 
 
 def _coerce(x) -> SuperPolynomial:
@@ -434,27 +699,43 @@ ZERO = SuperPolynomial.zero()
 ONE = SuperPolynomial.constant(1)
 
 
+def linear_combination(pairs: Iterable[tuple[Scalar, SuperPolynomial]]) -> SuperPolynomial:
+    """``sum(c * p for c, p in pairs)``, accumulated in place."""
+    acc = _Sum()
+    for c, p in pairs:
+        c = _scalar(c)
+        acc.add(p, c.numerator, c.denominator)
+    return acc.result()
+
+
 def render(p: SuperPolynomial) -> str:
     """Deterministic human form, terms in canonical monomial order."""
     if p.is_zero():
         return "0"
+    ring, den = p._ring, p._den
+    vs = ring.vars
+    rows = []
+    for k, n in p._num.items():
+        fs = ring.fields(k)
+        order = (sum(e for _, e in fs), tuple((vs[i].index, vs[i].name, e) for i, e in fs))
+        rows.append((order, fs, n))
+    rows.sort(key=lambda row: row[0])
     parts = []
-    for m in sorted(p.terms, key=_monomial_sort_key):
-        c = p.terms[m]
-        factors = []
-        for v, e in m:
-            factors.append(v.name if e == 1 else f"{v.name}^{e}")
-        body = "*".join(factors)
+    for _, fs, n in rows:
+        g = gcd(n, den)
+        a, b = abs(n) // g, den // g
+        body = "*".join(vs[i].name if e == 1 else f"{vs[i].name}^{e}" for i, e in fs)
+        c = str(a) if b == 1 else f"{a}/{b}"
         if not body:
-            text = str(abs(c))
-        elif abs(c) == 1:
+            text = c
+        elif a == b == 1:
             text = body
         else:
-            text = f"{abs(c)}*{body}"
+            text = f"{c}*{body}"
         if not parts:
-            parts.append(text if c > 0 else f"-{text}")
+            parts.append(text if n > 0 else f"-{text}")
         else:
-            parts.append(f"+ {text}" if c > 0 else f"- {text}")
+            parts.append(f"+ {text}" if n > 0 else f"- {text}")
     return " ".join(parts)
 
 
@@ -467,7 +748,18 @@ def weight_of(p: SuperPolynomial, arity: int | None = None):
     """
     if p.is_zero():
         return "zero"
-    ws = {monomial_weight(m, arity) for m in p.terms}
+    ring = p._ring
+    vs = ring.vars
+    ws = set()
+    for k in p._num:
+        fs = ring.fields(k)
+        if not fs:
+            ws.add((0,) * (arity or 0))
+            continue
+        w = (0,) * len(vs[fs[0][0]].weight)
+        for i, e in fs:
+            w = weight_add(w, tuple(e * c for c in vs[i].weight))
+        ws.add(w)
     if len(ws) == 1:
         return ws.pop()
     # constants have an inferred arity of 0; pad against the others
@@ -480,40 +772,64 @@ def weight_of(p: SuperPolynomial, arity: int | None = None):
     return "inhomogeneous"
 
 
+def _field(p: SuperPolynomial, v: Variable) -> tuple[int, int] | None:
+    """(shift, mask) of v's field in p's ring when v occurs in p, else None."""
+    ring = p._ring
+    i = ring.pos(v)
+    if i is None:
+        return None
+    shift = i * ring.width
+    mask = ((1 << ring.width) - 1) << shift
+    if not _support_of(p) & mask:
+        return None
+    return shift, mask
+
+
 def partial(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
     """Left derivative with respect to ``v``."""
-    out: dict[Monomial, Fraction] = {}
-    h = v._hash
-    odd = v.parity == ODD
-    for m, c in p.terms.items():
-        for i, f in enumerate(m):
-            u = f[0]
-            if u is not v and (u._hash != h or u != v):
-                continue
-            e = f[1]
-            if not odd:
-                rest = m[:i] + ((u, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                coeff = c * e if e != 1 else c
-            else:
-                odd_before = sum(
-                    1 for w, g in m[:i] if w.parity == ODD and g % 2 == 1
-                )
-                rest = m[:i] + m[i + 1:]
-                coeff = c if odd_before % 2 == 0 else -c
-            _accumulate(out, {rest: coeff})
-            break
-    return SuperPolynomial._clean(out)
+    f = _field(p, v)
+    if f is None:
+        return _make(_EMPTY, {})
+    shift, mask = f
+    ring = p._ring
+    unit = 1 << shift
+    out = {}
+    if v.parity == ODD:
+        below = ring.odd & (unit - 1)
+        for k, c in p._num.items():
+            if k & unit:
+                out[k - unit] = -c if (k & below).bit_count() & 1 else c
+    else:
+        for k, c in p._num.items():
+            e = k & mask
+            if e:
+                out[k - unit] = c if e == unit else c * (e >> shift)
+    return _make(ring, out, p._den)
 
 
 def partial_right(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
     """Right derivative; for homogeneous p it is (-1)^{|v|(|p|+|v|)} partial."""
     if v.parity == EVEN:
         return partial(p, v)
-    out: dict[Monomial, Fraction] = {}
-    for par in (EVEN, ODD):
-        d = partial(p.parity_part(par), v)
-        _accumulate(out, d.terms, 1 if (par + 1) % 2 == 0 else -1)
-    return SuperPolynomial._clean(out)
+    f = _field(p, v)
+    if f is None:
+        return _make(_EMPTY, {})
+    ring = p._ring
+    unit = 1 << f[0]
+    odd, below = ring.odd, ring.odd & (unit - 1)
+    # terms of even parity pick up a sign and come first, as in
+    # -partial(p.parity_part(EVEN)) + partial(p.parity_part(ODD))
+    evens, odds = {}, {}
+    for k, c in p._num.items():
+        if k & unit:
+            if (k & below).bit_count() & 1:
+                c = -c
+            if (k & odd).bit_count() & 1:
+                odds[k - unit] = c
+            else:
+                evens[k - unit] = -c
+    evens.update(odds)
+    return _make(ring, evens, p._den)
 
 
 def substitute(
@@ -524,56 +840,119 @@ def substitute(
     Unassigned variables are kept.  Every image must have the parity of its
     variable (weight compatibility is the caller's concern).
     """
+    ring = p._ring
+    images = {}
     for v, img in assignment.items():
         par = img.parity()
         if par not in ("zero", v.parity):
             raise ParityMismatch(
                 f"image of {v.name} (parity {v.parity}) has parity {par}"
             )
-    cache: dict[tuple[Variable, int], dict[Monomial, Fraction]] = {}
-    out: dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
-        if not m:
-            _accumulate(out, {m: c})
-            continue
+        i = ring.pos(v)
+        if i is not None:
+            images[i] = img
+    cache: dict[tuple[int, int], SuperPolynomial] = {}
+    acc = _Sum()
+    den = p._den
+    for k, c in p._num.items():
         term = None
-        for key in m:
-            power = cache.get(key)
+        for f in ring.fields(k):
+            power = cache.get(f)
             if power is None:
-                v, e = key
-                base = assignment.get(v)
+                i, e = f
+                base = images.get(i)
                 if base is None:
-                    base = SuperPolynomial.from_var(v)
-                # cached term dicts are only ever read
-                power = cache[key] = base.terms if e == 1 else (base ** e).terms
+                    base = SuperPolynomial.from_var(ring.vars[i])
+                power = cache[f] = base if e == 1 else base ** e
             term = power if term is None else _mul_terms(term, power)
-            if not term:
+            if not term._num:
                 break
-        _accumulate(out, term, c)
-    return SuperPolynomial._clean(out)
+        acc.add(ONE if term is None else term, c, den)
+    return acc.result()
 
 
-def _renamed(m: Monomial, rename) -> tuple[int, Monomial | None]:
-    """(sign, canonical monomial) of ``m`` with each variable renamed.
+def _rename(p: SuperPolynomial, varmap: Mapping[Variable, Variable], ordered: bool):
+    """p with each variable ``v`` replaced by ``varmap.get(v, v)``.
 
-    The renamed factors are merged one at a time, which yields the Koszul
-    sign of the reordering, adds the exponents of even variables that meet
-    and gives (0, None) when two odd factors meet.  Factors that are already
-    in order need no merge.
+    Odd factors are reordered with their Koszul sign, two odd factors sent
+    to one variable give zero, and exponents of even factors sent to one
+    variable add.  With ``ordered`` the renaming must keep the order of p's
+    variables, and parities may change.
     """
-    renamed = tuple((rename(v, v), e) for v, e in m)
-    for a, b in zip(renamed, renamed[1:]):
-        if not a[0].sort_key < b[0].sort_key:
-            break
-    else:
-        return 1, renamed
-    sign, mono = 1, ONE_MONOMIAL
-    for f in renamed:
-        s, mono = _merge_monomials(mono, (f,))
-        if mono is None:
-            return 0, None
-        sign *= s
-    return sign, mono
+    src, num = p._ring, p._num
+    occurring = src.fields(_support_of(p))  # (index, bound on the exponent)
+    if not occurring:
+        return _make(_EMPTY, dict(num), p._den)
+    vs = src.vars
+    images = [varmap.get(vs[i], vs[i]) for i, _ in occurring]
+    ring = _home(images[0])
+    for w in images[1:]:
+        r = _home(w)
+        if r is not ring:
+            ring = _merged(ring, r)
+    targets = [ring.pos(w) for w in images]
+    monotone = all(a < b for a, b in zip(targets, targets[1:]))
+    if ordered:
+        if not monotone:
+            raise ValueError("relabel must keep the order of the variables")
+        for (_, e), w in zip(occurring, images):
+            if w.parity and e != 1:
+                raise ValueError(f"{w.name} is odd, so its exponent must be 1")
+    injective = monotone or len(set(targets)) == len(targets)
+    if not injective or ring.width < src.width:
+        # even variables sent to one variable add their exponents, and the
+        # target ring may be narrower than p's: widen until every field fits
+        need: dict[int, int] = {}
+        for t, (_, e) in zip(targets, occurring):
+            need[t] = need.get(t, 0) + e
+        while max(need.values()) >> (ring.width - 1):
+            ring = ring.wider()
+    w = ring.width
+    if w == src.width and injective and (
+            monotone or not any(vs[i].parity for i, _ in occurring)):
+        # no sign and no collision: each field moves by its offset; fields
+        # moving by one offset move together
+        moves: dict[int, int] = {}
+        for (i, _), t in zip(occurring, targets):
+            moves[(t - i) * w] = moves.get((t - i) * w, 0) | (((1 << w) - 1) << (i * w))
+        if len(moves) == 1:
+            d = next(iter(moves))
+            if d >= 0:
+                out = {k << d: c for k, c in num.items()}
+            else:
+                out = {k >> -d: c for k, c in num.items()}
+        else:
+            moves = [(d, m) for d, m in moves.items()]
+            out = {sum((k & m) << d if d >= 0 else (k & m) >> -d for d, m in moves): c
+                   for k, c in num.items()}
+        return _make(ring, out, p._den)
+    table = {i: (t * w, 1 << t if ring.vars[t].parity else 0)
+             for (i, _), t in zip(occurring, targets)}
+    out = {}
+    get = out.get
+    for k, c in num.items():
+        nk = placed = 0
+        for i, e in src.fields(k):
+            shift, bit = table[i]
+            if bit:
+                if placed & bit:
+                    break
+                # odd factors placed so far that belong after this one
+                if (placed // bit).bit_count() & 1:
+                    c = -c
+                placed |= bit
+            nk += e << shift
+        else:
+            s = get(nk)
+            if s is None:
+                out[nk] = c
+            else:
+                s += c
+                if s:
+                    out[nk] = s
+                else:
+                    del out[nk]
+    return _make(ring, out, p._den)
 
 
 def remap(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
@@ -583,13 +962,13 @@ def remap(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolyn
             raise ParityMismatch(
                 f"image of {v.name} (parity {v.parity}) has parity {w.parity}"
             )
-    rename = varmap.get
-    out: dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
-        sign, mono = _renamed(m, rename)
-        if mono is not None:
-            _accumulate(out, {mono: c}, sign)
-    return SuperPolynomial._clean(out)
+    return _rename(p, varmap, ordered=False)
+
+
+def relabel(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
+    """Rename variables by a map that keeps their order, with coefficients
+    and term order unchanged; unlike ``remap`` it may change parities."""
+    return _rename(p, varmap, ordered=True)
 
 
 # -------------------------------------------------------------- derivations
@@ -665,12 +1044,11 @@ class Derivation:
 
 
 def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
-    out: dict[Monomial, Fraction] = {}
-    relevant = p.variables()
+    acc = _Sum()
     for v, coeff in D.action.items():
-        if v in relevant:
-            _accumulate(out, _mul_terms(coeff.terms, partial(p, v).terms))
-    return SuperPolynomial._clean(out)
+        if p.involves(v):
+            acc.add(_mul_terms(coeff, partial(p, v)))
+    return acc.result()
 
 
 def commutator(D1: Derivation, D2: Derivation) -> Derivation:
@@ -679,9 +1057,7 @@ def commutator(D1: Derivation, D2: Derivation) -> Derivation:
     shift = tuple(a + b for a, b in zip(D1.weight_shift, D2.weight_shift))
     action: dict[Variable, SuperPolynomial] = {}
     for v in set(D1.action) | set(D2.action):
-        # the first result is a temporary, so its fresh dict can be reused
-        terms = apply(D1, D2.coefficient(v)).terms
-        _accumulate(terms, apply(D2, D1.coefficient(v)).terms, -sign)
-        if terms:
-            action[v] = SuperPolynomial._clean(terms)
+        c = _combine(apply(D1, D2.coefficient(v)), apply(D2, D1.coefficient(v)), -sign)
+        if c._num:
+            action[v] = c
     return Derivation(action, (D1.parity + D2.parity) % 2, shift, check=False)

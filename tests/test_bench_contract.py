@@ -5,7 +5,9 @@ and the methods listed in its ``METHODS``, looked up through
 ``cls.__dict__[attr]``; ``TIMED`` names the functions whose inclusive time it
 reports.  A rename in the engine would break the benchmark only when it
 runs, so these tests load the tracer by path and check both tables against
-the live engine.  The demos run as scripts on this checkout's ``src``.
+the live engine.  The demos run as scripts on this checkout's ``src``, and
+so do the benchmark's own checks (``perfbench/selftest.py``), which read
+``p.terms`` and build polynomials through the public constructor.
 """
 
 import importlib
@@ -41,6 +43,11 @@ def test_every_timed_key_names_a_live_public_function():
     tracer = load_tracer()
     keys = {key for _, key, _, _, _ in tracer.Tracer()._targets()}
     assert tracer.TIMED <= keys, sorted(tracer.TIMED - keys)
+
+
+def test_benchmark_selftest_passes():
+    proc = run_python_subprocess([str(ROOT / "perfbench" / "selftest.py")], timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -317,6 +317,26 @@ def test_duplicate_map_component_rejected():
     assert err.value.line == 10 and "duplicate component 'Y'" in str(err.value)
 
 
+TK_ONE = "forward 1 = x1\ninverse 1 = X1\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["check-q"], "[structure lie-tower]\nk = 0\ndim = 1\n", "'k' must be at least 1"),
+    (["check-q"], "[structure lie-tower]\nk = -1\ndim = 1\n", "'k' must be at least 1"),
+    (["construct", "tk"], "[structure tk]\nk = 0\ndim = 1\n" + TK_ONE,
+     "'k' must be at least 1"),
+    (["construct", "tk"], "[structure tk]\nk = 2\ndim = 0\n", "'dim' must be at least 1"),
+    (["check-q"], "[structure tk]\nk = 1\ndim = 1\n" + TK_ONE, "'k' must be at least 2"),
+    (["construct", "prolong"],
+     "[structure prolong]\nk = 1\nbase = x1\nfiber = e1\nanchor e1 x1 = 1\n",
+     "'k' must be at least 2"),
+], ids=["lie-tower-k0", "lie-tower-k-1", "tk-k0", "tk-dim0", "tk-algebroid-k1", "prolong-k1"])
+def test_structure_value_below_minimum_exit_two(tmp_path, capsys, command, text, message):
+    err = run_cli_hostile(tmp_path, capsys, command, text)
+    line = 3 if "dim' " in message else 2
+    assert message in err and f"line {line}" in err
+
+
 # ---------------------------------------------- [section] keys of bracket specs
 SO3_K2 = "[structure lie-tower]\nk = 2\ndim = 3\nc 1 2 3 = 1\nc 2 3 1 = 1\nc 3 1 2 = 1\n"
 

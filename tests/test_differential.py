@@ -4,10 +4,11 @@
 the live core was optimised.  Every operation here runs on the same random
 polynomials in both, and the results must have the same term maps, keyed
 by ``(system, name, exponent)`` so that the two modules' ``Variable``
-classes never meet.
+classes never meet, with their terms in the same insertion order.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,11 @@ def universe(mod):
 
 
 LIVE, REF = universe(live), universe(ref)
+# the live source chart is declared, as the engine declares every chart, so
+# its polynomials share one packed ring; the target variables are left
+# undeclared, each in a ring of its own, which mixed operations must merge
+SOURCE_RING = live.declare_chart(LIVE[spec[1]] for spec in SOURCE)
+LIVE.update({v.name: v for v in SOURCE_RING.vars})
 SOURCE_NAMES = [spec[1] for spec in SOURCE]
 TARGET_NAMES = [spec[1] for spec in TARGET]
 PARITY = {spec[1]: spec[3] for spec in SPECS}
@@ -76,7 +82,14 @@ def key(p):
 
 
 def same(a, b):
-    assert key(a) == key(b)
+    """Equal term maps, with their terms in the same insertion order; the
+    live polynomial's common denominator must be reduced."""
+    assert list(key(a).items()) == list(key(b).items())
+    assert a._den == lcm(1, *(c.denominator for c in a.terms.values()))
+
+
+def var(name):
+    return both([(Fraction(1), [(name, 1)])])
 
 
 def poly_desc(names=SOURCE_NAMES, max_terms=4):
@@ -100,6 +113,104 @@ def test_ring_operations(d1, d2):
     same(p * Fraction(-2, 3), rp * Fraction(-2, 3))
     same(3 - p, 3 - rp)
     same(p * 0, rp * 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_desc(SOURCE_NAMES + TARGET_NAMES), poly_desc(TARGET_NAMES + SOURCE_NAMES))
+def test_ring_operations_across_charts(d1, d2):
+    (p, rp), (q, rq) = both(d1), both(d2)
+    same(p + q, rp + rq)
+    same(p - q, rp - rq)
+    same(p * q, rp * rq)
+    same(q * p, rq * rp)
+    assert (p * q == q * p) == (rp * rq == rq * rp)
+    assert (p + q == q + p) and (p - q == q) == (rp - rq == rq)
+    for name in ("x", "eta", "a", "sigma"):
+        same(live.partial(p * q, LIVE[name]), ref.partial(rp * rq, REF[name]))
+        same(live.partial_right(p - q, LIVE[name]), ref.partial_right(rp - rq, REF[name]))
+
+
+def rational_desc(names=SOURCE_NAMES):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    exps = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 2)), max_size=2)
+    return st.lists(st.tuples(coeff, exps), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_desc(), rational_desc(), st.fractions(max_denominator=12))
+def test_rational_coefficients_and_their_common_denominator(d1, d2, s):
+    (p, rp), (q, rq) = both(d1), both(d2)
+    same(p + q, rp + rq)
+    same((p + q) - q, (rp + rq) - rq)
+    same(p - p, rp - rp)
+    same(p * q, rp * rq)
+    same(p * s, rp * s)
+    if s:
+        same(p / s, rp / s)
+        same(p * s / s, rp * s / s)
+    for name in ("x", "xi", "z"):
+        same(live.partial(p * q, LIVE[name]), ref.partial(rp * rq, REF[name]))
+    same(p.parity_part(ODD), rp.parity_part(ODD))
+
+
+def test_cancelling_rational_coefficients():
+    (x, rx), (y, ry), (xi, rxi) = var("x"), var("y"), var("xi")
+    for p, rp in [
+        (x / 2 + y / 3, rx / 2 + ry / 3),
+        (x / 6 + x / 3, rx / 6 + rx / 3),            # 1/2: the denominator drops
+        (x / 6 + x / 3 - x / 2 + y, rx / 6 + rx / 3 - rx / 2 + ry),  # x cancels
+        ((x + xi) / 4 * (x - xi) * 4, (rx + rxi) / 4 * (rx - rxi) * 4),
+        (x * Fraction(5, 6) * Fraction(6, 5), rx * Fraction(5, 6) * Fraction(6, 5)),
+    ]:
+        same(p, rp)
+        same(p - p, rp - rp)
+        same(live.partial(p * p, LIVE["x"]), ref.partial(rp * rp, REF["x"]))
+    assert (x / 6 + x / 3 - x / 2).is_zero() and (x / 6 + x / 3)._den == 2
+
+
+def test_sums_of_terms_with_different_denominators():
+    # substitute and apply sum terms whose denominators differ from the
+    # running sum's, in both directions
+    (x, rx), (y, ry), (z, rz) = var("x"), var("y"), var("z")
+    p, rp = x + y + x * y / 5 + 7, rx + ry + rx * ry / 5 + 7
+    images = ({LIVE["x"]: y / 2 + Fraction(1, 3), LIVE["z"]: x * 3 / 4},
+              {REF["x"]: ry / 2 + Fraction(1, 3), REF["z"]: rx * 3 / 4})
+    same(live.substitute(p + z, images[0]), ref.substitute(rp + rz, images[1]))
+    D = live.Derivation({LIVE["x"]: y / 3, LIVE["y"]: x + Fraction(1, 7)}, EVEN, (0,), check=False)
+    R = ref.Derivation({REF["x"]: ry / 3, REF["y"]: rx + Fraction(1, 7)}, EVEN, (0,), check=False)
+    same(live.apply(D, p), ref.apply(R, rp))
+
+
+def test_exponents_past_the_field_width():
+    (x, rx), (y, ry), (xi, rxi), (b, rb) = var("x"), var("y"), var("xi"), var("b")
+    big, rbig = x ** 300, rx ** 300
+    same(big, rbig)
+    same(big * y, rbig * ry)
+    same(big * (x + xi) - y ** 130, rbig * (rx + rxi) - ry ** 130)
+    same(big * b, rbig * rb)
+    same(big + y, rbig + ry)
+    assert big * y == y * big and big != x ** 299
+    same(live.partial(big * xi, LIVE["x"]), ref.partial(rbig * rxi, REF["x"]))
+    same(live.partial(big * xi, LIVE["xi"]), ref.partial(rbig * rxi, REF["xi"]))
+    same(live.substitute(big * y, {LIVE["x"]: y, LIVE["y"]: x}),
+         ref.substitute(rbig * ry, {REF["x"]: ry, REF["y"]: rx}))
+    # into a narrower ring of another chart, and two even variables into one
+    same(live.remap(big * y, {LIVE["x"]: LIVE["a"]}), ref.remap(rbig * ry, {REF["x"]: REF["a"]}))
+    same(live.remap(big * y ** 200, {LIVE["x"]: LIVE["b"], LIVE["y"]: LIVE["b"]}),
+         ref.remap(rbig * ry ** 200, {REF["x"]: REF["b"], REF["y"]: REF["b"]}))
+
+
+def test_nested_powers_from_a_spec_line():
+    # the spec parser bounds each ^ at 16 but accepts nesting: x^4096
+    from gradedbundles.specfile import parse_expression
+
+    names = {n: LIVE[n] for n in ("x", "y")}
+    p = parse_expression("((x^16)^16)^16 + 3/2*x*y", names, 1, 5)
+    rx, ry = var("x")[1], var("y")[1]
+    rp = rx ** 4096 + Fraction(3, 2) * rx * ry
+    same(p, rp)
+    same(p * p, rp * rp)
+    same(live.partial(p, LIVE["x"]), ref.partial(rp, REF["x"]))
 
 
 def test_products_of_all_square_free_monomials():

@@ -274,9 +274,10 @@ def test_results_never_share_a_dict(p, q):
                p.parity_part(EVEN), p.parity_part(ODD),
                substitute(p, {}), remap(p, {}),
                partial(p, X), partial_right(p, XI)]
+    # the numerator dicts, since ``terms`` is a fresh view on every access
     for r in results:
-        assert r.terms is not p.terms and r.terms is not q.terms
-    assert len({id(r.terms) for r in results}) == len(results)
+        assert r._num is not p._num and r._num is not q._num
+    assert len({id(r._num) for r in results}) == len(results)
 
 
 def test_power_uses_repeated_squaring(monkeypatch):
@@ -293,6 +294,32 @@ def test_power_uses_repeated_squaring(monkeypatch):
     assert len(calls) == 10
     monkeypatch.undo()
     assert p.terms == {((X, k),) if k else (): Fraction(comb(400, k)) for k in range(401)}
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        SuperPolynomial({(): 0.1})
+    with pytest.raises(TypeError):
+        SuperPolynomial({((X, 1),): 1.0})
+    with pytest.raises(TypeError):
+        SuperPolynomial.constant(0.5)
+    for bad in (lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: x / 0.5):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_division_by_zero_raises_zero_division():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    assert (x + y) / Fraction(2, 3) == Fraction(3, 2) * x + Fraction(3, 2) * y
+
+
+def test_constructor_rejects_non_canonical_monomials():
+    for m in (((Y, 1), (X, 1)), ((XI, 2),), ((X, 0),), ((X, 1), (X, 1))):
+        with pytest.raises(ValueError):
+            SuperPolynomial({m: 1})
+    assert SuperPolynomial({((X, 1), (XI, 1)): Fraction(1, 2), (): 0}) == (x * xi) / 2
 
 
 def test_variable_equality_and_hash_are_by_value():
