@@ -34,6 +34,7 @@ from .superalg import (
     ZERO,
     commutator,
     linear_combination,
+    parity_matches_weight,
     partial,
     partial_right,
     remap,
@@ -42,7 +43,7 @@ from .superalg import (
     total,
     weight_of,
 )
-from .bundle import CoordinateSystem
+from .bundle import _fresh_name, CoordinateSystem
 from .linfun import GLBundle, NotSymmetric, holonomic_assignment
 from .report import Report
 
@@ -107,26 +108,16 @@ class OddPoissonSpace:
                 parts.append((-1, partial_right(f, qs) * partial(g, q)))
         return linear_combination(parts)
 
-    def hamiltonian_field(self, h: SuperPolynomial, variables=None,
-                          weight_shift=None, parity=None) -> Derivation:
+    def hamiltonian_field(self, h: SuperPolynomial, variables, weight_shift,
+                          parity) -> Derivation:
         """The derivation v -> -(h, v) on the listed variables."""
         self._check(h)
-        variables = variables if variables is not None else self.system.variables
         action = {}
         for v in variables:
             c = -self.bracket(h, SuperPolynomial.from_var(v))
             if not c.is_zero():
                 action[v] = c
-        par = parity if parity is not None else (h.parity() + 1) % 2
-        if weight_shift is None:
-            hw = weight_of(h, self.system.arity)
-            shift_src = hw if isinstance(hw, tuple) else (0,) * self.system.arity
-            weight_shift = tuple(a + b for a, b in zip(shift_src, self._bracket_shift()))
-        return Derivation(action, par, weight_shift)
-
-    def _bracket_shift(self):
-        q, qs = self.pairs[0]
-        return tuple(-(a + b) for a, b in zip(q.weight, qs.weight))
+        return Derivation(action, parity, weight_shift)
 
 
 def schouten(f: SuperPolynomial, g: SuperPolynomial, space) -> SuperPolynomial:
@@ -136,11 +127,19 @@ def schouten(f: SuperPolynomial, g: SuperPolynomial, space) -> SuperPolynomial:
 
 
 # ------------------------------------------------------------- phase space
-def _fresh(name, taken):
-    while name in taken:
-        name = name + "_"
-    taken.add(name)
-    return name
+def _tri_chart(name: str, blocks):
+    """A tri-graded chart and, per block, the map from carrier variables to
+    its coordinates; a block is (carrier variables, name prefix, tri-weight
+    of a weight-u variable, parity), and a taken name gets ``_`` appended."""
+    taken: set[str] = set()
+    specs = []
+    names = []
+    for variables, prefix, weight, parity in blocks:
+        block = {v: _fresh_name(prefix + v.name, taken, lambda n: n + "_") for v in variables}
+        specs += [(block[v], weight(v.weight[0]), parity) for v in variables]
+        names.append(block)
+    system = CoordinateSystem(specs, name=name, arity=3)
+    return system, [{v: system[n] for v, n in block.items()} for block in names]
 
 
 class OddPhaseSpace:
@@ -161,30 +160,14 @@ class OddPhaseSpace:
         k = self.k
         base_leg = carrier.base_leg_vars(chart)
         fiber = carrier.fiber_vars(chart)
-        taken: set[str] = set()
-        specs = []
-        x_names = {b: _fresh(b.name, taken) for b in base_leg}
-        specs += [(x_names[b], (b.weight[0], 0, 0), EVEN) for b in base_leg]
-        pi_names = {f: _fresh("pi_" + f.name, taken) for f in fiber}
-        specs += [
-            (pi_names[f], (k - 1 - f.weight[0], 0, 1), EVEN) for f in fiber
-        ]
-        chi_names = {b: _fresh("chi_" + b.name, taken) for b in base_leg}
-        specs += [
-            (chi_names[b], (k - 1 - b.weight[0], 1, 1), ODD) for b in base_leg
-        ]
-        theta_names = {f: _fresh("theta_" + f.name, taken) for f in fiber}
-        specs += [(theta_names[f], (f.weight[0], 1, 0), ODD) for f in fiber]
-        self.system = CoordinateSystem(
-            specs, name=f"phase_{carrier.charts[chart].name}", arity=3
+        self.system, (self.x_of, self.pi_of, self.chi_of, self.theta_of) = _tri_chart(
+            f"phase_{carrier.charts[chart].name}",
+            [(base_leg, "", lambda u: (u, 0, 0), EVEN),
+             (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN),
+             (base_leg, "chi_", lambda u: (k - 1 - u, 1, 1), ODD),
+             (fiber, "theta_", lambda u: (u, 1, 0), ODD)],
         )
-        from .superalg import parity_matches_weight
-
         assert all(parity_matches_weight(v, 1) for v in self.system.variables)
-        self.x_of = {b: self.system[x_names[b]] for b in base_leg}
-        self.pi_of = {f: self.system[pi_names[f]] for f in fiber}
-        self.chi_of = {b: self.system[chi_names[b]] for b in base_leg}
-        self.theta_of = {f: self.system[theta_names[f]] for f in fiber}
         self.xs = tuple(self.x_of.values())
         self.pis = tuple(self.pi_of.values())
         self.chis = tuple(self.chi_of.values())
@@ -381,6 +364,27 @@ class WeightedAlgebroid:
         return self.kind == "lie"
 
 
+def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
+    """Coefficients of xi P dx - 1/2 xi xi P dxi from anchor data P[(a, x)]
+    and bracket data P[(a, b, c)] over base coordinates x; ``x_of`` and
+    ``xi_of`` send base coordinates and fibre keys to the field's system."""
+    action: dict[Variable, SuperPolynomial] = {}
+    for (a, b), p in anchor.items():
+        x = x_of[b]
+        action[x] = action.get(x, ZERO) + (
+            SuperPolynomial.from_var(xi_of[a]) * remap(p, x_of)
+        )
+    for (a, b, c), p in bracket.items():
+        term = (
+            SuperPolynomial.from_var(xi_of[a])
+            * SuperPolynomial.from_var(xi_of[b])
+            * remap(p, x_of)
+            * Fraction(-1, 2)
+        )
+        action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
+    return action
+
+
 def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs,
                                 chart: int = 0) -> WeightedAlgebroid:
     """Build from raw epsilon data.
@@ -394,28 +398,24 @@ def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs
     """
     phase = OddPhaseSpace(carrier, chart)
     chart_sys = carrier.charts[chart]
-    to_phase = {b: x for b, x in phase.x_of.items()}
 
-    def lift(p):
-        return remap(p, to_phase) if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
+    def poly(p):
+        return p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
 
-    data = {key: lift(c) for key, c in bracket_coeffs.items()}
+    data = {key: poly(c) for key, c in bracket_coeffs.items()}
     skew = all(
         (c + data.get((j, i, k_n), ZERO)) == ZERO
         for (i, j, k_n), c in data.items()
     )
     if not skew:
         return WeightedAlgebroid(carrier, phase, None, None, "general", None)
-    action: dict[Variable, SuperPolynomial] = {}
-    for (b_name, f_name), c in anchor_coeffs.items():
-        x = phase.x_of[chart_sys[b_name]]
-        th = SuperPolynomial.from_var(phase.theta_of[chart_sys[f_name]])
-        action[x] = action.get(x, ZERO) + th * lift(c)
-    for (i_name, j_name, k_name), c in data.items():
-        th_k = phase.theta_of[chart_sys[k_name]]
-        th_i = SuperPolynomial.from_var(phase.theta_of[chart_sys[i_name]])
-        th_j = SuperPolynomial.from_var(phase.theta_of[chart_sys[j_name]])
-        action[th_k] = action.get(th_k, ZERO) + th_j * th_i * c * Fraction(-1, 2)
+    # the (I, J, K) entry stands with theta^J theta^I: the bracket of (J, I)
+    action = structure_action(
+        {(chart_sys[f], chart_sys[b]): poly(c) for (b, f), c in anchor_coeffs.items()},
+        {(chart_sys[j], chart_sys[i], chart_sys[k_n]): c for (i, j, k_n), c in data.items()},
+        phase.x_of,
+        phase.theta_of,
+    )
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
     return WeightedAlgebroid.from_q(carrier, Q)
 
@@ -610,47 +610,30 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
         raise MalformedQ("general algebroids are classified by raw data only")
     phase = A.phase
     k = phase.k
-    carrier_chart = A.carrier.charts[phase.chart]
+    chart = A.carrier.charts[phase.chart]
     base_leg = A.carrier.base_leg_vars(phase.chart)
     fiber = A.carrier.fiber_vars(phase.chart)
-    taken: set[str] = set()
-    specs = []
-    x_names = {b: _fresh(b.name, taken) for b in base_leg}
-    specs += [(x_names[b], (b.weight[0], 0, 0), EVEN) for b in base_leg]
-    y_names = {f: _fresh(f.name, taken) for f in fiber}
-    specs += [(y_names[f], (f.weight[0], 1, 0), EVEN) for f in fiber]
-    p_names = {b: _fresh("p_" + b.name, taken) for b in base_leg}
-    specs += [(p_names[b], (k - 1 - b.weight[0], 1, 1), EVEN) for b in base_leg]
-    pi_names = {f: _fresh("pi_" + f.name, taken) for f in fiber}
-    specs += [(pi_names[f], (k - 1 - f.weight[0], 0, 1), EVEN) for f in fiber]
-    sys = CoordinateSystem(specs, name="epsilon_display", arity=3)
-
-    x_map = {phase.x_of[b]: sys[x_names[b]] for b in base_leg}
+    sys, (x_of, y_of, p_of, pi_of) = _tri_chart(
+        "epsilon_display",
+        [(base_leg, "", lambda u: (u, 0, 0), EVEN),
+         (fiber, "", lambda u: (u, 1, 0), EVEN),
+         (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), EVEN),
+         (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN)],
+    )
+    x_map = {phase.x_of[b]: x for b, x in x_of.items()}
+    var = SuperPolynomial.from_var
     p_ai, p_kij = extract_coefficients(A.q)
-    by_name = {b.name: b for b in base_leg}
-    fib_by_name = {f.name: f for f in fiber}
 
-    delta_x = {}
-    for b in base_leg:
-        comp = ZERO
-        for (bn, fn), c in p_ai.items():
-            if bn == b.name:
-                comp = comp + sys.var(y_names[fib_by_name[fn]]) * remap(c, x_map)
-        delta_x["delta_" + b.name] = comp
-    delta_pi = {}
-    for f in fiber:
-        comp = ZERO
-        for (bn, fn), c in p_ai.items():
-            if fn == f.name:
-                comp = comp + remap(c, x_map) * sys.var(p_names[by_name[bn]])
-        for (i_n, j_n, k_n), c in p_kij.items():
-            if j_n == f.name:
-                comp = comp + (
-                    sys.var(y_names[fib_by_name[i_n]])
-                    * remap(c, x_map)
-                    * sys.var(pi_names[fib_by_name[k_n]])
-                )
-        delta_pi["delta_pi_" + f.name] = comp
+    delta_x = {"delta_" + b.name: ZERO for b in base_leg}
+    delta_pi = {"delta_pi_" + f.name: ZERO for f in fiber}
+    for (bn, fn), c in p_ai.items():
+        c = remap(c, x_map)
+        delta_x["delta_" + bn] += var(y_of[chart[fn]]) * c
+        delta_pi["delta_pi_" + fn] += c * var(p_of[chart[bn]])
+    for (i_n, j_n, k_n), c in p_kij.items():
+        delta_pi["delta_pi_" + j_n] += (
+            var(y_of[chart[i_n]]) * remap(c, x_map) * var(pi_of[chart[k_n]])
+        )
     return EpsilonComponents(sys, delta_x, delta_pi)
 
 

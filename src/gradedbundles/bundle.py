@@ -38,6 +38,7 @@ from .superalg import (
     Variable,
     ZERO,
     declare_chart,
+    linear_combination,
     partial,
     remap,
     render,
@@ -400,6 +401,24 @@ def core_submanifold(bundle: GradedBundle, i: int) -> GradedBundle:
                     zero=killed)
 
 
+def _fresh_name(name: str, taken: set, grow) -> str:
+    """``name``, grown by ``grow`` until it is not in ``taken``; the result
+    is added to ``taken``."""
+    while name in taken:
+        name = grow(name)
+    taken.add(name)
+    return name
+
+
+def _differential(p: SuperPolynomial, dot, post) -> SuperPolynomial:
+    """The differential of ``p`` along ``dot``: the sum over the variables u
+    of ``p`` that ``dot`` maps of dot[u] * post(dp/du)."""
+    return linear_combination(
+        (1, SuperPolynomial.from_var(dot[u]) * post(partial(p, u)))
+        for u in p.variables() if u in dot
+    )
+
+
 def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool,
                        tag: str, cls):
     """Adjoin dotted coordinates transforming by the differentials of the
@@ -420,12 +439,8 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
         for v in chart.variables:
             if not dotted_of_base and total(v.weight) == 0:
                 continue
-            name = "d" + v.name
-            while name in taken:
-                name = "d" + name
-            taken.add(name)
-            dotted[v] = name
-            specs.append((name, dotted_weight(total(v.weight)), v.parity))
+            dotted[v] = _fresh_name("d" + v.name, taken, lambda n: "d" + n)
+            specs.append((dotted[v], dotted_weight(total(v.weight)), v.parity))
         undotted = {v: v.name for v in chart.variables}
         return (chart.name + "_d", chart.arity + 1, specs,
                 {"undotted": undotted, "dotted": dotted})
@@ -434,13 +449,8 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
         und, dot = src["undotted"], src["dotted"]
         out = {dst["undotted"][v]: remap(p, und) for v, p in comps.items()}
         for v, p in comps.items():
-            if v not in dst["dotted"]:
-                continue
-            dp = ZERO
-            for u in p.variables():
-                if u in dot:
-                    dp = dp + SuperPolynomial.from_var(dot[u]) * remap(partial(p, u), und)
-            out[dst["dotted"][v]] = dp
+            if v in dst["dotted"]:
+                out[dst["dotted"][v]] = _differential(p, dot, lambda c: remap(c, und))
         return out
 
     return rechart(bundle, spec, components, cls=cls, tag=tag)

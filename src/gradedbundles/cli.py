@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bundle import validate
+from .bundle import CoordinateSystem, validate
 from .linfun import (
     embedding_compatibility,
     holonomic_assignment,
@@ -49,9 +49,6 @@ from .specfile import (
 from .superalg import render as render_poly
 from .superalg import weight_of
 
-CONSTRUCTS = ("tangent", "cotangent", "tk", "lie-tower", "prolong")
-
-
 def _weight_str(w):
     return "(" + ", ".join(str(c) for c in w) + ")"
 
@@ -77,11 +74,11 @@ def _scalar(e) -> Fraction:
     return p.constant_term()
 
 
-def _int_entry(grouped, key, minimum: int) -> int:
-    """The integer value of the last ``key`` entry, at least ``minimum``."""
-    entries = grouped.get(key)
+def _int_entry(section, key, minimum: int) -> int:
+    """The integer value of the section's last ``key`` entry, at least ``minimum``."""
+    entries = structure_entries(section).get(key)
     if not entries:
-        raise SpecSyntaxError(f"missing {key!r} entry")
+        raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
     e = entries[-1]
     try:
         value = int(e.value)
@@ -105,8 +102,8 @@ def _index(e, word: str, dim: int) -> int:
 
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
-    dim = _int_entry(grouped, "dim", 0)
-    k = _int_entry(grouped, "k", 1)
+    dim = _int_entry(section, "dim", 0)
+    k = _int_entry(section, "k", 1)
     c = {}
     for e in grouped.get("c", []):
         if len(e.key) != 4:
@@ -121,10 +118,8 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     """The diffeomorphism of a ``tk`` structure and its ``k``; the algebroid
     of T^(k-1)M needs ``min_k = 2``."""
     grouped = structure_entries(section)
-    dim = _int_entry(grouped, "dim", 1)
-    k = _int_entry(grouped, "k", min_k)
-    from .bundle import CoordinateSystem
-
+    dim = _int_entry(section, "dim", 1)
+    k = _int_entry(section, "k", min_k)
     src = CoordinateSystem([(f"x{i}", 0, 0) for i in range(1, dim + 1)], name="m_src")
     dst = CoordinateSystem([(f"X{i}", 0, 0) for i in range(1, dim + 1)], name="m_dst")
     src_names = {v.name: v for v in src.variables}
@@ -139,7 +134,7 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
             comps[i] = parse_expression(e.value, names, e.line, e.col)
     missing = [i for i in range(1, dim + 1) if i not in fwd or i not in inv]
     if missing:
-        raise SpecSyntaxError(f"tk structure misses components {missing}")
+        raise SpecSyntaxError(f"tk structure misses components {missing}", section.line, 1)
     phi = PolynomialDiffeo(
         src, dst,
         {dst.variables[i - 1]: fwd[i] for i in range(1, dim + 1)},
@@ -150,9 +145,7 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
 
 def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     grouped = structure_entries(section)
-    k = _int_entry(grouped, "k", 2)
-    from .bundle import CoordinateSystem
-
+    k = _int_entry(section, "k", 2)
     base_names = []
     for e in grouped.get("base", []):
         base_names.extend(e.value.split())
@@ -160,7 +153,7 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     for e in grouped.get("fiber", []):
         fiber_names.extend(e.value.split())
     if not fiber_names:
-        raise SpecSyntaxError("prolong structures need a fiber entry")
+        raise SpecSyntaxError("prolong structures need a fiber entry", section.line, 1)
     base = CoordinateSystem([(n, 0, 0) for n in base_names], name="base")
     names = {v.name: v for v in base.variables}
     anchor_data = {}
@@ -214,34 +207,56 @@ def build_tower_section(section, tower) -> TowerSection:
     return TowerSection(Y, Z)
 
 
-def _structure_algebroid(doc: SpecDocument, report: Report):
-    """Build the algebroid a document's structure section declares."""
+def _tangent_structure(doc: SpecDocument, section):
+    return ("structure: canonical tangent algebroid of the declared bundle",
+            tangent_algebroid(build_bundle(doc).bundle), None)
+
+
+def _lie_tower_structure(doc: SpecDocument, section):
+    c, k = build_constants(section)
+    return f"structure: lie-tower, dim {c.dim}, k {k}", lie_tower(c, k), c
+
+
+def _prolong_structure(doc: SpecDocument, section):
+    data, k = build_prolong_data(section)
+    return f"structure: prolongation, k {k}", prolongation_algebroid(data, k), data
+
+
+def _cotangent_structure(doc: SpecDocument, section):
+    c, k = build_constants(section)
+    if k != 2:
+        e = structure_entries(section)["k"][-1]
+        raise SpecSyntaxError("cotangent-linear structures fix k = 2", e.line, e.col)
+    F, carrier, phase, P = linear_poisson(c)
+    return (f"structure: cotangent of a linear Poisson space, dim {c.dim}",
+            cotangent_algebroid(F, P, carrier, phase), c)
+
+
+def _tk_structure(doc: SpecDocument, section):
+    phi, k = build_tk(section, min_k=2)
+    return (f"structure: tangent algebroid of T^{k - 1}M",
+            tangent_algebroid(higher_tangent(phi, k - 1)), phi)
+
+
+# Structure kind -> builder of (info line, algebroid, source data) from the
+# document and its structure section; None is a document without one.
+STRUCTURES = {
+    None: _tangent_structure,
+    "lie-tower": _lie_tower_structure,
+    "prolong": _prolong_structure,
+    "cotangent-linear": _cotangent_structure,
+    "tk": _tk_structure,
+}
+
+
+def _structure(doc: SpecDocument, kind: str, usage: str):
+    """The document's first structure section, which must be of ``kind``."""
     section = doc.first("structure")
     if section is None:
-        bs = build_bundle(doc)
-        report.info("structure: canonical tangent algebroid of the declared bundle")
-        return tangent_algebroid(bs.bundle)
-    kind = section.args[0]
-    if kind == "lie-tower":
-        c, k = build_constants(section)
-        report.info(f"structure: lie-tower, dim {c.dim}, k {k}")
-        return lie_tower(c, k)
-    if kind == "prolong":
-        data, k = build_prolong_data(section)
-        report.info(f"structure: prolongation, k {k}")
-        return prolongation_algebroid(data, k)
-    if kind == "cotangent-linear":
-        c, k = build_constants(section)
-        if k != 2:
-            raise SpecSyntaxError("cotangent-linear structures fix k = 2")
-        report.info(f"structure: cotangent of a linear Poisson space, dim {c.dim}")
-        F, carrier, phase, P = linear_poisson(c)
-        return cotangent_algebroid(F, P, carrier, phase)
-    if kind == "tk":
-        phi, k = build_tk(section, min_k=2)
-        report.info(f"structure: tangent algebroid of T^{k - 1}M")
-        return tangent_algebroid(higher_tangent(phi, k - 1))
-    raise SpecSyntaxError(f"no algebroid for structure kind {kind!r}")
+        raise SpecSyntaxError(usage)
+    if section.args[0] != kind:
+        raise SpecSyntaxError(usage, section.line, 1)
+    return section
 
 
 # ------------------------------------------------------------------ commands
@@ -305,7 +320,9 @@ def cmd_embed(doc: SpecDocument) -> Report:
 
 def cmd_check_q(doc: SpecDocument) -> Report:
     report = Report("check-q")
-    alg = _structure_algebroid(doc, report)
+    section = doc.first("structure")
+    info, alg, _ = STRUCTURES[section.args[0] if section else None](doc, section)
+    report.info(info)
     report.info(f"kind = {alg.kind}")
     report.merge_validation(alg.check.report)
     if weighted_lie_algebra_check(alg):
@@ -315,15 +332,13 @@ def cmd_check_q(doc: SpecDocument) -> Report:
 
 def cmd_bracket(doc: SpecDocument) -> Report:
     report = Report("bracket")
-    section = doc.first("structure")
-    if section is None or section.args[0] != "lie-tower":
-        raise SpecSyntaxError("bracket documents declare a lie-tower structure")
-    c, k = build_constants(section)
-    tower = lie_tower(c, k)
-    report.info(f"structure: lie-tower, dim {c.dim}, k {k}")
+    section = _structure(doc, "lie-tower", "bracket documents declare a lie-tower structure")
+    info, tower, _ = STRUCTURES["lie-tower"](doc, section)
+    report.info(info)
     sections = doc.all("section")
     if len(sections) != 2:
-        raise SpecSyntaxError("bracket documents need exactly two sections")
+        extra = sections[2] if len(sections) > 2 else section
+        raise SpecSyntaxError("bracket documents need exactly two sections", extra.line, 1)
     s1 = build_tower_section(sections[0], tower)
     s2 = build_tower_section(sections[1], tower)
     out = reduced_bracket(tower, s1, s2)
@@ -347,74 +362,76 @@ def cmd_bracket(doc: SpecDocument) -> Report:
     return report
 
 
+def _construct_tangent(doc: SpecDocument, section, report: Report):
+    _, alg, _ = STRUCTURES[None](doc, section)
+    report.info(f"carrier: {len(alg.carrier.chart)} coordinates, "
+                f"degree {alg.carrier.gl_degree}")
+    report.merge_validation(validate(alg.carrier), prefix="carrier ")
+    report.add("kind = lie", alg.kind == "lie")
+    for b, p in anchor(alg).delta.items():
+        report.info(f"anchor delta_{b.name} = {render_poly(p)}")
+
+
+def _construct_cotangent(doc: SpecDocument, section, report: Report):
+    _, alg, c = STRUCTURES["cotangent-linear"](doc, section)
+    report.info(f"poisson data P = {render_poly(alg.poisson_data)}")
+    report.add("[P,P] = 0", alg.poisson_residual.is_zero(),
+               "" if alg.poisson_residual.is_zero()
+               else render_poly(alg.poisson_residual))
+    report.merge_validation(alg.check.report)
+    report.add("kind matches jacobi verdict",
+               (alg.kind == "lie") == c.satisfies_jacobi)
+
+
+def _construct_tk(doc: SpecDocument, section, report: Report):
+    phi, k = build_tk(section)
+    tk = higher_tangent(phi, k)
+    _emit_transitions(report, tk, f"T^{k}M")
+    report.merge_validation(validate(tk), prefix=f"T^{k}M ")
+    report.add("linearisation is symmetric", is_symmetric(linearise(tk)))
+
+
+def _construct_lie_tower(doc: SpecDocument, section, report: Report):
+    _, alg, c = STRUCTURES["lie-tower"](doc, section)
+    report.info(f"jacobi verdict on constants: "
+                f"{'holds' if c.satisfies_jacobi else 'fails'}")
+    report.merge_validation(alg.check.report)
+    report.add("kind matches jacobi verdict",
+               (alg.kind == "lie") == c.satisfies_jacobi)
+    report.add("weighted lie algebra", weighted_lie_algebra_check(alg))
+
+
+def _construct_prolong(doc: SpecDocument, section, report: Report):
+    _, alg, data = STRUCTURES["prolong"](doc, section)
+    report.info(f"input data lie verdict: {data.is_lie}")
+    report.merge_validation(alg.check.report)
+    report.add("kind matches the input lie verdict",
+               (alg.kind == "lie") == data.is_lie)
+    d_eps = restrict_to_A1(alg.q)
+    for v in sorted(d_eps.action, key=lambda u: u.index):
+        report.info(f"d_eps({v.name}) = {render_poly(d_eps.action[v])}")
+
+
+# construct target -> (structure kind it needs, report writer), in the
+# order of the command line's choices; the tangent target reads the bundle.
+CONSTRUCTS = {
+    "tangent": (None, _construct_tangent),
+    "cotangent": ("cotangent-linear", _construct_cotangent),
+    "tk": ("tk", _construct_tk),
+    "lie-tower": ("lie-tower", _construct_lie_tower),
+    "prolong": ("prolong", _construct_prolong),
+}
+
+
 def cmd_construct(doc: SpecDocument, what: str) -> Report:
+    if what not in CONSTRUCTS:
+        raise SpecSyntaxError(f"unknown construct target {what!r}")
     report = Report(f"construct {what}")
-    if what == "tangent":
-        bs = build_bundle(doc)
-        alg = tangent_algebroid(bs.bundle)
-        report.info(f"carrier: {len(alg.carrier.chart)} coordinates, "
-                    f"degree {alg.carrier.gl_degree}")
-        report.merge_validation(validate(alg.carrier), prefix="carrier ")
-        report.add("kind = lie", alg.kind == "lie")
-        anc = anchor(alg)
-        for b, p in anc.delta.items():
-            report.info(f"anchor delta_{b.name} = {render_poly(p)}")
-        return report
-    if what == "tk":
-        section = doc.first("structure")
-        if section is None or section.args[0] != "tk":
-            raise SpecSyntaxError("construct tk needs a tk structure")
-        phi, k = build_tk(section)
-        tk = higher_tangent(phi, k)
-        _emit_transitions(report, tk, f"T^{k}M")
-        report.merge_validation(validate(tk), prefix=f"T^{k}M ")
-        report.add("linearisation is symmetric", is_symmetric(linearise(tk)))
-        return report
-    if what == "lie-tower":
-        section = doc.first("structure")
-        if section is None or section.args[0] != "lie-tower":
-            raise SpecSyntaxError("construct lie-tower needs a lie-tower structure")
-        c, k = build_constants(section)
-        alg = lie_tower(c, k)
-        report.info(f"jacobi verdict on constants: "
-                    f"{'holds' if c.satisfies_jacobi else 'fails'}")
-        report.merge_validation(alg.check.report)
-        report.add("kind matches jacobi verdict",
-                   (alg.kind == "lie") == c.satisfies_jacobi)
-        report.add("weighted lie algebra", weighted_lie_algebra_check(alg))
-        return report
-    if what == "prolong":
-        section = doc.first("structure")
-        if section is None or section.args[0] != "prolong":
-            raise SpecSyntaxError("construct prolong needs a prolong structure")
-        data, k = build_prolong_data(section)
-        alg = prolongation_algebroid(data, k)
-        report.info(f"input data lie verdict: {data.is_lie}")
-        report.merge_validation(alg.check.report)
-        report.add("kind matches the input lie verdict",
-                   (alg.kind == "lie") == data.is_lie)
-        d_eps = restrict_to_A1(alg.q)
-        for v in sorted(d_eps.action, key=lambda u: u.index):
-            report.info(f"d_eps({v.name}) = {render_poly(d_eps.action[v])}")
-        return report
-    if what == "cotangent":
-        section = doc.first("structure")
-        if section is None or section.args[0] != "cotangent-linear":
-            raise SpecSyntaxError(
-                "construct cotangent needs a cotangent-linear structure"
-            )
-        c, _ = build_constants(section)
-        F, carrier, phase, P = linear_poisson(c)
-        alg = cotangent_algebroid(F, P, carrier, phase)
-        report.info(f"poisson data P = {render_poly(P)}")
-        report.add("[P,P] = 0", alg.poisson_residual.is_zero(),
-                   "" if alg.poisson_residual.is_zero()
-                   else render_poly(alg.poisson_residual))
-        report.merge_validation(alg.check.report)
-        report.add("kind matches jacobi verdict",
-                   (alg.kind == "lie") == c.satisfies_jacobi)
-        return report
-    raise SpecSyntaxError(f"unknown construct target {what!r}")
+    kind, construct = CONSTRUCTS[what]
+    usage = f"construct {what} needs a {kind} structure"
+    section = _structure(doc, kind, usage) if kind is not None else None
+    construct(doc, section, report)
+    return report
 
 
 # ---------------------------------------------------------------------- main

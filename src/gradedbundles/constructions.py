@@ -5,6 +5,11 @@ by total-derivative prolongation, complete lifts, the reduction tower of a
 Lie group's higher tangent bundles, the reduced bracket of its sections and
 the groupoid-prolongation algebroid (taken at algebroid-data level).
 
+Higher tangent bundles and complete lifts share one jet series: a
+level-major chart whose level maps come from its builder, the total
+derivative D raising each coordinate one level, and the coefficients
+D^r(p)/r! of each component.
+
 Conventions: the weight-r coordinate of a higher tangent bundle is the
 jet coefficient x^(r)/r!, and the structure field of a Lie algebra acts on
 odd fibre coordinates by xi^c -> -1/2 c^c_{ab} xi^a xi^b.  Both choices are
@@ -33,6 +38,7 @@ from .superalg import (
     weight_of,
 )
 from .bundle import (
+    _fresh_name,
     CoordinateSystem,
     GradedBundle,
     Provenance,
@@ -48,10 +54,25 @@ from .algebroid import (
     OddPoissonSpace,
     WeightedAlgebroid,
     restrict_to_A1,
+    structure_action,
 )
 
 
 # ------------------------------------------------------- structure constants
+def _antisymmetric(data: dict, message: str) -> dict:
+    """Three-index data with each nonzero (i, j, k) entry also set at
+    (j, i, k), negated; ``message`` names a key given two values."""
+    full = {}
+    for (i, j, k), v in data.items():
+        if v == 0:
+            continue
+        for key, val in (((i, j, k), v), ((j, i, k), -v)):
+            if key in full and full[key] != val:
+                raise ValueError(f"{message} at {key}")
+            full[key] = val
+    return full
+
+
 @dataclass
 class StructureConstants:
     """Antisymmetric three-index data c^k_{ij} with a computed Jacobi verdict."""
@@ -60,21 +81,11 @@ class StructureConstants:
     c: dict[tuple[int, int, int], Fraction]
 
     def __post_init__(self):
-        full: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), v in self.c.items():
-            v = Fraction(v)
+        for i, j, k in self.c:
             if not (1 <= i <= self.dim and 1 <= j <= self.dim and 1 <= k <= self.dim):
                 raise ValueError(f"index out of range in c^{k}_{{{i}{j}}}")
-            if v == 0:
-                continue
-            for key, val in (((i, j, k), v), ((j, i, k), -v)):
-                if key in full and full[key] != val:
-                    raise ValueError(f"antisymmetry conflict at {key}")
-                full[key] = val
-        if any(full.get((i, i, k), 0) != 0 for i in range(1, self.dim + 1)
-               for k in range(1, self.dim + 1)):
-            raise ValueError("diagonal entries must vanish")
-        self.c = full
+        self.c = _antisymmetric({key: Fraction(v) for key, v in self.c.items()},
+                                "antisymmetry conflict")
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         return self.c.get((i, j, k), Fraction(0))
@@ -145,16 +156,11 @@ class AlgebroidData:
     _pie: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        full = {}
-        for (a, b, c), p in self.bracket.items():
-            p = p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
-            if p.is_zero():
-                continue
-            for key, val in (((a, b, c), p), ((b, a, c), -p)):
-                if key in full and full[key] != val:
-                    raise ValueError(f"bracket data not antisymmetric at {key}")
-                full[key] = val
-        self.bracket = full
+        self.bracket = _antisymmetric(
+            {key: p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
+             for key, p in self.bracket.items()},
+            "bracket data not antisymmetric",
+        )
         self.anchor = {
             key: (p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p))
             for key, p in self.anchor.items()
@@ -175,23 +181,10 @@ class AlgebroidData:
         return self._pie
 
     def structure_action(self, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
-        """Coefficients of xi P dx - 1/2 xi xi P dxi, with ``x_of`` sending
+        """``algebroid.structure_action`` of this data, with ``x_of`` sending
         base coordinates and ``xi_of`` fibre names to the odd system's."""
-        action: dict[Variable, SuperPolynomial] = {}
-        for (a, aname), p in self.anchor.items():
-            x = x_of[self.base[aname]]
-            action[x] = action.get(x, ZERO) + (
-                SuperPolynomial.from_var(xi_of[a]) * remap(p, x_of)
-            )
-        for (a, b, c), p in self.bracket.items():
-            term = (
-                SuperPolynomial.from_var(xi_of[a])
-                * SuperPolynomial.from_var(xi_of[b])
-                * remap(p, x_of)
-                * Fraction(-1, 2)
-            )
-            action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
-        return action
+        anchor = {(a, self.base[aname]): p for (a, aname), p in self.anchor.items()}
+        return structure_action(anchor, self.bracket, x_of, xi_of)
 
     def q_field(self) -> Derivation:
         """The weight-one odd field xi P dx - 1/2 xi xi P dxi on the
@@ -255,12 +248,8 @@ def cotangent_bundle(F: GradedBundle) -> GLBundle:
         taken = {v.name for v in chart.variables}
         momenta = {}
         for v in chart.variables:
-            nm = "p_" + v.name
-            while nm in taken:
-                nm = nm + "_"
-            taken.add(nm)
-            momenta[v] = nm
-            specs.append((nm, (km1 - total(v.weight), 1), v.parity))
+            momenta[v] = _fresh_name("p_" + v.name, taken, lambda n: n + "_")
+            specs.append((momenta[v], (km1 - total(v.weight), 1), v.parity))
         base = {v: v.name for v in chart.variables}
         return chart.name + "_t*", 2, specs, {"base": base, "dual": momenta}
 
@@ -380,46 +369,46 @@ class PolynomialDiffeo:
         return True
 
 
-def _jet_chart(dim: int, k: int, stem: str, name: str) -> CoordinateSystem:
-    specs = []
-    for i in range(1, dim + 1):
-        specs.append((f"{stem}{i}", 0, EVEN))
+def _level_chart(variables, levels, weight, name: str, arity: int):
+    """A level-major chart of copies of ``variables`` and its level map:
+    level_of[(v, r)] is named v.name at r = 0 and v.name_r above, with
+    weight ``weight(v, r)`` and v's parity."""
+    names = {(v, r): v.name if r == 0 else f"{v.name}_{r}" for r in levels for v in variables}
+    chart = CoordinateSystem([(n, weight(v, r), v.parity) for (v, r), n in names.items()],
+                             name=name, arity=arity)
+    return chart, {key: chart[n] for key, n in names.items()}
+
+
+def _total_derivative(level_of, top: int, shift) -> Derivation:
+    """The total derivative D sending each level-r coordinate below ``top``
+    to r+1 times its level-(r+1) partner."""
+    action = {
+        x: SuperPolynomial.from_var(level_of[(v, r + 1)]) * (r + 1)
+        for (v, r), x in level_of.items()
+        if r < top
+    }
+    return Derivation(action, EVEN, shift)
+
+
+def _jet_series(p: SuperPolynomial, d_t: Derivation, k: int) -> list[SuperPolynomial]:
+    """The jet coefficients D^r(p)/r! of ``p``, for r = 0..k."""
+    series = [p]
     for r in range(1, k + 1):
-        for i in range(1, dim + 1):
-            specs.append((f"{stem}{i}_{r}", r, EVEN))
-    return CoordinateSystem(specs, name=name)
+        p = d_t(p)
+        series.append(p * Fraction(1, math.factorial(r)))
+    return series
 
 
-def _jet_prolong(chart: CoordinateSystem, dim: int, k: int,
-                 components: list[SuperPolynomial], varmap) -> dict:
-    """Total-derivative lift of a base map to all jet levels.
-
-    ``components`` are the base components over the source base chart and
-    ``varmap`` renames those base variables into the jet chart.  Level-r
-    components are D^r(f)/r! for the operator D counting one jet level up.
-    """
-    level = {}
-    for v in chart.variables:
-        nm = v.name
-        if "_" in nm and nm.rsplit("_", 1)[-1].isdigit():
-            base_nm, r = nm.rsplit("_", 1)
-            level[v] = (base_nm, int(r))
-        else:
-            level[v] = (nm, 0)
-    action = {}
-    for v, (base_nm, r) in level.items():
-        if r < k:
-            action[v] = SuperPolynomial.from_var(chart[f"{base_nm}_{r + 1}"]) * (r + 1)
-    d_t = Derivation(action, EVEN, (1,))
-
-    out = {}
-    for i in range(1, dim + 1):
-        p = remap(components[i - 1], varmap)
-        out[(i, 0)] = p
-        for r in range(1, k + 1):
-            p = d_t(p)
-            out[(i, r)] = p * Fraction(1, math.factorial(r))
-    return out
+def _jet_lift(pairs, src_level, dst_level, top: int, shift) -> dict[str, SuperPolynomial]:
+    """D^r(f)/r! for each (v, f) in ``pairs`` and r = 0..top, keyed by the
+    name of dst_level[(v, r)]; f is read on src_level's level 0."""
+    d_t = _total_derivative(src_level, top, shift)
+    level_zero = {v: x for (v, r), x in src_level.items() if r == 0}
+    return {
+        dst_level[(v, r)].name: p
+        for v, f in pairs
+        for r, p in enumerate(_jet_series(remap(f, level_zero), d_t, top))
+    }
 
 
 def higher_tangent(phi: PolynomialDiffeo, k: int) -> GradedBundle:
@@ -429,29 +418,11 @@ def higher_tangent(phi: PolynomialDiffeo, k: int) -> GradedBundle:
     mechanically from iterated differentiation."""
     if k < 1:
         raise ValueError("higher tangent bundles need k >= 1")
-    dim = phi.dim
-    src_stem = phi.source.variables[0].name[:-1] if dim else "x"
-    dst_stem = phi.target.variables[0].name[:-1] if dim else "X"
-    chart_a = _jet_chart(dim, k, src_stem, name="tk_src")
-    chart_b = _jet_chart(dim, k, dst_stem, name="tk_dst")
-    fwd_base = [phi.forward[v] for v in phi.target.variables]
-    inv_base = [phi.inverse[v] for v in phi.source.variables]
-    fwd_lift = _jet_prolong(
-        chart_a, dim, k, fwd_base,
-        {v: chart_a[f"{src_stem}{i + 1}"] for i, v in enumerate(phi.source.variables)},
-    )
-    inv_lift = _jet_prolong(
-        chart_b, dim, k, inv_base,
-        {v: chart_b[f"{dst_stem}{i + 1}"] for i, v in enumerate(phi.target.variables)},
-    )
-    forward = {}
-    inverse = {}
-    for i in range(1, dim + 1):
-        forward[f"{dst_stem}{i}"] = fwd_lift[(i, 0)]
-        inverse[f"{src_stem}{i}"] = inv_lift[(i, 0)]
-        for r in range(1, k + 1):
-            forward[f"{dst_stem}{i}_{r}"] = fwd_lift[(i, r)]
-            inverse[f"{src_stem}{i}_{r}"] = inv_lift[(i, r)]
+    src, dst = phi.source.variables, phi.target.variables
+    chart_a, level_a = _level_chart(src, range(k + 1), lambda v, r: r, "tk_src", 1)
+    chart_b, level_b = _level_chart(dst, range(k + 1), lambda v, r: r, "tk_dst", 1)
+    forward = _jet_lift([(v, phi.forward[v]) for v in dst], level_a, level_b, k, (1,))
+    inverse = _jet_lift([(v, phi.inverse[v]) for v in src], level_b, level_a, k, (1,))
     return two_chart_bundle(chart_a, chart_b, forward, inverse,
                             provenance=Provenance("higher_tangent", phi))
 
@@ -475,38 +446,12 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
     """
     if k < 1:
         raise ValueError("complete lifts need k >= 1")
-    specs = []
-    for r in range(k):
-        for v in system.variables:
-            nm = v.name if r == 0 else f"{v.name}_{r}"
-            w = total(v.weight)
-            specs.append((nm, (r, w), v.parity))
-    lifted = CoordinateSystem(specs, name=system.name + f"_t{k - 1}", arity=2)
-    level_of = {}
-    for r in range(k):
-        for v in system.variables:
-            nm = v.name if r == 0 else f"{v.name}_{r}"
-            level_of[(v, r)] = lifted[nm]
-
-    d_action = {}
-    for r in range(k - 1):
-        for v in system.variables:
-            d_action[level_of[(v, r)]] = (
-                SuperPolynomial.from_var(level_of[(v, r + 1)]) * (r + 1)
-            )
-    d_t = Derivation(d_action, EVEN, (1, 0))
-
-    zero_map = {v: level_of[(v, 0)] for v in system.variables}
-    action = {}
-    for v in system.variables:
-        body = remap(Q.coefficient(v), zero_map)
-        p = body
-        for r in range(k):
-            if r > 0:
-                p = d_t(p)
-            coeff = p * Fraction(1, math.factorial(r))
-            if not coeff.is_zero():
-                action[level_of[(v, r)]] = coeff
+    lifted, level_of = _level_chart(system.variables, range(k),
+                                    lambda v, r: (r, total(v.weight)),
+                                    system.name + f"_t{k - 1}", 2)
+    coefficients = [(v, Q.coefficient(v)) for v in system.variables]
+    action = _jet_lift(coefficients, level_of, level_of, k - 1, (1, 0))
+    action = {lifted[n]: p for n, p in action.items() if not p.is_zero()}
     lift = Derivation(action, Q.parity, (0,) + tuple(Q.weight_shift))
     return LiftedField(lifted, lift, level_of)
 

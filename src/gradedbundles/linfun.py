@@ -40,6 +40,8 @@ from .superalg import (
     weight_of,
 )
 from .bundle import (
+    _differential,
+    _fresh_name,
     CoordinateSystem,
     GradedBundle,
     NTupleBundle,
@@ -211,14 +213,9 @@ def linearise_morphism(
         p = substitute(phi.components[vt], drop_top)
         comps[dvt] = remap(p, und_src)
     for vt, dvt in DFp.provenance.maps["dotted"][0].items():
-        dp = ZERO
-        body = phi.components[vt]
-        for u in F.chart.nonbase:
-            if u not in body.variables():
-                continue
-            coeff = substitute(partial(body, u), drop_top)
-            dp = dp + SuperPolynomial.from_var(dot_src[u]) * remap(coeff, und_src)
-        comps[dvt] = dp
+        comps[dvt] = _differential(
+            phi.components[vt], dot_src, lambda c: remap(substitute(c, drop_top), und_src)
+        )
     return GradedMorphism(DF, DFp, comps)
 
 
@@ -319,13 +316,7 @@ def symmetry_report(G: GLBundle) -> Report:
         label = f"transition {i}->{j}"
         for w, entries in pairs_j.items():
             for fvar, bvar in entries:
-                expected = ZERO
-                law = t.forward[bvar]
-                for u in law.variables():
-                    if u in dot_of_base_i:
-                        expected = expected + SuperPolynomial.from_var(
-                            dot_of_base_i[u]
-                        ) * partial(law, u)
+                expected = _differential(t.forward[bvar], dot_of_base_i, lambda c: c)
                 residual = t.forward[fvar] - expected
                 report.add(
                     f"{label}: {fvar.name} transforms as the vertical lift of {bvar.name}",
@@ -365,9 +356,7 @@ def _strip_dot_name(name: str, taken: set) -> str:
     cand = name[1:] if name.startswith("d") and len(name) > 1 else name
     if cand in taken or not cand:
         cand = name + "_u"
-    while cand in taken:
-        cand += "_u"
-    return cand
+    return _fresh_name(cand, taken, lambda n: n + "_u")
 
 
 def reconstruct(G: GLBundle) -> GradedBundle:
@@ -391,7 +380,6 @@ def reconstruct(G: GLBundle) -> GradedBundle:
         names.update((f, b.name) for entries in pairs.values() for f, b in entries)
         for zv in top:
             names[zv] = _strip_dot_name(zv.name, taken)
-            taken.add(names[zv])
             specs.append((names[zv], (k,), zv.parity))
         return chart.name + "_rec", 1, specs, {"vars": names}
 
@@ -432,12 +420,8 @@ def linear_dual(F: GradedBundle, DF: GLBundle | None = None) -> GLBundle:
         for v in chart.variables:
             if v.weight[1] != 1:
                 continue
-            nm = "p" + v.name
-            while nm in taken:
-                nm = "p" + nm
-            taken.add(nm)
-            dual[v] = nm
-            specs.append((nm, (k - 1 - v.weight[0], 1), v.parity))
+            dual[v] = _fresh_name("p" + v.name, taken, lambda n: "p" + n)
+            specs.append((dual[v], (k - 1 - v.weight[0], 1), v.parity))
         return chart.name + "_dual", 2, specs, {"base": base, "dual": dual}
 
     return rechart(DF, spec, contragredient, cls=GLBundle, tag="linear_dual", gl_degree=k)
@@ -503,13 +487,10 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
         # dual base-leg coordinates share their names with F's coordinates
         lift = {}
         for v in dual.charts[i].variables:
-            nm = v.name
+            lift[v] = v.name
             if v.weight[1] == 1:
-                while nm in taken:
-                    nm = nm + "_d"
-                taken.add(nm)
-                specs.append((nm, v.weight, v.parity))
-            lift[v] = nm
+                lift[v] = _fresh_name(v.name, taken, lambda n: n + "_d")
+                specs.append((lift[v], v.weight, v.parity))
         vars_ = {v: v.name for v in chart.variables}
         return f"pairing_{chart.name}", 2, specs, {"vars": vars_, "dual": lift}
 

@@ -8,6 +8,7 @@ from gradedbundles.superalg import (
     ODD,
     SuperPolynomial,
     ZERO,
+    remap,
     weight_of,
 )
 from gradedbundles.bundle import CoordinateSystem, single_chart_bundle
@@ -34,11 +35,14 @@ from gradedbundles.algebroid import (
     weighted_lie_algebra_check,
 )
 from gradedbundles.constructions import (
+    AlgebroidData,
     abelian,
     heisenberg3,
     lie_tower,
+    prolongation_algebroid,
     sl2,
     so3,
+    tm_algebroid,
 )
 
 from helpers import (
@@ -448,3 +452,31 @@ def test_not_a_linearisation_error():
     anc = anchor(alg)
     with pytest.raises(NotALinearisation):
         anc.rho_hat()
+
+
+def _polynomial_data():
+    """Algebroid data over R^3 with polynomial anchors and brackets: the
+    Heisenberg action rho(b) = d/dy + x d/dz, and [a, c] = x^2 b."""
+    base = CoordinateSystem([("x", 0, 0), ("y", 0, 0), ("z", 0, 0)], name="r3")
+    x = base.var("x")
+    one = SuperPolynomial.constant(1)
+    return AlgebroidData(
+        base, ["a", "b", "c"],
+        {("a", "x"): one, ("b", "y"): one + x * x, ("b", "z"): x, ("c", "z"): one},
+        {("a", "b", "c"): one, ("a", "c", "b"): x * x},
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("data", [tm_algebroid(2), _polynomial_data()], ids=["tm2", "polynomial"])
+def test_extracted_coefficients_rebuild_q(data, k):
+    alg = prolongation_algebroid(data, k)
+    to_carrier = {x: b for b, x in alg.phase.x_of.items()}
+    p_ai, p_kij = extract_coefficients(alg.q)
+    rebuilt = algebroid_from_coefficients(
+        alg.carrier,
+        {key: remap(c, to_carrier) for key, c in p_ai.items()},
+        {key: remap(c, to_carrier) for key, c in p_kij.items()},
+    )
+    assert rebuilt.kind == alg.kind
+    assert rebuilt.q.derivation == alg.q.derivation

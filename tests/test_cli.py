@@ -337,6 +337,36 @@ def test_structure_value_below_minimum_exit_two(tmp_path, capsys, command, text,
     assert message in err and f"line {line}" in err
 
 
+COTANGENT_K3 = "# k is fixed\n[structure cotangent-linear]\ndim = 1\nk = 3\n"
+TK_MISSING = "[structure tk]\nk = 2\ndim = 2\nforward 1 = x1\ninverse 1 = X1\nforward 2 = x2\n"
+TOWER = "[structure lie-tower]\nk = 2\ndim = 1\n"
+
+
+@pytest.mark.parametrize("command, text, message, line", [
+    (["check-q"], COTANGENT_K3, "cotangent-linear structures fix k = 2", 4),
+    (["construct", "cotangent"], COTANGENT_K3, "cotangent-linear structures fix k = 2", 4),
+    (["check-q"], "\n[structure lie-tower]\ndim = 2\n", "missing 'k' entry", 2),
+    (["check-q"], TK_MISSING, "tk structure misses components [2]", 1),
+    (["construct", "tk"], TK_MISSING, "tk structure misses components [2]", 1),
+    (["construct", "prolong"], "[structure prolong]\nk = 2\nbase = x1\n",
+     "prolong structures need a fiber entry", 1),
+    (["bracket"], TOWER + "[section s1]\nY 1 = 1\n",
+     "bracket documents need exactly two sections", 1),
+    (["bracket"], TOWER + "[section s1]\nY 1 = 1\n[section s2]\nY 1 = 1\n[section s3]\nY 1 = 1\n",
+     "bracket documents need exactly two sections", 8),
+    (["bracket"], "# not a tower\n" + TK_MISSING, "bracket documents declare a lie-tower structure", 2),
+    (["construct", "lie-tower"], "# not a tower\n" + TK_MISSING,
+     "construct lie-tower needs a lie-tower structure", 2),
+    (["construct", "tk"], COTANGENT_K3, "construct tk needs a tk structure", 2),
+], ids=["check-q-cotangent-k3", "construct-cotangent-k3", "missing-k", "check-q-tk-missing",
+        "construct-tk-missing", "prolong-no-fiber", "bracket-one-section",
+        "bracket-three-sections", "bracket-other-kind", "construct-lie-tower-other-kind",
+        "construct-tk-other-kind"])
+def test_structure_errors_name_their_line(tmp_path, capsys, command, text, message, line):
+    err = run_cli_hostile(tmp_path, capsys, command, text)
+    assert f"{message} at line {line}," in err
+
+
 # ---------------------------------------------- [section] keys of bracket specs
 SO3_K2 = "[structure lie-tower]\nk = 2\ndim = 3\nc 1 2 3 = 1\nc 2 3 1 = 1\nc 3 1 2 = 1\n"
 

@@ -361,6 +361,26 @@ def test_higher_tangent_shear_validates_and_symmetric():
         assert is_symmetric(linearise(T))
 
 
+def test_higher_tangent_of_names_ending_in_digits():
+    """Jet levels come from the chart builder, not from coordinate names:
+    a_1 is a level-0 coordinate, a_1_1 its level-1 partner."""
+    src = CoordinateSystem([("a_1", 0, 0), ("a_2", 0, 0)], name="m_src")
+    dst = CoordinateSystem([("b_1", 0, 0), ("b_2", 0, 0)], name="m_dst")
+    a1, a2, b1, b2 = src.var("a_1"), src.var("a_2"), dst.var("b_1"), dst.var("b_2")
+    phi = PolynomialDiffeo(src, dst, {dst["b_1"]: a1 + a2 ** 2, dst["b_2"]: a2},
+                           {src["a_1"]: b1 - b2 ** 2, src["a_2"]: b2})
+    T2 = higher_tangent(phi, 2)
+    assert validate(T2).passed
+    assert [v.name for v in T2.charts[1].variables] == [
+        "b_1", "b_2", "b_1_1", "b_2_1", "b_1_2", "b_2_2"]
+    t = T2.transitions[(0, 1)]
+    ch = T2.charts[1]
+    x1, x2, y1, y2, z2 = (T2.chart.var(n) for n in ("a_1", "a_2", "a_1_1", "a_2_1", "a_2_2"))
+    assert t.forward[ch["b_1_1"]] == y1 + 2 * x2 * y2
+    assert t.forward[ch["b_1_2"]] == T2.chart.var("a_1_2") + 2 * x2 * z2 + y2 ** 2
+    assert t.forward[ch["b_1"]] == x1 + x2 ** 2
+
+
 def test_linearised_t3m_is_tangent_of_t2m():
     phi = PolynomialDiffeo.build(
         2,

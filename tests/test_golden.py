@@ -18,8 +18,8 @@ TESTS_DIR = pathlib.Path(__file__).resolve().parent
 SPEC_DIR = TESTS_DIR.parent / "specs"
 GOLDEN_DIR = TESTS_DIR / "golden"
 HASH_SEEDS = ("0", "1", "7", "42", "1234")
-# The atlas-level golden file of tests/test_atlas_golden.py.
-ATLAS_GOLDEN = "atlas.json"
+# The golden files of tests/test_atlas_golden.py and tests/test_algebroid_golden.py.
+STRUCTURE_GOLDENS = {"atlas.json", "algebroids.json"}
 
 # Commands pinned beyond the acceptance gate.
 EXTRA_COMMANDS = [
@@ -29,6 +29,10 @@ EXTRA_COMMANDS = [
     ("degree3.spec", ["validate"]),
     ("degree3.spec", ["mironian"]),
     ("degree3.spec", ["embed"]),
+    ("degree2.spec", ["check-q"]),
+    ("t2m-shear.spec", ["check-q"]),
+    ("prolong-tm.spec", ["check-q"]),
+    ("cotangent-so3.spec", ["check-q"]),
 ]
 
 CASES = [
@@ -43,7 +47,7 @@ def golden_path(name, command, ext):
 
 
 def test_every_golden_file_has_a_case():
-    expected = {golden_path(n, c, e).name for n, c, _, e in CASES} | {ATLAS_GOLDEN}
+    expected = {golden_path(n, c, e).name for n, c, _, e in CASES} | STRUCTURE_GOLDENS
     assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
 
 
