@@ -41,9 +41,10 @@ from .superalg import (
     render,
     substitute,
     total,
+    weight_add,
     weight_of,
 )
-from .bundle import _fresh_name, CoordinateSystem
+from .bundle import _chart, _fresh_name, CoordinateSystem
 from .linfun import GLBundle, NotSymmetric, holonomic_assignment
 from .report import Report
 
@@ -132,14 +133,11 @@ def _tri_chart(name: str, blocks):
     its coordinates; a block is (carrier variables, name prefix, tri-weight
     of a weight-u variable, parity), and a taken name gets ``_`` appended."""
     taken: set[str] = set()
-    specs = []
-    names = []
-    for variables, prefix, weight, parity in blocks:
-        block = {v: _fresh_name(prefix + v.name, taken, lambda n: n + "_") for v in variables}
-        specs += [(block[v], weight(v.weight[0]), parity) for v in variables]
-        names.append(block)
-    system = CoordinateSystem(specs, name=name, arity=3)
-    return system, [{v: system[n] for v, n in block.items()} for block in names]
+    return _chart(name, 3, [
+        {v: (_fresh_name(prefix + v.name, taken, lambda n: n + "_"), weight(v.weight[0]), parity)
+         for v in variables}
+        for variables, prefix, weight, parity in blocks
+    ])
 
 
 class OddPhaseSpace:
@@ -227,47 +225,31 @@ class AlgebroidHamiltonian:
     phase: OddPhaseSpace
 
     def __post_init__(self):
-        k = self.phase.k
-        w = weight_of(self.poly, 3)
-        if w not in ("zero", (k - 1, 2, 1)):
-            raise MalformedQ(
-                f"Hamiltonian has tri-weight {w}, expected {(k - 1, 2, 1)}"
-            )
-        thetas = set(self.phase.thetas)
-        pis = set(self.phase.pis)
-        chis = set(self.phase.chis)
-        for m in self.poly.monomials():
-            n_theta = sum(e for v, e in m if v in thetas)
-            n_pi = sum(e for v, e in m if v in pis)
-            n_chi = sum(e for v, e in m if v in chis)
-            if not ((n_theta, n_pi, n_chi) in ((1, 0, 1), (2, 1, 0))):
-                raise MalformedQ(
-                    "Hamiltonian term outside the theta*chi + theta*theta*pi shape: "
-                    + render(SuperPolynomial({m: self.poly.coefficient(m)}))
-                )
+        _check_shape(self.phase, self.poly, (self.phase.k - 1, 2, 1), MalformedQ, "Hamiltonian")
+
+
+def _check_shape(phase: OddPhaseSpace, p: SuperPolynomial, expected, error, what: str):
+    """Raise ``error`` unless ``p`` is zero or a polynomial on the phase space
+    of tri-weight ``expected``.  The last two tri-weight entries count theta
+    (1, 0), pi (0, 1) and chi (1, 1) factors, so they fix the shape: (2, 1)
+    is theta chi or theta theta pi, (0, 1) one pi and (1, 0) one theta."""
+    try:
+        phase.poisson._check(p)
+    except CoordinateMismatch as exc:
+        raise error(f"{what}: {exc}") from None
+    w = weight_of(p, 3)
+    if w not in ("zero", expected):
+        raise error(f"{what} has tri-weight {w}, expected {expected}")
 
 
 def _check_q_shape(Q: HomologicalField):
     phase = Q.phase
-    thetas = set(phase.thetas)
-    forbidden = set(phase.pis) | set(phase.chis)
-    for v in list(phase.pis) + list(phase.chis):
+    for v in phase.pis + phase.chis:
         if not Q.coefficient(v).is_zero():
             raise MalformedQ(f"field acts on dual coordinate {v.name}")
-    for v in phase.xs:
-        for m in Q.coefficient(v).monomials():
-            n_theta = sum(e for u, e in m if u in thetas)
-            if n_theta != 1 or any(u in forbidden for u, _ in m):
-                raise MalformedQ(
-                    f"coefficient of d/d{v.name} is not linear in theta"
-                )
-    for v in phase.thetas:
-        for m in Q.coefficient(v).monomials():
-            n_theta = sum(e for u, e in m if u in thetas)
-            if n_theta != 2 or any(u in forbidden for u, _ in m):
-                raise MalformedQ(
-                    f"coefficient of d/d{v.name} is not quadratic in theta"
-                )
+    for v in phase.xs + phase.thetas:
+        _check_shape(phase, Q.coefficient(v), weight_add(v.weight, (0, 1, 0)), MalformedQ,
+                     f"coefficient of d/d{v.name}")
 
 
 def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:
@@ -305,17 +287,11 @@ class AlgebroidCheck:
     kind: str
     report: Report
 
-    @property
-    def is_lie(self) -> bool:
-        return self.kind == "lie"
 
-
-def check_weighted_algebroid(Q: HomologicalField, k: int | None = None) -> AlgebroidCheck:
+def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
     """Verify oddness and the (0,1) weight, then decide lie vs skew by Q^2."""
     report = Report()
     phase = Q.phase
-    if k is not None and k != phase.k:
-        report.add(f"carrier degree is {k}", phase.k == k)
     odd = Q.derivation.parity == ODD
     report.add("structure field is Grassmann odd", odd)
     weight_ok = Q.derivation.weight_shift == (0, 1, 0)
@@ -358,10 +334,6 @@ class WeightedAlgebroid:
     def from_q(cls, carrier: GLBundle, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
         chk = check_weighted_algebroid(Q)
         return cls(carrier, Q.phase, Q, p_from_q(Q), chk.kind, chk, **fields)
-
-    @property
-    def is_lie(self) -> bool:
-        return self.kind == "lie"
 
 
 def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
@@ -430,18 +402,7 @@ class AlgebroidSection:
     phase: OddPhaseSpace
 
     def __post_init__(self):
-        pis = set(self.phase.pis)
-        xs = set(self.phase.xs)
-        for m in self.poly.monomials():
-            n_pi = sum(e for v, e in m if v in pis)
-            if n_pi != 1 or any(v not in pis and v not in xs for v, _ in m):
-                raise ValueError(
-                    "section terms must be linear in pi with base coefficients"
-                )
-        w = weight_of(self.poly, 3)
-        expected = (self.degree - 1, 0, 1)
-        if w not in ("zero", expected):
-            raise ValueError(f"section has tri-weight {w}, expected {expected}")
+        _check_shape(self.phase, self.poly, (self.degree - 1, 0, 1), ValueError, "section")
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -483,9 +444,6 @@ class AnchorData:
 
     algebroid: WeightedAlgebroid
     delta: dict[Variable, SuperPolynomial]
-
-    def rho(self) -> dict[Variable, SuperPolynomial]:
-        return dict(self.delta)
 
     def rho_q(self, q: int) -> dict[Variable, SuperPolynomial]:
         """Composition with the tower projection to B_{q-1}."""

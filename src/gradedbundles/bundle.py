@@ -401,6 +401,14 @@ def core_submanifold(bundle: GradedBundle, i: int) -> GradedBundle:
                     zero=killed)
 
 
+def _chart(name: str, arity: int, blocks):
+    """The chart of the blocks' (name, weight, parity) triples, in order, and
+    per block the map from its keys to the chart's variables."""
+    chart = CoordinateSystem([spec for block in blocks for spec in block.values()],
+                             name=name, arity=arity)
+    return chart, [{key: chart[spec[0]] for key, spec in block.items()} for block in blocks]
+
+
 def _fresh_name(name: str, taken: set, grow) -> str:
     """``name``, grown by ``grow`` until it is not in ``taken``; the result
     is added to ``taken``."""

@@ -24,9 +24,11 @@ from .linfun import (
 from .algebroid import anchor, restrict_to_A1, weighted_lie_algebra_check
 from .constructions import (
     AlgebroidData,
+    AntisymmetryConflict,
     PolynomialDiffeo,
     StructureConstants,
     TowerSection,
+    _diffeo_charts,
     cotangent_algebroid,
     higher_tangent,
     lie_tower,
@@ -65,13 +67,8 @@ def _emit_transitions(report: Report, b, label: str):
 
 
 # ------------------------------------------------------- structure builders
-def _entry_value(e, names=None):
-    return parse_expression(e.value, names or {}, e.line, e.col)
-
-
 def _scalar(e) -> Fraction:
-    p = _entry_value(e)
-    return p.constant_term()
+    return parse_expression(e.value, {}, e.line, e.col).constant_term()
 
 
 def _int_entry(section, key, minimum: int) -> int:
@@ -100,18 +97,29 @@ def _index(e, word: str, dim: int) -> int:
     return i
 
 
+def _located_conflict(build, entry_of):
+    """``build()``, with an antisymmetry conflict reported at the line of
+    ``entry_of[key]``, the entry whose data key conflicts."""
+    try:
+        return build()
+    except AntisymmetryConflict as exc:
+        raise SpecSyntaxError(str(exc), entry_of[exc.key].line, 1) from None
+
+
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
     dim = _int_entry(section, "dim", 0)
     k = _int_entry(section, "k", 1)
     c = {}
+    entry_of = {}
     for e in grouped.get("c", []):
         if len(e.key) != 4:
             raise SpecSyntaxError("structure constants read 'c i j k = value'",
                                   e.line, 1)
-        i, j, kk = (_index(e, x, dim) for x in e.key[1:])
-        c[(i, j, kk)] = _scalar(e)
-    return StructureConstants(dim, c), k
+        key = tuple(_index(e, x, dim) for x in e.key[1:])
+        c[key] = _scalar(e)
+        entry_of[key] = e
+    return _located_conflict(lambda: StructureConstants(dim, c), entry_of), k
 
 
 def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
@@ -120,18 +128,15 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     grouped = structure_entries(section)
     dim = _int_entry(section, "dim", 1)
     k = _int_entry(section, "k", min_k)
-    src = CoordinateSystem([(f"x{i}", 0, 0) for i in range(1, dim + 1)], name="m_src")
-    dst = CoordinateSystem([(f"X{i}", 0, 0) for i in range(1, dim + 1)], name="m_dst")
-    src_names = {v.name: v for v in src.variables}
-    dst_names = {v.name: v for v in dst.variables}
+    src, dst = _diffeo_charts(dim, ("x", "X"))
     fwd = {}
     inv = {}
-    for side, names, comps in (("forward", src_names, fwd), ("inverse", dst_names, inv)):
+    for side, chart, comps in (("forward", src, fwd), ("inverse", dst, inv)):
         for e in grouped.get(side, []):
             if len(e.key) != 2:
                 raise SpecSyntaxError(f"tk entries read '{side} i = expr'", e.line, 1)
             i = _index(e, e.key[1], dim)
-            comps[i] = parse_expression(e.value, names, e.line, e.col)
+            comps[i] = parse_expression(e.value, chart, e.line, e.col)
     missing = [i for i in range(1, dim + 1) if i not in fwd or i not in inv]
     if missing:
         raise SpecSyntaxError(f"tk structure misses components {missing}", section.line, 1)
@@ -155,18 +160,18 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     if not fiber_names:
         raise SpecSyntaxError("prolong structures need a fiber entry", section.line, 1)
     base = CoordinateSystem([(n, 0, 0) for n in base_names], name="base")
-    names = {v.name: v for v in base.variables}
     anchor_data = {}
     for e in grouped.get("anchor", []):
         if len(e.key) != 3:
             raise SpecSyntaxError("anchor entries read 'anchor f x = expr'",
                                   e.line, 1)
         _, f, x = e.key
-        if f not in fiber_names or x not in names:
+        if f not in fiber_names or x not in base:
             raise SpecSyntaxError(f"unknown anchor indices {f!r}, {x!r}",
                                   e.line, 1)
-        anchor_data[(f, x)] = parse_expression(e.value, names, e.line, e.col)
+        anchor_data[(f, x)] = parse_expression(e.value, base, e.line, e.col)
     bracket_data = {}
+    entry_of = {}
     for e in grouped.get("bracket", []):
         if len(e.key) != 4:
             raise SpecSyntaxError("bracket entries read 'bracket a b c = expr'",
@@ -175,18 +180,19 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
         for nm in (a, b, c):
             if nm not in fiber_names:
                 raise SpecSyntaxError(f"unknown fiber name {nm!r}", e.line, 1)
-        bracket_data[(a, b, c)] = parse_expression(e.value, names, e.line, e.col)
-    return AlgebroidData(base, fiber_names, anchor_data, bracket_data), k
+        bracket_data[(a, b, c)] = parse_expression(e.value, base, e.line, e.col)
+        entry_of[(a, b, c)] = e
+    data = _located_conflict(
+        lambda: AlgebroidData(base, fiber_names, anchor_data, bracket_data), entry_of)
+    return data, k
 
 
 def build_tower_section(section, tower) -> TowerSection:
     """``Y a`` and ``Z a r`` entries: fibre indices a in 1..dim, levels r in
     1..k-1, each key at most once."""
-    phase = tower.phase
-    names, k = tower.tower.names, tower.tower.k
-    base_names = {
-        v.name: v for v in phase.system.variables if v.weight[1] == 0 and v.weight[2] == 0
-    }
+    x_of, info = tower.phase.x_of, tower.tower
+    names, k = info.names, info.k
+    base_names = {x_of[y].name: x_of[y] for y in info.y_of.values()}
     Y = {}
     Z = {}
     for e in section.entries:

@@ -38,6 +38,7 @@ from .superalg import (
     weight_of,
 )
 from .bundle import (
+    _chart,
     _fresh_name,
     CoordinateSystem,
     GradedBundle,
@@ -59,6 +60,14 @@ from .algebroid import (
 
 
 # ------------------------------------------------------- structure constants
+class AntisymmetryConflict(ValueError):
+    """Three-index data gives its entry ``key`` a second value."""
+
+    def __init__(self, message: str, key):
+        super().__init__(f"{message} at {key}")
+        self.key = key
+
+
 def _antisymmetric(data: dict, message: str) -> dict:
     """Three-index data with each nonzero (i, j, k) entry also set at
     (j, i, k), negated; ``message`` names a key given two values."""
@@ -68,7 +77,7 @@ def _antisymmetric(data: dict, message: str) -> dict:
             continue
         for key, val in (((i, j, k), v), ((j, i, k), -v)):
             if key in full and full[key] != val:
-                raise ValueError(f"{message} at {key}")
+                raise AntisymmetryConflict(message, (i, j, k))
             full[key] = val
     return full
 
@@ -89,14 +98,6 @@ class StructureConstants:
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         return self.c.get((i, j, k), Fraction(0))
-
-    def bracket(self, a: int, b: int) -> dict[int, Fraction]:
-        """[e_a, e_b] as a coefficient vector."""
-        return {
-            k: self.value(a, b, k)
-            for k in range(1, self.dim + 1)
-            if self.value(a, b, k) != 0
-        }
 
     def jacobi_residuals(self) -> dict[tuple[int, int, int, int], Fraction]:
         out = {}
@@ -170,14 +171,11 @@ class AlgebroidData:
     def pie_system(self) -> tuple[CoordinateSystem, dict]:
         """The parity-reversed total space: base coordinates and odd xi's."""
         if self._pie is None:
-            specs = [(v.name, (0,), EVEN) for v in self.base.variables]
-            specs += [("xi" + n, (1,), ODD) for n in self.fiber_names]
-            sys = CoordinateSystem(specs, name=self.base.name + "_pie", arity=1)
-            maps = {
-                "x": {v: sys[v.name] for v in self.base.variables},
-                "xi": {n: sys["xi" + n] for n in self.fiber_names},
-            }
-            self._pie = (sys, maps)
+            sys, (x_of, xi_of) = _chart(self.base.name + "_pie", 1, [
+                {v: (v.name, (0,), EVEN) for v in self.base.variables},
+                {n: ("xi" + n, (1,), ODD) for n in self.fiber_names},
+            ])
+            self._pie = (sys, {"x": x_of, "xi": xi_of})
         return self._pie
 
     def structure_action(self, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
@@ -310,19 +308,23 @@ def linear_poisson(c: StructureConstants):
     F = single_chart_bundle(chart)
     carrier = cotangent_bundle(F)
     phase = OddPhaseSpace(carrier)
+    maps = carrier.provenance.maps
+    y = [SuperPolynomial.from_var(phase.x_of[maps["base"][0][v]]) for v in chart]
+    theta = [SuperPolynomial.from_var(phase.theta_of[maps["dual"][0][v]]) for v in chart]
     P = ZERO
     for (i, j, k), v in c.c.items():
         if i < j:
-            P = P + (
-                phase.var(f"y{k}")
-                * phase.var(f"theta_p_y{i}")
-                * phase.var(f"theta_p_y{j}")
-                * v
-            )
+            P = P + y[k - 1] * theta[i - 1] * theta[j - 1] * v
     return F, carrier, phase, P
 
 
 # ------------------------------------------------------ higher tangent lift
+def _diffeo_charts(dim: int, stems) -> list[CoordinateSystem]:
+    """Charts m_src and m_dst of even weight-zero coordinates <stem>1..<stem><dim>."""
+    return [CoordinateSystem([(f"{stem}{i}", 0, EVEN) for i in range(1, dim + 1)], name=name)
+            for stem, name in zip(stems, ("m_src", "m_dst"))]
+
+
 @dataclass
 class PolynomialDiffeo:
     """A polynomial base change with its declared polynomial inverse.
@@ -340,14 +342,9 @@ class PolynomialDiffeo:
 
     @staticmethod
     def build(dim: int, forward, inverse, names=("x", "X")):
-        src = CoordinateSystem(
-            [(f"{names[0]}{i}", 0, EVEN) for i in range(1, dim + 1)], name="m_src"
-        )
-        dst = CoordinateSystem(
-            [(f"{names[1]}{i}", 0, EVEN) for i in range(1, dim + 1)], name="m_dst"
-        )
-        fw = forward([src.var(v.name) for v in src.variables])
-        iv = inverse([dst.var(v.name) for v in dst.variables])
+        src, dst = _diffeo_charts(dim, names)
+        fw = forward([SuperPolynomial.from_var(v) for v in src])
+        iv = inverse([SuperPolynomial.from_var(v) for v in dst])
         return PolynomialDiffeo(
             src,
             dst,
@@ -373,10 +370,11 @@ def _level_chart(variables, levels, weight, name: str, arity: int):
     """A level-major chart of copies of ``variables`` and its level map:
     level_of[(v, r)] is named v.name at r = 0 and v.name_r above, with
     weight ``weight(v, r)`` and v's parity."""
-    names = {(v, r): v.name if r == 0 else f"{v.name}_{r}" for r in levels for v in variables}
-    chart = CoordinateSystem([(n, weight(v, r), v.parity) for (v, r), n in names.items()],
-                             name=name, arity=arity)
-    return chart, {key: chart[n] for key, n in names.items()}
+    chart, (level_of,) = _chart(name, arity, [{
+        (v, r): (v.name if r == 0 else f"{v.name}_{r}", weight(v, r), v.parity)
+        for r in levels for v in variables
+    }])
+    return chart, level_of
 
 
 def _total_derivative(level_of, top: int, shift) -> Derivation:
@@ -459,35 +457,37 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
 # ------------------------------------------------------------ reduction tower
 @dataclass
 class TowerInfo:
+    """A prolongation's data and chart maps: ``y_of``/``dy_of`` send (fibre
+    name, r) to y<name>_<r>/dy<name>_<r+1>, ``xi_of`` a name to xi<name>."""
+
     data: AlgebroidData
     k: int
     names: list[str]
+    y_of: dict[tuple[str, int], Variable]
+    xi_of: dict[str, Variable]
+    dy_of: dict[tuple[str, int], Variable]
 
 
 def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
     names = E.fiber_names
-    specs = [(v.name, (0, 0), EVEN) for v in E.base.variables]
-    for r in range(1, k):
-        specs += [(f"y{n}_{r}", (r, 0), EVEN) for n in names]
-    specs += [(f"xi{n}", (0, 1), EVEN) for n in names]
-    for r in range(1, k):
-        specs += [(f"dy{n}_{r + 1}", (r, 1), EVEN) for n in names]
-    chart = CoordinateSystem(specs, name=f"prolong{k}_{E.base.name}", arity=2)
+    levels = range(1, k)
+    chart, (base, y_of, xi_of, dy_of) = _chart(f"prolong{k}_{E.base.name}", 2, [
+        {v: (v.name, (0, 0), EVEN) for v in E.base.variables},
+        {(n, r): (f"y{n}_{r}", (r, 0), EVEN) for r in levels for n in names},
+        {n: (f"xi{n}", (0, 1), EVEN) for n in names},
+        {(n, r): (f"dy{n}_{r + 1}", (r, 1), EVEN) for r in levels for n in names},
+    ])
     carrier = GLBundle([chart], provenance=Provenance("prolongation", E), gl_degree=k)
     phase = OddPhaseSpace(carrier)
     action = E.structure_action(
-        {v: phase.x_of[chart[v.name]] for v in E.base.variables},
-        {n: phase.theta_of[chart[f"xi{n}"]] for n in names},
+        {v: phase.x_of[x] for v, x in base.items()},
+        {n: phase.theta_of[xi] for n, xi in xi_of.items()},
     )
-    for r in range(1, k):
-        for n in names:
-            x = phase.x_of[chart[f"y{n}_{r}"]]
-            action[x] = SuperPolynomial.from_var(
-                phase.theta_of[chart[f"dy{n}_{r + 1}"]]
-            )
+    for key, y in y_of.items():
+        action[phase.x_of[y]] = SuperPolynomial.from_var(phase.theta_of[dy_of[key]])
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
-    return WeightedAlgebroid.from_q(carrier, Q, tower=TowerInfo(E, k, list(names)),
-                                    constants=E.constants)
+    tower = TowerInfo(E, k, list(names), y_of, xi_of, dy_of)
+    return WeightedAlgebroid.from_q(carrier, Q, tower=tower, constants=E.constants)
 
 
 def prolongation_algebroid(E: AlgebroidData, k: int) -> WeightedAlgebroid:
@@ -534,38 +534,27 @@ class TowerSection:
 def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPolynomial:
     """Encode (Y, Z) as the pi-linear phase-space function sum Y pi_xi +
     sum Z pi_dy."""
-    phase = alg.phase
-    chart = alg.carrier.charts[phase.chart]
+    pi_of, info = alg.phase.pi_of, alg.tower
     out = ZERO
     for n, p in s.Y.items():
-        out = out + p * phase.var(f"pi_xi{n}")
-    for (n, r), p in s.Z.items():
-        out = out + p * phase.var(f"pi_dy{n}_{r + 1}")
+        out = out + p * SuperPolynomial.from_var(pi_of[info.xi_of[n]])
+    for key, p in s.Z.items():
+        out = out + p * SuperPolynomial.from_var(pi_of[info.dy_of[key]])
     return out
 
 
 def tower_section_from_polynomial(alg: WeightedAlgebroid, p: SuperPolynomial) -> TowerSection:
-    phase = alg.phase
-    info = alg.tower
-    Y = {}
-    Z = {}
-    for n in info.names:
-        c = partial(p, phase.system[f"pi_xi{n}"])
-        if not c.is_zero():
-            Y[n] = c
-        for r in range(1, info.k):
-            cz = partial(p, phase.system[f"pi_dy{n}_{r + 1}"])
-            if not cz.is_zero():
-                Z[(n, r)] = cz
-    return TowerSection(Y, Z)
+    pi_of, info = alg.phase.pi_of, alg.tower
+    Y = {n: partial(p, pi_of[xi]) for n, xi in info.xi_of.items()}
+    Z = {key: partial(p, pi_of[dy]) for key, dy in info.dy_of.items()}
+    return TowerSection({n: c for n, c in Y.items() if not c.is_zero()},
+                        {key: c for key, c in Z.items() if not c.is_zero()})
 
 
 def _tower_vector_field(alg: WeightedAlgebroid, Z) -> Derivation:
     # generally inhomogeneous; only ever applied, so the shift is unused
-    phase = alg.phase
-    action = {}
-    for (n, r), p in Z.items():
-        action[phase.system[f"y{n}_{r}"]] = p
+    x_of, y_of = alg.phase.x_of, alg.tower.y_of
+    action = {x_of[y_of[key]]: p for key, p in Z.items()}
     return Derivation(action, EVEN, (0, 0, 0), check=False)
 
 

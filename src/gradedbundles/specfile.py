@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import EVEN, ODD, SuperPolynomial, Variable
-from .bundle import CoordinateSystem, GradedBundle, two_chart_bundle
+from .bundle import CoordinateSystem, GradedBundle, single_chart_bundle, two_chart_bundle
 
 
 class SpecError(ValueError):
@@ -332,8 +332,9 @@ class _ExprParser:
         raise SpecSyntaxError(f"unexpected {val!r}", self.line, col)
 
 
-def parse_expression(text: str, names: dict[str, Variable], line: int = 0,
-                     col: int = 1) -> SuperPolynomial:
+def parse_expression(text: str, names: CoordinateSystem | dict[str, Variable],
+                     line: int = 0, col: int = 1) -> SuperPolynomial:
+    """``text`` as a polynomial in the variables that ``names`` holds by name."""
     return _ExprParser(_tokenize(text, line, col), names, line).parse()
 
 
@@ -414,7 +415,6 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
                 raise UnknownVariableError(f"unknown chart {nm!r}", s.line, 1)
         if (src, dst) in maps:
             raise SpecSyntaxError(f"duplicate map {src} -> {dst}", s.line, 1)
-        src_names = {v.name: v for v in charts[src].variables}
         comp = {}
         for e in s.entries:
             if len(e.key) != 1:
@@ -429,7 +429,7 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
                     f"duplicate component {e.key[0]!r} in map {src} -> {dst}",
                     e.line, 1,
                 )
-            comp[e.key[0]] = parse_expression(e.value, src_names, e.line, e.col)
+            comp[e.key[0]] = parse_expression(e.value, charts[src], e.line, e.col)
         missing = [v.name for v in charts[dst].variables if v.name not in comp]
         if missing:
             raise SpecSyntaxError(
@@ -439,8 +439,6 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
         maps[(src, dst)] = comp
 
     if len(order) == 1:
-        from .bundle import single_chart_bundle
-
         bundle = single_chart_bundle(charts[order[0]])
         return BundleSpec(bundle, [charts[order[0]]], declared_degree)
     if len(order) != 2:

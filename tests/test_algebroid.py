@@ -14,6 +14,7 @@ from gradedbundles.superalg import (
 from gradedbundles.bundle import CoordinateSystem, single_chart_bundle
 from gradedbundles.linfun import GLBundle
 from gradedbundles.algebroid import (
+    AlgebroidHamiltonian,
     AlgebroidSection,
     CoordinateMismatch,
     HomologicalField,
@@ -232,6 +233,60 @@ def test_malformed_q_rejected(tower2):
                        check=False),
             phase,
         )
+
+
+def _var(v):
+    return SuperPolynomial.from_var(v)
+
+
+def _unchecked_field(phase, v, c):
+    return HomologicalField(Derivation({v: c}, ODD, (0, 1, 0), check=False), phase)
+
+
+def _off_phase(weight):
+    """An even variable of the given tri-weight on a chart of its own."""
+    return CoordinateSystem([("z", weight, 0)], name="off", arity=3).var("z")
+
+
+# each builds a field, Hamiltonian or section outside the structural shape
+SHAPE_FAULTS = {
+    "q-acts-on-pi": (MalformedQ, lambda ph: p_from_q(
+        _unchecked_field(ph, ph.pis[0], _var(ph.thetas[0])))),
+    "q-acts-on-chi": (MalformedQ, lambda ph: p_from_q(
+        _unchecked_field(ph, ph.chis[0], _var(ph.thetas[0])))),
+    "theta-coefficient-linear-in-theta": (MalformedQ, lambda ph: p_from_q(
+        _unchecked_field(ph, ph.thetas[0], _var(ph.thetas[1])))),
+    "x-coefficient-with-chi": (MalformedQ, lambda ph: p_from_q(
+        _unchecked_field(ph, ph.xs[0], _var(ph.chis[0])))),
+    "hamiltonian-theta-pi": (MalformedQ, lambda ph: AlgebroidHamiltonian(
+        _var(ph.thetas[0]) * _var(ph.pis[0]), ph)),
+    "section-with-theta": (ValueError, lambda ph: AlgebroidSection(
+        _var(ph.pis[0]) * _var(ph.thetas[0]), ph.pis[0].weight[0] + 1, ph)),
+    "section-off-phase": (ValueError, lambda ph: AlgebroidSection(
+        _var(ph.pis[0]) * _off_phase((0, 0, 0)), ph.pis[0].weight[0] + 1, ph)),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_FAULTS)
+def test_structural_shape_faults_rejected(tower2, case):
+    error, build = SHAPE_FAULTS[case]
+    with pytest.raises(error):
+        build(tower2.phase)
+
+
+def test_off_phase_variables_rejected(tower2):
+    # theta_dy * chi_y * z and theta_dy * z have the expected tri-weights
+    # and theta/pi/chi counts; only z being off the phase space is wrong
+    phase = tower2.phase
+    k = phase.k
+    theta = next(v for v in phase.thetas if v.weight == (k - 1, 1, 0))
+    chi = next(v for v in phase.chis if v.weight == (0, 1, 1))
+    z = _off_phase((0, 0, 0))
+    with pytest.raises(MalformedQ):
+        AlgebroidHamiltonian(_var(theta) * _var(chi) * z, phase)
+    x = next(v for v in phase.xs if v.weight == (k - 1, 0, 0))
+    with pytest.raises(MalformedQ):
+        p_from_q(HomologicalField(Derivation({x: _var(theta) * z}, ODD, (0, 1, 0)), phase))
 
 
 def test_derived_bracket_degree_law():

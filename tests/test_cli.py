@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gradedbundles import cli
+from gradedbundles import cli, specfile
 from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
     MAX_EXPONENT,
@@ -365,6 +365,27 @@ TOWER = "[structure lie-tower]\nk = 2\ndim = 1\n"
 def test_structure_errors_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert f"{message} at line {line}," in err
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (TOWER.replace("dim = 1", "dim = 2") + "c 1 2 1 = 1\nc 2 1 1 = 2\n",
+     "antisymmetry conflict at (2, 1, 1)", 5),
+    (TOWER.replace("dim = 1", "dim = 2") + "c 1 1 2 = 1\n",
+     "antisymmetry conflict at (1, 1, 2)", 4),
+    ("[structure prolong]\nk = 2\nbase = x\nfiber = a b\n"
+     "bracket a b b = x\nbracket b a b = 1\n",
+     "bracket data not antisymmetric at ('b', 'a', 'b')", 6),
+], ids=["lie-tower-conflict", "lie-tower-diagonal", "prolong-conflict"])
+def test_conflicting_structure_data_names_its_entry(tmp_path, capsys, text, message, line):
+    err = run_cli_hostile(tmp_path, capsys, ["check-q"], text)
+    assert f"{message} at line {line}," in err
+
+
+def test_structure_kinds_agree():
+    # a kind the parser accepts but the CLI cannot build would surface as a
+    # failed construction instead of a spec error
+    assert set(cli.STRUCTURES) - {None} == specfile._STRUCTURE_KINDS
+    assert all(kind in cli.STRUCTURES for kind, _ in cli.CONSTRUCTS.values())
 
 
 # ---------------------------------------------- [section] keys of bracket specs
