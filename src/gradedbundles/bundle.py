@@ -38,8 +38,7 @@ from .superalg import (
     Variable,
     ZERO,
     declare_chart,
-    linear_combination,
-    partial,
+    differential,
     remap,
     render,
     substitute,
@@ -418,15 +417,6 @@ def _fresh_name(name: str, taken: set, grow) -> str:
     return name
 
 
-def _differential(p: SuperPolynomial, dot, post) -> SuperPolynomial:
-    """The differential of ``p`` along ``dot``: the sum over the variables u
-    of ``p`` that ``dot`` maps of dot[u] * post(dp/du)."""
-    return linear_combination(
-        (1, SuperPolynomial.from_var(dot[u]) * post(partial(p, u)))
-        for u in p.variables() if u in dot
-    )
-
-
 def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool,
                        tag: str, cls):
     """Adjoin dotted coordinates transforming by the differentials of the
@@ -454,11 +444,14 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
                 {"undotted": undotted, "dotted": dotted})
 
     def components(comps, other, src, dst, key):
-        und, dot = src["undotted"], src["dotted"]
+        # each law is renamed once and differentiated in the new chart: an
+        # injective renaming r has r(dp/du) = d r(p) / d r(u)
+        und = src["undotted"]
+        dot = {und[u]: du for u, du in src["dotted"].items()}
         out = {dst["undotted"][v]: remap(p, und) for v, p in comps.items()}
-        for v, p in comps.items():
+        for v in comps:
             if v in dst["dotted"]:
-                out[dst["dotted"][v]] = _differential(p, dot, lambda c: remap(c, und))
+                out[dst["dotted"][v]] = differential(out[dst["undotted"][v]], dot)
         return out
 
     return rechart(bundle, spec, components, cls=cls, tag=tag)

@@ -585,7 +585,7 @@ def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,
         if not comp.is_zero():
             Y[cn] = comp
     Z = {}
-    for (n, r) in {*s1.Z, *s2.Z}:
+    for (n, r) in dict.fromkeys([*s1.Z, *s2.Z]):
         comp = Z1(s2.Z.get((n, r), ZERO)) - Z2(s1.Z.get((n, r), ZERO))
         if not comp.is_zero():
             Z[(n, r)] = comp

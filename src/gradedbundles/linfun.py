@@ -31,6 +31,8 @@ from .superalg import (
     SuperPolynomial,
     Variable,
     ZERO,
+    differential,
+    linear_combination,
     partial,
     relabel,
     remap,
@@ -40,7 +42,6 @@ from .superalg import (
     weight_of,
 )
 from .bundle import (
-    _differential,
     _fresh_name,
     CoordinateSystem,
     GradedBundle,
@@ -212,10 +213,11 @@ def linearise_morphism(
     for vt, dvt in DFp.provenance.maps["undotted"][0].items():
         p = substitute(phi.components[vt], drop_top)
         comps[dvt] = remap(p, und_src)
+    # the pullback to D(F) is a homomorphism fixing the dotted coordinates,
+    # so it is applied once to the whole differential
     for vt, dvt in DFp.provenance.maps["dotted"][0].items():
-        comps[dvt] = _differential(
-            phi.components[vt], dot_src, lambda c: remap(substitute(c, drop_top), und_src)
-        )
+        d = differential(phi.components[vt], dot_src)
+        comps[dvt] = remap(substitute(d, drop_top), und_src)
     return GradedMorphism(DF, DFp, comps)
 
 
@@ -316,7 +318,7 @@ def symmetry_report(G: GLBundle) -> Report:
         label = f"transition {i}->{j}"
         for w, entries in pairs_j.items():
             for fvar, bvar in entries:
-                expected = _differential(t.forward[bvar], dot_of_base_i, lambda c: c)
+                expected = differential(t.forward[bvar], dot_of_base_i)
                 residual = t.forward[fvar] - expected
                 report.add(
                     f"{label}: {fvar.name} transforms as the vertical lift of {bvar.name}",
@@ -437,14 +439,26 @@ def contragredient(comps, other, src, dst, key=None):
     """
     base = src["base"]
     out = {new: remap(comps[v], base) for v, new in dst["base"].items()}
+    # An entry is pulled back along the renamed components, which equals
+    # renaming its pullback, since renaming is a homomorphism.  The entries
+    # of a law linear in the fibre involve base coordinates only, whose
+    # renamed components are those just built.  The others are renamed for
+    # an entry that involves them, or when a component has the wrong parity,
+    # so that substitute rejects it.
+    renamed = {v: out[new] for v, new in dst["base"].items()}
+    rename_all = any(p.parity() not in ("zero", v.parity) for v, p in comps.items())
     for a, pa in dst["dual"].items():
-        expr = ZERO
+        terms = []
         for b, pb in src["dual"].items():
             entry = partial(other[b], a)
-            if not entry.is_zero():
-                entry = remap(substitute(entry, comps), base)
-                expr = expr + entry * SuperPolynomial.from_var(pb)
-        out[pa] = expr
+            if entry.is_zero():
+                continue
+            if rename_all or not entry.variables() <= renamed.keys():
+                renamed = {v: renamed[v] if v in renamed else remap(p, base)
+                           for v, p in comps.items()}
+                rename_all = False
+            terms.append((1, substitute(entry, renamed) * SuperPolynomial.from_var(pb)))
+        out[pa] = linear_combination(terms)
     return out
 
 
@@ -503,17 +517,14 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
 
     P = rechart(F, spec, components, tag="pairing", inverse=False)
     on = P.provenance.maps
-    polys = []
-    for i, dotted in enumerate(DF.provenance.maps["dotted"]):
-        delta = ZERO
-        for fvar, dot in dotted.items():
-            pi = on["dual"][i][dual_of[i][dot]]
-            delta = delta + (
-                SuperPolynomial.from_var(pi)
-                * SuperPolynomial.from_var(on["vars"][i][fvar])
-                * total(fvar.weight)
-            )
-        polys.append(delta)
+    polys = [
+        linear_combination(
+            (total(fvar.weight), SuperPolynomial.from_var(on["dual"][i][dual_of[i][dot]])
+             * SuperPolynomial.from_var(on["vars"][i][fvar]))
+            for fvar, dot in dotted.items()
+        )
+        for i, dotted in enumerate(DF.provenance.maps["dotted"])
+    ]
     transitions = {key: t.forward for key, t in P.transitions.items()}
     return PairingResult(F, dual, P.charts, polys, transitions)
 
@@ -542,7 +553,8 @@ def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> Report:
             if v.weight[1] != 1:
                 continue
             p = t.forward[v]
-            offenders = [u.name for u in p.variables() if total(u.weight) > 0 and u.weight[1] == 0]
+            offenders = sorted(u.name for u in p.variables()
+                               if total(u.weight) > 0 and u.weight[1] == 0)
             report.add(
                 f"transition {i}->{j}: {v.name}-component depends only on base",
                 not offenders,

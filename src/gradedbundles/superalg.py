@@ -47,6 +47,10 @@ Performance invariants, kept by every operation in this module:
 * sums are accumulated in place (``_add_into``, ``_Sum``) into a fresh
   dict, never as ``out = out + term``, which would copy the running sum per
   step; new keys are appended in the order the plain sum would give;
+* work is done in the target chart: a law is renamed into its new chart
+  once and lifted there, not per variable as a chain of small polynomials;
+  ``differential`` moves each key of p by one field per variable, widening
+  the ring first when a moved field could overflow;
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
   index is its ``index``, checked by identity.  A variable computes its
   hash and its ``sort_key`` once, at construction; ``==`` tests identity
@@ -622,7 +626,8 @@ class SuperPolynomial:
         return self * (1 / Fraction(other))
 
     def __pow__(self, n: int):
-        """``self`` to the ``n``-th power by repeated squaring."""
+        """``self`` to the ``n``-th power by repeated squaring, with the terms
+        in the order of that product chain: ``b ** 3`` is ``b * (b * b)``."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         if n == 0:
@@ -830,6 +835,46 @@ def partial_right(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
                 evens[k - unit] = -c
     evens.update(odds)
     return _make(ring, evens, p._den)
+
+
+def differential(p: SuperPolynomial, dot: Mapping[Variable, Variable]) -> SuperPolynomial:
+    """The sum of ``from_var(dot[u]) * partial(p, u)`` over the variables u
+    of p that ``dot`` maps, in ``sort_key`` order.  Each term is one key
+    move, ``k - unit(u) + unit(dot[u])``, with the exponent and the Koszul
+    signs of that product, so no intermediate polynomial is built."""
+    src = ring = p._ring
+    pairs = [(u, dot[u]) for u in (src.vars[i] for i, _ in src.fields(_support_of(p)))
+             if u in dot]
+    if not pairs:
+        return _make(_EMPTY, {})
+    for _, t in pairs:
+        if ring.pos(t) is None:
+            ring = _merged(ring, _home(t))
+    while True:  # widen until no moved field reaches its guard bit
+        num = _repack(p._num, src, ring)
+        w = ring.width
+        if not (_or(num) + _or(1 << (ring.pos(t) * w) for _, t in pairs)) & ring.guard:
+            break
+        ring = ring.wider()
+    mask, odd, out = (1 << w) - 1, ring.odd, {}
+    for u, t in pairs:
+        shift = ring.pos(u) * w
+        unit, tunit = 1 << shift, 1 << (ring.pos(t) * w)
+        # odd fields below u's give partial's sign, those below t's the
+        # product's; an odd t already in the term gives zero
+        below_u = odd & (unit - 1) if u.parity else 0
+        below_t, clash = (odd & (tunit - 1), tunit) if t.parity else (0, 0)
+        moved = {}  # the map of keys is injective for one u
+        for k, c in num.items():
+            e = (k >> shift) & mask
+            rest = k - unit
+            if not e or rest & clash:
+                continue
+            if ((k & below_u).bit_count() + (rest & below_t).bit_count()) & 1:
+                c = -c
+            moved[rest + tunit] = c * e
+        _add_into(out, moved)
+    return _make(ring, out, p._den)
 
 
 def substitute(

@@ -16,7 +16,9 @@ import random
 import sys
 from fractions import Fraction
 
-from gradedbundles.superalg import render
+import pytest
+
+from gradedbundles.superalg import ZERO, SuperPolynomial, partial, remap, render, substitute
 from gradedbundles.bundle import (
     core_submanifold,
     project_tower,
@@ -115,13 +117,17 @@ def constructions(F):
     return out
 
 
-def snapshot():
-    bundles = {
+def bundles():
+    out = {
         name: build_bundle(parse((SPEC_DIR / f"{name}.spec").read_text())).bundle
         for name in ("degree2", "degree3")
     }
-    bundles["seeded T^3 M"] = seeded_t3m()
-    return {name: constructions(F) for name, F in bundles.items()}
+    out["seeded T^3 M"] = seeded_t3m()
+    return out
+
+
+def snapshot():
+    return {name: constructions(F) for name, F in bundles().items()}
 
 
 def dump(data) -> str:
@@ -134,3 +140,31 @@ def test_atlas_matches_golden():
 
 if __name__ == "__main__":
     sys.stdout.write(dump(snapshot()))
+
+
+def pullback_then_rename(comps, other, src, dst):
+    """Dual components by the formula ``contragredient`` replaced: each
+    Jacobian entry pulled back along the old components, then renamed."""
+    base = src["base"]
+    out = {new: remap(comps[v], base) for v, new in dst["base"].items()}
+    for a, pa in dst["dual"].items():
+        expr = ZERO
+        for b, pb in src["dual"].items():
+            entry = partial(other[b], a)
+            if not entry.is_zero():
+                expr = expr + remap(substitute(entry, comps), base) * SuperPolynomial.from_var(pb)
+        out[pa] = expr
+    return out
+
+
+@pytest.mark.parametrize("construct", [cotangent_bundle, linear_dual])
+@pytest.mark.parametrize("name", ["degree2", "degree3", "seeded T^3 M"])
+def test_contragredient_equals_pullback_then_rename(name, construct):
+    dual = construct(bundles()[name])
+    source = dual.provenance.source  # F for the cotangent bundle, D(F) for the dual
+    roles = dual.provenance.maps
+    maps = [{role: roles[role][i] for role in roles} for i in range(len(dual.charts))]
+    for (i, j), t in source.transitions.items():
+        new = dual.transitions[(i, j)]
+        assert new.forward == pullback_then_rename(t.forward, t.inverse, maps[i], maps[j])
+        assert new.inverse == pullback_then_rename(t.inverse, t.forward, maps[j], maps[i])

@@ -7,7 +7,8 @@ reports.  A rename in the engine would break the benchmark only when it
 runs, so these tests load the tracer by path and check both tables against
 the live engine.  The demos run as scripts on this checkout's ``src``, and
 so do the benchmark's own checks (``perfbench/selftest.py``), which read
-``p.terms`` and build polynomials through the public constructor.
+``p.terms`` and build polynomials through the public constructor.  A demo
+prints the same bytes under every hash seed.
 """
 
 import importlib
@@ -54,3 +55,14 @@ def test_benchmark_selftest_passes():
 def test_demo_runs(demo):
     proc = run_python_subprocess([str(demo)], timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_does_not_depend_on_the_hash_seed(demo):
+    # under seed 5 a set of section keys once iterated in another order
+    outputs = set()
+    for seed in ("0", "1", "5"):
+        proc = run_python_subprocess([str(demo)], seed=seed, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

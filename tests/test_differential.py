@@ -5,6 +5,12 @@ the live core was optimised.  Every operation here runs on the same random
 polynomials in both, and the results must have the same term maps, keyed
 by ``(system, name, exponent)`` so that the two modules' ``Variable``
 classes never meet, with their terms in the same insertion order.
+
+The term order of ``p ** n`` is that of its product chain, which squares
+repeatedly (``b ** 3`` is ``b * (b * b)``), while the reference multiplies
+in sequence.  Every oracle power here is therefore a chain of reference
+products along the live chain (``chain_power``), so the values and the
+insertion order of each product stay compared.
 """
 
 from fractions import Fraction
@@ -90,6 +96,31 @@ def same(a, b):
 
 def var(name):
     return both([(Fraction(1), [(name, 1)])])
+
+
+def chain_power(p, n):
+    """``p ** n`` by reference products along the live ``__pow__`` chain:
+    the n-th power as the product of the squarings named by n's set bits."""
+    if n == 0:
+        return ref.SuperPolynomial.constant(1)
+    result, square = None, p
+    while True:
+        if n & 1:
+            result = square if result is None else result * square
+        n >>= 1
+        if not n:
+            return result
+        square = square * square
+
+
+class ChainPowers(ref.SuperPolynomial):
+    """A reference polynomial whose powers follow the live chain, so that
+    the reference ``substitute`` raises its images to powers that way."""
+
+    __slots__ = ()
+
+    def __pow__(self, n):
+        return chain_power(self, n)
 
 
 def poly_desc(names=SOURCE_NAMES, max_terms=4):
@@ -229,7 +260,20 @@ def test_products_of_all_square_free_monomials():
 @given(poly_desc(max_terms=3), st.integers(0, 5))
 def test_powers(d, n):
     p, rp = both(d)
-    same(p ** n, rp ** n)
+    same(p ** n, chain_power(rp, n))
+    assert key(p ** n) == key(rp ** n)  # values as by the reference's own power
+
+
+def test_power_term_order_is_that_of_the_squaring_chain():
+    # a base whose cube has its terms in another order as (b*b)*b
+    b, rb = both([(Fraction(1), []), (Fraction(-1), [("y", 2)]), (Fraction(2), [("y", 1)])])
+    same(b ** 3, chain_power(rb, 3))
+    assert key(rb ** 3) == key(chain_power(rb, 3))
+    assert list(key(rb ** 3)) != list(key(chain_power(rb, 3)))
+    # the same cube taken by substitute
+    z3, rz3 = both([(Fraction(1), [("z", 3)])])
+    same(live.substitute(z3, {LIVE["z"]: b}),
+         ref.substitute(rz3, {REF["z"]: ChainPowers(rb.terms)}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,7 +301,7 @@ def assignments(image_descs):
             continue
         img, rimg = both(d)
         live_map[LIVE[name]] = img.parity_part(PARITY[name])
-        ref_map[REF[name]] = rimg.parity_part(PARITY[name])
+        ref_map[REF[name]] = ChainPowers(rimg.parity_part(PARITY[name]).terms)
     return live_map, ref_map
 
 
@@ -389,3 +433,72 @@ def test_apply_and_commutator(s1, s2, d):
     C, RC = live.commutator(D1, D2), ref.commutator(R1, R2)
     assert derivation_key(C) == derivation_key(RC)
     assert (C.parity, C.weight_shift) == (RC.parity, RC.weight_shift)
+
+
+# ------------------------------------------------------------- differential
+def ref_differential(rp, rdot):
+    """The oracle: sum of from_var(dot[u]) * partial(p, u), u in sort_key order."""
+    out = ref.ZERO
+    for u in sorted(rp.variables(), key=lambda v: v.sort_key):
+        if u in rdot:
+            out = out + ref.SuperPolynomial.from_var(rdot[u]) * ref.partial(rp, u)
+    return out
+
+
+def check_differential(p, rp, pairs):
+    dot, rdot = renaming(pairs)
+    d = live.differential(p, dot)
+    same(d, ref_differential(rp, rdot))
+    action = {u: live.SuperPolynomial.from_var(t) for u, t in dot.items()}
+    assert d == live.apply(live.Derivation(action, EVEN, (0,), check=False), p)
+    return d
+
+
+def dot_strategy():
+    """Some variables of either chart, each sent to a variable of either
+    chart and of either parity: images inside p's ring and outside it."""
+    names = SOURCE_NAMES + TARGET_NAMES
+    return st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                    max_size=6, unique_by=lambda pair: pair[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_desc(SOURCE_NAMES + TARGET_NAMES), dot_strategy())
+def test_differential(d, pairs):
+    check_differential(*both(d), pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_desc(), st.permutations(SOURCE_NAMES))
+def test_differential_along_a_parity_preserving_map_of_the_chart(d, images):
+    # the vertical-lift shape: every variable of p's own ring to one of its parity
+    odd = [n for n in images if PARITY[n]]
+    even = [n for n in images if not PARITY[n]]
+    pairs = [(n, (odd if PARITY[n] else even).pop()) for n in SOURCE_NAMES]
+    check_differential(*both(d), pairs)
+
+
+def test_differential_fixed_cases():
+    full = [(Fraction(5, 2), [(n, 1) for n in SOURCE_NAMES]),
+            (Fraction(-1), [("x", 2), ("xi", 1), ("eta", 1)]),
+            (Fraction(1, 3), [("y", 2), ("theta", 1), ("z", 1)])]
+    p, rp = both(full)
+    # zero p, and a dot that touches no variable of p
+    assert check_differential(*both([]), REVERSING).is_zero()
+    assert check_differential(*both([(Fraction(2), [("x", 1)])]), [("y", "b")]).is_zero()
+    # odd factors moved past each other, onto odd variables of p and of the
+    # undeclared chart, and onto even ones
+    check_differential(p, rp, REVERSING)
+    check_differential(p, rp, [("xi", "eta"), ("eta", "theta"), ("theta", "xi")])
+    check_differential(p, rp, [("xi", "eta"), ("eta", "xi"), ("x", "rho"), ("y", "sigma")])
+    check_differential(p, rp, [("xi", "x"), ("theta", "c"), ("z", "tau")])
+
+
+def test_differential_widens_a_field_at_the_guard_bit():
+    # x^127 fills x's 8-bit field up to its guard bit, and y -> x makes x^128
+    for name in ("x", "b"):
+        q, rq = both([(Fraction(1), [(name, 127), ("y", 1)]), (Fraction(-3), [("z", 1)])])
+        assert q._ring.width == 8
+        d = check_differential(q, rq, [("y", name), ("z", "y")])
+        assert d._ring.width > 8
+        assert key(d)[((("u", "x") if name == "x" else ("t", "b")) + (128,),)] == 1
