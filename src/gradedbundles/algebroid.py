@@ -173,10 +173,6 @@ class OddPhaseSpace:
         pairs = [(self.x_of[b], self.chi_of[b]) for b in base_leg]
         pairs += [(self.pi_of[f], self.theta_of[f]) for f in fiber]
         self.poisson = OddPoissonSpace(self.system, pairs)
-        self.conjugate = {}
-        for q, qs in pairs:
-            self.conjugate[q] = qs
-            self.conjugate[qs] = q
 
     def var(self, name: str) -> SuperPolynomial:
         return self.system.var(name)
@@ -299,12 +295,7 @@ def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
     residual = Q.square()
     kind = "lie" if residual.is_zero() else "skew"
     for v in phase.xs + phase.thetas:
-        c = residual.coefficient(v)
-        report.add(
-            f"[Q,Q] on {v.name}",
-            c.is_zero(),
-            "" if c.is_zero() else render(c),
-        )
+        report.zero(f"[Q,Q] on {v.name}", residual.coefficient(v))
     return AlgebroidCheck(odd, weight_ok, residual, kind, report)
 
 

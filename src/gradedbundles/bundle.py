@@ -195,7 +195,9 @@ def single_chart_bundle(chart, cls=GradedBundle):
 
 
 # ------------------------------------------------------------------ validate
-def _check_components(report, label, target_vars, components, arity):
+def _check_components(report, label, target_vars, components, arity) -> bool:
+    """Add the weight and parity items; True when every parity holds."""
+    parities_ok = True
     for v in target_vars:
         p = components.get(v)
         if p is None:
@@ -215,20 +217,17 @@ def _check_components(report, label, target_vars, components, arity):
             ok,
             "" if ok else f"parity {par}, expected {v.parity}",
         )
+        parities_ok &= ok
+    return parities_ok
 
 
 def _check_round_trip(report, label, t: TransitionMap):
     for v in t.source.variables:
-        back = substitute(t.inverse[v], t.forward) if v in t.inverse else None
-        if back is None:
+        if v not in t.inverse:
             report.add(f"{label}: inverse component for {v.name} declared", False)
-            continue
-        residual = back - SuperPolynomial.from_var(v)
-        report.add(
-            f"{label}: round trip on {v.name}",
-            residual.is_zero(),
-            "" if residual.is_zero() else render(residual),
-        )
+        else:
+            report.zero(f"{label}: round trip on {v.name}",
+                        substitute(t.inverse[v], t.forward) - SuperPolynomial.from_var(v))
 
 
 def _check_linear_block(report, label, t: TransitionMap):
@@ -254,16 +253,21 @@ def _check_linear_block(report, label, t: TransitionMap):
 def validate(bundle: GradedBundle) -> Report:
     """Check homogeneity, declared invertibility and structure of an atlas."""
     report = Report()
+    # Substituting a transition's components for coordinates needs their
+    # parities, so a transition whose parity items fail gets no round trip,
+    # and no cocycle starts with it.
+    parities_ok = {}
     for (i, j), t in sorted(bundle.transitions.items()):
         label = f"transition {i}->{j}"
-        _check_components(
+        parities_ok[(i, j)] = _check_components(
             report, label, t.target.variables, t.forward, bundle.arity
         )
-        _check_round_trip(report, label, t)
+        if parities_ok[(i, j)]:
+            _check_round_trip(report, label, t)
         _check_linear_block(report, label, t)
     if len(bundle.charts) >= 3:
         for i, j, k in itertools.permutations(range(len(bundle.charts)), 3):
-            if (i, j) in bundle.transitions and (j, k) in bundle.transitions \
+            if parities_ok.get((i, j)) and (j, k) in bundle.transitions \
                     and (i, k) in bundle.transitions:
                 t_ij = bundle.transitions[(i, j)]
                 t_jk = bundle.transitions[(j, k)]

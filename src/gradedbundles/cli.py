@@ -1,7 +1,9 @@
 """Command-line front end: parse a spec file, run one check, emit a report.
 
 Exit codes: 0 when every verdict passes, 1 when any check fails, 2 on
-parse or usage errors.
+parse or usage errors.  ``main`` names each command's report; a command
+that reads the declared bundle validates it first, and on a failure
+reports only the bundle's failed items.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def build_tower_section(section, tower) -> TowerSection:
 
 def _tangent_structure(doc: SpecDocument, section):
     return ("structure: canonical tangent algebroid of the declared bundle",
-            tangent_algebroid(build_bundle(doc).bundle), None)
+            tangent_algebroid(_declared_bundle(doc)), None)
 
 
 def _lie_tower_structure(doc: SpecDocument, section):
@@ -266,66 +268,66 @@ def _structure(doc: SpecDocument, kind: str, usage: str):
 
 
 # ------------------------------------------------------------------ commands
-def cmd_validate(doc: SpecDocument) -> Report:
-    report = Report("validate")
+class _InvalidBundle(Exception):
+    """Raised with the FAIL items of a declared bundle that fails validation."""
+
+
+def _declared_bundle(doc: SpecDocument):
+    """The document's bundle, which must pass validation."""
+    bundle = build_bundle(doc).bundle
+    failures = validate(bundle).failures()
+    if failures:
+        raise _InvalidBundle(failures)
+    return bundle
+
+
+def cmd_validate(doc: SpecDocument, report: Report):
     bs = build_bundle(doc)
     report.info(f"bundle: degree {bs.bundle.degree}, arity {bs.bundle.arity}, "
                 f"{len(bs.bundle.charts)} charts")
     if bs.declared_degree is not None:
         report.add("declared degree matches", bs.declared_degree == bs.bundle.degree)
     report.merge_validation(validate(bs.bundle))
-    return report
 
 
-def cmd_linearise(doc: SpecDocument) -> Report:
-    report = Report("linearise")
-    bs = build_bundle(doc)
-    D = linearise(bs.bundle)
+def cmd_linearise(doc: SpecDocument, report: Report):
+    D = linearise(_declared_bundle(doc))
     _emit_transitions(report, D, "D(F)")
     report.merge_validation(validate(D), prefix="D(F) ")
     report.add("linearisation is symmetric", is_symmetric(D))
-    return report
 
 
-def cmd_dual(doc: SpecDocument) -> Report:
-    report = Report("dual")
-    bs = build_bundle(doc)
-    dual = linear_dual(bs.bundle)
+def cmd_dual(doc: SpecDocument, report: Report):
+    F = _declared_bundle(doc)
+    dual = linear_dual(F)
     _emit_transitions(report, dual, "D*(F)")
     report.merge_validation(validate(dual), prefix="D*(F) ")
-    pr = pairing(bs.bundle, dual)
+    pr = pairing(F, dual)
     report.info(
         f"pairing delta* = {render_poly(pr.polynomial)}",
         weights=_weight_str(weight_of(pr.polynomial, 2)),
     )
     report.merge_validation(pr.check_invariance())
-    return report
 
 
-def cmd_mironian(doc: SpecDocument) -> Report:
-    report = Report("mironian")
-    bs = build_bundle(doc)
-    dual = linear_dual(bs.bundle)
-    mi = mironian(bs.bundle, dual)
-    _emit_transitions(report, mi, "Mi(F)")
-    report.merge_validation(mironian_report(bs.bundle, dual))
-    return report
+def cmd_mironian(doc: SpecDocument, report: Report):
+    F = _declared_bundle(doc)
+    dual = linear_dual(F)
+    _emit_transitions(report, mironian(F, dual), "Mi(F)")
+    report.merge_validation(mironian_report(F, dual))
 
 
-def cmd_embed(doc: SpecDocument) -> Report:
-    report = Report("embed")
-    bs = build_bundle(doc)
-    D = linearise(bs.bundle)
+def cmd_embed(doc: SpecDocument, report: Report):
+    F = _declared_bundle(doc)
+    D = linearise(F)
     holo = holonomic_assignment(D, 0)
     for dv in D.charts[0].variables:
         if dv in holo:
             report.info(f"iota*({dv.name}) = {render_poly(holo[dv])}")
-    report.merge_validation(embedding_compatibility(bs.bundle, D))
-    return report
+    report.merge_validation(embedding_compatibility(F, D))
 
 
-def cmd_check_q(doc: SpecDocument) -> Report:
-    report = Report("check-q")
+def cmd_check_q(doc: SpecDocument, report: Report):
     section = doc.first("structure")
     info, alg, _ = STRUCTURES[section.args[0] if section else None](doc, section)
     report.info(info)
@@ -333,11 +335,9 @@ def cmd_check_q(doc: SpecDocument) -> Report:
     report.merge_validation(alg.check.report)
     if weighted_lie_algebra_check(alg):
         report.info("carrier is a weighted lie algebra (no weight-zero coordinates)")
-    return report
 
 
-def cmd_bracket(doc: SpecDocument) -> Report:
-    report = Report("bracket")
+def cmd_bracket(doc: SpecDocument, report: Report):
     section = _structure(doc, "lie-tower", "bracket documents declare a lie-tower structure")
     info, tower, _ = STRUCTURES["lie-tower"](doc, section)
     report.info(info)
@@ -345,8 +345,7 @@ def cmd_bracket(doc: SpecDocument) -> Report:
     if len(sections) != 2:
         extra = sections[2] if len(sections) > 2 else section
         raise SpecSyntaxError("bracket documents need exactly two sections", extra.line, 1)
-    s1 = build_tower_section(sections[0], tower)
-    s2 = build_tower_section(sections[1], tower)
+    s1, s2 = (build_tower_section(s, tower) for s in sections)
     out = reduced_bracket(tower, s1, s2)
     for n in sorted(out.Y):
         report.info(f"result Y {n} = {render_poly(out.Y[n])}")
@@ -354,18 +353,11 @@ def cmd_bracket(doc: SpecDocument) -> Report:
         report.info(f"result Z {n} {r} = {render_poly(out.Z[(n, r)])}")
     if not out.Y and not out.Z:
         report.info("result = 0")
-    lhs = tower_section_polynomial(tower, out)
     phase = tower.phase
-    p1 = tower_section_polynomial(tower, s1)
-    p2 = tower_section_polynomial(tower, s2)
+    p1, p2 = (tower_section_polynomial(tower, s) for s in (s1, s2))
     derived = -phase.schouten(phase.schouten(p1, tower.hamiltonian.poly), p2)
-    residual = lhs - derived
-    report.add(
-        "reduced bracket agrees with the derived bracket",
-        residual.is_zero(),
-        "" if residual.is_zero() else render_poly(residual),
-    )
-    return report
+    report.zero("reduced bracket agrees with the derived bracket",
+                tower_section_polynomial(tower, out) - derived)
 
 
 def _construct_tangent(doc: SpecDocument, section, report: Report):
@@ -381,9 +373,7 @@ def _construct_tangent(doc: SpecDocument, section, report: Report):
 def _construct_cotangent(doc: SpecDocument, section, report: Report):
     _, alg, c = STRUCTURES["cotangent-linear"](doc, section)
     report.info(f"poisson data P = {render_poly(alg.poisson_data)}")
-    report.add("[P,P] = 0", alg.poisson_residual.is_zero(),
-               "" if alg.poisson_residual.is_zero()
-               else render_poly(alg.poisson_residual))
+    report.zero("[P,P] = 0", alg.poisson_residual)
     report.merge_validation(alg.check.report)
     report.add("kind matches jacobi verdict",
                (alg.kind == "lie") == c.satisfies_jacobi)
@@ -429,15 +419,11 @@ CONSTRUCTS = {
 }
 
 
-def cmd_construct(doc: SpecDocument, what: str) -> Report:
-    if what not in CONSTRUCTS:
-        raise SpecSyntaxError(f"unknown construct target {what!r}")
-    report = Report(f"construct {what}")
+def cmd_construct(doc: SpecDocument, report: Report, what: str):
     kind, construct = CONSTRUCTS[what]
     usage = f"construct {what} needs a {kind} structure"
     section = _structure(doc, kind, usage) if kind is not None else None
     construct(doc, section, report)
-    return report
 
 
 # ---------------------------------------------------------------------- main
@@ -468,14 +454,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(command: str, doc: SpecDocument, target: str | None = None) -> Report:
-    if command not in COMMANDS:
-        raise SpecSyntaxError(f"unknown command {command!r}")
-    if command == "construct":
-        return cmd_construct(doc, target)
-    return COMMANDS[command](doc)
-
-
 def main(argv=None) -> int:
     parser = make_parser()
     try:
@@ -488,14 +466,21 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    target = getattr(args, "target", None)
+    report = Report(args.command if target is None else f"{args.command} {target}")
     try:
         doc = parse(text)
-        report = run_command(args.command, doc, getattr(args, "target", None))
+        if target is None:
+            COMMANDS[args.command](doc, report)
+        else:
+            cmd_construct(doc, report, target)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _InvalidBundle as exc:  # the bundle's failures, and nothing built on it
+        report.items = exc.args[0]
     except Exception as exc:  # construction failures surface as verdicts
-        report = Report(args.command)
+        report.items = []
         report.add(f"construction failed: {exc}", False)
     out = render_text(report) if args.format == "text" else render_json(report)
     sys.stdout.write(out)

@@ -33,22 +33,24 @@ from .superalg import (
     commutator,
     partial,
     remap,
-    substitute,
     total,
     weight_of,
 )
 from .bundle import (
     _chart,
+    _check_round_trip,
     _fresh_name,
     CoordinateSystem,
     GradedBundle,
     Provenance,
+    TransitionMap,
     rechart,
     single_chart_bundle,
     tangent_bundle,
     two_chart_bundle,
 )
 from .linfun import GLBundle, contragredient
+from .report import Report
 from .algebroid import (
     HomologicalField,
     OddPhaseSpace,
@@ -357,13 +359,11 @@ class PolynomialDiffeo:
         return len(self.source.variables)
 
     def round_trip_exact(self) -> bool:
-        for v in self.source.variables:
-            if substitute(self.inverse[v], self.forward) != SuperPolynomial.from_var(v):
-                return False
-        for v in self.target.variables:
-            if substitute(self.forward[v], self.inverse) != SuperPolynomial.from_var(v):
-                return False
-        return True
+        report = Report()
+        t = TransitionMap(self.source, self.target, self.forward, self.inverse)
+        for direction in (t, t.reversed()):
+            _check_round_trip(report, "", direction)
+        return report.passed
 
 
 def _level_chart(variables, levels, weight, name: str, arity: int):

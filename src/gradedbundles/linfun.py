@@ -262,14 +262,8 @@ def embedding_compatibility(F: GradedBundle, DF: GLBundle | None = None) -> Repo
         holo_i = holonomic_assignment(DF, i)
         tF = F.transitions[(i, j)]
         for v, dv in DF.provenance.maps["dotted"][j].items():
-            lhs = substitute(t.forward[dv], holo_i)
-            rhs = tF.forward[v] * total(v.weight)
-            residual = lhs - rhs
-            report.add(
-                f"transition {i}->{j}: embedding compatibility on {dv.name}",
-                residual.is_zero(),
-                "" if residual.is_zero() else render(residual),
-            )
+            report.zero(f"transition {i}->{j}: embedding compatibility on {dv.name}",
+                        substitute(t.forward[dv], holo_i) - tF.forward[v] * total(v.weight))
     return report
 
 
@@ -318,12 +312,9 @@ def symmetry_report(G: GLBundle) -> Report:
         label = f"transition {i}->{j}"
         for w, entries in pairs_j.items():
             for fvar, bvar in entries:
-                expected = differential(t.forward[bvar], dot_of_base_i)
-                residual = t.forward[fvar] - expected
-                report.add(
+                report.zero(
                     f"{label}: {fvar.name} transforms as the vertical lift of {bvar.name}",
-                    residual.is_zero(),
-                    "" if residual.is_zero() else render(residual),
+                    t.forward[fvar] - differential(t.forward[bvar], dot_of_base_i),
                 )
         base_nonbase_i = [
             b for w in sorted(pairs_i) for _, b in pairs_i[w]
@@ -339,13 +330,9 @@ def symmetry_report(G: GLBundle) -> Report:
                 for b in base_nonbase_i:
                     if a.index >= b.index:
                         continue
-                    lhs = partial(coeffs.get(a, ZERO), b)
-                    rhs = partial(coeffs.get(b, ZERO), a)
-                    residual = lhs - rhs
-                    report.add(
+                    report.zero(
                         f"{label}: {zt.name}-tensor symmetric in ({a.name},{b.name})",
-                        residual.is_zero(),
-                        "" if residual.is_zero() else render(residual),
+                        partial(coeffs.get(a, ZERO), b) - partial(coeffs.get(b, ZERO), a),
                     )
     return report
 
@@ -480,12 +467,8 @@ class PairingResult:
     def check_invariance(self) -> Report:
         report = Report()
         for (i, j), assign in sorted(self.transitions.items()):
-            residual = substitute(self.polynomials[j], assign) - self.polynomials[i]
-            report.add(
-                f"transition {i}->{j}: pairing invariance",
-                residual.is_zero(),
-                "" if residual.is_zero() else render(residual),
-            )
+            report.zero(f"transition {i}->{j}: pairing invariance",
+                        substitute(self.polynomials[j], assign) - self.polynomials[i])
         return report
 
 

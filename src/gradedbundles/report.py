@@ -3,12 +3,17 @@
 ``Report`` is the one report type: the CLI commands fill it, and so do the
 library checks (``validate``, ``symmetry_report``, ``check_invariance``,
 ...), whose reports a command folds in with ``merge_validation``.
+``Report.zero`` owns the residual rule of every identity the engine checks:
+PASS when the residual polynomial is zero, else FAIL showing it.  Both
+renderers print the fixed ``CONVENTIONS``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+from .superalg import render
 
 CONVENTIONS = (
     "coefficients: exact rationals",
@@ -32,12 +37,16 @@ class ReportItem:
 class Report:
     command: str = ""
     items: list[ReportItem] = field(default_factory=list)
-    conventions: tuple[str, ...] = CONVENTIONS
 
     def add(self, check_id: str, ok: bool, residual: str = "", weights: str = ""):
         self.items.append(
             ReportItem(check_id, "PASS" if ok else "FAIL", residual, weights)
         )
+
+    def zero(self, check_id: str, residual):
+        """PASS when the polynomial ``residual`` is zero, else FAIL showing it."""
+        ok = residual.is_zero()
+        self.add(check_id, ok, "" if ok else render(residual))
 
     def info(self, check_id: str, value: str = "", weights: str = ""):
         self.items.append(ReportItem(check_id, "INFO", value, weights))
@@ -62,7 +71,7 @@ class Report:
 
 def render_text(report: Report) -> str:
     lines = [f"command: {report.command}"]
-    for c in report.conventions:
+    for c in CONVENTIONS:
         lines.append(f"convention: {c}")
     for item in report.items:
         line = f"{item.verdict:4}  {item.check_id}"
@@ -78,7 +87,7 @@ def render_text(report: Report) -> str:
 def render_json(report: Report) -> str:
     payload = {
         "command": report.command,
-        "conventions": list(report.conventions),
+        "conventions": list(CONVENTIONS),
         "checks": [
             {
                 "check_id": i.check_id,

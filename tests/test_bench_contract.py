@@ -5,19 +5,22 @@ and the methods listed in its ``METHODS``, looked up through
 ``cls.__dict__[attr]``; ``TIMED`` names the functions whose inclusive time it
 reports.  A rename in the engine would break the benchmark only when it
 runs, so these tests load the tracer by path and check both tables against
-the live engine.  The demos run as scripts on this checkout's ``src``, and
-so do the benchmark's own checks (``perfbench/selftest.py``), which read
-``p.terms`` and build polynomials through the public constructor.  A demo
-prints the same bytes under every hash seed.
+the live engine.  The benchmark's ``workloads.SHIPPED`` must name the
+acceptance gate's commands, ``helpers.SHIPPED_COMMANDS``.  The demos run as
+scripts on this checkout's ``src``, and so do the benchmark's own checks
+(``perfbench/selftest.py``), which read ``p.terms`` and build polynomials
+through the public constructor.  A demo prints the same bytes under every
+hash seed.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
-from helpers import run_python_subprocess
+from helpers import SHIPPED_COMMANDS, run_python_subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,6 +47,18 @@ def test_every_timed_key_names_a_live_public_function():
     tracer = load_tracer()
     keys = {key for _, key, _, _, _ in tracer.Tracer()._targets()}
     assert tracer.TIMED <= keys, sorted(tracer.TIMED - keys)
+
+
+def test_benchmark_runs_the_acceptance_gate_commands(monkeypatch):
+    # workloads.py imports its sibling refalg.py as a top-level module
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.SHIPPED == SHIPPED_COMMANDS
 
 
 def test_benchmark_selftest_passes():

@@ -269,3 +269,33 @@ def test_empty_base_allowed():
     F = single_chart_bundle(chart)
     assert F.degree == 2
     assert validate(F).passed
+
+
+def test_mixed_parity_is_reported_not_raised():
+    """A component of mixed parity fails its parity item; the round trip and
+    the cocycles that would substitute it for a coordinate are skipped
+    instead of raising."""
+    charts = [
+        CoordinateSystem([(f"y{i}", 1, 0), (f"z{i}", 2, 1)], name=f"mp{i}")
+        for i in range(3)
+    ]
+
+    def tmap(i, j):
+        y, z = charts[i].var(f"y{i}"), charts[i].var(f"z{i}")
+        Y, Z = charts[j].var(f"y{j}"), charts[j].var(f"z{j}")
+        mixed = (i, j) == (0, 1)
+        fwd = {charts[j][f"y{j}"]: y, charts[j][f"z{j}"]: z + y ** 2 if mixed else z}
+        inv = {charts[i][f"y{i}"]: Y, charts[i][f"z{i}"]: Z - Y ** 2 if mixed else Z}
+        return TransitionMap(charts[i], charts[j], fwd, inv)
+
+    bundle = GradedBundle(charts, {(i, j): tmap(i, j)
+                                   for i in range(3) for j in range(3) if i != j})
+    rep = validate(bundle)
+    # the other two ways from chart 0 to chart 1 disagree with the mixed law
+    assert [i.check_id for i in rep.failures()] == [
+        "transition 0->1: parity of z1-component", "cocycle 0->2->1", "cocycle 2->0->1"]
+    ids = {i.check_id for i in rep.items}
+    assert "transition 0->1: round trip on y0" not in ids
+    assert "transition 1->0: round trip on y1" in ids
+    assert not any(i.startswith("cocycle 0->1->") for i in ids)
+    assert "cocycle 1->0->2" in ids

@@ -94,6 +94,63 @@ def test_invalid_bundle_exits_one(tmp_path):
     assert "round trip" in out
 
 
+# Odd Z of weight 2 and even y of weight 1, so the law Z = z + y^2 mixes
+# parities; degree2-wrong-inverse.spec fails its round trips instead.
+MIXED_PARITY = (
+    "[bundle]\narity = 1\n"
+    "[chart a]\ny = weight 1\nz = weight 2 odd\n"
+    "[chart b]\nY = weight 1\nZ = weight 2 odd\n"
+    "[map a -> b]\nY = y\nZ = z + y^2\n"
+    "[map b -> a]\ny = Y\nz = Z - Y^2\n"
+)
+BUNDLE_COMMANDS = [["validate"], ["linearise"], ["dual"], ["mironian"], ["embed"],
+                   ["check-q"], ["construct", "tangent"]]
+
+
+@pytest.mark.parametrize("command", BUNDLE_COMMANDS, ids=["-".join(c) for c in BUNDLE_COMMANDS])
+@pytest.mark.parametrize("fault,faulty_items", [
+    ("mixed-parity", ["FAIL  transition 0->1: parity of Z-component  :: parity mixed, expected 1",
+                      "FAIL  transition 1->0: parity of z-component  :: parity mixed, expected 1"]),
+    ("wrong-inverse", ["FAIL  transition 0->1: round trip on z  :: -1/80*y^2 - 1/80*x*y^2",
+                       "FAIL  transition 1->0: round trip on Z  :: -1/144*Y^2 - 1/144*X*Y^2"]),
+])
+def test_commands_that_read_the_bundle_stop_on_its_failures(tmp_path, command, fault,
+                                                            faulty_items):
+    if fault == "mixed-parity":
+        spec = tmp_path / "mixed.spec"
+        spec.write_text(MIXED_PARITY)
+    else:
+        spec = SPEC_DIR / "degree2-wrong-inverse.spec"
+    code, out = run_cli([*command, "--spec", str(spec)])
+    assert code == 1, out
+    assert "construction failed" not in out
+    lines = out.splitlines()
+    assert lines[0] == f"command: {' '.join(command)}"
+    items = [l for l in lines if not l.startswith(("command:", "convention:", "result:"))]
+    if command == ["validate"]:
+        assert set(faulty_items) <= set(items)
+    else:
+        assert items == faulty_items
+    assert lines[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_engine_failure_report_names_the_construct_target(monkeypatch, fmt):
+    def broken(doc, section, report):
+        raise RuntimeError("writer broke")
+
+    monkeypatch.setitem(cli.CONSTRUCTS, "tangent", (None, broken))
+    code, out = run_cli(spec_args("degree2.spec", ("construct", "tangent")) + ["--format", fmt])
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[0] == "command: construct tangent"
+        assert "FAIL  construction failed: writer broke" in out
+    else:
+        payload = json.loads(out)
+        assert payload["command"] == "construct tangent"
+        assert [i["check_id"] for i in payload["checks"]] == ["construction failed: writer broke"]
+
+
 def test_bracket_at_order_three(tmp_path):
     doc = tmp_path / "bracket3.spec"
     doc.write_text(

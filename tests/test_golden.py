@@ -2,10 +2,12 @@
 
 ``tests/golden/<spec stem>.<command words joined by '-'>.<txt|json>`` holds
 the report of one acceptance-gate command, or of one command in
-``EXTRA_COMMANDS``, in ``--format text`` or ``--format json``.  Any change to the algebra core, the constructions or the
-renderers must leave these files byte-identical.  Each case runs in a fresh
-interpreter under its own ``PYTHONHASHSEED``, so set iteration order cannot
-leak into a report unnoticed.
+``EXTRA_COMMANDS``, in ``--format text`` or ``--format json``.  The reports
+of ``FAILING_SPECS`` pin FAIL items with their residuals, and exit 1.  Any
+change to the algebra core, the constructions or the renderers must leave
+these files byte-identical.  Each case runs in a fresh interpreter under its
+own ``PYTHONHASHSEED``, so set iteration order cannot leak into a report
+unnoticed.
 """
 
 import pathlib
@@ -33,7 +35,14 @@ EXTRA_COMMANDS = [
     ("t2m-shear.spec", ["check-q"]),
     ("prolong-tm.spec", ["check-q"]),
     ("cotangent-so3.spec", ["check-q"]),
+    ("nonjacobi-tower.spec", ["check-q"]),
+    ("nonjacobi-tower.spec", ["construct", "lie-tower"]),
+    ("nonjacobi-cotangent.spec", ["construct", "cotangent"]),
+    ("degree2-wrong-inverse.spec", ["validate"]),
 ]
+# Specs whose reports pin FAIL items and their residuals; they exit 1.
+FAILING_SPECS = {"nonjacobi-tower.spec", "nonjacobi-cotangent.spec",
+                 "degree2-wrong-inverse.spec"}
 
 CASES = [
     (name, command, fmt, ext)
@@ -60,5 +69,5 @@ def test_report_matches_golden(name, command, fmt, ext):
     proc = run_cli_subprocess(
         [*command, "--spec", str(SPEC_DIR / name), "--format", fmt], seed=seed
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == (1 if name in FAILING_SPECS else 0), proc.stdout + proc.stderr
     assert proc.stdout.encode() == golden_path(name, command, ext).read_bytes()

@@ -31,6 +31,7 @@ from gradedbundles.linfun import (
     pairing,
     parity_reverse,
     reconstruct,
+    symmetry_report,
 )
 
 from helpers import random_bundle, random_morphism, vector_bundle_tangent
@@ -489,3 +490,55 @@ def test_structural_equality_ignores_declaration_order():
     other = declared("yx")
     other.transitions[(0, 1)].forward[other.charts[1]["Y"]] = other.charts[0].var("y")
     assert not bundles_structurally_equal(declared("xy"), other)
+
+
+def _perturbed_linearisation(component, extra):
+    """D(F) of the degree-3 example with ``extra(chart 0)`` added to the
+    0->1 law of ``component``."""
+    D = linearise(degree3_example())
+    t = D.transitions[(0, 1)]
+    v = t.target[component]
+    t.forward[v] = t.forward[v] + extra(t.source)
+    return D
+
+
+def _failures(report):
+    return [(i.check_id, i.residual) for i in report.failures()]
+
+
+def _vertical_lift_failures():
+    return _failures(symmetry_report(
+        _perturbed_linearisation("dZ", lambda a: a.var("x") * a.var("dy"))))
+
+
+def _tensor_symmetry_failures():
+    return _failures(symmetry_report(
+        _perturbed_linearisation("dW", lambda a: a.var("x") * a.var("y") * a.var("dz"))))
+
+
+def _embedding_failures():
+    F = degree3_example()
+    D = _perturbed_linearisation("dW", lambda a: a.var("x") * a.var("dy"))
+    return _failures(embedding_compatibility(F, D))
+
+
+def _invariance_failures():
+    pr = pairing(degree3_example())
+    pr.polynomials[1] = pr.polynomials[1] + pr.systems[1].var("X") * pr.systems[1].var("Z")
+    return _failures(pr.check_invariance())
+
+
+# Failing items recorded before the residual rule moved into ``Report.zero``.
+@pytest.mark.parametrize("failures,expected", [
+    (_vertical_lift_failures,
+     [("transition 0->1: dZ transforms as the vertical lift of Z", "x*dy")]),
+    (_tensor_symmetry_failures,
+     [("transition 0->1: dW-tensor symmetric in (y,z)", "-x")]),
+    (_embedding_failures,
+     [("transition 0->1: embedding compatibility on dW", "x*y")]),
+    (_invariance_failures,
+     [("transition 0->1: pairing invariance", "3*x*z + 1/2*x^2*y^2"),
+      ("transition 1->0: pairing invariance", "-X*Z")]),
+], ids=["vertical-lift", "tensor-symmetry", "embedding", "invariance"])
+def test_failing_residuals_are_pinned(failures, expected):
+    assert failures() == expected
