@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .superalg import (
+    ChartMap,
     Derivation,
     EVEN,
     ODD,
@@ -37,9 +38,7 @@ from .superalg import (
     parity_matches_weight,
     partial,
     partial_right,
-    remap,
     render,
-    substitute,
     total,
     weight_add,
     weight_of,
@@ -94,9 +93,9 @@ class OddPoissonSpace:
         for p in polys:
             for v in p.variables():
                 if v not in self._allowed:
-                    raise CoordinateMismatch(
-                        f"variable {v.name} is not on this phase space"
-                    )
+                    # name the first in chart order, whatever the set's order
+                    v = min(p.variables() - self._allowed, key=lambda u: u.sort_key)
+                    raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
         self._check(f, g)
@@ -332,16 +331,17 @@ def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolyno
     and bracket data P[(a, b, c)] over base coordinates x; ``x_of`` and
     ``xi_of`` send base coordinates and fibre keys to the field's system."""
     action: dict[Variable, SuperPolynomial] = {}
+    rename = ChartMap(x_of)
     for (a, b), p in anchor.items():
         x = x_of[b]
         action[x] = action.get(x, ZERO) + (
-            SuperPolynomial.from_var(xi_of[a]) * remap(p, x_of)
+            SuperPolynomial.from_var(xi_of[a]) * rename(p)
         )
     for (a, b, c), p in bracket.items():
         term = (
             SuperPolynomial.from_var(xi_of[a])
             * SuperPolynomial.from_var(xi_of[b])
-            * remap(p, x_of)
+            * rename(p)
             * Fraction(-1, 2)
         )
         action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
@@ -457,8 +457,9 @@ class AnchorData:
             ) from exc
         k = carrier.gl_degree
         q = q if q is not None else k
+        pull = ChartMap(holo)
         return {
-            b: substitute(p, holo)
+            b: pull(p)
             for b, p in self.delta.items()
             if b.weight[0] <= q - 1
         }
@@ -470,7 +471,7 @@ def anchor(A: WeightedAlgebroid) -> AnchorData:
     phase = A.phase
     chart_sys = A.carrier.charts[phase.chart]
     delta = {}
-    x_to_carrier = {x: b for b, x in phase.x_of.items()}
+    x_to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
     for b, x in phase.x_of.items():
         coeff_poly = A.q.coefficient(x)
         comp = ZERO
@@ -478,7 +479,7 @@ def anchor(A: WeightedAlgebroid) -> AnchorData:
             c = partial(coeff_poly, th)
             if c.is_zero():
                 continue
-            comp = comp + SuperPolynomial.from_var(f) * remap(c, x_to_carrier)
+            comp = comp + SuperPolynomial.from_var(f) * x_to_carrier(c)
         delta[b] = comp
     return AnchorData(A, delta)
 
@@ -569,19 +570,19 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
          (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), EVEN),
          (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN)],
     )
-    x_map = {phase.x_of[b]: x for b, x in x_of.items()}
+    x_map = ChartMap({phase.x_of[b]: x for b, x in x_of.items()})
     var = SuperPolynomial.from_var
     p_ai, p_kij = extract_coefficients(A.q)
 
     delta_x = {"delta_" + b.name: ZERO for b in base_leg}
     delta_pi = {"delta_pi_" + f.name: ZERO for f in fiber}
     for (bn, fn), c in p_ai.items():
-        c = remap(c, x_map)
+        c = x_map(c)
         delta_x["delta_" + bn] += var(y_of[chart[fn]]) * c
         delta_pi["delta_pi_" + fn] += c * var(p_of[chart[bn]])
     for (i_n, j_n, k_n), c in p_kij.items():
         delta_pi["delta_pi_" + j_n] += (
-            var(y_of[chart[i_n]]) * remap(c, x_map) * var(pi_of[chart[k_n]])
+            var(y_of[chart[i_n]]) * x_map(c) * var(pi_of[chart[k_n]])
         )
     return EpsilonComponents(sys, delta_x, delta_pi)
 

@@ -33,15 +33,14 @@ from dataclasses import dataclass, field
 
 from .report import Report
 from .superalg import (
+    ChartMap,
     Derivation,
     SuperPolynomial,
     Variable,
     ZERO,
     declare_chart,
     differential,
-    remap,
     render,
-    substitute,
     total,
     weight_of,
 )
@@ -221,13 +220,16 @@ def _check_components(report, label, target_vars, components, arity) -> bool:
     return parities_ok
 
 
-def _check_round_trip(report, label, t: TransitionMap):
+def _check_round_trip(report, label, t: TransitionMap) -> ChartMap:
+    """Add the round-trip items; returns the pullback along ``t.forward``."""
+    pull = ChartMap(t.forward)
     for v in t.source.variables:
         if v not in t.inverse:
             report.add(f"{label}: inverse component for {v.name} declared", False)
         else:
             report.zero(f"{label}: round trip on {v.name}",
-                        substitute(t.inverse[v], t.forward) - SuperPolynomial.from_var(v))
+                        pull(t.inverse[v]) - SuperPolynomial.from_var(v))
+    return pull
 
 
 def _check_linear_block(report, label, t: TransitionMap):
@@ -255,27 +257,24 @@ def validate(bundle: GradedBundle) -> Report:
     report = Report()
     # Substituting a transition's components for coordinates needs their
     # parities, so a transition whose parity items fail gets no round trip,
-    # and no cocycle starts with it.
-    parities_ok = {}
+    # and no cocycle starts with it.  The round trip and the cocycles pull
+    # back along one map per transition, its forward components.
+    pulls = {}
     for (i, j), t in sorted(bundle.transitions.items()):
         label = f"transition {i}->{j}"
-        parities_ok[(i, j)] = _check_components(
-            report, label, t.target.variables, t.forward, bundle.arity
-        )
-        if parities_ok[(i, j)]:
-            _check_round_trip(report, label, t)
+        if _check_components(report, label, t.target.variables, t.forward, bundle.arity):
+            pulls[(i, j)] = _check_round_trip(report, label, t)
         _check_linear_block(report, label, t)
     if len(bundle.charts) >= 3:
         for i, j, k in itertools.permutations(range(len(bundle.charts)), 3):
-            if parities_ok.get((i, j)) and (j, k) in bundle.transitions \
+            if (i, j) in pulls and (j, k) in bundle.transitions \
                     and (i, k) in bundle.transitions:
-                t_ij = bundle.transitions[(i, j)]
                 t_jk = bundle.transitions[(j, k)]
                 t_ik = bundle.transitions[(i, k)]
                 ok = True
                 bad = ""
                 for v in t_ik.target.variables:
-                    composed = substitute(t_jk.forward[v], t_ij.forward)
+                    composed = pulls[(i, j)](t_jk.forward[v])
                     if composed != t_ik.forward[v]:
                         ok = False
                         bad = f"{v.name}: {render(composed - t_ik.forward[v])}"
@@ -340,7 +339,7 @@ def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
     ``roles[role][i]`` adds a role map to names on chart ``i``.
     """
     reweight = reweight or (lambda w: w)
-    zero_map = dict.fromkeys(zero, ZERO)
+    zero_map = ChartMap(dict.fromkeys(zero, ZERO)) if zero else None
 
     def spec(i, chart):
         kept = {v: v.name for v in chart.variables if keep(v)}
@@ -349,19 +348,19 @@ def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
         return chart.name, len(reweight((0,) * chart.arity)), specs, {"vars": kept, **extra}
 
     def components(comps, other, src, dst, key):
-        vm = src["vars"]
+        rename = ChartMap(src["vars"])
         out = {}
         for v, p in comps.items():
             if v not in dst["vars"]:
                 continue
             if zero_map:
-                p = substitute(p, zero_map)
-            for u in p.variables():
-                if u not in vm:
-                    raise IllDefinedProjection(
-                        f"image of {v.name} depends on dropped coordinate {u.name}"
-                    )
-            out[dst["vars"][v]] = remap(p, vm)
+                p = zero_map(p)
+            u = rename.unmapped(p)
+            if u is not None:
+                raise IllDefinedProjection(
+                    f"image of {v.name} depends on dropped coordinate {u.name}"
+                )
+            out[dst["vars"][v]] = rename(p)
         return out
 
     return rechart(bundle, spec, components, cls=cls or type(bundle), tag=tag, **kwargs)
@@ -451,8 +450,9 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
         # each law is renamed once and differentiated in the new chart: an
         # injective renaming r has r(dp/du) = d r(p) / d r(u)
         und = src["undotted"]
+        rename = ChartMap(und)
         dot = {und[u]: du for u, du in src["dotted"].items()}
-        out = {dst["undotted"][v]: remap(p, und) for v, p in comps.items()}
+        out = {dst["undotted"][v]: rename(p) for v, p in comps.items()}
         for v in comps:
             if v in dst["dotted"]:
                 out[dst["dotted"][v]] = differential(out[dst["undotted"][v]], dot)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import (
+    ChartMap,
     Derivation,
     EVEN,
     ODD,
@@ -32,7 +33,6 @@ from .superalg import (
     ZERO,
     commutator,
     partial,
-    remap,
     total,
     weight_of,
 )
@@ -401,11 +401,11 @@ def _jet_lift(pairs, src_level, dst_level, top: int, shift) -> dict[str, SuperPo
     """D^r(f)/r! for each (v, f) in ``pairs`` and r = 0..top, keyed by the
     name of dst_level[(v, r)]; f is read on src_level's level 0."""
     d_t = _total_derivative(src_level, top, shift)
-    level_zero = {v: x for (v, r), x in src_level.items() if r == 0}
+    level_zero = ChartMap({v: x for (v, r), x in src_level.items() if r == 0})
     return {
         dst_level[(v, r)].name: p
         for v, f in pairs
-        for r, p in enumerate(_jet_series(remap(f, level_zero), d_t, top))
+        for r, p in enumerate(_jet_series(level_zero(f), d_t, top))
     }
 
 

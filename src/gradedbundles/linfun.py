@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .superalg import (
+    ChartMap,
     SuperPolynomial,
     Variable,
     ZERO,
     differential,
     linear_combination,
     partial,
-    relabel,
-    remap,
     render,
     substitute,
     total,
@@ -180,9 +179,8 @@ def identity_morphism(F: GradedBundle) -> GradedMorphism:
 
 def compose_morphisms(outer: GradedMorphism, inner: GradedMorphism) -> GradedMorphism:
     """outer after inner; pullbacks compose the other way round."""
-    comps = {
-        v: substitute(p, inner.components) for v, p in outer.components.items()
-    }
+    pull = ChartMap(inner.components)
+    comps = {v: pull(p) for v, p in outer.components.items()}
     return GradedMorphism(inner.source, outer.target, comps)
 
 
@@ -204,20 +202,17 @@ def linearise_morphism(
     DF = DF if DF is not None else linearise(F)
     DFp = DFp if DFp is not None else linearise(Fp)
     k = F.degree
-    tops = {v for v in F.chart.variables if total(v.weight) == k}
-    drop_top = {v: ZERO for v in tops}
-    und_src = DF.provenance.maps["undotted"][0]
+    drop_top = ChartMap({v: ZERO for v in F.chart.variables if total(v.weight) == k})
+    und_src = ChartMap(DF.provenance.maps["undotted"][0])
     dot_src = DF.provenance.maps["dotted"][0]
 
     comps: dict[Variable, SuperPolynomial] = {}
     for vt, dvt in DFp.provenance.maps["undotted"][0].items():
-        p = substitute(phi.components[vt], drop_top)
-        comps[dvt] = remap(p, und_src)
+        comps[dvt] = und_src(drop_top(phi.components[vt]))
     # the pullback to D(F) is a homomorphism fixing the dotted coordinates,
     # so it is applied once to the whole differential
     for vt, dvt in DFp.provenance.maps["dotted"][0].items():
-        d = differential(phi.components[vt], dot_src)
-        comps[dvt] = remap(substitute(d, drop_top), und_src)
+        comps[dvt] = und_src(drop_top(differential(phi.components[vt], dot_src)))
     return GradedMorphism(DF, DFp, comps)
 
 
@@ -259,11 +254,11 @@ def embedding_compatibility(F: GradedBundle, DF: GLBundle | None = None) -> Repo
     DF = DF if DF is not None else linearise(F)
     report = Report()
     for (i, j), t in sorted(DF.transitions.items()):
-        holo_i = holonomic_assignment(DF, i)
+        holo_i = ChartMap(holonomic_assignment(DF, i))
         tF = F.transitions[(i, j)]
         for v, dv in DF.provenance.maps["dotted"][j].items():
             report.zero(f"transition {i}->{j}: embedding compatibility on {dv.name}",
-                        substitute(t.forward[dv], holo_i) - tF.forward[v] * total(v.weight))
+                        holo_i(t.forward[dv]) - tF.forward[v] * total(v.weight))
     return report
 
 
@@ -377,13 +372,13 @@ def reconstruct(G: GLBundle) -> GradedBundle:
     def components(comps, other, src, dst, key):
         # the holonomic locus: w*y for each non-top fibre coordinate, and
         # the top fibre coordinate rescaled by 1/k
-        assign = _holonomic(src["vars"].items())
+        holo = ChartMap(_holonomic(src["vars"].items()))
         out = {}
         for g, v in dst["vars"].items():
             if g.weight[1] == 0:
-                out[v] = substitute(comps[g], assign)
+                out[v] = holo(comps[g])
             elif g.weight[0] == k - 1:
-                out[v] = substitute(comps[g], assign) * inv_k
+                out[v] = holo(comps[g]) * inv_k
         return out
 
     return rechart(G, spec, components, tag="reconstruct")
@@ -424,15 +419,16 @@ def contragredient(comps, other, src, dst, key=None):
     fibre coordinate transforms by the transpose of the opposite direction's
     Jacobian, pulled back along this direction.
     """
-    base = src["base"]
-    out = {new: remap(comps[v], base) for v, new in dst["base"].items()}
+    base = ChartMap(src["base"])
+    out = {new: base(comps[v]) for v, new in dst["base"].items()}
     # An entry is pulled back along the renamed components, which equals
     # renaming its pullback, since renaming is a homomorphism.  The entries
     # of a law linear in the fibre involve base coordinates only, whose
     # renamed components are those just built.  The others are renamed for
-    # an entry that involves them, or when a component has the wrong parity,
-    # so that substitute rejects it.
+    # the first entry that involves them, or when a component has the wrong
+    # parity, so that the pullback rejects it.
     renamed = {v: out[new] for v, new in dst["base"].items()}
+    pull = ChartMap(renamed)
     rename_all = any(p.parity() not in ("zero", v.parity) for v, p in comps.items())
     for a, pa in dst["dual"].items():
         terms = []
@@ -440,11 +436,11 @@ def contragredient(comps, other, src, dst, key=None):
             entry = partial(other[b], a)
             if entry.is_zero():
                 continue
-            if rename_all or not entry.variables() <= renamed.keys():
-                renamed = {v: renamed[v] if v in renamed else remap(p, base)
-                           for v, p in comps.items()}
+            if rename_all or pull.unmapped(entry) is not None:
+                renamed = {v: renamed[v] if v in renamed else base(p) for v, p in comps.items()}
+                pull = ChartMap(renamed)
                 rename_all = False
-            terms.append((1, substitute(entry, renamed) * SuperPolynomial.from_var(pb)))
+            terms.append((1, pull(entry) * SuperPolynomial.from_var(pb)))
         out[pa] = linear_combination(terms)
     return out
 
@@ -492,10 +488,11 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
         return f"pairing_{chart.name}", 2, specs, {"vars": vars_, "dual": lift}
 
     def components(comps, other, src, dst, key):
-        out = {dst["vars"][v]: remap(p, src["vars"]) for v, p in comps.items()}
+        rename, rename_dual = ChartMap(src["vars"]), ChartMap(src["dual"])
+        out = {dst["vars"][v]: rename(p) for v, p in comps.items()}
         for v, q in dual.transitions[key].forward.items():
             if v.weight[1] == 1:
-                out[dst["dual"][v]] = remap(q, src["dual"])
+                out[dst["dual"][v]] = rename_dual(q)
         return out
 
     P = rechart(F, spec, components, tag="pairing", inverse=False)
@@ -569,9 +566,10 @@ def parity_reverse(G: GLBundle) -> GLBundle:
         return chart.name + "_pi", 2, specs, {"vars": {v: v.name for v in chart.variables}}
 
     def components(comps, other, src, dst, key):
-        # relabel: the declaration order, and with it every sign, is
-        # unchanged, while remap would reject the deliberate parity flip
-        return {dst["vars"][v]: relabel(p, src["vars"]) for v, p in comps.items()}
+        # an ordered map: the declaration order, and with it every sign, is
+        # unchanged, while a renaming would reject the deliberate parity flip
+        relabel = ChartMap(src["vars"], ordered=True)
+        return {dst["vars"][v]: relabel(p) for v, p in comps.items()}
 
     return rechart(G, spec, components, cls=GLBundle, tag="parity_reverse",
                    gl_degree=G.gl_degree)
@@ -588,7 +586,7 @@ def bundles_structurally_equal(b1: GradedBundle, b2: GradedBundle,
     if len(b1.charts) != len(b2.charts):
         return False
     names = names or (lambda n: n)
-    varmaps = []
+    renames = []
     for c1, c2 in zip(b1.charts, b2.charts):
         if len(c1) != len(c2):
             return False
@@ -601,15 +599,15 @@ def bundles_structurally_equal(b1: GradedBundle, b2: GradedBundle,
             if v.weight != w.weight or v.parity != w.parity:
                 return False
             vm[v] = w
-        varmaps.append(vm)
+        renames.append(ChartMap(vm))
     if set(b1.transitions) != set(b2.transitions):
         return False
     for (i, j), t1 in b1.transitions.items():
         t2 = b2.transitions[(i, j)]
         for v, p in t1.forward.items():
-            if remap(p, varmaps[i]) != t2.forward[varmaps[j][v]]:
+            if renames[i](p) != t2.forward[renames[j].assignment[v]]:
                 return False
         for v, p in t1.inverse.items():
-            if remap(p, varmaps[j]) != t2.inverse[varmaps[i][v]]:
+            if renames[j](p) != t2.inverse[renames[i].assignment[v]]:
                 return False
     return True

@@ -51,6 +51,10 @@ Performance invariants, kept by every operation in this module:
   once and lifted there, not per variable as a chain of small polynomials;
   ``differential`` moves each key of p by one field per variable, widening
   the ring first when a moved field could overflow;
+* a map applied to many polynomials is compiled once, into one plan per
+  source ring (:class:`ChartMap`): ``substitute``, ``remap`` and
+  ``relabel`` are one-off maps, and every re-charting builds one map per
+  transition direction and applies it to each component;
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
   index is its ``index``, checked by identity.  A variable computes its
   hash and its ``sort_key`` once, at construction; ``==`` tests identity
@@ -656,7 +660,9 @@ class SuperPolynomial:
                 == _repack(other._num, other._ring, ring))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # equal polynomials share the reduced denominator and the multiset
+        # of numerators, whatever rings they live over
+        return hash((self._den, *sorted(self._num.values())))
 
     # --------------------------------------------------------------- queries
     def parity(self):
@@ -877,6 +883,121 @@ def differential(p: SuperPolynomial, dot: Mapping[Variable, Variable]) -> SuperP
     return _make(ring, out, p._den)
 
 
+class ChartMap:
+    """An algebra homomorphism, compiled once and applied to many polynomials.
+
+    ``assignment`` sends variables all to variables, a renaming (as
+    ``remap``, or with ``ordered`` as ``relabel``), or to polynomials (as
+    ``substitute``); unassigned variables are kept.  Parities are checked on
+    the first application, where ``substitute`` and ``remap`` raise.
+
+    Per source ring, on first use, a plan is kept while the map lives: the
+    assigned fields' mask, each field's image and one power cache that all
+    polynomials share.  A renaming whose images keep the order of the
+    assigned fields, in one ring of the same width, moves keys by masked
+    shifts; other polynomials are substituted, which reorders odd factors
+    with their Koszul sign, zeroes two odd factors sent to one variable and
+    adds the exponents of even factors sent to one variable.
+    """
+
+    __slots__ = ("assignment", "ordered", "_rename", "_checked", "_plans")
+
+    def __init__(self, assignment: Mapping[Variable, Variable | SuperPolynomial],
+                 ordered: bool = False):
+        self.assignment = assignment
+        self.ordered = ordered
+        self._rename = all(w.__class__ is Variable for w in assignment.values())
+        self._checked = ordered  # a relabelling may change parities
+        self._plans: dict[_Ring, tuple] = {}
+
+    def _check(self) -> None:
+        for v, w in self.assignment.items():
+            par = w.parity if self._rename else w.parity()
+            if par not in ("zero", v.parity):
+                raise ParityMismatch(f"image of {v.name} (parity {v.parity}) has parity {par}")
+        self._checked = True
+
+    def _plan(self, src: _Ring) -> tuple:
+        """(mask, images by field, power cache, fields the move list admits,
+        its target ring or None, its (mask, left, right) shifts) for ``src``."""
+        w = src.width
+        field = (1 << w) - 1
+        mask, images = 0, {}
+        for v, img in self.assignment.items():
+            i = src.pos(v)
+            if i is not None:
+                mask |= field << (i * w)
+                images[i] = img
+        plan = (mask, images, {}, 0, None, ())
+        if self._rename and images:
+            order = sorted(images)
+            ring = _home(images[order[0]])
+            targets = [ring.pos(images[i]) if _home(images[i]) is ring else -1 for i in order]
+            if ring.width == w and -1 not in targets and all(
+                    a < b for a, b in zip(targets, targets[1:])):
+                fits, moves = mask, {}
+                for i, j in zip(order, targets):
+                    if images[i].parity:  # an odd image admits exponent 1 only
+                        fits &= ~((field - 1) << (i * w))
+                    moves[j - i] = moves.get(j - i, 0) | field << (i * w)
+                plan = plan[:3] + (fits, ring, tuple(
+                    (m, max(d, 0) * w, max(-d, 0) * w) for d, m in moves.items()))
+        self._plans[src] = plan
+        return plan
+
+    def unmapped(self, p: SuperPolynomial) -> Variable | None:
+        """The first variable of p, in its ring's order, that is not assigned."""
+        src = p._ring
+        rest = _support_of(p) & ~(self._plans.get(src) or self._plan(src))[0]
+        return src.vars[((rest & -rest).bit_length() - 1) // src.width] if rest else None
+
+    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
+        if not self._checked:
+            self._check()
+        support = _support_of(p)
+        if not support:  # a constant, fixed by every homomorphism
+            return _make(_EMPTY, dict(p._num), p._den)
+        src = p._ring
+        _, images, cache, fits, ring, moves = self._plans.get(src) or self._plan(src)
+        num = p._num
+        if ring is not None and not support & ~fits:
+            if len(moves) == 1:
+                _, l, r = moves[0]
+                out = {k << l >> r: c for k, c in num.items()}
+            else:
+                out = {}
+                for k, c in num.items():
+                    nk = 0
+                    for m, l, r in moves:
+                        nk |= (k & m) << l >> r
+                    out[nk] = c
+            return _make(ring, out, p._den)
+        if self.ordered:
+            occurring = src.fields(support)
+            ws = [self.assignment.get(src.vars[i], src.vars[i]) for i, _ in occurring]
+            if any(a.sort_key >= b.sort_key for a, b in zip(ws, ws[1:])):
+                raise ValueError("relabel must keep the order of the variables")
+            for (_, e), w in zip(occurring, ws):
+                if w.parity and e != 1:
+                    raise ValueError(f"{w.name} is odd, so its exponent must be 1")
+        acc = _Sum()
+        den = p._den
+        for k, c in num.items():
+            term = None
+            for f in src.fields(k):
+                power = cache.get(f)
+                if power is None:
+                    base = images.get(f[0], src.vars[f[0]])
+                    if base.__class__ is Variable:
+                        base = SuperPolynomial.from_var(base)
+                    power = cache[f] = base if f[1] == 1 else base ** f[1]
+                term = power if term is None else _mul_terms(term, power)
+                if not term._num:
+                    break
+            acc.add(ONE if term is None else term, c, den)
+        return acc.result()
+
+
 def substitute(
     p: SuperPolynomial, assignment: Mapping[Variable, SuperPolynomial]
 ) -> SuperPolynomial:
@@ -885,135 +1006,18 @@ def substitute(
     Unassigned variables are kept.  Every image must have the parity of its
     variable (weight compatibility is the caller's concern).
     """
-    ring = p._ring
-    images = {}
-    for v, img in assignment.items():
-        par = img.parity()
-        if par not in ("zero", v.parity):
-            raise ParityMismatch(
-                f"image of {v.name} (parity {v.parity}) has parity {par}"
-            )
-        i = ring.pos(v)
-        if i is not None:
-            images[i] = img
-    cache: dict[tuple[int, int], SuperPolynomial] = {}
-    acc = _Sum()
-    den = p._den
-    for k, c in p._num.items():
-        term = None
-        for f in ring.fields(k):
-            power = cache.get(f)
-            if power is None:
-                i, e = f
-                base = images.get(i)
-                if base is None:
-                    base = SuperPolynomial.from_var(ring.vars[i])
-                power = cache[f] = base if e == 1 else base ** e
-            term = power if term is None else _mul_terms(term, power)
-            if not term._num:
-                break
-        acc.add(ONE if term is None else term, c, den)
-    return acc.result()
-
-
-def _rename(p: SuperPolynomial, varmap: Mapping[Variable, Variable], ordered: bool):
-    """p with each variable ``v`` replaced by ``varmap.get(v, v)``.
-
-    Odd factors are reordered with their Koszul sign, two odd factors sent
-    to one variable give zero, and exponents of even factors sent to one
-    variable add.  With ``ordered`` the renaming must keep the order of p's
-    variables, and parities may change.
-    """
-    src, num = p._ring, p._num
-    occurring = src.fields(_support_of(p))  # (index, bound on the exponent)
-    if not occurring:
-        return _make(_EMPTY, dict(num), p._den)
-    vs = src.vars
-    images = [varmap.get(vs[i], vs[i]) for i, _ in occurring]
-    ring = _home(images[0])
-    for w in images[1:]:
-        r = _home(w)
-        if r is not ring:
-            ring = _merged(ring, r)
-    targets = [ring.pos(w) for w in images]
-    monotone = all(a < b for a, b in zip(targets, targets[1:]))
-    if ordered:
-        if not monotone:
-            raise ValueError("relabel must keep the order of the variables")
-        for (_, e), w in zip(occurring, images):
-            if w.parity and e != 1:
-                raise ValueError(f"{w.name} is odd, so its exponent must be 1")
-    injective = monotone or len(set(targets)) == len(targets)
-    if not injective or ring.width < src.width:
-        # even variables sent to one variable add their exponents, and the
-        # target ring may be narrower than p's: widen until every field fits
-        need: dict[int, int] = {}
-        for t, (_, e) in zip(targets, occurring):
-            need[t] = need.get(t, 0) + e
-        while max(need.values()) >> (ring.width - 1):
-            ring = ring.wider()
-    w = ring.width
-    if w == src.width and injective and (
-            monotone or not any(vs[i].parity for i, _ in occurring)):
-        # no sign and no collision: each field moves by its offset; fields
-        # moving by one offset move together
-        moves: dict[int, int] = {}
-        for (i, _), t in zip(occurring, targets):
-            moves[(t - i) * w] = moves.get((t - i) * w, 0) | (((1 << w) - 1) << (i * w))
-        if len(moves) == 1:
-            d = next(iter(moves))
-            if d >= 0:
-                out = {k << d: c for k, c in num.items()}
-            else:
-                out = {k >> -d: c for k, c in num.items()}
-        else:
-            moves = [(d, m) for d, m in moves.items()]
-            out = {sum((k & m) << d if d >= 0 else (k & m) >> -d for d, m in moves): c
-                   for k, c in num.items()}
-        return _make(ring, out, p._den)
-    table = {i: (t * w, 1 << t if ring.vars[t].parity else 0)
-             for (i, _), t in zip(occurring, targets)}
-    out = {}
-    get = out.get
-    for k, c in num.items():
-        nk = placed = 0
-        for i, e in src.fields(k):
-            shift, bit = table[i]
-            if bit:
-                if placed & bit:
-                    break
-                # odd factors placed so far that belong after this one
-                if (placed // bit).bit_count() & 1:
-                    c = -c
-                placed |= bit
-            nk += e << shift
-        else:
-            s = get(nk)
-            if s is None:
-                out[nk] = c
-            else:
-                s += c
-                if s:
-                    out[nk] = s
-                else:
-                    del out[nk]
-    return _make(ring, out, p._den)
+    return ChartMap(assignment)(p)
 
 
 def remap(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
     """Rename variables: the substitution of each ``v`` by ``varmap[v]``."""
-    for v, w in varmap.items():
-        if w.parity != v.parity:
-            raise ParityMismatch(
-                f"image of {v.name} (parity {v.parity}) has parity {w.parity}"
-            )
-    return _rename(p, varmap, ordered=False)
+    return ChartMap(varmap)(p)
 
 
 def relabel(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
     """Rename variables by a map that keeps their order, with coefficients
     and term order unchanged; unlike ``remap`` it may change parities."""
-    return _rename(p, varmap, ordered=True)
+    return ChartMap(varmap, ordered=True)(p)
 
 
 # -------------------------------------------------------------- derivations

@@ -50,6 +50,7 @@ from helpers import (
     homogeneous_section_poly,
     random_nonjacobi_constants,
     rational_nonzero,
+    run_python_subprocess,
 )
 from test_bundle import degree2_example
 
@@ -104,6 +105,26 @@ def test_schouten_coordinate_mismatch(tower2):
     other = lie_tower(so3(), 3)
     with pytest.raises(CoordinateMismatch):
         schouten(tower2.hamiltonian.poly, other.hamiltonian.poly, tower2.phase)
+
+
+# a, b, c and d are all off the phase space; the message names the first
+COORDINATE_MISMATCH_SCRIPT = """
+from gradedbundles import CoordinateMismatch, CoordinateSystem, OddPoissonSpace
+P = CoordinateSystem([("q", 0, 0), ("qs", 0, 1)], name="phase")
+O = CoordinateSystem([(n, 0, 0) for n in "abcd"], name="other")
+space = OddPoissonSpace(P, [(P["q"], P["qs"])])
+try:
+    space.bracket(P.var("q"), O.var("a") * O.var("b") * O.var("c") * O.var("d"))
+except CoordinateMismatch as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "5"])
+def test_coordinate_mismatch_names_the_first_foreign_coordinate(seed):
+    proc = run_python_subprocess(["-c", COORDINATE_MISMATCH_SCRIPT], seed=seed)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "variable a is not on this phase space\n"
 
 
 def _random_phase_poly(rng, phase, parity=None):

@@ -9,8 +9,10 @@ the live engine.  The benchmark's ``workloads.SHIPPED`` must name the
 acceptance gate's commands, ``helpers.SHIPPED_COMMANDS``.  The demos run as
 scripts on this checkout's ``src``, and so do the benchmark's own checks
 (``perfbench/selftest.py``), which read ``p.terms`` and build polynomials
-through the public constructor.  A demo prints the same bytes under every
-hash seed.
+through the public constructor.  One seeded round of the jets and towers
+tasks passes the benchmark's independent checks, which compare the engine
+with ``perfbench/refalg.py``.  A demo prints the same bytes under every hash
+seed.
 """
 
 import importlib
@@ -49,16 +51,30 @@ def test_every_timed_key_names_a_live_public_function():
     assert tracer.TIMED <= keys, sorted(tracer.TIMED - keys)
 
 
-def test_benchmark_runs_the_acceptance_gate_commands(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded by path for one test."""
     # workloads.py imports its sibling refalg.py as a top-level module
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_runs_the_acceptance_gate_commands(workloads):
     assert workloads.SHIPPED == SHIPPED_COMMANDS
+
+
+@pytest.mark.parametrize("name", ["jets", "towers"])
+def test_benchmark_tasks_pass_the_independent_checks(workloads, name):
+    inputs = getattr(workloads, f"{name}_inputs")(1)
+    task, check = getattr(workloads, f"{name}_task"), getattr(workloads, f"check_{name}")
+    for inp in inputs:
+        assert check(inp, task(inp)) == []
 
 
 def test_benchmark_selftest_passes():

@@ -18,7 +18,7 @@ from gradedbundles.bundle import (
     weight_vector_field,
 )
 
-from helpers import random_bundle
+from helpers import random_bundle, run_python_subprocess
 
 
 def degree2_example():
@@ -217,6 +217,32 @@ def test_ill_defined_projection_on_invalid_input():
     assert not validate(bad).passed
     with pytest.raises(IllDefinedProjection):
         project_tower(bad, 1)
+
+
+# y, z and w are all dropped; the message names the first in chart order
+ILL_DEFINED_SCRIPT = """
+from gradedbundles import CoordinateSystem, IllDefinedProjection, restrict, two_chart_bundle
+A = CoordinateSystem([("x", 0, 0), ("y", 1, 0), ("z", 1, 0), ("w", 1, 0)], name="a")
+B = CoordinateSystem([("X", 0, 0), ("Y", 1, 0), ("Z", 1, 0), ("W", 1, 0)], name="b")
+F = two_chart_bundle(
+    A, B,
+    {"X": A.var("x") + A.var("y") * A.var("z") * A.var("w"),
+     "Y": A.var("y"), "Z": A.var("z"), "W": A.var("w")},
+    {"x": B.var("X") - B.var("Y") * B.var("Z") * B.var("W"),
+     "y": B.var("Y"), "z": B.var("Z"), "w": B.var("W")},
+)
+try:
+    restrict(F, lambda v: v.weight == (0,), "t")
+except IllDefinedProjection as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "5"])
+def test_ill_defined_projection_names_the_first_dropped_coordinate(seed):
+    proc = run_python_subprocess(["-c", ILL_DEFINED_SCRIPT], seed=seed)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "image of X depends on dropped coordinate y\n"
 
 
 def test_cocycle_check_three_charts():

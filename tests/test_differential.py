@@ -43,7 +43,12 @@ TARGET = [
     ("t", "tau", (2,), ODD, 4),
     ("t", "c", (2,), EVEN, 5),
 ]
-SPECS = SOURCE + TARGET
+# declared copies of the source chart, with its parities and with every
+# parity flipped: a renaming into one of them that keeps the order of its
+# variables moves keys directly, any other renaming is substituted
+COPY = [("s", "s" + name, w, par, i) for _, name, w, par, i in SOURCE]
+FLIPPED = [("f", "f" + name, w, 1 - par, i) for _, name, w, par, i in SOURCE]
+SPECS = SOURCE + TARGET + COPY + FLIPPED
 
 
 def universe(mod):
@@ -56,8 +61,13 @@ LIVE, REF = universe(live), universe(ref)
 # undeclared, each in a ring of its own, which mixed operations must merge
 SOURCE_RING = live.declare_chart(LIVE[spec[1]] for spec in SOURCE)
 LIVE.update({v.name: v for v in SOURCE_RING.vars})
+# rings are held weakly: as a chart keeps its ring, these names keep theirs
+COPY_RING, FLIPPED_RING = (live.declare_chart(LIVE[spec[1]] for spec in chart)
+                           for chart in (COPY, FLIPPED))
+LIVE.update({v.name: v for ring in (COPY_RING, FLIPPED_RING) for v in ring.vars})
 SOURCE_NAMES = [spec[1] for spec in SOURCE]
 TARGET_NAMES = [spec[1] for spec in TARGET]
+COPY_NAMES = [spec[1] for spec in COPY]
 PARITY = {spec[1]: spec[3] for spec in SPECS}
 
 
@@ -337,11 +347,11 @@ def check_remap(d, pairs):
     same(live.remap(p, live_map), ref.remap(rp, ref_map))
 
 
-def renaming_strategy():
-    """A parity-preserving map of some source variables into either chart."""
+def renaming_strategy(names=SOURCE_NAMES + TARGET_NAMES):
+    """A parity-preserving map of some source variables into the named ones."""
     choices = []
     for name in SOURCE_NAMES:
-        same_parity = [n for n in SOURCE_NAMES + TARGET_NAMES if PARITY[n] == PARITY[name]]
+        same_parity = [n for n in names if PARITY[n] == PARITY[name]]
         choices.append(st.one_of(st.none(), st.sampled_from(same_parity)))
     return st.tuples(*choices).map(
         lambda picks: [(a, b) for a, b in zip(SOURCE_NAMES, picks) if b is not None]
@@ -502,3 +512,140 @@ def test_differential_widens_a_field_at_the_guard_bit():
         d = check_differential(q, rq, [("y", name), ("z", "y")])
         assert d._ring.width > 8
         assert key(d)[((("u", "x") if name == "x" else ("t", "b")) + (128,),)] == 1
+
+
+# ---------------------------------------------------------------- ChartMap
+# into the declared copy: in order (the direct move: in place, or by fields
+# moving down and up by different offsets), and swapping two even and two
+# odd variables (an odd reorder within one ring)
+INTO_COPY = [(n, "s" + n) for n in SOURCE_NAMES]
+SQUEEZE_INTO_COPY = [("x", "sx"), ("xi", "sxi"), ("z", "sy"), ("theta", "seta")]
+SPREAD_INTO_COPY = [("x", "sx"), ("xi", "sxi"), ("y", "sz"), ("eta", "stheta")]
+SWAP_INTO_COPY = [("x", "sz"), ("z", "sx"), ("xi", "stheta"), ("theta", "sxi"),
+                  ("y", "sy"), ("eta", "seta")]
+
+
+def polynomials_strategy():
+    """A few source polynomials, and whether to add one over a widened ring."""
+    return st.tuples(st.lists(poly_desc(), min_size=1, max_size=4), st.booleans())
+
+
+def polynomials(spec):
+    descs, widen = spec
+    out = [both(d) for d in descs]
+    if widen:  # x^130 does not fit x's 8-bit field
+        (p, rp), (x, rx) = out[0], var("x")
+        out.append((p * x ** 130, rp * rx ** 130))
+    return out
+
+
+def check_chart_map(pairs, live_map, ref_map, one_off, ref_one_off, ordered=False):
+    """One ChartMap applied to every polynomial, against one map per
+    polynomial and against the reference."""
+    m = live.ChartMap(live_map, ordered)
+    for p, rp in pairs:
+        got = m(p)
+        same(got, one_off(p, live_map))
+        same(got, ref_one_off(rp, ref_map))
+    assert len(m._plans) <= 2  # one plan per source ring, reused
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials_strategy(), images_strategy())
+def test_chart_map_substitution(spec, image_descs):
+    live_map, ref_map = assignments(image_descs)
+    check_chart_map(polynomials(spec), live_map, ref_map, live.substitute, ref.substitute)
+
+
+def check_renaming(spec, pairs, extra=()):
+    live_map, ref_map = renaming(pairs)
+    check_chart_map(polynomials(spec) + [both(d) for d in extra], live_map, ref_map,
+                    live.remap, ref.remap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_strategy(), renaming_strategy(SOURCE_NAMES + TARGET_NAMES + COPY_NAMES))
+def test_chart_map_renaming_random(spec, pairs):
+    check_renaming(spec, pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs", [INTO_COPY, INTO_COPY[::2], SQUEEZE_INTO_COPY, SPREAD_INTO_COPY, SWAP_INTO_COPY,
+              REVERSING, EVEN_COLLAPSE, ODD_COLLAPSE],
+    ids=["into-copy", "half-into-copy", "squeeze-into-copy", "spread-into-copy",
+         "swap-into-copy", "outside-one-ring", "even-collapse", "odd-collapse"],
+)
+@settings(max_examples=60, deadline=None)
+@given(spec=polynomials_strategy(), data=st.data())
+def test_chart_map_renaming_fixed_maps(pairs, spec, data):
+    # and polynomials in the assigned variables only, which a map in order
+    # into one ring moves directly
+    assigned = st.lists(poly_desc([a for a, _ in pairs]), max_size=3)
+    check_renaming(spec, pairs, data.draw(assigned))
+
+
+def test_chart_map_moves_in_order_and_reorders_with_the_koszul_sign():
+    full = [(Fraction(5, 2), [(n, 1) for n in SOURCE_NAMES]),
+            (Fraction(-1), [("x", 2), ("xi", 1), ("eta", 1)])]
+    p, rp = both(full)
+    into_copy = live.ChartMap(renaming(INTO_COPY)[0])
+    moved = into_copy(p)
+    assert moved._ring is COPY_RING and into_copy._plans[p._ring][4] is COPY_RING
+    assert list(key(moved).values()) == list(key(p).values())
+    # x <-> z and xi <-> theta in the copy: xi*eta*theta -> stheta*seta*sxi
+    swapped = live.ChartMap(renaming(SWAP_INTO_COPY)[0])
+    assert swapped._plans.get(p._ring) is None and swapped(p) == live.remap(p, swapped.assignment)
+    assert swapped._plans[p._ring][4] is None
+    assert key(swapped(p))[tuple(("s", n, 1) for n in COPY_NAMES)] == Fraction(-5, 2)
+    same(swapped(p), ref.remap(rp, renaming(SWAP_INTO_COPY)[1]))
+
+
+def flip(pairs_desc):
+    """An ordered map of some source variables onto the flipped chart, at
+    their own index."""
+    return {LIVE[n]: LIVE["f" + n] for n in pairs_desc}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials_strategy(), st.sets(st.sampled_from(SOURCE_NAMES)))
+def test_chart_map_ordered(spec, flipped):
+    varmap = flip(sorted(flipped))
+    m = live.ChartMap(varmap, ordered=True)
+    for p, _ in polynomials(spec):
+        # an even variable turned odd must occur at most to the first power
+        squares = any(e > 1 and v in varmap and not v.parity
+                      for mono in p.terms for v, e in mono)
+        if squares:
+            with pytest.raises(ValueError, match="exponent must be 1"):
+                m(p)
+            with pytest.raises(ValueError, match="exponent must be 1"):
+                live.relabel(p, varmap)
+            continue
+        got = m(p)
+        same(got, live.relabel(p, varmap))
+        # coefficients and term order unchanged, each variable renamed
+        want = [(tuple((w.system, w.name, e) for w, e in
+                       ((varmap.get(v, v), e) for v, e in mono)), c)
+                for mono, c in p.terms.items()]
+        assert list(key(got).items()) == want
+
+
+def test_chart_map_ordered_rejects_a_reorder():
+    p, _ = both([(Fraction(1), [("x", 1), ("theta", 1)])])
+    m = live.ChartMap({LIVE["x"]: LIVE["ftheta"], LIVE["theta"]: LIVE["fx"]}, ordered=True)
+    with pytest.raises(ValueError, match="keep the order"):
+        m(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials_strategy(), poly_desc(SOURCE_NAMES + TARGET_NAMES, 2))
+def test_chart_map_parity_mismatch_on_every_application(spec, image_desc):
+    img, _ = both(image_desc)
+    odd_img = img.parity_part(ODD)
+    if odd_img.is_zero():
+        return
+    for assignment in ({LIVE["x"]: odd_img}, {LIVE["x"]: LIVE["rho"]}):
+        m = live.ChartMap(assignment)  # built without a check
+        for p, _ in polynomials(spec) * 2:
+            with pytest.raises(live.ParityMismatch, match="image of x"):
+                m(p)

@@ -345,3 +345,21 @@ def test_variable_hash_survives_pickling_across_processes():
                          env=env, timeout=60, check=True).stdout
     v = pickle.loads(bytes.fromhex(out))
     assert v == X and hash(v) == hash(X) and v in {X}
+
+
+def test_equal_polynomials_over_different_rings_hash_equal():
+    # one polynomial over its chart's ring, over a ring merged with another
+    # chart, and over the chart's ring at twice the field width
+    ring = superalg.declare_chart([Variable("h", "a", (0,), EVEN, 0),
+                                   Variable("h", "b", (1,), EVEN, 1)])
+    a, b = (SuperPolynomial.from_var(v) for v in ring.vars)
+    chart = Fraction(3, 2) * a * b - b + 7
+    merged = (chart + x) - x
+    big = a ** 200
+    widened = (chart + big) - big
+    assert chart._ring is ring
+    assert merged._ring.vars != ring.vars and widened._ring.width > ring.width
+    assert chart == merged == widened
+    assert hash(chart) == hash(merged) == hash(widened)
+    assert merged in {chart} and widened in {chart} and len({chart, merged, widened}) == 1
+    assert hash(chart) != hash(chart * 2) and chart * 2 not in {chart}
