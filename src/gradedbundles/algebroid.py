@@ -21,7 +21,6 @@ Sign conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -186,21 +185,19 @@ class OddPhaseSpace:
         )
 
 
-@dataclass
 class HomologicalField:
     """Odd vector field of total weight one on the parity-reversed carrier."""
 
-    derivation: Derivation
-    phase: OddPhaseSpace
-
-    def __post_init__(self):
-        if self.derivation.parity != ODD:
+    def __init__(self, derivation: Derivation, phase: OddPhaseSpace):
+        if derivation.parity != ODD:
             raise MalformedQ("structure field must be odd")
-        if self.derivation.weight_shift != (0, 1, 0):
+        if derivation.weight_shift != (0, 1, 0):
             raise MalformedQ(
                 f"structure field must shift tri-weight by (0, 1, 0), "
-                f"got {self.derivation.weight_shift}"
+                f"got {derivation.weight_shift}"
             )
+        self.derivation = derivation
+        self.phase = phase
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return self.derivation(p)
@@ -212,15 +209,13 @@ class HomologicalField:
         return commutator(self.derivation, self.derivation)
 
 
-@dataclass
 class AlgebroidHamiltonian:
     """Homogeneous Hamiltonian of tri-weight (k-1, 2, 1) on the phase space."""
 
-    poly: SuperPolynomial
-    phase: OddPhaseSpace
-
-    def __post_init__(self):
-        _check_shape(self.phase, self.poly, (self.phase.k - 1, 2, 1), MalformedQ, "Hamiltonian")
+    def __init__(self, poly: SuperPolynomial, phase: OddPhaseSpace):
+        _check_shape(phase, poly, (phase.k - 1, 2, 1), MalformedQ, "Hamiltonian")
+        self.poly = poly
+        self.phase = phase
 
 
 def _check_shape(phase: OddPhaseSpace, p: SuperPolynomial, expected, error, what: str):
@@ -274,13 +269,14 @@ def q_from_p(P: AlgebroidHamiltonian) -> HomologicalField:
 
 
 # ------------------------------------------------------------ classification
-@dataclass
 class AlgebroidCheck:
-    odd: bool
-    weight_ok: bool
-    residual: Derivation
-    kind: str
-    report: Report
+    def __init__(self, odd: bool, weight_ok: bool, residual: Derivation, kind: str,
+                 report: Report):
+        self.odd = odd
+        self.weight_ok = weight_ok
+        self.residual = residual
+        self.kind = kind
+        self.report = report
 
 
 def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
@@ -298,7 +294,6 @@ def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
     return AlgebroidCheck(odd, weight_ok, residual, kind, report)
 
 
-@dataclass
 class WeightedAlgebroid:
     """A carrier with a structure field, its Hamiltonian and classification.
 
@@ -308,17 +303,24 @@ class WeightedAlgebroid:
     algebroid.
     """
 
-    carrier: GLBundle
-    phase: OddPhaseSpace
-    q: HomologicalField | None
-    hamiltonian: AlgebroidHamiltonian | None
-    kind: str
-    check: AlgebroidCheck | None
-    tower: TowerInfo | None = None
-    constants: StructureConstants | None = None
-    poisson_data: SuperPolynomial | None = None
-    poisson_residual: SuperPolynomial | None = None
-    a1_field: Derivation | None = None
+    def __init__(self, carrier: GLBundle, phase: OddPhaseSpace, q: HomologicalField | None,
+                 hamiltonian: AlgebroidHamiltonian | None, kind: str,
+                 check: AlgebroidCheck | None, tower: TowerInfo | None = None,
+                 constants: StructureConstants | None = None,
+                 poisson_data: SuperPolynomial | None = None,
+                 poisson_residual: SuperPolynomial | None = None,
+                 a1_field: Derivation | None = None):
+        self.carrier = carrier
+        self.phase = phase
+        self.q = q
+        self.hamiltonian = hamiltonian
+        self.kind = kind
+        self.check = check
+        self.tower = tower
+        self.constants = constants
+        self.poisson_data = poisson_data
+        self.poisson_residual = poisson_residual
+        self.a1_field = a1_field
 
     @classmethod
     def from_q(cls, carrier: GLBundle, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
@@ -384,16 +386,14 @@ def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs
 
 
 # ----------------------------------------------------------------- sections
-@dataclass
 class AlgebroidSection:
     """A degree-r section encoded as a pi-linear phase-space function."""
 
-    poly: SuperPolynomial
-    degree: int
-    phase: OddPhaseSpace
-
-    def __post_init__(self):
-        _check_shape(self.phase, self.poly, (self.degree - 1, 0, 1), ValueError, "section")
+    def __init__(self, poly: SuperPolynomial, degree: int, phase: OddPhaseSpace):
+        _check_shape(phase, poly, (degree - 1, 0, 1), ValueError, "section")
+        self.poly = poly
+        self.degree = degree
+        self.phase = phase
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -424,7 +424,6 @@ def derived_bracket(
 
 
 # ------------------------------------------------------------------ anchors
-@dataclass
 class AnchorData:
     """Anchor pullback data over the carrier's own coordinates.
 
@@ -433,8 +432,9 @@ class AnchorData:
     themselves.
     """
 
-    algebroid: WeightedAlgebroid
-    delta: dict[Variable, SuperPolynomial]
+    def __init__(self, algebroid: WeightedAlgebroid, delta: dict[Variable, SuperPolynomial]):
+        self.algebroid = algebroid
+        self.delta = delta
 
     def rho_q(self, q: int) -> dict[Variable, SuperPolynomial]:
         """Composition with the tower projection to B_{q-1}."""
@@ -517,13 +517,14 @@ def leibniz_check(Q: HomologicalField, alpha: SuperPolynomial,
 
 
 # --------------------------------------------------------------- components
-@dataclass
 class EpsilonComponents:
     """The pullback families of the defining triple-bundle morphism."""
 
-    system: CoordinateSystem
-    delta_x: dict[str, SuperPolynomial]
-    delta_pi: dict[str, SuperPolynomial]
+    def __init__(self, system: CoordinateSystem, delta_x: dict[str, SuperPolynomial],
+                 delta_pi: dict[str, SuperPolynomial]):
+        self.system = system
+        self.delta_x = delta_x
+        self.delta_pi = delta_pi
 
 
 def extract_coefficients(Q: HomologicalField):

@@ -29,7 +29,6 @@ with its residual, so callers can surface honest failures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .report import Report
 from .superalg import (
@@ -113,20 +112,21 @@ class CoordinateSystem:
         return f"CoordinateSystem({self.name}: {[v.name for v in self.variables]})"
 
 
-@dataclass
 class TransitionMap:
     """Forward and declared-inverse components of one chart change."""
 
-    source: CoordinateSystem
-    target: CoordinateSystem
-    forward: dict[Variable, SuperPolynomial]
-    inverse: dict[Variable, SuperPolynomial]
+    def __init__(self, source: CoordinateSystem, target: CoordinateSystem,
+                 forward: dict[Variable, SuperPolynomial],
+                 inverse: dict[Variable, SuperPolynomial]):
+        self.source = source
+        self.target = target
+        self.forward = forward
+        self.inverse = inverse
 
     def reversed(self) -> "TransitionMap":
         return TransitionMap(self.target, self.source, self.inverse, self.forward)
 
 
-@dataclass
 class Provenance:
     """What a construction built a bundle from.
 
@@ -134,9 +134,11 @@ class Provenance:
     variables of the bundle's chart ``i``; ``tag`` names the construction.
     """
 
-    tag: str = "declared"
-    source: object = None
-    maps: dict[str, list[dict]] = field(default_factory=dict)
+    def __init__(self, tag: str = "declared", source: object = None,
+                 maps: dict[str, list[dict]] | None = None):
+        self.tag = tag
+        self.source = source
+        self.maps = {} if maps is None else maps
 
 
 class GradedBundle:

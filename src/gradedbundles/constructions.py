@@ -20,7 +20,6 @@ components rather than equalities up to rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import (
@@ -84,12 +83,13 @@ def _antisymmetric(data: dict, message: str) -> dict:
     return full
 
 
-@dataclass
 class StructureConstants:
     """Antisymmetric three-index data c^k_{ij} with a computed Jacobi verdict."""
 
-    dim: int
-    c: dict[tuple[int, int, int], Fraction]
+    def __init__(self, dim: int, c: dict[tuple[int, int, int], Fraction]):
+        self.dim = dim
+        self.c = c
+        self.__post_init__()
 
     def __post_init__(self):
         for i, j, k in self.c:
@@ -140,7 +140,6 @@ def heisenberg3() -> StructureConstants:
 
 
 # ------------------------------------------------------------ algebroid data
-@dataclass
 class AlgebroidData:
     """A Lie-algebroid chart: anchor and bracket coefficient polynomials.
 
@@ -151,24 +150,24 @@ class AlgebroidData:
     weight-one field, computed rather than assumed.
     """
 
-    base: CoordinateSystem
-    fiber_names: list[str]
-    anchor: dict[tuple[str, str], SuperPolynomial]
-    bracket: dict[tuple[str, str, str], SuperPolynomial]
-    constants: StructureConstants | None = None
-    _pie: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, base: CoordinateSystem, fiber_names: list[str],
+                 anchor: dict[tuple[str, str], SuperPolynomial],
+                 bracket: dict[tuple[str, str, str], SuperPolynomial],
+                 constants: StructureConstants | None = None):
+        self.base = base
+        self.fiber_names = fiber_names
         self.bracket = _antisymmetric(
             {key: p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
-             for key, p in self.bracket.items()},
+             for key, p in bracket.items()},
             "bracket data not antisymmetric",
         )
         self.anchor = {
             key: (p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p))
-            for key, p in self.anchor.items()
+            for key, p in anchor.items()
             if not (isinstance(p, SuperPolynomial) and p.is_zero())
         }
+        self.constants = constants
+        self._pie = None
 
     def pie_system(self) -> tuple[CoordinateSystem, dict]:
         """The parity-reversed total space: base coordinates and odd xi's."""
@@ -327,7 +326,6 @@ def _diffeo_charts(dim: int, stems) -> list[CoordinateSystem]:
             for stem, name in zip(stems, ("m_src", "m_dst"))]
 
 
-@dataclass
 class PolynomialDiffeo:
     """A polynomial base change with its declared polynomial inverse.
 
@@ -337,10 +335,13 @@ class PolynomialDiffeo:
     consume forward data stay available for them.
     """
 
-    source: CoordinateSystem
-    target: CoordinateSystem
-    forward: dict[Variable, SuperPolynomial]
-    inverse: dict[Variable, SuperPolynomial]
+    def __init__(self, source: CoordinateSystem, target: CoordinateSystem,
+                 forward: dict[Variable, SuperPolynomial],
+                 inverse: dict[Variable, SuperPolynomial]):
+        self.source = source
+        self.target = target
+        self.forward = forward
+        self.inverse = inverse
 
     @staticmethod
     def build(dim: int, forward, inverse, names=("x", "X")):
@@ -426,13 +427,14 @@ def higher_tangent(phi: PolynomialDiffeo, k: int) -> GradedBundle:
 
 
 # -------------------------------------------------------------- complete lift
-@dataclass
 class LiftedField:
     """A complete lift: the prolonged system, level maps and the field."""
 
-    system: CoordinateSystem
-    derivation: Derivation
-    level_of: dict[tuple[Variable, int], Variable]
+    def __init__(self, system: CoordinateSystem, derivation: Derivation,
+                 level_of: dict[tuple[Variable, int], Variable]):
+        self.system = system
+        self.derivation = derivation
+        self.level_of = level_of
 
 
 def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedField:
@@ -455,17 +457,19 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
 
 
 # ------------------------------------------------------------ reduction tower
-@dataclass
 class TowerInfo:
     """A prolongation's data and chart maps: ``y_of``/``dy_of`` send (fibre
     name, r) to y<name>_<r>/dy<name>_<r+1>, ``xi_of`` a name to xi<name>."""
 
-    data: AlgebroidData
-    k: int
-    names: list[str]
-    y_of: dict[tuple[str, int], Variable]
-    xi_of: dict[str, Variable]
-    dy_of: dict[tuple[str, int], Variable]
+    def __init__(self, data: AlgebroidData, k: int, names: list[str],
+                 y_of: dict[tuple[str, int], Variable], xi_of: dict[str, Variable],
+                 dy_of: dict[tuple[str, int], Variable]):
+        self.data = data
+        self.k = k
+        self.names = names
+        self.y_of = y_of
+        self.xi_of = xi_of
+        self.dy_of = dy_of
 
 
 def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
@@ -507,7 +511,6 @@ def lie_tower(c: StructureConstants, k: int) -> WeightedAlgebroid:
 
 
 # ------------------------------------------------------------ reduced bracket
-@dataclass
 class TowerSection:
     """A section of the tower as a pair (Y, Z): a fibre-valued map and a
     vector field on the base g_{k-1}.
@@ -516,8 +519,9 @@ class TowerSection:
     base coordinates y<name>_<r>.
     """
 
-    Y: dict[str, SuperPolynomial]
-    Z: dict[tuple[str, int], SuperPolynomial]
+    def __init__(self, Y: dict[str, SuperPolynomial], Z: dict[tuple[str, int], SuperPolynomial]):
+        self.Y = Y
+        self.Z = Z
 
     def __eq__(self, other):
         if not isinstance(other, TowerSection):

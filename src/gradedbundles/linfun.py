@@ -24,7 +24,6 @@ to the coordinates they pull back to on F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .superalg import (
@@ -135,13 +134,14 @@ def linearise(F: GradedBundle) -> GLBundle:
 
 
 # --------------------------------------------------------------- morphisms
-@dataclass
 class GradedMorphism:
     """Chart-level morphism: pullback components of target coordinates."""
 
-    source: GradedBundle
-    target: GradedBundle
-    components: dict[Variable, SuperPolynomial]
+    def __init__(self, source: GradedBundle, target: GradedBundle,
+                 components: dict[Variable, SuperPolynomial]):
+        self.source = source
+        self.target = target
+        self.components = components
 
     def validate(self) -> None:
         """Raise WeightViolation unless weight and parity are preserved.
@@ -446,15 +446,17 @@ def contragredient(comps, other, src, dst, key=None):
 
 
 # ------------------------------------------------------------------ pairing
-@dataclass
 class PairingResult:
     """The canonical pairing polynomial on D*(F) x_{F_{k-1}} F."""
 
-    bundle: GradedBundle
-    dual: GLBundle
-    systems: list[CoordinateSystem]
-    polynomials: list[SuperPolynomial]
-    transitions: dict
+    def __init__(self, bundle: GradedBundle, dual: GLBundle,
+                 systems: list[CoordinateSystem], polynomials: list[SuperPolynomial],
+                 transitions: dict):
+        self.bundle = bundle
+        self.dual = dual
+        self.systems = systems
+        self.polynomials = polynomials
+        self.transitions = transitions
 
     @property
     def polynomial(self) -> SuperPolynomial:

@@ -10,9 +10,6 @@ renderers print the fixed ``CONVENTIONS``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .superalg import render
 
 CONVENTIONS = (
@@ -25,18 +22,18 @@ CONVENTIONS = (
 )
 
 
-@dataclass
 class ReportItem:
-    check_id: str
-    verdict: str  # PASS / FAIL / INFO
-    residual: str = ""
-    weights: str = ""
+    def __init__(self, check_id: str, verdict: str, residual: str = "", weights: str = ""):
+        self.check_id = check_id
+        self.verdict = verdict  # PASS / FAIL / INFO
+        self.residual = residual
+        self.weights = weights
 
 
-@dataclass
 class Report:
-    command: str = ""
-    items: list[ReportItem] = field(default_factory=list)
+    def __init__(self, command: str = "", items: list[ReportItem] | None = None):
+        self.command = command
+        self.items = [] if items is None else items
 
     def add(self, check_id: str, ok: bool, residual: str = "", weights: str = ""):
         self.items.append(
@@ -85,6 +82,9 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    # imported here: text mode, the default, never loads json
+    import json
+
     payload = {
         "command": report.command,
         "conventions": list(CONVENTIONS),

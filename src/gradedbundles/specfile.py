@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import EVEN, ODD, SuperPolynomial, Variable
@@ -70,25 +69,26 @@ class WeightArityMismatchError(SpecError):
     pass
 
 
-@dataclass
 class Entry:
-    key: tuple[str, ...]
-    value: str
-    line: int
-    col: int
+    def __init__(self, key: tuple[str, ...], value: str, line: int, col: int):
+        self.key = key
+        self.value = value
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class Section:
-    kind: str
-    args: tuple[str, ...]
-    entries: list[Entry] = field(default_factory=list)
-    line: int = 0
+    def __init__(self, kind: str, args: tuple[str, ...], entries: list[Entry] | None = None,
+                 line: int = 0):
+        self.kind = kind
+        self.args = args
+        self.entries = [] if entries is None else entries
+        self.line = line
 
 
-@dataclass
 class SpecDocument:
-    sections: list[Section]
+    def __init__(self, sections: list[Section]):
+        self.sections = sections
 
     def first(self, kind: str) -> Section | None:
         for s in self.sections:
@@ -366,11 +366,12 @@ def parse_weight_entry(e: Entry, arity: int):
 
 
 # ------------------------------------------------------------ realisation
-@dataclass
 class BundleSpec:
-    bundle: GradedBundle
-    charts: list[CoordinateSystem]
-    declared_degree: int | None
+    def __init__(self, bundle: GradedBundle, charts: list[CoordinateSystem],
+                 declared_degree: int | None):
+        self.bundle = bundle
+        self.charts = charts
+        self.declared_degree = declared_degree
 
 
 def build_bundle(doc: SpecDocument) -> BundleSpec:

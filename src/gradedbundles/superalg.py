@@ -58,14 +58,12 @@ Performance invariants, kept by every operation in this module:
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
   index is its ``index``, checked by identity.  A variable computes its
   hash and its ``sort_key`` once, at construction; ``==`` tests identity
-  first.  Equality and hash values are those of the field tuple, as for any
-  frozen dataclass.
+  first.  Equality and hash values are those of the field tuple.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -94,7 +92,6 @@ def total(w: Weight) -> int:
     return sum(w)
 
 
-@dataclass(frozen=True, eq=False)
 class Variable:
     """A named generator with a multi-weight and a Grassmann parity.
 
@@ -103,27 +100,28 @@ class Variable:
     the declaration position and fixes the global ordering used for the
     canonical form.
 
-    Variables compare and hash by the tuple of all five fields.  The hash
-    and ``sort_key`` are computed once here.
+    Variables are immutable, and compare and hash by the tuple of all five
+    fields.  The hash and ``sort_key`` are computed once here.
     """
 
-    system: str
-    name: str
-    weight: Weight
-    parity: int
-    index: int
+    def __init__(self, system: str, name: str, weight: Weight, parity: int, index: int):
+        if any(w < 0 for w in weight):
+            raise ValueError(f"negative weight on {name}: {weight}")
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 0 or 1, got {parity}")
+        # _ring is a weak reference to the ring of polynomials built from
+        # this variable (see _home); weak, since the ring holds the variable
+        self.__dict__.update(
+            system=system, name=name, weight=weight, parity=parity, index=index,
+            _hash=hash((system, name, weight, parity, index)),
+            sort_key=(index, name, system), _ring=None,
+        )
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weight):
-            raise ValueError(f"negative weight on {self.name}: {self.weight}")
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity}")
-        fields = (self.system, self.name, self.weight, self.parity, self.index)
-        object.__setattr__(self, "_hash", hash(fields))
-        object.__setattr__(self, "sort_key", (self.index, self.name, self.system))
-        # a weak reference to the ring of polynomials built from this
-        # variable (see _home); weak, since the ring holds the variable
-        object.__setattr__(self, "_ring", None)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Variable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Variable")
 
     def __eq__(self, other):
         if self is other:
@@ -660,9 +658,14 @@ class SuperPolynomial:
                 == _repack(other._num, other._ring, ring))
 
     def __hash__(self):
+        num = self._num
+        if not num or (len(num) == 1 and 0 in num):
+            # a constant equals its scalar, so it hashes as that scalar
+            n = num.get(0, 0)
+            return hash(n) if self._den == 1 else hash(Fraction(n, self._den))
         # equal polynomials share the reduced denominator and the multiset
         # of numerators, whatever rings they live over
-        return hash((self._den, *sorted(self._num.values())))
+        return hash((self._den, *sorted(num.values())))
 
     # --------------------------------------------------------------- queries
     def parity(self):
@@ -1021,7 +1024,6 @@ def relabel(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPol
 
 
 # -------------------------------------------------------------- derivations
-@dataclass
 class Derivation:
     """A graded vector field in coefficient form.
 
@@ -1031,10 +1033,13 @@ class Derivation:
     ``parity(v) + parity``.
     """
 
-    action: dict[Variable, SuperPolynomial]
-    parity: int
-    weight_shift: tuple[int, ...]
-    check: bool = field(default=True, repr=False)
+    def __init__(self, action: dict[Variable, SuperPolynomial], parity: int,
+                 weight_shift: tuple[int, ...], check: bool = True):
+        self.action = action
+        self.parity = parity
+        self.weight_shift = weight_shift
+        self.check = check
+        self.__post_init__()
 
     def __post_init__(self):
         self.action = {
@@ -1105,8 +1110,18 @@ def commutator(D1: Derivation, D2: Derivation) -> Derivation:
     sign = -1 if (D1.parity and D2.parity) else 1
     shift = tuple(a + b for a, b in zip(D1.weight_shift, D2.weight_shift))
     action: dict[Variable, SuperPolynomial] = {}
-    for v in set(D1.action) | set(D2.action):
-        c = _combine(apply(D1, D2.coefficient(v)), apply(D2, D1.coefficient(v)), -sign)
-        if c._num:
-            action[v] = c
+    if D1 is D2:
+        # [D, D] is 2 D D for an odd D and zero for an even one
+        if sign == -1:
+            for v, coeff in D1.action.items():
+                c = apply(D1, coeff)
+                if c._num:
+                    action[v] = c * 2
+    else:
+        # keys in first-seen order, so the action's order is the same
+        # under every hash seed
+        for v in {**D1.action, **D2.action}:
+            c = _combine(apply(D1, D2.coefficient(v)), apply(D2, D1.coefficient(v)), -sign)
+            if c._num:
+                action[v] = c
     return Derivation(action, (D1.parity + D2.parity) % 2, shift, check=False)

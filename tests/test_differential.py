@@ -443,6 +443,12 @@ def test_apply_and_commutator(s1, s2, d):
     C, RC = live.commutator(D1, D2), ref.commutator(R1, R2)
     assert derivation_key(C) == derivation_key(RC)
     assert (C.parity, C.weight_shift) == (RC.parity, RC.weight_shift)
+    # a derivation with itself: computed once per coefficient
+    S, RS = live.commutator(D1, D1), ref.commutator(R1, R1)
+    assert derivation_key(S) == derivation_key(RS)
+    assert (S.parity, S.weight_shift) == (RS.parity, RS.weight_shift)
+    for v, c in S.action.items():
+        same(c, RS.action[REF[v.name]])
 
 
 # ------------------------------------------------------------- differential

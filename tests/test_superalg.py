@@ -25,7 +25,7 @@ from gradedbundles.superalg import (
     substitute,
     weight_of,
 )
-from helpers import SRC_DIR
+from helpers import SRC_DIR, run_python_subprocess
 
 # one fixed mixed universe: three even, three odd generators
 X = Variable("u", "x", (0,), EVEN, 0)
@@ -363,3 +363,40 @@ def test_equal_polynomials_over_different_rings_hash_equal():
     assert hash(chart) == hash(merged) == hash(widened)
     assert merged in {chart} and widened in {chart} and len({chart, merged, widened}) == 1
     assert hash(chart) != hash(chart * 2) and chart * 2 not in {chart}
+
+
+def test_constants_hash_as_their_scalars():
+    assert 3 in {SuperPolynomial.constant(3)}
+    assert Fraction(1, 2) in {SuperPolynomial.constant(Fraction(1, 2))}
+    assert 0 in {ZERO}
+    assert hash(SuperPolynomial.constant(Fraction(4, 2))) == hash(2)
+    assert SuperPolynomial.constant(3) in {3} and ZERO in {0}
+
+
+COMMUTATOR_ORDER_SCRIPT = """
+from gradedbundles.constructions import StructureConstants, lie_tower
+from gradedbundles.superalg import Derivation, SuperPolynomial, Variable, commutator
+c = StructureConstants(4, {(1, 2, 3): 1, (2, 3, 4): 1, (1, 3, 2): 2, (3, 4, 1): 1})
+D = lie_tower(c, 2).q.derivation
+print([v.name for v in commutator(D, D).action])
+vs = [Variable("u", n, (1,), 0, i) for i, n in enumerate("abcdefgh")]
+ps = [SuperPolynomial.from_var(v) for v in vs]
+D1 = Derivation({v: p * ps[1] for v, p in zip(vs[::2], ps[::2])}, 0, (1,))
+D2 = Derivation({v: p * ps[0] for v, p in zip(vs[1::2], ps[1::2])}, 0, (1,))
+print([v.name for v in commutator(D1, D2).action])
+"""
+
+
+def test_commutator_order_does_not_depend_on_the_hash_seed():
+    # the action once iterated a set of variables: [Q,Q] of this
+    # non-Jacobi tower listed its two keys in either order
+    outputs = set()
+    for seed in ("0", "1", "5"):
+        proc = run_python_subprocess(["-c", COMMUTATOR_ORDER_SCRIPT], seed=seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    square, mixed = outputs.pop().splitlines()
+    assert square == "['theta_xi3', 'theta_xi1']"
+    # first-seen order: the keys of D1, then those of D2
+    assert mixed == "['a', 'c', 'e', 'g', 'b', 'd', 'f', 'h']"
