@@ -88,22 +88,24 @@ class OddPoissonSpace:
                 )
         self._allowed = set(system.variables)
 
-    def _check(self, *polys):
-        for p in polys:
-            for v in p.variables():
-                if v not in self._allowed:
-                    # name the first in chart order, whatever the set's order
-                    v = min(p.variables() - self._allowed, key=lambda u: u.sort_key)
-                    raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
+    def _check(self, p: SuperPolynomial) -> set[Variable]:
+        """The variables of ``p``, which must all be on this space."""
+        vs = p.variables()
+        if not vs <= self._allowed:
+            # name the first in chart order, whatever the set's order
+            v = min(vs - self._allowed, key=lambda u: u.sort_key)
+            raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
+        return vs
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-        self._check(f, g)
+        fv = self._check(f)
+        gv = self._check(g)
         # a pair adds a term only when f and g each hold one of its variables
         parts = []
         for q, qs in self.pairs:
-            if f.involves(q) and g.involves(qs):
+            if q in fv and qs in gv:
                 parts.append((1, partial_right(f, q) * partial(g, qs)))
-            if f.involves(qs) and g.involves(q):
+            if qs in fv and q in gv:
                 parts.append((-1, partial_right(f, qs) * partial(g, q)))
         return linear_combination(parts)
 
@@ -245,12 +247,12 @@ def _check_q_shape(Q: HomologicalField):
 def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:
     """Hamiltonian encoding: P = sum Q(x) chi - sum Q(theta) pi."""
     _check_q_shape(Q)
-    phase = Q.phase
-    P = ZERO
-    for b, x in phase.x_of.items():
-        P = P + Q.coefficient(x) * SuperPolynomial.from_var(phase.chi_of[b])
-    for f, th in phase.theta_of.items():
-        P = P - Q.coefficient(th) * SuperPolynomial.from_var(phase.pi_of[f])
+    phase, action, var = Q.phase, Q.derivation.action, SuperPolynomial.from_var
+    P = linear_combination(
+        [(1, action[x] * var(phase.chi_of[b])) for b, x in phase.x_of.items() if x in action]
+        + [(-1, action[th] * var(phase.pi_of[f]))
+           for f, th in phase.theta_of.items() if th in action]
+    )
     return AlgebroidHamiltonian(P, phase)
 
 
@@ -332,22 +334,18 @@ def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolyno
     """Coefficients of xi P dx - 1/2 xi xi P dxi from anchor data P[(a, x)]
     and bracket data P[(a, b, c)] over base coordinates x; ``x_of`` and
     ``xi_of`` send base coordinates and fibre keys to the field's system."""
-    action: dict[Variable, SuperPolynomial] = {}
-    rename = ChartMap(x_of)
+    terms: dict[Variable, list] = {}  # per coefficient, in first-seen order
+    rename, var = ChartMap(x_of), SuperPolynomial.from_var
     for (a, b), p in anchor.items():
-        x = x_of[b]
-        action[x] = action.get(x, ZERO) + (
-            SuperPolynomial.from_var(xi_of[a]) * rename(p)
-        )
+        terms.setdefault(x_of[b], []).append((1, var(xi_of[a]) * rename(p)))
+    pairs = {}  # (a, b) -> xi_a xi_b, formed on first use
+    minus_half = Fraction(-1, 2)
     for (a, b, c), p in bracket.items():
-        term = (
-            SuperPolynomial.from_var(xi_of[a])
-            * SuperPolynomial.from_var(xi_of[b])
-            * rename(p)
-            * Fraction(-1, 2)
-        )
-        action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
-    return action
+        ab = pairs.get((a, b))
+        if ab is None:
+            ab = pairs[(a, b)] = var(xi_of[a]) * var(xi_of[b])
+        terms.setdefault(xi_of[c], []).append((minus_half, ab * rename(p)))
+    return {v: linear_combination(ts) for v, ts in terms.items()}
 
 
 def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs,
@@ -474,13 +472,12 @@ def anchor(A: WeightedAlgebroid) -> AnchorData:
     x_to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
     for b, x in phase.x_of.items():
         coeff_poly = A.q.coefficient(x)
-        comp = ZERO
+        parts = []
         for f, th in phase.theta_of.items():
             c = partial(coeff_poly, th)
-            if c.is_zero():
-                continue
-            comp = comp + SuperPolynomial.from_var(f) * x_to_carrier(c)
-        delta[b] = comp
+            if not c.is_zero():
+                parts.append((1, SuperPolynomial.from_var(f) * x_to_carrier(c)))
+        delta[b] = linear_combination(parts)
     return AnchorData(A, delta)
 
 
@@ -575,17 +572,22 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
     var = SuperPolynomial.from_var
     p_ai, p_kij = extract_coefficients(A.q)
 
-    delta_x = {"delta_" + b.name: ZERO for b in base_leg}
-    delta_pi = {"delta_pi_" + f.name: ZERO for f in fiber}
+    # the terms of each component, summed once at the end
+    delta_x = {"delta_" + b.name: [] for b in base_leg}
+    delta_pi = {"delta_pi_" + f.name: [] for f in fiber}
     for (bn, fn), c in p_ai.items():
         c = x_map(c)
-        delta_x["delta_" + bn] += var(y_of[chart[fn]]) * c
-        delta_pi["delta_pi_" + fn] += c * var(p_of[chart[bn]])
+        delta_x["delta_" + bn].append((1, var(y_of[chart[fn]]) * c))
+        delta_pi["delta_pi_" + fn].append((1, c * var(p_of[chart[bn]])))
     for (i_n, j_n, k_n), c in p_kij.items():
-        delta_pi["delta_pi_" + j_n] += (
-            var(y_of[chart[i_n]]) * x_map(c) * var(pi_of[chart[k_n]])
+        delta_pi["delta_pi_" + j_n].append(
+            (1, var(y_of[chart[i_n]]) * x_map(c) * var(pi_of[chart[k_n]]))
         )
-    return EpsilonComponents(sys, delta_x, delta_pi)
+    return EpsilonComponents(
+        sys,
+        {n: linear_combination(ts) for n, ts in delta_x.items()},
+        {n: linear_combination(ts) for n, ts in delta_pi.items()},
+    )
 
 
 def weighted_lie_algebra_check(A: WeightedAlgebroid) -> bool:

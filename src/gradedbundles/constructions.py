@@ -31,6 +31,7 @@ from .superalg import (
     Variable,
     ZERO,
     commutator,
+    linear_combination,
     partial,
     total,
     weight_of,
@@ -312,10 +313,9 @@ def linear_poisson(c: StructureConstants):
     maps = carrier.provenance.maps
     y = [SuperPolynomial.from_var(phase.x_of[maps["base"][0][v]]) for v in chart]
     theta = [SuperPolynomial.from_var(phase.theta_of[maps["dual"][0][v]]) for v in chart]
-    P = ZERO
-    for (i, j, k), v in c.c.items():
-        if i < j:
-            P = P + y[k - 1] * theta[i - 1] * theta[j - 1] * v
+    P = linear_combination(
+        (v, y[k - 1] * theta[i - 1] * theta[j - 1]) for (i, j, k), v in c.c.items() if i < j
+    )
     return F, carrier, phase, P
 
 
@@ -538,13 +538,11 @@ class TowerSection:
 def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPolynomial:
     """Encode (Y, Z) as the pi-linear phase-space function sum Y pi_xi +
     sum Z pi_dy."""
-    pi_of, info = alg.phase.pi_of, alg.tower
-    out = ZERO
-    for n, p in s.Y.items():
-        out = out + p * SuperPolynomial.from_var(pi_of[info.xi_of[n]])
-    for key, p in s.Z.items():
-        out = out + p * SuperPolynomial.from_var(pi_of[info.dy_of[key]])
-    return out
+    pi_of, info, var = alg.phase.pi_of, alg.tower, SuperPolynomial.from_var
+    return linear_combination(
+        [(1, p * var(pi_of[info.xi_of[n]])) for n, p in s.Y.items()]
+        + [(1, p * var(pi_of[info.dy_of[key]])) for key, p in s.Z.items()]
+    )
 
 
 def tower_section_from_polynomial(alg: WeightedAlgebroid, p: SuperPolynomial) -> TowerSection:
@@ -571,21 +569,27 @@ def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,
     c = alg.constants
     if c is None:
         raise ValueError("reduced brackets need structure-constant data")
-    names = info.names
     Z1 = _tower_vector_field(alg, s1.Z)
     Z2 = _tower_vector_field(alg, s2.Z)
+    Y1 = [s1.Y.get(n) for n in info.names]
+    Y2 = [s2.Y.get(n) for n in info.names]
+    products = {}  # (a, b) -> Y1[a] * Y2[b], formed on first use
     Y = {}
-    for ci in range(1, c.dim + 1):
-        cn = names[ci - 1]
-        comp = ZERO
-        for a in range(1, c.dim + 1):
-            for b in range(1, c.dim + 1):
-                v = c.value(a, b, ci)
-                if v:
-                    comp = comp + v * (
-                        s1.Y.get(names[a - 1], ZERO) * s2.Y.get(names[b - 1], ZERO)
-                    )
-        comp = comp + Z1(s2.Y.get(cn, ZERO)) - Z2(s1.Y.get(cn, ZERO))
+    for ci, cn in enumerate(info.names, 1):
+        parts = []
+        for a, ya in enumerate(Y1, 1):
+            if ya is None:
+                continue
+            for b, yb in enumerate(Y2, 1):
+                v = c.c.get((a, b, ci))
+                if v and yb is not None:
+                    ab = products.get((a, b))
+                    if ab is None:
+                        ab = products[(a, b)] = ya * yb
+                    parts.append((v, ab))
+        parts.append((1, Z1(s2.Y.get(cn, ZERO))))
+        parts.append((-1, Z2(s1.Y.get(cn, ZERO))))
+        comp = linear_combination(parts)
         if not comp.is_zero():
             Y[cn] = comp
     Z = {}

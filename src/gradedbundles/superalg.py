@@ -46,7 +46,10 @@ Performance invariants, kept by every operation in this module:
   supports, so no exponent ever wraps around;
 * sums are accumulated in place (``_add_into``, ``_Sum``) into a fresh
   dict, never as ``out = out + term``, which would copy the running sum per
-  step; new keys are appended in the order the plain sum would give;
+  step; new keys are appended in the order the plain sum would give.  The
+  construction layers keep the same rule: each of their polynomials is one
+  ``linear_combination`` of its terms, and each product in it is formed
+  once, however many terms share it;
 * work is done in the target chart: a law is renamed into its new chart
   once and lifted there, not per variable as a chain of small polynomials;
   ``differential`` moves each key of p by one field per variable, widening
@@ -770,10 +773,16 @@ def weight_of(p: SuperPolynomial, arity: int | None = None):
         if not fs:
             ws.add((0,) * (arity or 0))
             continue
-        w = (0,) * len(vs[fs[0][0]].weight)
+        n = len(vs[fs[0][0]].weight)
+        w = [0] * n
         for i, e in fs:
-            w = weight_add(w, tuple(e * c for c in vs[i].weight))
-        ws.add(w)
+            vw = vs[i].weight
+            if len(vw) != n:
+                raise ValueError(
+                    f"weight arity mismatch: {tuple(w)} vs {tuple(e * c for c in vw)}")
+            for j, c in enumerate(vw):
+                w[j] += e * c
+        ws.add(tuple(w))
     if len(ws) == 1:
         return ws.pop()
     # constants have an inferred arity of 0; pad against the others

@@ -108,15 +108,18 @@ def test_schouten_coordinate_mismatch(tower2):
 
 
 # a, b, c and d are all off the phase space; the message names the first
+# in chart order, of f when f has one (c), else of g (a)
 COORDINATE_MISMATCH_SCRIPT = """
 from gradedbundles import CoordinateMismatch, CoordinateSystem, OddPoissonSpace
 P = CoordinateSystem([("q", 0, 0), ("qs", 0, 1)], name="phase")
 O = CoordinateSystem([(n, 0, 0) for n in "abcd"], name="other")
 space = OddPoissonSpace(P, [(P["q"], P["qs"])])
-try:
-    space.bracket(P.var("q"), O.var("a") * O.var("b") * O.var("c") * O.var("d"))
-except CoordinateMismatch as exc:
-    print(exc)
+a, b, c, d = (O.var(n) for n in "abcd")
+for f, g in [(P.var("q"), a * b * c * d), (d * c * P.var("q"), a * b * P.var("qs"))]:
+    try:
+        space.bracket(f, g)
+    except CoordinateMismatch as exc:
+        print(exc)
 """
 
 
@@ -124,7 +127,8 @@ except CoordinateMismatch as exc:
 def test_coordinate_mismatch_names_the_first_foreign_coordinate(seed):
     proc = run_python_subprocess(["-c", COORDINATE_MISMATCH_SCRIPT], seed=seed)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "variable a is not on this phase space\n"
+    assert proc.stdout == ("variable a is not on this phase space\n"
+                           "variable c is not on this phase space\n")
 
 
 def _random_phase_poly(rng, phase, parity=None):
@@ -303,11 +307,14 @@ def test_off_phase_variables_rejected(tower2):
     theta = next(v for v in phase.thetas if v.weight == (k - 1, 1, 0))
     chi = next(v for v in phase.chis if v.weight == (0, 1, 1))
     z = _off_phase((0, 0, 0))
-    with pytest.raises(MalformedQ):
+    with pytest.raises(MalformedQ, match="^Hamiltonian: variable z is not on this phase space$"):
         AlgebroidHamiltonian(_var(theta) * _var(chi) * z, phase)
     x = next(v for v in phase.xs if v.weight == (k - 1, 0, 0))
     with pytest.raises(MalformedQ):
         p_from_q(HomologicalField(Derivation({x: _var(theta) * z}, ODD, (0, 1, 0)), phase))
+    pi = phase.pis[0]
+    with pytest.raises(ValueError, match="^section: variable z is not on this phase space$"):
+        AlgebroidSection(_var(pi) * z, pi.weight[0] + 1, phase)
 
 
 def test_derived_bracket_degree_law():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_superalg as ref
 from gradedbundles import superalg as live
@@ -48,7 +48,9 @@ TARGET = [
 # variables moves keys directly, any other renaming is substituted
 COPY = [("s", "s" + name, w, par, i) for _, name, w, par, i in SOURCE]
 FLIPPED = [("f", "f" + name, w, 1 - par, i) for _, name, w, par, i in SOURCE]
-SPECS = SOURCE + TARGET + COPY + FLIPPED
+# a chart of two-entry weights, for sums and products of mixed arity
+PAIRED = [("w", "v", (1, 0), EVEN, 0), ("w", "omega", (0, 1), ODD, 1)]
+SPECS = SOURCE + TARGET + COPY + FLIPPED + PAIRED
 
 
 def universe(mod):
@@ -67,6 +69,7 @@ COPY_RING, FLIPPED_RING = (live.declare_chart(LIVE[spec[1]] for spec in chart)
 LIVE.update({v.name: v for ring in (COPY_RING, FLIPPED_RING) for v in ring.vars})
 SOURCE_NAMES = [spec[1] for spec in SOURCE]
 TARGET_NAMES = [spec[1] for spec in TARGET]
+PAIRED_NAMES = [spec[1] for spec in PAIRED]
 COPY_NAMES = [spec[1] for spec in COPY]
 PARITY = {spec[1]: spec[3] for spec in SPECS}
 
@@ -169,6 +172,28 @@ def test_ring_operations_across_charts(d1, d2):
     for name in ("x", "eta", "a", "sigma"):
         same(live.partial(p * q, LIVE[name]), ref.partial(rp * rq, REF[name]))
         same(live.partial_right(p - q, LIVE[name]), ref.partial_right(rp - rq, REF[name]))
+
+
+def weight_or_error(mod, p, arity):
+    try:
+        return mod.weight_of(p, arity)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# zero, a constant padded to its sum's arity, and a monomial whose
+# variables' weights have different arities
+@example([], None)
+@example([(Fraction(2), []), (Fraction(-1), [("x", 2)])], None)
+@example([(Fraction(1, 2), []), (Fraction(3), [("v", 1), ("omega", 1)])], 2)
+@example([(Fraction(1), [("y", 1)]), (Fraction(1), [("v", 1)])], 1)
+@example([(Fraction(1), [("y", 1), ("v", 1)])], None)
+@settings(max_examples=150, deadline=None)
+@given(poly_desc(SOURCE_NAMES + TARGET_NAMES + PAIRED_NAMES),
+       st.sampled_from([None, 0, 1, 2, 3]))
+def test_weight_of(d, arity):
+    p, rp = both(d)
+    assert weight_or_error(live, p, arity) == weight_or_error(ref, rp, arity)
 
 
 def rational_desc(names=SOURCE_NAMES):

@@ -123,6 +123,12 @@ def test_weight_of():
     assert weight_of(SuperPolynomial.constant(5), 1) == (0,)
 
 
+def test_weight_of_rejects_a_monomial_of_mixed_weight_arity():
+    v = SuperPolynomial.from_var(Variable("w", "v", (1, 0), EVEN, 0))
+    with pytest.raises(ValueError, match=r"^weight arity mismatch: \(1, 0\) vs \(0,\)$"):
+        weight_of(v * x + y)
+
+
 def test_weight_vector_field_action():
     delta = Derivation({Y: 1 * y, Z: 2 * z, XI: 1 * xi, ETA: 1 * eta,
                         THETA: 2 * theta}, EVEN, (0,))
