@@ -88,18 +88,23 @@ class OddPoissonSpace:
                 )
         self._allowed = set(system.variables)
 
-    def _check(self, p: SuperPolynomial) -> set[Variable]:
-        """The variables of ``p``, which must all be on this space."""
+    def _check(self, p: SuperPolynomial, variables=()) -> set[Variable]:
+        """The variables of ``p``, which must all be on this space, as must
+        ``variables``."""
         vs = p.variables()
-        if not vs <= self._allowed:
-            # name the first in chart order, whatever the set's order
-            v = min(vs - self._allowed, key=lambda u: u.sort_key)
+        if not (vs <= self._allowed and self._allowed.issuperset(variables)):
+            # name the first in chart order, whatever the set's order, of
+            # p when p has one
+            foreign = vs - self._allowed or set(variables) - self._allowed
+            v = min(foreign, key=lambda u: u.sort_key)
             raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
         return vs
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-        fv = self._check(f)
-        gv = self._check(g)
+        return self._bracket(f, self._check(f), g, self._check(g))
+
+    def _bracket(self, f, fv, g, gv) -> SuperPolynomial:
+        """(f, g) for ``fv`` and ``gv`` the variables of f and g."""
         # a pair adds a term only when f and g each hold one of its variables
         parts = []
         for q, qs in self.pairs:
@@ -111,11 +116,12 @@ class OddPoissonSpace:
 
     def hamiltonian_field(self, h: SuperPolynomial, variables, weight_shift,
                           parity) -> Derivation:
-        """The derivation v -> -(h, v) on the listed variables."""
-        self._check(h)
+        """The derivation v -> -(h, v) on the listed variables; h and the
+        variables are checked once."""
+        hv = self._check(h, variables)
         action = {}
         for v in variables:
-            c = -self.bracket(h, SuperPolynomial.from_var(v))
+            c = -self._bracket(h, hv, SuperPolynomial.from_var(v), {v})
             if not c.is_zero():
                 action[v] = c
         return Derivation(action, parity, weight_shift)

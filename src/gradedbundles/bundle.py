@@ -7,11 +7,15 @@ by symbolic composition, which turns invertibility into a decidable
 verification.
 
 Every construction keeps the atlas and changes the chart.  ``rechart`` is
-the one primitive for that: a ``spec_fn`` builds one new chart per old chart,
-and a ``component_fn`` carries each transition across, forward and inverse.
-The result's ``provenance`` (a ``Provenance``) records the construction's
-tag, its source and, per role, one map per chart from source keys to new
-variables.  The roles in use:
+the one primitive for that: a ``spec_fn`` declares one new chart per old
+chart, and a ``component_fn`` carries each transition across, forward and
+inverse.  The chart comes as role blocks, and ``_chart`` builds it: a block
+maps each source key to a (name, weight, parity) triple, which declares a
+coordinate, or to a plain name, which maps the key onto a coordinate a
+triple declares, so each coordinate is declared once.  The result's
+``provenance`` (a ``Provenance``) records the construction's tag, its source
+and, per role, one map per chart from source keys to new variables.  The
+roles in use:
 
 * ``vars``: each kept coordinate to its copy (restrictions, projections,
   parity reversal, pairing charts); for ``reconstruct`` each coordinate of
@@ -304,10 +308,12 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
             tag: str = "", source=None, inverse: bool = True, **kwargs):
     """Re-chart every chart of ``bundle`` and carry its transitions across.
 
-    ``spec_fn(i, chart)`` returns ``(name, arity, specs, roles)``: the new
-    chart's name, weight arity and (name, weight, parity) triples, and per
-    role a dict from old keys to new coordinate names.  ``component_fn(comps,
-    other, src, dst, key)`` returns the new components of one direction of a
+    ``spec_fn(i, chart)`` returns ``(name, arity, roles)``: the new chart's
+    name and weight arity, and per role a ``_chart`` block from old keys to
+    new coordinates, each either a (name, weight, parity) triple declaring
+    it or the plain name of a coordinate a triple declares.  The chart's
+    variables are the triples in block order.  ``component_fn(comps, other,
+    src, dst, key)`` returns the new components of one direction of a
     transition: ``comps`` are its old components, ``other`` those of the
     opposite direction, ``src`` and ``dst`` the role maps (now to new
     variables) of its source and target charts, ``key`` their indices.  With
@@ -316,11 +322,10 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     """
     charts, maps = [], []
     for i, chart in enumerate(bundle.charts):
-        name, arity, specs, roles = spec_fn(i, chart)
-        new = CoordinateSystem(specs, name=name, arity=arity)
+        name, arity, roles = spec_fn(i, chart)
+        new, role_maps = _chart(name, arity, roles.values())
         charts.append(new)
-        maps.append({role: {old: new[n] for old, n in names.items()}
-                     for role, names in roles.items()})
+        maps.append(dict(zip(roles, role_maps)))
     transitions = {}
     for (i, j), t in bundle.transitions.items():
         fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
@@ -338,16 +343,16 @@ def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
     ``reweight`` maps each kept weight to its new weight (unchanged by
     default); coordinates in ``zero`` are set to zero first, and any other
     dropped coordinate in a kept image raises IllDefinedProjection.
-    ``roles[role][i]`` adds a role map to names on chart ``i``.
+    ``roles[role][i]`` adds a role map from keys to names of kept coordinates
+    on chart ``i``.
     """
     reweight = reweight or (lambda w: w)
     zero_map = ChartMap(dict.fromkeys(zero, ZERO)) if zero else None
 
     def spec(i, chart):
-        kept = {v: v.name for v in chart.variables if keep(v)}
-        specs = [(v.name, reweight(v.weight), v.parity) for v in kept]
+        kept = {v: (v.name, reweight(v.weight), v.parity) for v in chart.variables if keep(v)}
         extra = {role: per_chart[i] for role, per_chart in (roles or {}).items()}
-        return chart.name, len(reweight((0,) * chart.arity)), specs, {"vars": kept, **extra}
+        return chart.name, len(reweight((0,) * chart.arity)), {"vars": kept, **extra}
 
     def components(comps, other, src, dst, key):
         rename = ChartMap(src["vars"])
@@ -407,10 +412,13 @@ def core_submanifold(bundle: GradedBundle, i: int) -> GradedBundle:
 
 def _chart(name: str, arity: int, blocks):
     """The chart of the blocks' (name, weight, parity) triples, in order, and
-    per block the map from its keys to the chart's variables."""
-    chart = CoordinateSystem([spec for block in blocks for spec in block.values()],
+    per block the map from its keys to the chart's variables.  A key whose
+    entry is a plain name maps onto the coordinate a triple declares under
+    that name, in any block."""
+    chart = CoordinateSystem([s for b in blocks for s in b.values() if not isinstance(s, str)],
                              name=name, arity=arity)
-    return chart, [{key: chart[spec[0]] for key, spec in block.items()} for block in blocks]
+    return chart, [{key: chart[s if isinstance(s, str) else s[0]] for key, s in block.items()}
+                   for block in blocks]
 
 
 def _fresh_name(name: str, taken: set, grow) -> str:
@@ -436,17 +444,12 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
         raise ValueError("differential lifts are implemented for arity-1 bundles")
 
     def spec(i, chart):
-        specs = [(v.name, v.weight + (0,), v.parity) for v in chart.variables]
         taken = {v.name for v in chart.variables}
-        dotted = {}
-        for v in chart.variables:
-            if not dotted_of_base and total(v.weight) == 0:
-                continue
-            dotted[v] = _fresh_name("d" + v.name, taken, lambda n: "d" + n)
-            specs.append((dotted[v], dotted_weight(total(v.weight)), v.parity))
-        undotted = {v: v.name for v in chart.variables}
-        return (chart.name + "_d", chart.arity + 1, specs,
-                {"undotted": undotted, "dotted": dotted})
+        undotted = {v: (v.name, v.weight + (0,), v.parity) for v in chart.variables}
+        dotted = {v: (_fresh_name("d" + v.name, taken, lambda n: "d" + n),
+                      dotted_weight(total(v.weight)), v.parity)
+                  for v in chart.variables if dotted_of_base or total(v.weight) != 0}
+        return chart.name + "_d", chart.arity + 1, {"undotted": undotted, "dotted": dotted}
 
     def components(comps, other, src, dst, key):
         # each law is renamed once and differentiated in the new chart: an

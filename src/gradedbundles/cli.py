@@ -42,6 +42,8 @@ from .constructions import (
 )
 from .report import Report, render_json, render_text
 from .specfile import (
+    MAX_DIM,
+    MAX_K,
     SpecDocument,
     SpecError,
     SpecSyntaxError,
@@ -73,8 +75,8 @@ def _scalar(e) -> Fraction:
     return parse_expression(e.value, {}, e.line, e.col).constant_term()
 
 
-def _int_entry(section, key, minimum: int) -> int:
-    """The integer value of the section's last ``key`` entry, at least ``minimum``."""
+def _int_entry(section, key, minimum: int, maximum: int) -> int:
+    """The integer value of the section's last ``key`` entry, in minimum..maximum."""
     entries = structure_entries(section).get(key)
     if not entries:
         raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
@@ -85,6 +87,8 @@ def _int_entry(section, key, minimum: int) -> int:
         raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col)
     if value < minimum:
         raise SpecSyntaxError(f"{key!r} must be at least {minimum}", e.line, e.col)
+    if value > maximum:
+        raise SpecSyntaxError(f"{key!r} {value} exceeds the limit of {maximum}", e.line, e.col)
     return value
 
 
@@ -110,8 +114,8 @@ def _located_conflict(build, entry_of):
 
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
-    dim = _int_entry(section, "dim", 0)
-    k = _int_entry(section, "k", 1)
+    dim = _int_entry(section, "dim", 0, MAX_DIM)
+    k = _int_entry(section, "k", 1, MAX_K)
     c = {}
     entry_of = {}
     for e in grouped.get("c", []):
@@ -128,8 +132,8 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     """The diffeomorphism of a ``tk`` structure and its ``k``; the algebroid
     of T^(k-1)M needs ``min_k = 2``."""
     grouped = structure_entries(section)
-    dim = _int_entry(section, "dim", 1)
-    k = _int_entry(section, "k", min_k)
+    dim = _int_entry(section, "dim", 1, MAX_DIM)
+    k = _int_entry(section, "k", min_k, MAX_K)
     src, dst = _diffeo_charts(dim, ("x", "X"))
     fwd = {}
     inv = {}
@@ -152,7 +156,7 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
 
 def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     grouped = structure_entries(section)
-    k = _int_entry(section, "k", 2)
+    k = _int_entry(section, "k", 2, MAX_K)
     base_names = []
     for e in grouped.get("base", []):
         base_names.extend(e.value.split())
@@ -389,11 +393,10 @@ def _construct_tk(doc: SpecDocument, section, report: Report):
 
 def _construct_lie_tower(doc: SpecDocument, section, report: Report):
     _, alg, c = STRUCTURES["lie-tower"](doc, section)
-    report.info(f"jacobi verdict on constants: "
-                f"{'holds' if c.satisfies_jacobi else 'fails'}")
+    jacobi = c.satisfies_jacobi
+    report.info(f"jacobi verdict on constants: {'holds' if jacobi else 'fails'}")
     report.merge_validation(alg.check.report)
-    report.add("kind matches jacobi verdict",
-               (alg.kind == "lie") == c.satisfies_jacobi)
+    report.add("kind matches jacobi verdict", (alg.kind == "lie") == jacobi)
     report.add("weighted lie algebra", weighted_lie_algebra_check(alg))
 
 

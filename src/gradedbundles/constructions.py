@@ -84,6 +84,9 @@ def _antisymmetric(data: dict, message: str) -> dict:
     return full
 
 
+_NO_CONSTANT = Fraction(0)
+
+
 class StructureConstants:
     """Antisymmetric three-index data c^k_{ij} with a computed Jacobi verdict."""
 
@@ -100,23 +103,25 @@ class StructureConstants:
                                 "antisymmetry conflict")
 
     def value(self, i: int, j: int, k: int) -> Fraction:
-        return self.c.get((i, j, k), Fraction(0))
+        return self.c.get((i, j, k), _NO_CONSTANT)
 
     def jacobi_residuals(self) -> dict[tuple[int, int, int, int], Fraction]:
-        out = {}
-        d = self.dim
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                for k in range(j + 1, d + 1):
-                    for l in range(1, d + 1):
-                        s = Fraction(0)
-                        for m in range(1, d + 1):
-                            s += self.value(i, j, m) * self.value(m, k, l)
-                            s += self.value(j, k, m) * self.value(m, i, l)
-                            s += self.value(k, i, m) * self.value(m, j, l)
-                        if s:
-                            out[(i, j, k, l)] = s
-        return out
+        """The nonzero sums J^l_{ijk} = sum over m of c^m_{ij} c^l_{mk} +
+        c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}, for i < j < k, in sorted key order.
+
+        Only products of two nonzero constants are summed: c^m_{ab} c^l_{me}
+        is a term of J^l for (a, b, e) a cyclic shift of an increasing triple.
+        """
+        by_first = {}
+        for (m, e, l), v in self.c.items():
+            by_first.setdefault(m, []).append((e, l, v))
+        sums = {}
+        for (a, b, m), u in self.c.items():
+            for e, l, v in by_first.get(m, ()):
+                if a < b < e or b < e < a or e < a < b:
+                    key = (*sorted((a, b, e)), l)
+                    sums[key] = sums.get(key, 0) + u * v
+        return {key: s for key, s in sorted(sums.items()) if s}
 
     @property
     def satisfies_jacobi(self) -> bool:
@@ -244,14 +249,11 @@ def cotangent_bundle(F: GradedBundle) -> GLBundle:
     km1 = F.degree
 
     def spec(i, chart):
-        specs = [(v.name, (total(v.weight), 0), v.parity) for v in chart.variables]
         taken = {v.name for v in chart.variables}
-        momenta = {}
-        for v in chart.variables:
-            momenta[v] = _fresh_name("p_" + v.name, taken, lambda n: n + "_")
-            specs.append((momenta[v], (km1 - total(v.weight), 1), v.parity))
-        base = {v: v.name for v in chart.variables}
-        return chart.name + "_t*", 2, specs, {"base": base, "dual": momenta}
+        base = {v: (v.name, (total(v.weight), 0), v.parity) for v in chart.variables}
+        momenta = {v: (_fresh_name("p_" + v.name, taken, lambda n: n + "_"),
+                       (km1 - total(v.weight), 1), v.parity) for v in chart.variables}
+        return chart.name + "_t*", 2, {"base": base, "dual": momenta}
 
     return rechart(F, spec, contragredient, cls=GLBundle, tag="cotangent",
                    gl_degree=km1 + 1)

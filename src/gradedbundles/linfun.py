@@ -358,14 +358,12 @@ def reconstruct(G: GLBundle) -> GradedBundle:
     def spec(i, chart):
         pairs, top = _paired_blocks(G, i)
         base = G.base_leg_vars(i)
-        specs = [(v.name, (v.weight[0],), v.parity) for v in base]
         taken = {v.name for v in base}
-        names = {v: v.name for v in base}
+        # a non-top fibre coordinate maps onto its base partner
+        names = {v: (v.name, (v.weight[0],), v.parity) for v in base}
         names.update((f, b.name) for entries in pairs.values() for f, b in entries)
-        for zv in top:
-            names[zv] = _strip_dot_name(zv.name, taken)
-            specs.append((names[zv], (k,), zv.parity))
-        return chart.name + "_rec", 1, specs, {"vars": names}
+        names.update((zv, (_strip_dot_name(zv.name, taken), (k,), zv.parity)) for zv in top)
+        return chart.name + "_rec", 1, {"vars": names}
 
     inv_k = Fraction(1, k)
 
@@ -397,16 +395,12 @@ def linear_dual(F: GradedBundle, DF: GLBundle | None = None) -> GLBundle:
     k = DF.gl_degree
 
     def spec(i, chart):
-        base = {v: v.name for v in chart.variables if v.weight[1] == 0}
-        specs = [(v.name, v.weight, v.parity) for v in base]
-        taken = set(base.values())
-        dual = {}
-        for v in chart.variables:
-            if v.weight[1] != 1:
-                continue
-            dual[v] = _fresh_name("p" + v.name, taken, lambda n: "p" + n)
-            specs.append((dual[v], (k - 1 - v.weight[0], 1), v.parity))
-        return chart.name + "_dual", 2, specs, {"base": base, "dual": dual}
+        base = {v: (v.name, v.weight, v.parity) for v in chart.variables if v.weight[1] == 0}
+        taken = {v.name for v in base}
+        dual = {v: (_fresh_name("p" + v.name, taken, lambda n: "p" + n),
+                    (k - 1 - v.weight[0], 1), v.parity)
+                for v in chart.variables if v.weight[1] == 1}
+        return chart.name + "_dual", 2, {"base": base, "dual": dual}
 
     return rechart(DF, spec, contragredient, cls=GLBundle, tag="linear_dual", gl_degree=k)
 
@@ -477,17 +471,12 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
     dual_of = dual.provenance.maps["dual"]
 
     def spec(i, chart):
-        specs = [(v.name, v.weight + (0,), v.parity) for v in chart.variables]
         taken = {v.name for v in chart.variables}
-        # dual base-leg coordinates share their names with F's coordinates
-        lift = {}
-        for v in dual.charts[i].variables:
-            lift[v] = v.name
-            if v.weight[1] == 1:
-                lift[v] = _fresh_name(v.name, taken, lambda n: n + "_d")
-                specs.append((lift[v], v.weight, v.parity))
-        vars_ = {v: v.name for v in chart.variables}
-        return f"pairing_{chart.name}", 2, specs, {"vars": vars_, "dual": lift}
+        vars_ = {v: (v.name, v.weight + (0,), v.parity) for v in chart.variables}
+        # dual base-leg coordinates map onto F's coordinates of the same name
+        lift = {v: (_fresh_name(v.name, taken, lambda n: n + "_d"), v.weight, v.parity)
+                if v.weight[1] == 1 else v.name for v in dual.charts[i].variables}
+        return f"pairing_{chart.name}", 2, {"vars": vars_, "dual": lift}
 
     def components(comps, other, src, dst, key):
         rename, rename_dual = ChartMap(src["vars"]), ChartMap(src["dual"])
@@ -561,11 +550,9 @@ def parity_reverse(G: GLBundle) -> GLBundle:
                         f"transition {i}->{j}: {v.name}-component is nonlinear: {render(p)}"
                     )
     def spec(i, chart):
-        specs = [
-            (v.name, v.weight, (v.parity + 1) % 2 if v.weight[1] == 1 else v.parity)
-            for v in chart.variables
-        ]
-        return chart.name + "_pi", 2, specs, {"vars": {v: v.name for v in chart.variables}}
+        flipped = {v: (v.name, v.weight, (v.parity + 1) % 2 if v.weight[1] == 1 else v.parity)
+                   for v in chart.variables}
+        return chart.name + "_pi", 2, {"vars": flipped}
 
     def components(comps, other, src, dst, key):
         # an ordered map: the declaration order, and with it every sign, is

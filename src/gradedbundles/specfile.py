@@ -27,7 +27,9 @@ anything a hand-written spec needs; the first bounds the degree a single
 ``^`` can build, the second keeps a deeply nested expression from
 exhausting the interpreter's stack, and the third bounds the size of every
 intermediate polynomial, so the time to parse grows with the length of an
-expression rather than with the polynomials it describes.
+expression rather than with the polynomials it describes.  A ``[structure]``
+section's ``dim`` and ``k`` may not exceed ``MAX_DIM`` and ``MAX_K``, which
+bound the size of the charts a construction builds from it.
 
 Section kinds: ``[bundle]`` (keys arity, degree), ``[chart NAME]`` with
 weightspec entries, ``[map SRC -> DST]`` with expression entries keyed by
@@ -180,6 +182,13 @@ MAX_NESTING = 100
 # of t1 and t2 terms, C(t+n-1, n) for the n-th power of t terms.  No product
 # or power in the shipped or benchmark-generated specs exceeds 2.
 MAX_TERMS = 1_000
+# Largest ``dim`` and ``k`` a [structure] section may declare; shipped and
+# benchmark specs use dim <= 4 and k <= 3.  The costliest spec measured at
+# both bounds, a tk structure of 32 coordinates paired as x + y^16 at k = 6,
+# takes 3 to 5 s and 200 MB to construct on a 2-core x86-64 machine, and
+# T^k M grows steeply in k (9 s and 380 MB at k = 8).
+MAX_DIM = 32
+MAX_K = 6
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"

@@ -21,6 +21,7 @@ from gradedbundles.algebroid import (
     MalformedQ,
     NotALinearisation,
     OddPhaseSpace,
+    OddPoissonSpace,
     ProjectionObstruction,
     WeightedAlgebroid,
     algebroid_from_coefficients,
@@ -38,8 +39,10 @@ from gradedbundles.algebroid import (
 from gradedbundles.constructions import (
     AlgebroidData,
     abelian,
+    cotangent_algebroid,
     heisenberg3,
     lie_tower,
+    linear_poisson,
     prolongation_algebroid,
     sl2,
     so3,
@@ -108,7 +111,8 @@ def test_schouten_coordinate_mismatch(tower2):
 
 
 # a, b, c and d are all off the phase space; the message names the first
-# in chart order, of f when f has one (c), else of g (a)
+# in chart order, of f when f has one (c), else of g (a); for a Hamiltonian
+# field, of h when h has one (b), else of the listed variables (a)
 COORDINATE_MISMATCH_SCRIPT = """
 from gradedbundles import CoordinateMismatch, CoordinateSystem, OddPoissonSpace
 P = CoordinateSystem([("q", 0, 0), ("qs", 0, 1)], name="phase")
@@ -120,6 +124,11 @@ for f, g in [(P.var("q"), a * b * c * d), (d * c * P.var("q"), a * b * P.var("qs
         space.bracket(f, g)
     except CoordinateMismatch as exc:
         print(exc)
+for h in (P.var("q") * b, P.var("q")):
+    try:
+        space.hamiltonian_field(h, [P["qs"], O["a"], O["d"]], (0,), 1)
+    except CoordinateMismatch as exc:
+        print(exc)
 """
 
 
@@ -128,7 +137,24 @@ def test_coordinate_mismatch_names_the_first_foreign_coordinate(seed):
     proc = run_python_subprocess(["-c", COORDINATE_MISMATCH_SCRIPT], seed=seed)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("variable a is not on this phase space\n"
-                           "variable c is not on this phase space\n")
+                           "variable c is not on this phase space\n"
+                           "variable b is not on this phase space\n"
+                           "variable a is not on this phase space\n")
+
+
+def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
+    # once for its Hamiltonian field, twice for [P, P]
+    F, carrier, phase, P = linear_poisson(so3())
+    checked = []
+    check = OddPoissonSpace._check
+
+    def spy(self, p, *args):
+        checked.append(p is P)
+        return check(self, p, *args)
+
+    monkeypatch.setattr(OddPoissonSpace, "_check", spy)
+    cotangent_algebroid(F, P, carrier, phase)
+    assert checked.count(True) == 3
 
 
 def _random_phase_poly(rng, phase, parity=None):

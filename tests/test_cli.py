@@ -8,7 +8,9 @@ import pytest
 from gradedbundles import cli, specfile
 from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
+    MAX_DIM,
     MAX_EXPONENT,
+    MAX_K,
     MAX_NESTING,
     MAX_TERMS,
     SpecSyntaxError,
@@ -392,6 +394,70 @@ def test_structure_value_below_minimum_exit_two(tmp_path, capsys, command, text,
     err = run_cli_hostile(tmp_path, capsys, command, text)
     line = 3 if "dim' " in message else 2
     assert message in err and f"line {line}" in err
+
+
+def tk_text(k, dim):
+    return f"[structure tk]\nk = {k}\ndim = {dim}\n" + "".join(
+        f"forward {i} = x{i}\ninverse {i} = X{i}\n" for i in range(1, dim + 1))
+
+
+def prolong_text(k):
+    return f"[structure prolong]\nk = {k}\nbase = x1\nfiber = e1\nanchor e1 x1 = 1\n"
+
+
+def constants_text(kind, k, dim):
+    return f"[structure {kind}]\nk = {k}\ndim = {dim}\nc 1 2 3 = 1\n"
+
+
+# Each structure kind at its bounds on dim and k: one value at the bound,
+# which runs, and one above it, a located exit 2.
+AT_BOUND = [
+    (["check-q"], constants_text("lie-tower", MAX_K, MAX_DIM)),
+    (["construct", "lie-tower"], constants_text("lie-tower", MAX_K, MAX_DIM)),
+    (["construct", "cotangent"], constants_text("cotangent-linear", 2, MAX_DIM)),
+    # T^k M of R^dim at both bounds takes seconds, so each bound is met alone
+    (["construct", "tk"], tk_text(MAX_K, 2)),
+    (["construct", "tk"], tk_text(2, MAX_DIM)),
+    (["check-q"], tk_text(MAX_K, MAX_DIM)),
+    (["construct", "prolong"], prolong_text(MAX_K)),
+]
+
+
+@pytest.mark.parametrize("command, text", AT_BOUND, ids=[
+    "lie-tower", "construct-lie-tower", "cotangent", "tk-k", "tk-dim", "tk-algebroid",
+    "prolong"])
+def test_structure_at_its_bounds_runs(tmp_path, command, text):
+    doc = tmp_path / "bound.spec"
+    doc.write_text(text)
+    code, out = run_cli([*command, "--spec", str(doc)])
+    assert code == 0, out
+
+
+K_OVER = f"'k' {MAX_K + 1} exceeds the limit of {MAX_K} at line 2,"
+DIM_OVER = f"'dim' {MAX_DIM + 1} exceeds the limit of {MAX_DIM} at line 3,"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["check-q"], constants_text("lie-tower", MAX_K + 1, 3), K_OVER),
+    (["check-q"], constants_text("lie-tower", 2, MAX_DIM + 1), DIM_OVER),
+    (["construct", "cotangent"], constants_text("cotangent-linear", 2, MAX_DIM + 1), DIM_OVER),
+    (["construct", "tk"], tk_text(MAX_K + 1, 1), K_OVER),
+    (["construct", "tk"], tk_text(2, MAX_DIM + 1), DIM_OVER),
+    (["check-q"], tk_text(MAX_K + 1, 1), K_OVER),
+    (["construct", "prolong"], prolong_text(MAX_K + 1), K_OVER),
+], ids=["lie-tower-k", "lie-tower-dim", "cotangent-dim", "tk-k", "tk-dim", "tk-algebroid-k",
+        "prolong-k"])
+def test_structure_above_its_bounds_exit_two(tmp_path, capsys, command, text, message):
+    assert message in run_cli_hostile(tmp_path, capsys, command, text)
+
+
+def test_dimension_30_lie_tower_constructs_in_time(tmp_path):
+    # with the dense Jacobi loop, O(dim^5), this took about two minutes
+    doc = tmp_path / "tower30.spec"
+    doc.write_text(constants_text("lie-tower", 2, 30))
+    proc = run_cli_subprocess(["construct", "lie-tower", "--spec", str(doc)], timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "INFO  jacobi verdict on constants: holds" in proc.stdout
 
 
 COTANGENT_K3 = "# k is fixed\n[structure cotangent-linear]\ndim = 1\nk = 3\n"

@@ -49,7 +49,7 @@ from gradedbundles.constructions import (
     tower_section_polynomial,
 )
 
-from helpers import random_nonjacobi_constants, random_tower_section
+from helpers import SMALL, random_nonjacobi_constants, random_tower_section
 from test_bundle import degree2_example
 
 
@@ -70,6 +70,41 @@ def test_jacobi_verdicts():
     broken = StructureConstants(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
                                     (1, 2, 1): 1})
     assert not broken.satisfies_jacobi
+
+
+def dense_jacobi_residuals(c: StructureConstants):
+    """J^l_{ijk} by the dense loop over every i < j < k, l and m."""
+    out = {}
+    d = c.dim
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            for k in range(j + 1, d + 1):
+                for l in range(1, d + 1):
+                    s = Fraction(0)
+                    for m in range(1, d + 1):
+                        s += c.value(i, j, m) * c.value(m, k, l)
+                        s += c.value(j, k, m) * c.value(m, i, l)
+                        s += c.value(k, i, m) * c.value(m, j, l)
+                    if s:
+                        out[(i, j, k, l)] = s
+    return out
+
+
+def test_jacobi_residuals_match_the_dense_formula():
+    rng = random.Random(903)
+    pool = [abelian(4), so3(), sl2(), heisenberg3()]
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        pool.append(StructureConstants(dim, {
+            (i, j, k): rng.choice(SMALL)
+            for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+            for k in range(1, dim + 1) if rng.random() < 0.4
+        }))
+    for c in pool:
+        got = c.jacobi_residuals()
+        want = dense_jacobi_residuals(c)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is Fraction for v in got.values())
 
 
 def test_random_nonjacobi_fail():

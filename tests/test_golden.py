@@ -20,8 +20,9 @@ TESTS_DIR = pathlib.Path(__file__).resolve().parent
 SPEC_DIR = TESTS_DIR.parent / "specs"
 GOLDEN_DIR = TESTS_DIR / "golden"
 HASH_SEEDS = ("0", "1", "7", "42", "1234")
-# The golden files of tests/test_atlas_golden.py and tests/test_algebroid_golden.py.
-STRUCTURE_GOLDENS = {"atlas.json", "algebroids.json"}
+# The golden files of tests/test_atlas_golden.py, tests/test_algebroid_golden.py
+# and tests/test_provenance_golden.py.
+STRUCTURE_GOLDENS = {"atlas.json", "algebroids.json", "provenance.json"}
 
 # Commands pinned beyond the acceptance gate.
 EXTRA_COMMANDS = [
