@@ -7,6 +7,15 @@ graded-linear bundle: a double graded bundle whose second weight takes
 values in {0, 1} and whose weight-1 leg is a vector bundle over the degree
 k-1 base leg.
 
+A GL-bundle is a linearisation exactly when it is symmetric, and
+``symmetry_report`` decides that by one vertical-lift identity per fibre
+coordinate: its law is the differential of a potential, its base partner's
+law for a non-top coordinate and the Euler potential of its own law for a
+top one.  A closed fibre-linear form of weight k is the differential of its
+contraction with the Euler field over k (Grabowski & Rotkiewicz, graded
+bundles and homogeneity structures), so no pairwise tensor test is needed,
+and partial derivatives carry the graded signs.
+
 Dual transitions are computed, never user-supplied: the linear part of the
 dotted laws is block-triangular in weight with the user's invertible
 diagonal blocks, so the contragredient comes out of the declared inverse
@@ -263,14 +272,12 @@ def embedding_compatibility(F: GradedBundle, DF: GLBundle | None = None) -> Repo
 
 
 # ----------------------------------------------------------- symmetric test
-def _paired_blocks(G: GLBundle, chart_idx: int):
-    """Pair each non-top fibre block with the equally indexed base block.
-
-    Returns (pairs, top) where pairs[w] is a list of (fibre var, base var)
-    for the (w-1, 1) fibre block against the weight-w base block.
-    """
+def _partners(G: GLBundle, chart_idx: int) -> dict[Variable, Variable]:
+    """Each fibre coordinate's partner on one chart, in weight order: the
+    equally indexed weight-w base coordinate for a (w-1, 1) one, itself for
+    a top (k-1, 1) one."""
     k = G.gl_degree
-    pairs = {}
+    partner = {}
     for w in range(1, k):
         fib = G.fiber_block(w - 1, chart_idx)
         base = G.base_block(w, chart_idx)
@@ -280,55 +287,42 @@ def _paired_blocks(G: GLBundle, chart_idx: int):
                 f" but base block of weight {w} has size {len(base)}",
                 witness=(fib, base),
             )
-        pairs[w] = list(zip(fib, base))
-    return pairs, G.fiber_block(k - 1, chart_idx)
+        partner.update(zip(fib, base))
+    partner.update((z, z) for z in G.fiber_block(k - 1, chart_idx))
+    return partner
 
 
 def symmetry_report(G: GLBundle) -> Report:
-    """Both halves of the symmetric criterion as report items.
-
-    (a) the non-top fibre coordinates transform as the vertical lift of the
-    base leg, (b) the lower-index tensors of the top block are symmetric,
-    i.e. the top transition is the differential of some undotted law.
-    """
+    """The symmetric criterion, one item per fibre coordinate f of each
+    transition's target chart: f's law is the differential of its potential
+    under the source chart's ``dot``, which sends each non-top base
+    coordinate to its fibre partner and each top fibre coordinate to itself.
+    A non-top f's potential is its base partner's law, a top f's is its
+    Euler potential: the sum of (w/k) b * d(law)/dg over the source chart's
+    fibre coordinates g of total weight w, with partners b."""
     report = Report()
     k = G.gl_degree
     try:
-        block_data = [_paired_blocks(G, idx) for idx in range(len(G.charts))]
+        partners = [_partners(G, idx) for idx in range(len(G.charts))]
     except NotSymmetric as exc:
         report.add("fibre/base block sizes match", False, str(exc))
         return report
     report.add("fibre/base block sizes match", True)
+    dots = [{b: f for f, b in partner.items()} for partner in partners]
 
     for (i, j), t in sorted(G.transitions.items()):
-        pairs_i, _ = block_data[i]
-        pairs_j, top_j = block_data[j]
-        dot_of_base_i = {b: f for w in pairs_i.values() for f, b in w}
-        label = f"transition {i}->{j}"
-        for w, entries in pairs_j.items():
-            for fvar, bvar in entries:
-                report.zero(
-                    f"{label}: {fvar.name} transforms as the vertical lift of {bvar.name}",
-                    t.forward[fvar] - differential(t.forward[bvar], dot_of_base_i),
+        for f, b in partners[j].items():
+            law = t.forward[f]
+            if b is f:
+                what = "its Euler potential"
+                potential = linear_combination(
+                    (Fraction(total(g.weight), k), SuperPolynomial.from_var(c) * partial(law, g))
+                    for g, c in partners[i].items() if law.involves(g)
                 )
-        base_nonbase_i = [
-            b for w in sorted(pairs_i) for _, b in pairs_i[w]
-        ]
-        for zt in top_j:
-            law = t.forward[zt]
-            coeffs = {}
-            for fvar, bvar in ((f, b) for w in pairs_i.values() for f, b in w):
-                c = partial(law, fvar)
-                if not c.is_zero():
-                    coeffs[bvar] = c
-            for a in base_nonbase_i:
-                for b in base_nonbase_i:
-                    if a.index >= b.index:
-                        continue
-                    report.zero(
-                        f"{label}: {zt.name}-tensor symmetric in ({a.name},{b.name})",
-                        partial(coeffs.get(a, ZERO), b) - partial(coeffs.get(b, ZERO), a),
-                    )
+            else:
+                what, potential = b.name, t.forward[b]
+            report.zero(f"transition {i}->{j}: {f.name} transforms as the vertical lift of {what}",
+                        law - differential(potential, dots[i]))
     return report
 
 
@@ -356,13 +350,13 @@ def reconstruct(G: GLBundle) -> GradedBundle:
     k = G.gl_degree
 
     def spec(i, chart):
-        pairs, top = _paired_blocks(G, i)
         base = G.base_leg_vars(i)
         taken = {v.name for v in base}
-        # a non-top fibre coordinate maps onto its base partner
         names = {v: (v.name, (v.weight[0],), v.parity) for v in base}
-        names.update((f, b.name) for entries in pairs.values() for f, b in entries)
-        names.update((zv, (_strip_dot_name(zv.name, taken), (k,), zv.parity)) for zv in top)
+        # a non-top fibre coordinate maps onto its base partner, a top one
+        # declares the top coordinate
+        for f, b in _partners(G, i).items():
+            names[f] = b.name if b is not f else (_strip_dot_name(f.name, taken), (k,), f.parity)
         return chart.name + "_rec", 1, {"vars": names}
 
     inv_k = Fraction(1, k)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from gradedbundles import cli, specfile
+from gradedbundles.linfun import bundles_structurally_equal, linearise, reconstruct
 from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
     MAX_DIM,
@@ -234,6 +235,41 @@ def test_expression_grammar(tmp_path):
     )
     code, out = run_cli(["validate", "--spec", str(doc)])
     assert code == 0
+
+
+# Two odd coordinates a, b of weight 1: Z = z + a*b linearises to
+# dZ = dz + a*db - b*da, which is symmetric only with graded signs.
+ODD_WEIGHT_ONE = {
+    "degree2": (
+        "[bundle]\narity = 1\ndegree = 2\n"
+        "[chart A]\nx = weight 0\na = weight 1 odd\nb = weight 1 odd\nz = weight 2\n"
+        "[chart B]\nX = weight 0\nA = weight 1 odd\nB = weight 1 odd\nZ = weight 2\n"
+        "[map A -> B]\nX = x\nA = a\nB = b\nZ = z + a*b\n"
+        "[map B -> A]\nx = X\na = A\nb = B\nz = Z - A*B\n"
+    ),
+    "degree3": (
+        "[bundle]\narity = 1\ndegree = 3\n"
+        "[chart A]\nx = weight 0\na = weight 1 odd\nb = weight 1 odd\ny = weight 1\n"
+        "z = weight 2\nw = weight 3\n"
+        "[chart B]\nX = weight 0\nA = weight 1 odd\nB = weight 1 odd\nY = weight 1\n"
+        "Z = weight 2\nW = weight 3\n"
+        "[map A -> B]\nX = x\nA = a\nB = b\nY = y\nZ = z + a*b\nW = w + y*z + x*a*b*y\n"
+        "[map B -> A]\nx = X\na = A\nb = B\ny = Y\nz = Z - A*B\n"
+        "w = W - Y*Z + Y*A*B - X*A*B*Y\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_WEIGHT_ONE))
+def test_odd_coordinates_of_one_weight_linearise_symmetric(tmp_path, name):
+    text = ODD_WEIGHT_ONE[name]
+    doc = tmp_path / "odd.spec"
+    doc.write_text(text)
+    code, out = run_cli(["linearise", "--spec", str(doc)])
+    assert code == 0, out
+    assert "PASS  linearisation is symmetric\n" in out
+    F = build_bundle(parse(text)).bundle
+    assert bundles_structurally_equal(F, reconstruct(linearise(F)))
 
 
 def test_minimal_degree1_document():

@@ -1,9 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gradedbundles.superalg import EVEN, SuperPolynomial, substitute, weight_of
+from gradedbundles.superalg import (
+    EVEN,
+    SuperPolynomial,
+    differential,
+    partial,
+    render,
+    substitute,
+    weight_of,
+)
 from gradedbundles.bundle import (
     CoordinateSystem,
     single_chart_bundle,
@@ -33,8 +42,9 @@ from gradedbundles.linfun import (
     reconstruct,
     symmetry_report,
 )
+from gradedbundles.constructions import PolynomialDiffeo, higher_tangent
 
-from helpers import random_bundle, random_morphism, vector_bundle_tangent
+from helpers import rational_nonzero, random_bundle, random_morphism, vector_bundle_tangent
 from test_bundle import degree2_example
 
 
@@ -137,6 +147,87 @@ def test_te_not_symmetric():
         reconstruct(TE)
     TE2 = vector_bundle_tangent(base_dim=2)
     assert not is_symmetric(TE2)
+
+
+def _pairwise_reference(G):
+    """The symmetric criterion as the pairwise tensor test, written out on
+    its own: (a) each non-top fibre coordinate transforms as the vertical
+    lift of its base partner, (b) the coefficients c_b = d(law)/d(fibre
+    partner of b) of each top law satisfy dc_a/db = dc_b/da for every pair
+    of non-top base coordinates.  It carries no graded signs, so it holds
+    for even base legs only.  Returns the verdict and the (a) items as
+    (check id, residual) pairs."""
+    k = G.gl_degree
+    pairs = []
+    for idx in range(len(G.charts)):
+        blocks = [(G.fiber_block(w - 1, idx), G.base_block(w, idx)) for w in range(1, k)]
+        if any(len(fib) != len(base) for fib, base in blocks):
+            return False, []
+        pairs.append([fb for fib, base in blocks for fb in zip(fib, base)])
+    lifts, tensors_symmetric = [], True
+    for (i, j), t in sorted(G.transitions.items()):
+        dot = {b: f for f, b in pairs[i]}
+        for f, b in pairs[j]:
+            r = t.forward[f] - differential(t.forward[b], dot)
+            lifts.append((f"transition {i}->{j}: {f.name} transforms as the vertical lift"
+                          f" of {b.name}", "" if r.is_zero() else render(r)))
+        for z in G.fiber_block(k - 1, j):
+            c = {b: partial(t.forward[z], f) for f, b in pairs[i]}
+            tensors_symmetric &= all((partial(c[a], b) - partial(c[b], a)).is_zero()
+                                     for a, b in itertools.combinations(c, 2))
+    return tensors_symmetric and not any(r for _, r in lifts), lifts
+
+
+def _perturb_top_law(rng, G):
+    """Add a random multiple of b*f to one top law of G, with b a base-leg
+    coordinate of weight w >= 1 and f a fibre coordinate of bi-weight
+    (k-1-w, 1), so that the law stays homogeneous."""
+    k = G.gl_degree
+    (i, j), t = rng.choice(sorted(G.transitions.items()))
+    z = rng.choice(G.fiber_block(k - 1, j))
+    w = rng.randrange(1, k)
+    b = rng.choice(G.base_block(w, i))
+    f = rng.choice(G.fiber_block(k - 1 - w, i))
+    extra = rational_nonzero(rng) * SuperPolynomial.from_var(b) * SuperPolynomial.from_var(f)
+    t.forward[z] = t.forward[z] + extra
+
+
+def _lift_and_euler_items(G):
+    rep = symmetry_report(G)
+    # the block-size item, then, when the sizes match, one item per fibre
+    # coordinate of a target chart
+    if rep.items[0].verdict == "PASS":
+        assert len(rep.items) == 1 + sum(len(G.fiber_vars(j)) for _, j in G.transitions)
+    lifts = [(item.check_id, item.residual) for item in rep.items[1:]
+             if not item.check_id.endswith("its Euler potential")]
+    return rep.passed, lifts
+
+
+def test_symmetry_report_agrees_with_the_pairwise_reference():
+    rng = random.Random(2012)
+    verdicts = []
+    for _ in range(24):
+        degree, base_dim = rng.choice([2, 3]), rng.choice([1, 2])
+        F = random_bundle(rng, degree, base_dim=base_dim)
+        D = linearise(F)
+        perturbed = linearise(F)
+        _perturb_top_law(rng, perturbed)
+        for G in (D, parity_reverse(D), perturbed):
+            ok, lifts = _pairwise_reference(G)
+            assert _lift_and_euler_items(G) == (ok, lifts)
+            verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+    for TE in (vector_bundle_tangent(), vector_bundle_tangent(base_dim=2)):
+        assert _lift_and_euler_items(TE) == _pairwise_reference(TE)
+
+
+def test_symmetry_report_has_one_item_per_fibre_coordinate_on_jets():
+    phi = PolynomialDiffeo.build(
+        3, lambda xs: [xs[0] + xs[1] ** 2, xs[1] + xs[2] ** 2, xs[2]],
+        lambda Xs: [Xs[0] - (Xs[1] - Xs[2] ** 2) ** 2, Xs[1] - Xs[2] ** 2, Xs[2]])
+    D = linearise(higher_tangent(phi, 3))
+    assert len(symmetry_report(D).items) == 19
+    assert _lift_and_euler_items(D) == _pairwise_reference(D)
 
 
 def test_degree1_gl_always_symmetric():
@@ -533,7 +624,8 @@ def _invariance_failures():
     (_vertical_lift_failures,
      [("transition 0->1: dZ transforms as the vertical lift of Z", "x*dy")]),
     (_tensor_symmetry_failures,
-     [("transition 0->1: dW-tensor symmetric in (y,z)", "-x")]),
+     [("transition 0->1: dW transforms as the vertical lift of its Euler potential",
+       "1/3*x*y*dz - 2/3*x*z*dy")]),
     (_embedding_failures,
      [("transition 0->1: embedding compatibility on dW", "x*y")]),
     (_invariance_failures,
