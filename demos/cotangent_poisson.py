@@ -11,6 +11,7 @@ from gradedbundles import (
     cotangent_algebroid,
     linear_poisson,
     render,
+    restrict_to_A1,
     so3,
     validate,
     weight_of,
@@ -32,7 +33,7 @@ for v in phase.xs + phase.thetas:
         print(f"  Q({v.name}) = {render(c)}")
 
 print("\nweight-one leg (the classical picture):")
-for v, c in alg.a1_field.action.items():
+for v, c in restrict_to_A1(alg.q).action.items():
     print(f"  d({v.name}) = {render(c)}")
 
 broken = StructureConstants(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,

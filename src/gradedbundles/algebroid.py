@@ -47,7 +47,7 @@ from .linfun import GLBundle, NotSymmetric, holonomic_assignment
 from .report import Report
 
 if TYPE_CHECKING:
-    from .constructions import StructureConstants, TowerInfo
+    from .constructions import TowerInfo
 
 
 class CoordinateMismatch(ValueError):
@@ -127,12 +127,6 @@ class OddPoissonSpace:
         return Derivation(action, parity, weight_shift)
 
 
-def schouten(f: SuperPolynomial, g: SuperPolynomial, space) -> SuperPolynomial:
-    """Canonical odd Poisson bracket of the given phase space."""
-    poisson = space.poisson if isinstance(space, OddPhaseSpace) else space
-    return poisson.bracket(f, g)
-
-
 # ------------------------------------------------------------- phase space
 def _tri_chart(name: str, blocks):
     """A tri-graded chart and, per block, the map from carrier variables to
@@ -186,11 +180,10 @@ class OddPhaseSpace:
     def schouten(self, f, g) -> SuperPolynomial:
         return self.poisson.bracket(f, g)
 
-    def field(self, action_by_name: dict[str, SuperPolynomial]) -> "HomologicalField":
-        action = {self.system[n]: p for n, p in action_by_name.items()}
-        return HomologicalField(
-            Derivation(action, ODD, (0, 1, 0)), self
-        )
+    def field(self, action: dict[Variable, SuperPolynomial]) -> "HomologicalField":
+        """The structure field sending each variable of ``action`` to its
+        polynomial."""
+        return HomologicalField(Derivation(action, ODD, (0, 1, 0)), self)
 
 
 class HomologicalField:
@@ -263,25 +256,16 @@ def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:
 
 
 def q_from_p(P: AlgebroidHamiltonian) -> HomologicalField:
+    """Field encoding: Q is the Hamiltonian field v -> -(P, v) on (x, theta)."""
     phase = P.phase
-    action = {}
-    for b, x in phase.x_of.items():
-        c = partial_right(P.poly, phase.chi_of[b])
-        if not c.is_zero():
-            action[x] = c
-    for f, th in phase.theta_of.items():
-        c = -partial_right(P.poly, phase.pi_of[f])
-        if not c.is_zero():
-            action[th] = c
-    return HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
+    return HomologicalField(
+        phase.poisson.hamiltonian_field(P.poly, phase.xs + phase.thetas, (0, 1, 0), ODD), phase
+    )
 
 
 # ------------------------------------------------------------ classification
 class AlgebroidCheck:
-    def __init__(self, odd: bool, weight_ok: bool, residual: Derivation, kind: str,
-                 report: Report):
-        self.odd = odd
-        self.weight_ok = weight_ok
+    def __init__(self, residual: Derivation, kind: str, report: Report):
         self.residual = residual
         self.kind = kind
         self.report = report
@@ -291,33 +275,28 @@ def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
     """Verify oddness and the (0,1) weight, then decide lie vs skew by Q^2."""
     report = Report()
     phase = Q.phase
-    odd = Q.derivation.parity == ODD
-    report.add("structure field is Grassmann odd", odd)
-    weight_ok = Q.derivation.weight_shift == (0, 1, 0)
-    report.add("structure field has weight (0,1)", weight_ok)
+    report.add("structure field is Grassmann odd", Q.derivation.parity == ODD)
+    report.add("structure field has weight (0,1)", Q.derivation.weight_shift == (0, 1, 0))
     residual = Q.square()
     kind = "lie" if residual.is_zero() else "skew"
     for v in phase.xs + phase.thetas:
         report.zero(f"[Q,Q] on {v.name}", residual.coefficient(v))
-    return AlgebroidCheck(odd, weight_ok, residual, kind, report)
+    return AlgebroidCheck(residual, kind, report)
 
 
 class WeightedAlgebroid:
     """A carrier with a structure field, its Hamiltonian and classification.
 
     The optional fields record what a construction built it from: the
-    tower data and structure constants of a prolongation or Lie tower, and
-    the Poisson data P, its [P,P] and the A1 projection of a cotangent
-    algebroid.
+    tower data of a prolongation or Lie tower, and the Poisson data P and
+    its [P,P] of a cotangent algebroid.
     """
 
     def __init__(self, carrier: GLBundle, phase: OddPhaseSpace, q: HomologicalField | None,
                  hamiltonian: AlgebroidHamiltonian | None, kind: str,
                  check: AlgebroidCheck | None, tower: TowerInfo | None = None,
-                 constants: StructureConstants | None = None,
                  poisson_data: SuperPolynomial | None = None,
-                 poisson_residual: SuperPolynomial | None = None,
-                 a1_field: Derivation | None = None):
+                 poisson_residual: SuperPolynomial | None = None):
         self.carrier = carrier
         self.phase = phase
         self.q = q
@@ -325,10 +304,8 @@ class WeightedAlgebroid:
         self.kind = kind
         self.check = check
         self.tower = tower
-        self.constants = constants
         self.poisson_data = poisson_data
         self.poisson_residual = poisson_residual
-        self.a1_field = a1_field
 
     @classmethod
     def from_q(cls, carrier: GLBundle, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
@@ -385,8 +362,7 @@ def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs
         phase.x_of,
         phase.theta_of,
     )
-    Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
-    return WeightedAlgebroid.from_q(carrier, Q)
+    return WeightedAlgebroid.from_q(carrier, phase.field(action))
 
 
 # ----------------------------------------------------------------- sections
@@ -472,19 +448,12 @@ class AnchorData:
 def anchor(A: WeightedAlgebroid) -> AnchorData:
     if A.q is None:
         raise MalformedQ("general algebroids carry no anchor field")
-    phase = A.phase
-    chart_sys = A.carrier.charts[phase.chart]
-    delta = {}
+    phase, var = A.phase, SuperPolynomial.from_var
     x_to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
-    for b, x in phase.x_of.items():
-        coeff_poly = A.q.coefficient(x)
-        parts = []
-        for f, th in phase.theta_of.items():
-            c = partial(coeff_poly, th)
-            if not c.is_zero():
-                parts.append((1, SuperPolynomial.from_var(f) * x_to_carrier(c)))
-        delta[b] = linear_combination(parts)
-    return AnchorData(A, delta)
+    parts = {b: [] for b in phase.x_of}
+    for (b, f), c in _anchor_coefficients(A.q).items():
+        parts[b].append((1, var(f) * x_to_carrier(c)))
+    return AnchorData(A, {b: linear_combination(ts) for b, ts in parts.items()})
 
 
 # ------------------------------------------------------- weight-one leg A1
@@ -530,6 +499,20 @@ class EpsilonComponents:
         self.delta_pi = delta_pi
 
 
+def _anchor_coefficients(Q: HomologicalField) -> dict[tuple[Variable, Variable], SuperPolynomial]:
+    """The nonzero d Q(x_b) / d theta_f keyed by carrier coordinates (b, f),
+    in chart order."""
+    phase = Q.phase
+    out = {}
+    for b, x in phase.x_of.items():
+        body = Q.coefficient(x)
+        for f, th in phase.theta_of.items():
+            c = partial(body, th)
+            if not c.is_zero():
+                out[(b, f)] = c
+    return out
+
+
 def extract_coefficients(Q: HomologicalField):
     """Anchor and bracket coefficient polynomials in the base variables.
 
@@ -537,12 +520,7 @@ def extract_coefficients(Q: HomologicalField):
     P_KIJ[(I, J, K)] with P_KIJ antisymmetric in (I, J).
     """
     phase = Q.phase
-    p_ai = {}
-    for b, x in phase.x_of.items():
-        for f, th in phase.theta_of.items():
-            c = partial(Q.coefficient(x), th)
-            if not c.is_zero():
-                p_ai[(b.name, f.name)] = c
+    p_ai = {(b.name, f.name): c for (b, f), c in _anchor_coefficients(Q).items()}
     p_kij = {}
     fibers = list(phase.theta_of.items())
     for fk, thk in fibers:

@@ -56,7 +56,6 @@ from .algebroid import (
     OddPhaseSpace,
     OddPoissonSpace,
     WeightedAlgebroid,
-    restrict_to_A1,
     structure_action,
 )
 
@@ -150,7 +149,8 @@ class AlgebroidData:
     """A Lie-algebroid chart: anchor and bracket coefficient polynomials.
 
     ``anchor[(a, A)]`` is P_a^A(x), the coefficient of d/dx^A in the image
-    of the fibre basis vector a; ``bracket[(a, b, c)]`` is the c-component
+    of the fibre basis vector a, given keyed by A's name and stored keyed by
+    the base coordinate A; ``bracket[(a, b, c)]`` is the c-component
     of [e_a, e_b], polynomial in the base coordinates and antisymmetric in
     (a, b).  The Lie verdict is the vanishing of the square of the induced
     weight-one field, computed rather than assumed.
@@ -168,8 +168,8 @@ class AlgebroidData:
             "bracket data not antisymmetric",
         )
         self.anchor = {
-            key: (p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p))
-            for key, p in anchor.items()
+            (a, base[name]): p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)
+            for (a, name), p in anchor.items()
             if not (isinstance(p, SuperPolynomial) and p.is_zero())
         }
         self.constants = constants
@@ -185,17 +185,12 @@ class AlgebroidData:
             self._pie = (sys, {"x": x_of, "xi": xi_of})
         return self._pie
 
-    def structure_action(self, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
-        """``algebroid.structure_action`` of this data, with ``x_of`` sending
-        base coordinates and ``xi_of`` fibre names to the odd system's."""
-        anchor = {(a, self.base[aname]): p for (a, aname), p in self.anchor.items()}
-        return structure_action(anchor, self.bracket, x_of, xi_of)
-
     def q_field(self) -> Derivation:
         """The weight-one odd field xi P dx - 1/2 xi xi P dxi on the
         parity-reversed total space."""
         sys, maps = self.pie_system()
-        return Derivation(self.structure_action(maps["x"], maps["xi"]), ODD, (1,))
+        return Derivation(structure_action(self.anchor, self.bracket, maps["x"], maps["xi"]),
+                          ODD, (1,))
 
     @property
     def is_lie(self) -> bool:
@@ -236,8 +231,7 @@ def tangent_algebroid(F: GradedBundle) -> WeightedAlgebroid:
     undotted = TF.provenance.maps["undotted"][0]
     for v, dv in TF.provenance.maps["dotted"][0].items():
         action[phase.x_of[undotted[v]]] = SuperPolynomial.from_var(phase.theta_of[dv])
-    Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
-    return WeightedAlgebroid.from_q(TF, Q)
+    return WeightedAlgebroid.from_q(TF, phase.field(action))
 
 
 # ------------------------------------------------------ cotangent algebroid
@@ -293,10 +287,9 @@ def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial,
         weight_shift=(0, 1, 0),
         parity=ODD,
     )
-    Q = HomologicalField(derivation, phase)
     return WeightedAlgebroid.from_q(
-        carrier, Q, poisson_data=P, poisson_residual=poisson.bracket(P, P),
-        a1_field=restrict_to_A1(Q),
+        carrier, HomologicalField(derivation, phase), poisson_data=P,
+        poisson_residual=poisson.bracket(P, P),
     )
 
 
@@ -328,7 +321,7 @@ def _diffeo_charts(dim: int, stems) -> list[CoordinateSystem]:
             for stem, name in zip(stems, ("m_src", "m_dst"))]
 
 
-class PolynomialDiffeo:
+class PolynomialDiffeo(TransitionMap):
     """A polynomial base change with its declared polynomial inverse.
 
     The round-trip identity is a computed verdict, not a constructor
@@ -336,14 +329,6 @@ class PolynomialDiffeo:
     have no exact polynomial inverse, and the constructions that only
     consume forward data stay available for them.
     """
-
-    def __init__(self, source: CoordinateSystem, target: CoordinateSystem,
-                 forward: dict[Variable, SuperPolynomial],
-                 inverse: dict[Variable, SuperPolynomial]):
-        self.source = source
-        self.target = target
-        self.forward = forward
-        self.inverse = inverse
 
     @staticmethod
     def build(dim: int, forward, inverse, names=("x", "X")):
@@ -363,8 +348,7 @@ class PolynomialDiffeo:
 
     def round_trip_exact(self) -> bool:
         report = Report()
-        t = TransitionMap(self.source, self.target, self.forward, self.inverse)
-        for direction in (t, t.reversed()):
+        for direction in (self, self.reversed()):
             _check_round_trip(report, "", direction)
         return report.passed
 
@@ -485,15 +469,15 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
     ])
     carrier = GLBundle([chart], provenance=Provenance("prolongation", E), gl_degree=k)
     phase = OddPhaseSpace(carrier)
-    action = E.structure_action(
+    action = structure_action(
+        E.anchor, E.bracket,
         {v: phase.x_of[x] for v, x in base.items()},
         {n: phase.theta_of[xi] for n, xi in xi_of.items()},
     )
     for key, y in y_of.items():
         action[phase.x_of[y]] = SuperPolynomial.from_var(phase.theta_of[dy_of[key]])
-    Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
     tower = TowerInfo(E, k, list(names), y_of, xi_of, dy_of)
-    return WeightedAlgebroid.from_q(carrier, Q, tower=tower, constants=E.constants)
+    return WeightedAlgebroid.from_q(carrier, phase.field(action), tower=tower)
 
 
 def prolongation_algebroid(E: AlgebroidData, k: int) -> WeightedAlgebroid:
@@ -568,7 +552,7 @@ def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,
     info = alg.tower
     if info.data.base.variables:
         raise ValueError("the reduced bracket is defined over a point base")
-    c = alg.constants
+    c = info.data.constants
     if c is None:
         raise ValueError("reduced brackets need structure-constant data")
     Z1 = _tower_vector_field(alg, s1.Z)

@@ -459,7 +459,9 @@ class PairingResult:
 
 
 def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
-    """delta* = sum_w w pi y_w + k pi^1 z, of bi-weight (k, 1)."""
+    """delta* = sum_w w y_w pi + k z pi^1, of bi-weight (k, 1): each fibre
+    coordinate stands left of its dual, the order the contragredient
+    transition of the duals is written for."""
     dual = dual if dual is not None else linear_dual(F)
     DF = dual.provenance.source
     dual_of = dual.provenance.maps["dual"]
@@ -484,8 +486,8 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
     on = P.provenance.maps
     polys = [
         linear_combination(
-            (total(fvar.weight), SuperPolynomial.from_var(on["dual"][i][dual_of[i][dot]])
-             * SuperPolynomial.from_var(on["vars"][i][fvar]))
+            (total(fvar.weight), SuperPolynomial.from_var(on["vars"][i][fvar])
+             * SuperPolynomial.from_var(on["dual"][i][dual_of[i][dot]]))
             for fvar, dot in dotted.items()
         )
         for i, dotted in enumerate(DF.provenance.maps["dotted"])

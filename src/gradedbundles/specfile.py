@@ -407,13 +407,16 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
         name = s.args[0]
         if name in charts:
             raise SpecSyntaxError(f"duplicate chart {name!r}", s.line, 1)
-        specs = []
+        specs = {}
         for e in s.entries:
             if len(e.key) != 1:
                 raise SpecSyntaxError("chart keys are single names", e.line, 1)
-            weight, parity = parse_weight_entry(e, arity)
-            specs.append((e.key[0], weight, parity))
-        charts[name] = CoordinateSystem(specs, name=name, arity=arity)
+            if e.key[0] in specs:
+                raise SpecSyntaxError(
+                    f"duplicate coordinate {e.key[0]!r} in chart {name!r}", e.line, 1
+                )
+            specs[e.key[0]] = (e.key[0], *parse_weight_entry(e, arity))
+        charts[name] = CoordinateSystem(list(specs.values()), name=name, arity=arity)
         order.append(name)
 
     maps = {}

@@ -1,8 +1,10 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradedbundles import cli, specfile
 from gradedbundles.superalg import (
     Derivation,
     ODD,
@@ -33,7 +35,6 @@ from gradedbundles.algebroid import (
     p_from_q,
     q_from_p,
     restrict_to_A1,
-    schouten,
     weighted_lie_algebra_check,
 )
 from gradedbundles.constructions import (
@@ -56,6 +57,8 @@ from helpers import (
     run_python_subprocess,
 )
 from test_bundle import degree2_example
+
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +87,7 @@ def test_phase_space_weights(tower2):
 def test_schouten_conjugate_pairs(tower2):
     phase = tower2.phase
     for q, qs in phase.poisson.pairs:
-        one = schouten(
-            SuperPolynomial.from_var(q), SuperPolynomial.from_var(qs), phase
-        )
+        one = phase.schouten(SuperPolynomial.from_var(q), SuperPolynomial.from_var(qs))
         assert one == SuperPolynomial.constant(1)
 
 
@@ -94,7 +95,7 @@ def test_schouten_weight_shift(tower2):
     phase = tower2.phase
     P = tower2.hamiltonian.poly
     k = phase.k
-    pp = schouten(P, P, phase)
+    pp = phase.schouten(P, P)
     w = weight_of(pp, 3)
     # additivity oracle: (k-1,2,1) + (k-1,2,1) + (1-k,-1,-1)
     assert w in ("zero", (k - 1, 3, 1))
@@ -107,7 +108,7 @@ def test_schouten_weight_shift(tower2):
 def test_schouten_coordinate_mismatch(tower2):
     other = lie_tower(so3(), 3)
     with pytest.raises(CoordinateMismatch):
-        schouten(tower2.hamiltonian.poly, other.hamiltonian.poly, tower2.phase)
+        tower2.phase.schouten(tower2.hamiltonian.poly, other.hamiltonian.poly)
 
 
 # a, b, c and d are all off the phase space; the message names the first
@@ -173,7 +174,7 @@ def _random_phase_poly(rng, phase, parity=None):
 def test_schouten_antisymmetry_jacobi_leibniz(tower2):
     rng = random.Random(13)
     phase = tower2.phase
-    br = lambda a, b: schouten(a, b, phase)
+    br = phase.schouten
     for _ in range(25):
         f = _random_phase_poly(rng, phase, rng.randrange(2))
         g = _random_phase_poly(rng, phase, rng.randrange(2))
@@ -205,6 +206,26 @@ def test_p_q_round_trips(tower2):
     assert q_from_p(P).derivation == Q.derivation
     assert p_from_q(q_from_p(P)).poly == P.poly
     assert weight_of(P.poly, 3) == (tower2.phase.k - 1, 2, 1)
+
+
+# every algebroid a shipped spec builds, by the CLI's own structure builders
+ROUND_TRIP_SPECS = ["degree2", "degree3", "so3-tower", "sl2-tower", "heisenberg-tower",
+                    "nonjacobi-tower", "prolong-tm", "cotangent-so3", "nonjacobi-cotangent",
+                    "t2m-shear"]
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_SPECS)
+def test_q_p_q_round_trip_on_shipped_specs(name):
+    doc = specfile.parse((SPEC_DIR / f"{name}.spec").read_text())
+    section = doc.first("structure")
+    alg = cli.STRUCTURES[section.args[0] if section else None](doc, section)[1]
+    Q = alg.q
+    again = q_from_p(p_from_q(Q))
+    assert p_from_q(again).poly == alg.hamiltonian.poly
+    for v in alg.phase.system.variables:
+        # the same coefficients, each with its terms in the same order
+        c, d = Q.coefficient(v), again.coefficient(v)
+        assert d == c and list(d.terms.items()) == list(c.terms.items()), v.name
 
 
 def test_q_equivalences_on_towers():

@@ -27,7 +27,12 @@ import sys
 
 from gradedbundles.superalg import SuperPolynomial, render
 from gradedbundles.bundle import CoordinateSystem
-from gradedbundles.algebroid import anchor, epsilon_components, extract_coefficients
+from gradedbundles.algebroid import (
+    anchor,
+    epsilon_components,
+    extract_coefficients,
+    restrict_to_A1,
+)
 from gradedbundles.constructions import (
     AlgebroidData,
     PolynomialDiffeo,
@@ -136,7 +141,7 @@ def cotangent(c):
     out = algebroid(alg)
     out["poisson_data"] = render(alg.poisson_data)
     out["poisson_residual"] = render(alg.poisson_residual)
-    out["a1_field"] = _field(alg.a1_field, phase.system)
+    out["a1_field"] = _field(restrict_to_A1(alg.q), phase.system)
     return out
 
 

@@ -272,6 +272,20 @@ def test_odd_coordinates_of_one_weight_linearise_symmetric(tmp_path, name):
     assert bundles_structurally_equal(F, reconstruct(linearise(F)))
 
 
+@pytest.mark.parametrize("name", sorted(ODD_WEIGHT_ONE))
+def test_odd_coordinates_of_one_weight_keep_the_pairing_invariant(tmp_path, name):
+    # delta* pairs each fibre coordinate with its dual in the order the
+    # contragredient transition is written for, so odd pairs keep their sign
+    doc = tmp_path / "odd.spec"
+    doc.write_text(ODD_WEIGHT_ONE[name])
+    code, out = run_cli(["dual", "--spec", str(doc)])
+    assert code == 0, out
+    assert "PASS  transition 0->1: pairing invariance\n" in out
+    assert "PASS  transition 1->0: pairing invariance\n" in out
+    if name == "degree2":
+        assert "delta* = a*pda + b*pdb + 2*z*pdz" in out
+
+
 def test_minimal_degree1_document():
     doc = parse(
         "[bundle]\narity = 1\n[chart only]\nx = weight 0\ny = weight 1\n"
@@ -410,6 +424,16 @@ def test_duplicate_map_component_rejected():
     with pytest.raises(SpecSyntaxError) as err:
         build_bundle(parse(text))
     assert err.value.line == 10 and "duplicate component 'Y'" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["validate", "dual"])
+def test_repeated_chart_coordinate_exit_two(tmp_path, capsys, command):
+    text = "[bundle]\narity = 1\n[chart a]\nx = weight 0\ny = weight 1\ny = weight 1\n"
+    with pytest.raises(SpecSyntaxError) as err:
+        build_bundle(parse(text))
+    assert err.value.line == 6
+    message = run_cli_hostile(tmp_path, capsys, [command], text)
+    assert "duplicate coordinate 'y' in chart 'a'" in message and "line 6" in message
 
 
 TK_ONE = "forward 1 = x1\ninverse 1 = X1\n"

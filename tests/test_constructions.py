@@ -340,7 +340,7 @@ def test_cotangent_so3_is_lie():
     assert alg.poisson_residual.is_zero()
     assert weight_of(P, 3) == (1, 2, 0)
     # A1 restriction: the fibrewise CE field on the dual of the top weights
-    assert not alg.a1_field.is_zero()
+    assert not restrict_to_A1(alg.q).is_zero()
 
 
 def test_cotangent_perturbed_is_skew():

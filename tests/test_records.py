@@ -55,11 +55,11 @@ def test_records_take_their_fields_by_keyword():
     assert c.value(2, 1, 3) == -1
     alg = lie_tower(c, 2)
     copy = WeightedAlgebroid(alg.carrier, alg.phase, alg.q, alg.hamiltonian, alg.kind,
-                             alg.check, tower=alg.tower, constants=c)
-    assert copy.tower is alg.tower and copy.constants is c
-    assert (copy.poisson_data, copy.poisson_residual, copy.a1_field) == (None, None, None)
-    again = WeightedAlgebroid.from_q(alg.carrier, alg.q, tower=alg.tower, constants=c)
-    assert again.kind == alg.kind and again.tower is alg.tower and again.constants is c
+                             alg.check, tower=alg.tower)
+    assert copy.tower is alg.tower and copy.tower.data.constants is c
+    assert (copy.poisson_data, copy.poisson_residual) == (None, None)
+    again = WeightedAlgebroid.from_q(alg.carrier, alg.q, tower=alg.tower)
+    assert again.kind == alg.kind and again.tower is alg.tower
     report = Report(command="validate", items=[])
     assert report.command == "validate" and report.passed
 

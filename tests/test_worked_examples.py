@@ -102,7 +102,7 @@ def test_de_rham_hamiltonian_is_delta_paired():
     chart = CoordinateSystem([("x", (0, 0), 0), ("v", (0, 1), 0)], name="dr")
     carrier = single_chart_bundle(chart, cls=GLBundle)
     phase = OddPhaseSpace(carrier)
-    Q = phase.field({"x": phase.var("theta_v")})
+    Q = phase.field({phase.system["x"]: phase.var("theta_v")})
     P = p_from_q(Q)
     assert P.poly == phase.var("theta_v") * phase.var("chi_x")
     assert check_weighted_algebroid(Q).kind == "lie"
@@ -123,12 +123,13 @@ def test_general_degree2_field_display():
     Pa = x
     xi, theta = phase.var("theta_dy"), phase.var("theta_dz")
     Q = phase.field({
-        "x": xi * P,
-        "y": xi * phase.var("y") * Pbar + theta * Pz,
-        "theta_dz": -1 * theta * xi * Pa,
+        phase.system["x"]: xi * P,
+        phase.system["y"]: xi * phase.var("y") * Pbar + theta * Pz,
+        phase.system["theta_dz"]: -1 * theta * xi * Pa,
     })
-    chk = check_weighted_algebroid(Q)
-    assert chk.odd and chk.weight_ok
+    verdicts = {i.check_id: i.verdict for i in check_weighted_algebroid(Q).report.items}
+    assert verdicts["structure field is Grassmann odd"] == "PASS"
+    assert verdicts["structure field has weight (0,1)"] == "PASS"
 
     alg = WeightedAlgebroid.from_q(D, Q)
     anc = anchor(alg)
