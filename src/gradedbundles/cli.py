@@ -76,11 +76,11 @@ def _scalar(e) -> Fraction:
 
 
 def _int_entry(section, key, minimum: int, maximum: int) -> int:
-    """The integer value of the section's last ``key`` entry, in minimum..maximum."""
+    """The integer value of the section's ``key`` entry, in minimum..maximum."""
     entries = structure_entries(section).get(key)
     if not entries:
         raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
-    e = entries[-1]
+    e = entries[0]
     try:
         value = int(e.value)
     except ValueError:
@@ -154,17 +154,32 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     return phi, k
 
 
+def _distinct_names(grouped, word):
+    """The names of the ``word`` entry, each at most once, and the entry."""
+    e = grouped.get(word, [None])[0]
+    names = e.value.split() if e else []
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise SpecSyntaxError(f"{word} name {n!r} appears twice", e.line, e.col)
+    return names, e
+
+
 def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     grouped = structure_entries(section)
     k = _int_entry(section, "k", 2, MAX_K)
-    base_names = []
-    for e in grouped.get("base", []):
-        base_names.extend(e.value.split())
-    fiber_names = []
-    for e in grouped.get("fiber", []):
-        fiber_names.extend(e.value.split())
+    base_names, base_entry = _distinct_names(grouped, "base")
+    fiber_names, _ = _distinct_names(grouped, "fiber")
     if not fiber_names:
         raise SpecSyntaxError("prolong structures need a fiber entry", section.line, 1)
+    # the coordinates the carrier declares beside the base
+    levels = range(1, k)
+    declared = {name for n in fiber_names for name in (
+        f"xi{n}", *(f"y{n}_{r}" for r in levels), *(f"dy{n}_{r + 1}" for r in levels))}
+    for n in base_names:
+        if n in declared:
+            raise SpecSyntaxError(
+                f"base name {n!r} clashes with a coordinate of the prolongation",
+                base_entry.line, base_entry.col)
     base = CoordinateSystem([(n, 0, 0) for n in base_names], name="base")
     anchor_data = {}
     for e in grouped.get("anchor", []):
@@ -237,7 +252,7 @@ def _prolong_structure(doc: SpecDocument, section):
 def _cotangent_structure(doc: SpecDocument, section):
     c, k = build_constants(section)
     if k != 2:
-        e = structure_entries(section)["k"][-1]
+        e = structure_entries(section)["k"][0]
         raise SpecSyntaxError("cotangent-linear structures fix k = 2", e.line, e.col)
     F, carrier, phase, P = linear_poisson(c)
     return (f"structure: cotangent of a linear Poisson space, dim {c.dim}",

@@ -534,8 +534,13 @@ def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> Report:
 def parity_reverse(G: GLBundle) -> GLBundle:
     """Flip the Grassmann parity of the vector-bundle leg.
 
-    Transitions are unchanged as polynomials; linearity in the fibre leg is
-    what makes this well formed, so it is re-checked defensively.
+    A law L, linear in the fibre, is L|fibre=0 + sum_f f * dL/df with left
+    derivatives, and Pi sends it to L|fibre=0 + sum_f (Pi f) * dL/df, the
+    ``differential`` of L under f -> Pi f: the odd vertical lift.  So a
+    fibre term keeps its coefficient when its base factor is even and
+    changes sign, once written with its base factor first, when that factor
+    is odd.  Pi is an involution.  Linearity in the fibre leg is what makes
+    this well formed, so it is re-checked defensively.
     """
     for (i, j), t in G.transitions.items():
         for v, p in t.forward.items():
@@ -551,10 +556,10 @@ def parity_reverse(G: GLBundle) -> GLBundle:
         return chart.name + "_pi", 2, {"vars": flipped}
 
     def components(comps, other, src, dst, key):
-        # an ordered map: the declaration order, and with it every sign, is
-        # unchanged, while a renaming would reject the deliberate parity flip
-        relabel = ChartMap(src["vars"], ordered=True)
-        return {dst["vars"][v]: relabel(p) for v, p in comps.items()}
+        dot = {v: w for v, w in src["vars"].items() if v.weight[1] == 1}
+        drop = ChartMap({v: ZERO for v in dot})
+        rename = ChartMap({v: w for v, w in src["vars"].items() if v not in dot})
+        return {dst["vars"][v]: rename(drop(p) + differential(p, dot)) for v, p in comps.items()}
 
     return rechart(G, spec, components, cls=GLBundle, tag="parity_reverse",
                    gl_degree=G.gl_degree)

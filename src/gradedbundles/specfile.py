@@ -34,8 +34,9 @@ bound the size of the charts a construction builds from it.
 Section kinds: ``[bundle]`` (keys arity, degree), ``[chart NAME]`` with
 weightspec entries, ``[map SRC -> DST]`` with expression entries keyed by
 target coordinates, ``[structure KIND]`` for lie-tower / prolong / tk /
-cotangent-linear data, and ``[section NAME]`` for tower sections with keys
-``Y a`` and ``Z a r``.
+cotangent-linear data, each entry key at most once and starting with a word
+of its kind, and ``[section NAME]`` for tower sections with keys ``Y a``
+and ``Z a r``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,14 @@ def parse(text: str) -> SpecDocument:
 
 _KNOWN_SECTIONS = {"bundle", "chart", "map", "structure", "section"}
 _BUNDLE_KEYS = {"arity", "degree"}
-_STRUCTURE_KINDS = {"lie-tower", "prolong", "tk", "cotangent-linear"}
+# Structure kind -> the first words its entries may have.
+_STRUCTURE_KEYS = {
+    "lie-tower": {"k", "dim", "c"},
+    "cotangent-linear": {"k", "dim", "c"},
+    "tk": {"k", "dim", "forward", "inverse"},
+    "prolong": {"k", "base", "fiber", "anchor", "bracket"},
+}
+_STRUCTURE_KINDS = set(_STRUCTURE_KEYS)
 
 
 def _check_known(sections):
@@ -169,6 +177,19 @@ def _check_known(sections):
                     f"structure kind must be one of {sorted(_STRUCTURE_KINDS)}",
                     s.line, 1,
                 )
+            words, seen = _STRUCTURE_KEYS[s.args[0]], set()
+            for e in s.entries:
+                if e.key[0] not in words:
+                    raise SpecSyntaxError(
+                        f"unknown {s.args[0]} entry {' '.join(e.key)!r},"
+                        f" not one of {sorted(words)}", e.line, 1,
+                    )
+                if e.key in seen:
+                    raise SpecSyntaxError(
+                        f"duplicate entry {' '.join(e.key)!r} in structure {s.args[0]}",
+                        e.line, 1,
+                    )
+                seen.add(e.key)
         if s.kind == "section" and len(s.args) != 1:
             raise SpecSyntaxError("section blocks need exactly one name", s.line, 1)
 

@@ -55,9 +55,9 @@ Performance invariants, kept by every operation in this module:
   ``differential`` moves each key of p by one field per variable, widening
   the ring first when a moved field could overflow;
 * a map applied to many polynomials is compiled once, into one plan per
-  source ring (:class:`ChartMap`): ``substitute``, ``remap`` and
-  ``relabel`` are one-off maps, and every re-charting builds one map per
-  transition direction and applies it to each component;
+  source ring (:class:`ChartMap`): ``substitute`` and ``remap`` are
+  one-off maps, and every re-charting builds one map per transition
+  direction and applies it to each component;
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
   index is its ``index``, checked by identity.  A variable computes its
   hash and its ``sort_key`` once, at construction; ``==`` tests identity
@@ -899,9 +899,9 @@ class ChartMap:
     """An algebra homomorphism, compiled once and applied to many polynomials.
 
     ``assignment`` sends variables all to variables, a renaming (as
-    ``remap``, or with ``ordered`` as ``relabel``), or to polynomials (as
-    ``substitute``); unassigned variables are kept.  Parities are checked on
-    the first application, where ``substitute`` and ``remap`` raise.
+    ``remap``), or to polynomials (as ``substitute``); unassigned variables
+    are kept.  Parities are checked on the first application, where
+    ``substitute`` and ``remap`` raise.
 
     Per source ring, on first use, a plan is kept while the map lives: the
     assigned fields' mask, each field's image and one power cache that all
@@ -912,14 +912,12 @@ class ChartMap:
     adds the exponents of even factors sent to one variable.
     """
 
-    __slots__ = ("assignment", "ordered", "_rename", "_checked", "_plans")
+    __slots__ = ("assignment", "_rename", "_checked", "_plans")
 
-    def __init__(self, assignment: Mapping[Variable, Variable | SuperPolynomial],
-                 ordered: bool = False):
+    def __init__(self, assignment: Mapping[Variable, Variable | SuperPolynomial]):
         self.assignment = assignment
-        self.ordered = ordered
         self._rename = all(w.__class__ is Variable for w in assignment.values())
-        self._checked = ordered  # a relabelling may change parities
+        self._checked = False
         self._plans: dict[_Ring, tuple] = {}
 
     def _check(self) -> None:
@@ -930,8 +928,8 @@ class ChartMap:
         self._checked = True
 
     def _plan(self, src: _Ring) -> tuple:
-        """(mask, images by field, power cache, fields the move list admits,
-        its target ring or None, its (mask, left, right) shifts) for ``src``."""
+        """(mask, images by field, power cache, the move list's (mask, left,
+        right) shifts, its target ring or None) for ``src``."""
         w = src.width
         field = (1 << w) - 1
         mask, images = 0, {}
@@ -940,20 +938,18 @@ class ChartMap:
             if i is not None:
                 mask |= field << (i * w)
                 images[i] = img
-        plan = (mask, images, {}, 0, None, ())
+        plan = (mask, images, {}, (), None)
         if self._rename and images:
             order = sorted(images)
             ring = _home(images[order[0]])
             targets = [ring.pos(images[i]) if _home(images[i]) is ring else -1 for i in order]
             if ring.width == w and -1 not in targets and all(
                     a < b for a, b in zip(targets, targets[1:])):
-                fits, moves = mask, {}
+                moves = {}
                 for i, j in zip(order, targets):
-                    if images[i].parity:  # an odd image admits exponent 1 only
-                        fits &= ~((field - 1) << (i * w))
                     moves[j - i] = moves.get(j - i, 0) | field << (i * w)
-                plan = plan[:3] + (fits, ring, tuple(
-                    (m, max(d, 0) * w, max(-d, 0) * w) for d, m in moves.items()))
+                plan = plan[:3] + (tuple(
+                    (m, max(d, 0) * w, max(-d, 0) * w) for d, m in moves.items()), ring)
         self._plans[src] = plan
         return plan
 
@@ -970,9 +966,11 @@ class ChartMap:
         if not support:  # a constant, fixed by every homomorphism
             return _make(_EMPTY, dict(p._num), p._den)
         src = p._ring
-        _, images, cache, fits, ring, moves = self._plans.get(src) or self._plan(src)
+        mask, images, cache, moves, ring = self._plans.get(src) or self._plan(src)
         num = p._num
-        if ring is not None and not support & ~fits:
+        # the images of a checked renaming have their sources' parities, so
+        # an odd image's field holds exponent 1 and every key moves
+        if ring is not None and not support & ~mask:
             if len(moves) == 1:
                 _, l, r = moves[0]
                 out = {k << l >> r: c for k, c in num.items()}
@@ -984,14 +982,6 @@ class ChartMap:
                         nk |= (k & m) << l >> r
                     out[nk] = c
             return _make(ring, out, p._den)
-        if self.ordered:
-            occurring = src.fields(support)
-            ws = [self.assignment.get(src.vars[i], src.vars[i]) for i, _ in occurring]
-            if any(a.sort_key >= b.sort_key for a, b in zip(ws, ws[1:])):
-                raise ValueError("relabel must keep the order of the variables")
-            for (_, e), w in zip(occurring, ws):
-                if w.parity and e != 1:
-                    raise ValueError(f"{w.name} is odd, so its exponent must be 1")
         acc = _Sum()
         den = p._den
         for k, c in num.items():
@@ -1024,12 +1014,6 @@ def substitute(
 def remap(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
     """Rename variables: the substitution of each ``v`` by ``varmap[v]``."""
     return ChartMap(varmap)(p)
-
-
-def relabel(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
-    """Rename variables by a map that keeps their order, with coefficients
-    and term order unchanged; unlike ``remap`` it may change parities."""
-    return ChartMap(varmap, ordered=True)(p)
 
 
 # -------------------------------------------------------------- derivations

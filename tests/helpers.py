@@ -15,8 +15,10 @@ from fractions import Fraction
 
 from gradedbundles.superalg import (
     EVEN,
+    ODD,
     SuperPolynomial,
     ZERO,
+    linear_combination,
     substitute,
 )
 from gradedbundles.bundle import (
@@ -221,6 +223,75 @@ def random_bundle(rng, degree, block_dims=None, base_dim=1, name="rnd"):
             inverse[f"y{w}_{i + 1}"] = expr
             solved[A[f"y{w}_{i + 1}"]] = expr
         lower.extend(A[f"y{w}_{i + 1}"] for i in range(d))
+
+    bundle = two_chart_bundle(A, B, forward, inverse)
+    rep = validate(bundle)
+    assert rep.passed, f"generator produced an invalid bundle:\n{rep}"
+    return bundle
+
+
+def random_odd_bundle(rng, name="odd"):
+    """A validated two-chart graded bundle of degree 2 or 3 with odd coordinates.
+
+    Weight 1 has two or three odd coordinates and one or two even ones, and
+    each higher weight an odd and an even one, sometimes a third of either
+    parity, in a shuffled declaration order.  Base maps are the identity.
+    Each parity block of a weight transforms by an exactly invertible linear
+    block, and each coordinate of weight w >= 2 gains one to three distinct
+    products of lower-weight coordinates of its parity, the first with an
+    odd factor: odd*odd for an even coordinate, even*odd for an odd one.
+    The inverse is solved by back substitution, weight by weight.
+    """
+    degree = rng.choice((2, 3))
+    blocks = {1: [ODD] * rng.randrange(2, 4) + [EVEN] * rng.randrange(1, 3)}
+    for w in range(2, degree + 1):
+        blocks[w] = [ODD, EVEN] + [rng.choice((ODD, EVEN))] * rng.randrange(2)
+    names = {}  # weight -> [(name, parity)]
+    specs_a, specs_b = [("x1", 0, EVEN)], [("X1", 0, EVEN)]
+    for w, parities in blocks.items():
+        rng.shuffle(parities)
+        count = {ODD: 0, EVEN: 0}
+        names[w] = []
+        for par in parities:
+            count[par] += 1
+            n = f"{'o' if par else 'y'}{w}_{count[par]}"
+            names[w].append((n, par))
+            specs_a.append((n, w, par))
+            specs_b.append((n.upper(), w, par))
+    A = CoordinateSystem(specs_a, name=f"{name}_a")
+    B = CoordinateSystem(specs_b, name=f"{name}_b")
+
+    forward, inverse = {"X1": A.var("x1")}, {"x1": B.var("X1")}
+    # A-variable -> its expression over chart B, filled weight by weight
+    solved = {A["x1"]: B.var("X1")}
+    base_a, lower = list(A.base), []
+    for w in range(1, degree + 1):
+        monos = [m for m in weighted_monomials([(v, v.weight[0]) for v in lower], w)
+                 if len(m) >= 2 and all(m.count(v) == 1 for v in m if v.parity)]
+        corrections = {}
+        for n, par in names[w]:
+            fits = [m for m in monos if sum(v.parity for v in m) % 2 == par]
+            terms = [rng.choice([m for m in fits if any(v.parity for v in m)])] if fits else []
+            rest = [m for m in fits if m not in terms]
+            terms += rng.sample(rest, min(len(rest), rng.randrange(3)))
+            corrections[n] = ZERO
+            for m in terms:
+                t = SuperPolynomial.constant(rational_nonzero(rng))
+                for v in m:
+                    t = t * SuperPolynomial.from_var(v)
+                corrections[n] += t * A.var("x1") if rng.randrange(2) else t
+        for par in (ODD, EVEN):
+            group = [n for n, p in names[w] if p == par]
+            T, Tinv = invertible_block(rng, len(group), base_a)
+            for j, n in enumerate(group):
+                forward[n.upper()] = corrections[n] + linear_combination(
+                    (1, T[j][i] * A.var(m)) for i, m in enumerate(group))
+            for i, n in enumerate(group):
+                solved[A[n]] = inverse[n] = linear_combination(
+                    (1, substitute(Tinv[i][j], solved)
+                     * (B.var(m.upper()) - substitute(corrections[m], solved)))
+                    for j, m in enumerate(group))
+        lower.extend(A[n] for n, _ in names[w])
 
     bundle = two_chart_bundle(A, B, forward, inverse)
     rep = validate(bundle)

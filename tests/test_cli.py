@@ -6,7 +6,14 @@ import sys
 import pytest
 
 from gradedbundles import cli, specfile
-from gradedbundles.linfun import bundles_structurally_equal, linearise, reconstruct
+from gradedbundles.linfun import (
+    bundles_structurally_equal,
+    is_symmetric,
+    linearise,
+    parity_reverse,
+    reconstruct,
+    symmetry_report,
+)
 from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
     MAX_DIM,
@@ -239,25 +246,8 @@ def test_expression_grammar(tmp_path):
 
 # Two odd coordinates a, b of weight 1: Z = z + a*b linearises to
 # dZ = dz + a*db - b*da, which is symmetric only with graded signs.
-ODD_WEIGHT_ONE = {
-    "degree2": (
-        "[bundle]\narity = 1\ndegree = 2\n"
-        "[chart A]\nx = weight 0\na = weight 1 odd\nb = weight 1 odd\nz = weight 2\n"
-        "[chart B]\nX = weight 0\nA = weight 1 odd\nB = weight 1 odd\nZ = weight 2\n"
-        "[map A -> B]\nX = x\nA = a\nB = b\nZ = z + a*b\n"
-        "[map B -> A]\nx = X\na = A\nb = B\nz = Z - A*B\n"
-    ),
-    "degree3": (
-        "[bundle]\narity = 1\ndegree = 3\n"
-        "[chart A]\nx = weight 0\na = weight 1 odd\nb = weight 1 odd\ny = weight 1\n"
-        "z = weight 2\nw = weight 3\n"
-        "[chart B]\nX = weight 0\nA = weight 1 odd\nB = weight 1 odd\nY = weight 1\n"
-        "Z = weight 2\nW = weight 3\n"
-        "[map A -> B]\nX = x\nA = a\nB = b\nY = y\nZ = z + a*b\nW = w + y*z + x*a*b*y\n"
-        "[map B -> A]\nx = X\na = A\nb = B\ny = Y\nz = Z - A*B\n"
-        "w = W - Y*Z + Y*A*B - X*A*B*Y\n"
-    ),
-}
+ODD_WEIGHT_ONE = {name: (SPEC_DIR / f"odd-{name}.spec").read_text()
+                  for name in ("degree2", "degree3")}
 
 
 @pytest.mark.parametrize("name", sorted(ODD_WEIGHT_ONE))
@@ -284,6 +274,15 @@ def test_odd_coordinates_of_one_weight_keep_the_pairing_invariant(tmp_path, name
     assert "PASS  transition 1->0: pairing invariance\n" in out
     if name == "degree2":
         assert "delta* = a*pda + b*pdb + 2*z*pdz" in out
+
+
+def test_odd_parity_reversal_is_symmetric_and_an_involution():
+    # dW has the terms of the lift of x*a*b*y, such as x*a*y*db with the odd
+    # base factor x*a*y, whose sign Pi changes
+    D = linearise(build_bundle(parse(ODD_WEIGHT_ONE["degree3"])).bundle)
+    P = parity_reverse(D)
+    assert is_symmetric(P), [item.check_id for item in symmetry_report(P).failures()]
+    assert bundles_structurally_equal(D, parity_reverse(P))
 
 
 def test_minimal_degree1_document():
@@ -523,6 +522,7 @@ def test_dimension_30_lie_tower_constructs_in_time(tmp_path):
 COTANGENT_K3 = "# k is fixed\n[structure cotangent-linear]\ndim = 1\nk = 3\n"
 TK_MISSING = "[structure tk]\nk = 2\ndim = 2\nforward 1 = x1\ninverse 1 = X1\nforward 2 = x2\n"
 TOWER = "[structure lie-tower]\nk = 2\ndim = 1\n"
+NOT_C_DIM_K = "not one of ['c', 'dim', 'k']"
 
 
 @pytest.mark.parametrize("command, text, message, line", [
@@ -541,10 +541,37 @@ TOWER = "[structure lie-tower]\nk = 2\ndim = 1\n"
     (["construct", "lie-tower"], "# not a tower\n" + TK_MISSING,
      "construct lie-tower needs a lie-tower structure", 2),
     (["construct", "tk"], COTANGENT_K3, "construct tk needs a tk structure", 2),
+    (["check-q"], TOWER + "bogus = 7\n", f"unknown lie-tower entry 'bogus', {NOT_C_DIM_K}", 4),
+    (["check-q"], TOWER + "cc 2 3 1 = 1\n",
+     f"unknown lie-tower entry 'cc 2 3 1', {NOT_C_DIM_K}", 4),
+    (["construct", "cotangent"], "[structure cotangent-linear]\nk = 2\ndim = 1\nforward 1 = 1\n",
+     f"unknown cotangent-linear entry 'forward 1', {NOT_C_DIM_K}", 4),
+    (["construct", "tk"], tk_text(2, 1) + "c 1 2 3 = 1\n",
+     "unknown tk entry 'c 1 2 3', not one of ['dim', 'forward', 'inverse', 'k']", 6),
+    (["construct", "prolong"], prolong_text(2) + "dim = 1\n",
+     "unknown prolong entry 'dim', not one of ['anchor', 'base', 'bracket', 'fiber', 'k']", 6),
+    (["check-q"], constants_text("lie-tower", 2, 3) + "c 1 2 3 = 2\n",
+     "duplicate entry 'c 1 2 3' in structure lie-tower", 5),
+    (["construct", "tk"], tk_text(2, 1) + "forward 1 = 2*x1\n",
+     "duplicate entry 'forward 1' in structure tk", 6),
+    (["construct", "prolong"], prolong_text(2) + "anchor e1 x1 = 2\n",
+     "duplicate entry 'anchor e1 x1' in structure prolong", 6),
+    (["check-q"], TOWER + "k = 3\n", "duplicate entry 'k' in structure lie-tower", 4),
+    (["construct", "lie-tower"], TOWER + "dim = 4\n",
+     "duplicate entry 'dim' in structure lie-tower", 4),
+    (["construct", "prolong"], "[structure prolong]\nk = 2\nbase = x x\nfiber = e\n",
+     "base name 'x' appears twice", 3),
+    (["check-q"], "[structure prolong]\nk = 2\nbase = x\nfiber = e e\n",
+     "fiber name 'e' appears twice", 4),
+    (["check-q"], "[structure prolong]\nk = 2\nbase = ye_1\nfiber = e\n",
+     "base name 'ye_1' clashes with a coordinate of the prolongation", 3),
 ], ids=["check-q-cotangent-k3", "construct-cotangent-k3", "missing-k", "check-q-tk-missing",
         "construct-tk-missing", "prolong-no-fiber", "bracket-one-section",
         "bracket-three-sections", "bracket-other-kind", "construct-lie-tower-other-kind",
-        "construct-tk-other-kind"])
+        "construct-tk-other-kind", "unknown-word", "unknown-c", "unknown-cotangent",
+        "unknown-tk", "unknown-prolong", "repeated-c", "repeated-forward", "repeated-anchor",
+        "repeated-k", "repeated-dim", "repeated-base-name", "repeated-fiber-name",
+        "base-name-clash"])
 def test_structure_errors_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert f"{message} at line {line}," in err

@@ -43,14 +43,13 @@ TARGET = [
     ("t", "tau", (2,), ODD, 4),
     ("t", "c", (2,), EVEN, 5),
 ]
-# declared copies of the source chart, with its parities and with every
-# parity flipped: a renaming into one of them that keeps the order of its
-# variables moves keys directly, any other renaming is substituted
+# a declared copy of the source chart: a renaming into it that keeps the
+# order of its variables moves keys directly, any other renaming is
+# substituted
 COPY = [("s", "s" + name, w, par, i) for _, name, w, par, i in SOURCE]
-FLIPPED = [("f", "f" + name, w, 1 - par, i) for _, name, w, par, i in SOURCE]
 # a chart of two-entry weights, for sums and products of mixed arity
 PAIRED = [("w", "v", (1, 0), EVEN, 0), ("w", "omega", (0, 1), ODD, 1)]
-SPECS = SOURCE + TARGET + COPY + FLIPPED + PAIRED
+SPECS = SOURCE + TARGET + COPY + PAIRED
 
 
 def universe(mod):
@@ -64,9 +63,8 @@ LIVE, REF = universe(live), universe(ref)
 SOURCE_RING = live.declare_chart(LIVE[spec[1]] for spec in SOURCE)
 LIVE.update({v.name: v for v in SOURCE_RING.vars})
 # rings are held weakly: as a chart keeps its ring, these names keep theirs
-COPY_RING, FLIPPED_RING = (live.declare_chart(LIVE[spec[1]] for spec in chart)
-                           for chart in (COPY, FLIPPED))
-LIVE.update({v.name: v for ring in (COPY_RING, FLIPPED_RING) for v in ring.vars})
+COPY_RING = live.declare_chart(LIVE[spec[1]] for spec in COPY)
+LIVE.update({v.name: v for v in COPY_RING.vars})
 SOURCE_NAMES = [spec[1] for spec in SOURCE]
 TARGET_NAMES = [spec[1] for spec in TARGET]
 PAIRED_NAMES = [spec[1] for spec in PAIRED]
@@ -570,10 +568,10 @@ def polynomials(spec):
     return out
 
 
-def check_chart_map(pairs, live_map, ref_map, one_off, ref_one_off, ordered=False):
+def check_chart_map(pairs, live_map, ref_map, one_off, ref_one_off):
     """One ChartMap applied to every polynomial, against one map per
     polynomial and against the reference."""
-    m = live.ChartMap(live_map, ordered)
+    m = live.ChartMap(live_map)
     for p, rp in pairs:
         got = m(p)
         same(got, one_off(p, live_map))
@@ -629,43 +627,6 @@ def test_chart_map_moves_in_order_and_reorders_with_the_koszul_sign():
     assert swapped._plans[p._ring][4] is None
     assert key(swapped(p))[tuple(("s", n, 1) for n in COPY_NAMES)] == Fraction(-5, 2)
     same(swapped(p), ref.remap(rp, renaming(SWAP_INTO_COPY)[1]))
-
-
-def flip(pairs_desc):
-    """An ordered map of some source variables onto the flipped chart, at
-    their own index."""
-    return {LIVE[n]: LIVE["f" + n] for n in pairs_desc}
-
-
-@settings(max_examples=100, deadline=None)
-@given(polynomials_strategy(), st.sets(st.sampled_from(SOURCE_NAMES)))
-def test_chart_map_ordered(spec, flipped):
-    varmap = flip(sorted(flipped))
-    m = live.ChartMap(varmap, ordered=True)
-    for p, _ in polynomials(spec):
-        # an even variable turned odd must occur at most to the first power
-        squares = any(e > 1 and v in varmap and not v.parity
-                      for mono in p.terms for v, e in mono)
-        if squares:
-            with pytest.raises(ValueError, match="exponent must be 1"):
-                m(p)
-            with pytest.raises(ValueError, match="exponent must be 1"):
-                live.relabel(p, varmap)
-            continue
-        got = m(p)
-        same(got, live.relabel(p, varmap))
-        # coefficients and term order unchanged, each variable renamed
-        want = [(tuple((w.system, w.name, e) for w, e in
-                       ((varmap.get(v, v), e) for v, e in mono)), c)
-                for mono, c in p.terms.items()]
-        assert list(key(got).items()) == want
-
-
-def test_chart_map_ordered_rejects_a_reorder():
-    p, _ = both([(Fraction(1), [("x", 1), ("theta", 1)])])
-    m = live.ChartMap({LIVE["x"]: LIVE["ftheta"], LIVE["theta"]: LIVE["fx"]}, ordered=True)
-    with pytest.raises(ValueError, match="keep the order"):
-        m(p)
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,6 +40,10 @@ EXTRA_COMMANDS = [
     ("nonjacobi-tower.spec", ["construct", "lie-tower"]),
     ("nonjacobi-cotangent.spec", ["construct", "cotangent"]),
     ("degree2-wrong-inverse.spec", ["validate"]),
+    ("odd-degree2.spec", ["linearise"]),
+    ("odd-degree2.spec", ["dual"]),
+    ("odd-degree3.spec", ["linearise"]),
+    ("odd-degree3.spec", ["dual"]),
 ]
 # Specs whose reports pin FAIL items and their residuals; they exit 1.
 FAILING_SPECS = {"nonjacobi-tower.spec", "nonjacobi-cotangent.spec",
