@@ -93,11 +93,14 @@ def _int_entry(section, key, minimum: int, maximum: int) -> int:
 
 
 def _index(e, word: str, dim: int) -> int:
-    """The index ``word`` of entry ``e``, which must be an integer in 1..dim."""
+    """The index ``word`` of entry ``e``, an integer in 1..dim written in plain
+    decimal, so that two keys name the same index only if they are spelt alike."""
     try:
         i = int(word)
     except ValueError:
         raise SpecSyntaxError(f"index {word!r} is not an integer", e.line, 1) from None
+    if word != str(i):
+        raise SpecSyntaxError(f"index {word!r} is not written in plain decimal", e.line, 1)
     if not 1 <= i <= dim:
         raise SpecSyntaxError(f"index {i} is outside 1..{dim}", e.line, 1)
     return i
@@ -119,9 +122,6 @@ def build_constants(section) -> tuple[StructureConstants, int]:
     c = {}
     entry_of = {}
     for e in grouped.get("c", []):
-        if len(e.key) != 4:
-            raise SpecSyntaxError("structure constants read 'c i j k = value'",
-                                  e.line, 1)
         key = tuple(_index(e, x, dim) for x in e.key[1:])
         c[key] = _scalar(e)
         entry_of[key] = e
@@ -139,10 +139,7 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     inv = {}
     for side, chart, comps in (("forward", src, fwd), ("inverse", dst, inv)):
         for e in grouped.get(side, []):
-            if len(e.key) != 2:
-                raise SpecSyntaxError(f"tk entries read '{side} i = expr'", e.line, 1)
-            i = _index(e, e.key[1], dim)
-            comps[i] = parse_expression(e.value, chart, e.line, e.col)
+            comps[_index(e, e.key[1], dim)] = parse_expression(e.value, chart, e.line, e.col)
     missing = [i for i in range(1, dim + 1) if i not in fwd or i not in inv]
     if missing:
         raise SpecSyntaxError(f"tk structure misses components {missing}", section.line, 1)
@@ -183,9 +180,6 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     base = CoordinateSystem([(n, 0, 0) for n in base_names], name="base")
     anchor_data = {}
     for e in grouped.get("anchor", []):
-        if len(e.key) != 3:
-            raise SpecSyntaxError("anchor entries read 'anchor f x = expr'",
-                                  e.line, 1)
         _, f, x = e.key
         if f not in fiber_names or x not in base:
             raise SpecSyntaxError(f"unknown anchor indices {f!r}, {x!r}",
@@ -194,9 +188,6 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     bracket_data = {}
     entry_of = {}
     for e in grouped.get("bracket", []):
-        if len(e.key) != 4:
-            raise SpecSyntaxError("bracket entries read 'bracket a b c = expr'",
-                                  e.line, 1)
         _, a, b, c = e.key
         for nm in (a, b, c):
             if nm not in fiber_names:
@@ -210,26 +201,15 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
 
 def build_tower_section(section, tower) -> TowerSection:
     """``Y a`` and ``Z a r`` entries: fibre indices a in 1..dim, levels r in
-    1..k-1, each key at most once."""
+    1..k-1."""
     x_of, info = tower.phase.x_of, tower.tower
     names, k = info.names, info.k
     base_names = {x_of[y].name: x_of[y] for y in info.y_of.values()}
     Y = {}
     Z = {}
     for e in section.entries:
-        if e.key[0] == "Y" and len(e.key) == 2:
-            comps, key = Y, names[_index(e, e.key[1], len(names)) - 1]
-        elif e.key[0] == "Z" and len(e.key) == 3:
-            comps = Z
-            key = (names[_index(e, e.key[1], len(names)) - 1], _index(e, e.key[2], k - 1))
-        else:
-            raise SpecSyntaxError(
-                "section entries read 'Y a = expr' or 'Z a r = expr'", e.line, 1
-            )
-        if key in comps:
-            raise SpecSyntaxError(
-                f"duplicate key {' '.join(e.key)!r} in section {section.args[0]}", e.line, 1
-            )
+        name = names[_index(e, e.key[1], len(names)) - 1]
+        comps, key = (Y, name) if e.key[0] == "Y" else (Z, (name, _index(e, e.key[2], k - 1)))
         comps[key] = parse_expression(e.value, base_names, e.line, e.col)
     return TowerSection(Y, Z)
 

@@ -52,6 +52,7 @@ from .bundle import (
     _fresh_name,
     CoordinateSystem,
     GradedBundle,
+    IllDefinedProjection,
     NTupleBundle,
     rechart,
     restrict,
@@ -511,7 +512,7 @@ def mironian_report(F: GradedBundle, dual: GLBundle | None = None) -> Report:
     report = Report()
     try:
         mi = mironian(F, dual)
-    except Exception as exc:  # pragma: no cover - defensive
+    except IllDefinedProjection as exc:
         report.add("mironian restriction is well defined", False, str(exc))
         return report
     report.add("mironian restriction is well defined", True)

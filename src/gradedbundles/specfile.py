@@ -31,12 +31,21 @@ expression rather than with the polynomials it describes.  A ``[structure]``
 section's ``dim`` and ``k`` may not exceed ``MAX_DIM`` and ``MAX_K``, which
 bound the size of the charts a construction builds from it.
 
-Section kinds: ``[bundle]`` (keys arity, degree), ``[chart NAME]`` with
-weightspec entries, ``[map SRC -> DST]`` with expression entries keyed by
-target coordinates, ``[structure KIND]`` for lie-tower / prolong / tk /
-cotangent-linear data, each entry key at most once and starting with a word
-of its kind, and ``[section NAME]`` for tower sections with keys ``Y a``
-and ``Z a r``.
+Each section's entry keys take one of the shapes below (``_SECTION_KEYS``
+and ``_STRUCTURE_KEYS``): a first word, then one word per placeholder;
+NAME is any one word.  A key appears at most once in a section, and a
+document has at most one ``[bundle]`` and one ``[structure]`` section, one
+chart of a name and one map of a pair of charts.  ``parse`` rejects any
+other header or key, and any repeat, with a ``SpecSyntaxError`` at its line.
+
+    [bundle]                        arity, degree
+    [chart NAME]                    NAME = weightspec, per coordinate
+    [map SRC -> DST]                NAME = expression, per DST coordinate
+    [section NAME]                  Y a, Z a r
+    [structure lie-tower]           k, dim, c i j k
+    [structure cotangent-linear]    k, dim, c i j k
+    [structure tk]                  k, dim, forward i, inverse i
+    [structure prolong]             k, base, fiber, anchor f x, bracket a b c
 """
 
 from __future__ import annotations
@@ -145,53 +154,65 @@ def parse(text: str) -> SpecDocument:
     return SpecDocument(sections)
 
 
-_KNOWN_SECTIONS = {"bundle", "chart", "map", "structure", "section"}
-_BUNDLE_KEYS = {"arity", "degree"}
-# Structure kind -> the first words its entries may have.
+# Section kind -> the shapes of its entry keys: a first word, then a
+# placeholder for each word that follows it; NAME stands for any one word.
+# [structure KIND] sections take the shapes of their kind.
+_SECTION_KEYS = {
+    "bundle": ("arity", "degree"),
+    "chart": ("NAME",),
+    "map": ("NAME",),
+    "section": ("Y a", "Z a r"),
+}
 _STRUCTURE_KEYS = {
-    "lie-tower": {"k", "dim", "c"},
-    "cotangent-linear": {"k", "dim", "c"},
-    "tk": {"k", "dim", "forward", "inverse"},
-    "prolong": {"k", "base", "fiber", "anchor", "bracket"},
+    "lie-tower": ("k", "dim", "c i j k"),
+    "cotangent-linear": ("k", "dim", "c i j k"),
+    "tk": ("k", "dim", "forward i", "inverse i"),
+    "prolong": ("k", "base", "fiber", "anchor f x", "bracket a b c"),
 }
 _STRUCTURE_KINDS = set(_STRUCTURE_KEYS)
+# Section kind -> how many of its header's words name one section, which a
+# document may hold once.
+_ONCE = {"bundle": 0, "structure": 0, "chart": 1, "map": 3}
 
 
 def _check_known(sections):
+    """Check each section's header, and each entry's key against its shapes;
+    reject a repeated key in a section and a repeated section."""
+    seen_sections = set()
     for s in sections:
-        if s.kind not in _KNOWN_SECTIONS:
+        if s.kind not in _SECTION_KEYS and s.kind != "structure":
             raise SpecSyntaxError(f"unknown section kind {s.kind!r}", s.line, 1)
-        if s.kind == "bundle":
-            for e in s.entries:
-                if e.key != (e.key[0],) or e.key[0] not in _BUNDLE_KEYS:
-                    raise SpecSyntaxError(
-                        f"unknown bundle key {' '.join(e.key)!r}", e.line, 1
-                    )
-        if s.kind == "chart" and len(s.args) != 1:
-            raise SpecSyntaxError("chart sections need exactly one name", s.line, 1)
+        if s.kind == "bundle" and s.args:
+            raise SpecSyntaxError("[bundle] headers take no name", s.line, 1)
+        if s.kind in ("chart", "section") and len(s.args) != 1:
+            raise SpecSyntaxError(f"[{s.kind} NAME] headers need exactly one name", s.line, 1)
         if s.kind == "map" and (len(s.args) != 3 or s.args[1] != "->"):
             raise SpecSyntaxError("map sections are '[map SRC -> DST]'", s.line, 1)
-        if s.kind == "structure":
-            if len(s.args) != 1 or s.args[0] not in _STRUCTURE_KINDS:
+        if s.kind == "structure" and (len(s.args) != 1 or s.args[0] not in _STRUCTURE_KINDS):
+            raise SpecSyntaxError(
+                f"structure kind must be one of {sorted(_STRUCTURE_KINDS)}", s.line, 1)
+        if s.kind in _ONCE:
+            name = " ".join((s.kind, *s.args[:_ONCE[s.kind]]))
+            if name in seen_sections:
+                raise SpecSyntaxError(f"duplicate {name} section", s.line, 1)
+            seen_sections.add(name)
+        kind, table = ((s.args[0], _STRUCTURE_KEYS) if s.kind == "structure"
+                       else (s.kind, _SECTION_KEYS))
+        shapes = {p.split()[0]: p for p in table[kind]}
+        header = " ".join((s.kind, *s.args))
+        seen = set()
+        for e in s.entries:
+            key = " ".join(e.key)
+            shape = shapes.get(e.key[0], shapes.get("NAME"))
+            if shape is None:
                 raise SpecSyntaxError(
-                    f"structure kind must be one of {sorted(_STRUCTURE_KINDS)}",
-                    s.line, 1,
-                )
-            words, seen = _STRUCTURE_KEYS[s.args[0]], set()
-            for e in s.entries:
-                if e.key[0] not in words:
-                    raise SpecSyntaxError(
-                        f"unknown {s.args[0]} entry {' '.join(e.key)!r},"
-                        f" not one of {sorted(words)}", e.line, 1,
-                    )
-                if e.key in seen:
-                    raise SpecSyntaxError(
-                        f"duplicate entry {' '.join(e.key)!r} in structure {s.args[0]}",
-                        e.line, 1,
-                    )
-                seen.add(e.key)
-        if s.kind == "section" and len(s.args) != 1:
-            raise SpecSyntaxError("section blocks need exactly one name", s.line, 1)
+                    f"unknown {kind} entry {key!r}, not one of {sorted(shapes)}", e.line, 1)
+            if len(e.key) != len(shape.split()):
+                raise SpecSyntaxError(f"entry {key!r} in {header} should read {shape!r}",
+                                      e.line, 1)
+            if e.key in seen:
+                raise SpecSyntaxError(f"duplicate entry {key!r} in {header}", e.line, 1)
+            seen.add(e.key)
 
 
 # ------------------------------------------------------------- expressions
@@ -406,39 +427,21 @@ class BundleSpec:
 def build_bundle(doc: SpecDocument) -> BundleSpec:
     """Realise the [bundle]/[chart]/[map] sections as a graded bundle."""
     meta = doc.first("bundle")
-    arity = 1
-    declared_degree = None
-    if meta:
-        for e in meta.entries:
-            try:
-                if e.key == ("arity",):
-                    arity = int(e.value)
-                elif e.key == ("degree",):
-                    declared_degree = int(e.value)
-            except ValueError:
-                raise SpecSyntaxError(
-                    f"{e.key[0]} must be an integer", e.line, e.col
-                )
-    chart_sections = doc.all("chart")
-    if len(chart_sections) < 1:
+    values = {}
+    for e in meta.entries if meta else ():
+        try:
+            values[e.key[0]] = int(e.value)
+        except ValueError:
+            raise SpecSyntaxError(f"{e.key[0]} must be an integer", e.line, e.col)
+    arity, declared_degree = values.get("arity", 1), values.get("degree")
+    if not doc.all("chart"):
         raise SpecSyntaxError("documents with bundle commands need charts", 1, 1)
-    charts = {}
-    order = []
-    for s in chart_sections:
-        name = s.args[0]
-        if name in charts:
-            raise SpecSyntaxError(f"duplicate chart {name!r}", s.line, 1)
-        specs = {}
-        for e in s.entries:
-            if len(e.key) != 1:
-                raise SpecSyntaxError("chart keys are single names", e.line, 1)
-            if e.key[0] in specs:
-                raise SpecSyntaxError(
-                    f"duplicate coordinate {e.key[0]!r} in chart {name!r}", e.line, 1
-                )
-            specs[e.key[0]] = (e.key[0], *parse_weight_entry(e, arity))
-        charts[name] = CoordinateSystem(list(specs.values()), name=name, arity=arity)
-        order.append(name)
+    charts = {
+        s.args[0]: CoordinateSystem(
+            [(e.key[0], *parse_weight_entry(e, arity)) for e in s.entries],
+            name=s.args[0], arity=arity)
+        for s in doc.all("chart")
+    }
 
     maps = {}
     for s in doc.all("map"):
@@ -446,20 +449,13 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
         for nm in (src, dst):
             if nm not in charts:
                 raise UnknownVariableError(f"unknown chart {nm!r}", s.line, 1)
-        if (src, dst) in maps:
-            raise SpecSyntaxError(f"duplicate map {src} -> {dst}", s.line, 1)
+        if src == dst:
+            raise SpecSyntaxError(f"map {src} -> {dst} maps a chart to itself", s.line, 1)
         comp = {}
         for e in s.entries:
-            if len(e.key) != 1:
-                raise SpecSyntaxError("map keys are single coordinates", e.line, 1)
             if e.key[0] not in charts[dst]:
                 raise UnknownVariableError(
                     f"{e.key[0]!r} is not a coordinate of chart {dst!r}",
-                    e.line, 1,
-                )
-            if e.key[0] in comp:
-                raise SpecSyntaxError(
-                    f"duplicate component {e.key[0]!r} in map {src} -> {dst}",
                     e.line, 1,
                 )
             comp[e.key[0]] = parse_expression(e.value, charts[src], e.line, e.col)
@@ -471,12 +467,11 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
             )
         maps[(src, dst)] = comp
 
-    if len(order) == 1:
-        bundle = single_chart_bundle(charts[order[0]])
-        return BundleSpec(bundle, declared_degree)
-    if len(order) != 2:
+    if len(charts) == 1:
+        return BundleSpec(single_chart_bundle(*charts.values()), declared_degree)
+    if len(charts) != 2:
         raise SpecSyntaxError("desk-scale documents carry one or two charts", 1, 1)
-    a, b = order
+    a, b = charts
     if (a, b) not in maps or (b, a) not in maps:
         raise SpecSyntaxError(
             f"two-chart documents need maps {a} -> {b} and {b} -> {a}", 1, 1

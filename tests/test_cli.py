@@ -422,7 +422,7 @@ def test_duplicate_map_component_rejected():
     )
     with pytest.raises(SpecSyntaxError) as err:
         build_bundle(parse(text))
-    assert err.value.line == 10 and "duplicate component 'Y'" in str(err.value)
+    assert err.value.line == 10 and "duplicate entry 'Y' in map a -> b" in str(err.value)
 
 
 @pytest.mark.parametrize("command", ["validate", "dual"])
@@ -432,7 +432,7 @@ def test_repeated_chart_coordinate_exit_two(tmp_path, capsys, command):
         build_bundle(parse(text))
     assert err.value.line == 6
     message = run_cli_hostile(tmp_path, capsys, [command], text)
-    assert "duplicate coordinate 'y' in chart 'a'" in message and "line 6" in message
+    assert "duplicate entry 'y' in chart a" in message and "line 6" in message
 
 
 TK_ONE = "forward 1 = x1\ninverse 1 = X1\n"
@@ -523,6 +523,7 @@ COTANGENT_K3 = "# k is fixed\n[structure cotangent-linear]\ndim = 1\nk = 3\n"
 TK_MISSING = "[structure tk]\nk = 2\ndim = 2\nforward 1 = x1\ninverse 1 = X1\nforward 2 = x2\n"
 TOWER = "[structure lie-tower]\nk = 2\ndim = 1\n"
 NOT_C_DIM_K = "not one of ['c', 'dim', 'k']"
+ONE_CHART = "[chart a]\nx = weight 0\ny = weight 1\n"
 
 
 @pytest.mark.parametrize("command, text, message, line", [
@@ -565,13 +566,37 @@ NOT_C_DIM_K = "not one of ['c', 'dim', 'k']"
      "fiber name 'e' appears twice", 4),
     (["check-q"], "[structure prolong]\nk = 2\nbase = ye_1\nfiber = e\n",
      "base name 'ye_1' clashes with a coordinate of the prolongation", 3),
+    (["check-q"], TOWER + "k 9 = 3\n", "entry 'k 9' in structure lie-tower should read 'k'", 4),
+    (["construct", "lie-tower"], TOWER + "dim x = 7\n",
+     "entry 'dim x' in structure lie-tower should read 'dim'", 4),
+    (["construct", "prolong"], prolong_text(2) + "base y = z\n",
+     "entry 'base y' in structure prolong should read 'base'", 6),
+    (["check-q"], constants_text("lie-tower", 2, 3) + "c 01 2 3 = 5\n",
+     "index '01' is not written in plain decimal", 5),
+    (["construct", "tk"], tk_text(2, 1) + "forward 01 = 2*x1\n",
+     "index '01' is not written in plain decimal", 6),
+    (["validate"], "[bundle]\ndegree = 1\ndegree = 2\n" + ONE_CHART,
+     "duplicate entry 'degree' in bundle", 3),
+    (["validate"], "[bundle]\ndegree = 1\n" + ONE_CHART + "[bundle]\ndegree = 2\n",
+     "duplicate bundle section", 6),
+    (["validate"], "# A\n[bundle degree]\ndegree = 2\n" + ONE_CHART,
+     "[bundle] headers take no name", 2),
+    (["check-q"], TOWER + "[structure tk]\nk = 2\ndim = 1\n",
+     "duplicate structure section", 4),
+    (["validate"], ONE_CHART + "[map a -> a]\nx = x\ny = 2*y\n",
+     "map a -> a maps a chart to itself", 4),
+    (["validate"], TWO_CHARTS + "[map a -> b]\nX = x\nY = 2*y\n[map b -> a]\nx = X\n"
+     "y = 1/2*Y\n[map a -> a]\nx = x\ny = 3*y\n", "map a -> a maps a chart to itself", 13),
 ], ids=["check-q-cotangent-k3", "construct-cotangent-k3", "missing-k", "check-q-tk-missing",
         "construct-tk-missing", "prolong-no-fiber", "bracket-one-section",
         "bracket-three-sections", "bracket-other-kind", "construct-lie-tower-other-kind",
         "construct-tk-other-kind", "unknown-word", "unknown-c", "unknown-cotangent",
         "unknown-tk", "unknown-prolong", "repeated-c", "repeated-forward", "repeated-anchor",
         "repeated-k", "repeated-dim", "repeated-base-name", "repeated-fiber-name",
-        "base-name-clash"])
+        "base-name-clash", "word-after-k", "word-after-dim", "word-after-base",
+        "zero-padded-c", "zero-padded-forward", "repeated-bundle-key", "second-bundle",
+        "bundle-header-word",
+        "second-structure", "one-chart-self-map", "two-chart-self-map"])
 def test_structure_errors_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert f"{message} at line {line}," in err
@@ -629,7 +654,7 @@ def test_section_level_out_of_range_exit_two(tmp_path, capsys):
 def test_section_duplicate_key_exit_two(tmp_path, capsys):
     err = run_cli_hostile(tmp_path, capsys, ["bracket"],
                           bracket_sections("Y 1 = 1\nY 1 = 2"))
-    assert "duplicate key 'Y 1'" in err and "line 9" in err
+    assert "duplicate entry 'Y 1' in section s1" in err and "line 9" in err
 
 
 def test_poisson_section_is_unknown_exit_two(tmp_path, capsys):

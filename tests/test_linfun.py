@@ -451,6 +451,22 @@ def test_mironian_structure():
     assert validate(mi).passed
 
 
+def test_mironian_report_fails_on_an_inhomogeneous_dual():
+    # the law of the kept x reads q, of bi-weight (1, 1), which Mi(F) drops
+    def chart(names, name):
+        weights = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        return CoordinateSystem(zip(names, weights, [EVEN] * 4), name=name, arity=2)
+    A, B = chart("xypq", "inha"), chart("XYPQ", "inhb")
+    x, y, p, q = (A.var(n) for n in "xypq")
+    X, Y, P, Q = (B.var(n) for n in "XYPQ")
+    dual = two_chart_bundle(A, B, {"X": x + q, "Y": y, "P": p, "Q": q},
+                            {"x": X - Q, "y": Y, "p": P, "q": Q}, cls=GLBundle)
+    report = mironian_report(degree2_example(), dual)
+    [item] = report.items
+    assert (item.check_id, item.verdict) == ("mironian restriction is well defined", "FAIL")
+    assert item.residual == "image of X depends on dropped coordinate q"
+
+
 def test_mironian_degree1_is_dual():
     A = CoordinateSystem([("x", 0, 0), ("y", 1, 0)], name="mi1a")
     B = CoordinateSystem([("X", 0, 0), ("Y", 1, 0)], name="mi1b")
