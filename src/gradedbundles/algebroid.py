@@ -1,11 +1,11 @@
 """Weighted skew/Lie algebroids on graded-linear bundles.
 
 The three equivalent encodings live on one tri-graded odd phase space built
-over the dual of the carrier: base-leg coordinates x, their odd conjugates
-chi, even momenta pi dual to the fibre leg and their odd conjugates theta.
-Conjugate tri-weights add up to (k-1, 1, 1), the Grassmann parity is the
-second tri-weight component mod 2, and the canonical odd bracket therefore
-shifts tri-weight by (1-k, -1, -1).
+over the dual of the carrier: base-leg coordinates x, their conjugates chi,
+momenta pi dual to the fibre leg and their conjugates theta.  Conjugate
+tri-weights add up to (k-1, 1, 1), parity = carrier parity + second
+tri-weight mod 2 (so conjugates have opposite parities), and the canonical
+odd bracket shifts tri-weight by (1-k, -1, -1).
 
 Sign conventions, fixed once and used everywhere:
 
@@ -22,19 +22,16 @@ Sign conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .superalg import (
     ChartMap,
     Derivation,
-    EVEN,
     ODD,
     SuperPolynomial,
     Variable,
     ZERO,
     commutator,
     linear_combination,
-    parity_matches_weight,
     partial,
     partial_right,
     render,
@@ -45,9 +42,6 @@ from .superalg import (
 from .bundle import _chart, _fresh_name, CoordinateSystem
 from .linfun import GLBundle, NotSymmetric, holonomic_assignment
 from .report import Report
-
-if TYPE_CHECKING:
-    from .constructions import TowerInfo
 
 
 class CoordinateMismatch(ValueError):
@@ -72,7 +66,7 @@ class ProjectionObstruction(ValueError):
 
 # ------------------------------------------------------------- odd brackets
 class OddPoissonSpace:
-    """A coordinate system with chosen conjugate pairs (q even, q* odd).
+    """A coordinate system with chosen conjugate pairs of opposite parities.
 
     The antibracket is normalised by (q, q*) = +1 and satisfies graded
     antisymmetry and Jacobi with the shifted parity |F| + 1.
@@ -82,9 +76,9 @@ class OddPoissonSpace:
         self.system = system
         self.pairs = list(pairs)
         for q, qstar in self.pairs:
-            if q.parity != EVEN or qstar.parity != ODD:
+            if q.parity == qstar.parity:
                 raise ValueError(
-                    f"pair ({q.name}, {qstar.name}) must be (even, odd)"
+                    f"pair ({q.name}, {qstar.name}) must have opposite parities"
                 )
         self._allowed = set(system.variables)
 
@@ -131,12 +125,14 @@ class OddPoissonSpace:
 def _tri_chart(name: str, blocks):
     """A tri-graded chart and, per block, the map from carrier variables to
     its coordinates; a block is (carrier variables, name prefix, tri-weight
-    of a weight-u variable, parity), and a taken name gets ``_`` appended."""
+    of a weight-u variable, parity shift), a coordinate's parity is its
+    carrier variable's plus the shift, and a taken name gets ``_`` appended."""
     taken: set[str] = set()
     return _chart(name, 3, [
-        {v: (_fresh_name(prefix + v.name, taken, lambda n: n + "_"), weight(v.weight[0]), parity)
+        {v: (_fresh_name(prefix + v.name, taken, lambda n: n + "_"), weight(v.weight[0]),
+             (v.parity + shift) % 2)
          for v in variables}
-        for variables, prefix, weight, parity in blocks
+        for variables, prefix, weight, shift in blocks
     ])
 
 
@@ -144,9 +140,9 @@ class OddPhaseSpace:
     """Tri-graded coordinates (x, pi, chi, theta) over a carrier's dual.
 
     x mirrors the carrier's base leg with tri-weight (u, 0, 0); each fibre
-    coordinate of bi-weight (u, 1) contributes an even momentum pi of
-    tri-weight (k-1-u, 0, 1) and an odd theta of tri-weight (u, 1, 0); each
-    base-leg coordinate contributes an odd chi of tri-weight (k-1-u, 1, 1).
+    coordinate of bi-weight (u, 1) contributes a momentum pi of tri-weight
+    (k-1-u, 0, 1) and a theta of tri-weight (u, 1, 0); each base-leg
+    coordinate contributes a chi of tri-weight (k-1-u, 1, 1).
     A homological field acts on the (x, theta) part only and is represented
     as a derivation of this system with weight shift (0, 1, 0).
     """
@@ -160,12 +156,11 @@ class OddPhaseSpace:
         fiber = carrier.fiber_vars(chart)
         self.system, (self.x_of, self.pi_of, self.chi_of, self.theta_of) = _tri_chart(
             f"phase_{carrier.charts[chart].name}",
-            [(base_leg, "", lambda u: (u, 0, 0), EVEN),
-             (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN),
-             (base_leg, "chi_", lambda u: (k - 1 - u, 1, 1), ODD),
-             (fiber, "theta_", lambda u: (u, 1, 0), ODD)],
+            [(base_leg, "", lambda u: (u, 0, 0), 0),
+             (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), 0),
+             (base_leg, "chi_", lambda u: (k - 1 - u, 1, 1), 1),
+             (fiber, "theta_", lambda u: (u, 1, 0), 1)],
         )
-        assert all(parity_matches_weight(v, 1) for v in self.system.variables)
         self.xs = tuple(self.x_of.values())
         self.pis = tuple(self.pi_of.values())
         self.chis = tuple(self.chi_of.values())
@@ -287,14 +282,13 @@ def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
 class WeightedAlgebroid:
     """A carrier with a structure field, its Hamiltonian and classification.
 
-    The optional fields record what a construction built it from: the
-    tower data of a prolongation or Lie tower, and the Poisson data P and
-    its [P,P] of a cotangent algebroid.
+    The optional fields record the Poisson data P and its [P,P] of a
+    cotangent algebroid; other sources are in the carrier's provenance.
     """
 
     def __init__(self, carrier: GLBundle, phase: OddPhaseSpace, q: HomologicalField | None,
                  hamiltonian: AlgebroidHamiltonian | None, kind: str,
-                 check: AlgebroidCheck | None, tower: TowerInfo | None = None,
+                 check: AlgebroidCheck | None,
                  poisson_data: SuperPolynomial | None = None,
                  poisson_residual: SuperPolynomial | None = None):
         self.carrier = carrier
@@ -303,7 +297,6 @@ class WeightedAlgebroid:
         self.hamiltonian = hamiltonian
         self.kind = kind
         self.check = check
-        self.tower = tower
         self.poisson_data = poisson_data
         self.poisson_residual = poisson_residual
 
@@ -537,7 +530,8 @@ def extract_coefficients(Q: HomologicalField):
 
 
 def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
-    """Emit delta-x and delta-pi pullbacks on an even display system."""
+    """Emit delta-x and delta-pi pullbacks on a display system whose
+    coordinates keep their carrier coordinates' parities."""
     if A.q is None:
         raise MalformedQ("general algebroids are classified by raw data only")
     phase = A.phase
@@ -547,10 +541,10 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
     fiber = A.carrier.fiber_vars(phase.chart)
     sys, (x_of, y_of, p_of, pi_of) = _tri_chart(
         "epsilon_display",
-        [(base_leg, "", lambda u: (u, 0, 0), EVEN),
-         (fiber, "", lambda u: (u, 1, 0), EVEN),
-         (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), EVEN),
-         (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN)],
+        [(base_leg, "", lambda u: (u, 0, 0), 0),
+         (fiber, "", lambda u: (u, 1, 0), 0),
+         (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), 0),
+         (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), 0)],
     )
     x_map = ChartMap({phase.x_of[b]: x for b, x in x_of.items()})
     var = SuperPolynomial.from_var

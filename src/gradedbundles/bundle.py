@@ -24,7 +24,9 @@ roles in use:
   vertical or tangent lift and in a linearisation;
 * ``base`` and ``dual``: base-leg coordinates and dual fibre coordinates of
   a linear dual or cotangent bundle (``linfun.contragredient``), and on a
-  pairing chart the dual bundle's coordinates.
+  pairing chart the dual bundle's coordinates; and ``base``, ``y``, ``xi``
+  and ``dy`` on a prolongation's carrier
+  (``constructions.prolongation_roles``).
 
 Validation never raises; it returns a ``report.Report`` listing every check
 with its residual, so callers can surface honest failures.
@@ -134,8 +136,9 @@ class TransitionMap:
 class Provenance:
     """What a construction built a bundle from.
 
-    ``maps[role][i]`` sends keys of the source's chart ``i`` (variables) to
-    variables of the bundle's chart ``i``; ``tag`` names the construction.
+    ``maps[role][i]`` sends keys of the source's chart ``i`` (variables, or
+    names or (name, level) pairs) to variables of the bundle's chart ``i``;
+    ``tag`` names the construction.
     """
 
     def __init__(self, tag: str = "declared", source: object = None,

@@ -36,6 +36,7 @@ from .constructions import (
     lie_tower,
     linear_poisson,
     prolongation_algebroid,
+    prolongation_roles,
     reduced_bracket,
     tangent_algebroid,
     tower_section_polynomial,
@@ -48,6 +49,7 @@ from .specfile import (
     SpecError,
     SpecSyntaxError,
     build_bundle,
+    int_entry,
     parse,
     parse_expression,
     structure_entries,
@@ -75,23 +77,6 @@ def _scalar(e) -> Fraction:
     return parse_expression(e.value, {}, e.line, e.col).constant_term()
 
 
-def _int_entry(section, key, minimum: int, maximum: int) -> int:
-    """The integer value of the section's ``key`` entry, in minimum..maximum."""
-    entries = structure_entries(section).get(key)
-    if not entries:
-        raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
-    e = entries[0]
-    try:
-        value = int(e.value)
-    except ValueError:
-        raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col)
-    if value < minimum:
-        raise SpecSyntaxError(f"{key!r} must be at least {minimum}", e.line, e.col)
-    if value > maximum:
-        raise SpecSyntaxError(f"{key!r} {value} exceeds the limit of {maximum}", e.line, e.col)
-    return value
-
-
 def _index(e, word: str, dim: int) -> int:
     """The index ``word`` of entry ``e``, an integer in 1..dim written in plain
     decimal, so that two keys name the same index only if they are spelt alike."""
@@ -117,8 +102,8 @@ def _located_conflict(build, entry_of):
 
 def build_constants(section) -> tuple[StructureConstants, int]:
     grouped = structure_entries(section)
-    dim = _int_entry(section, "dim", 0, MAX_DIM)
-    k = _int_entry(section, "k", 1, MAX_K)
+    dim = int_entry(section, "dim", 0, MAX_DIM)
+    k = int_entry(section, "k", 1, MAX_K)
     c = {}
     entry_of = {}
     for e in grouped.get("c", []):
@@ -132,8 +117,8 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     """The diffeomorphism of a ``tk`` structure and its ``k``; the algebroid
     of T^(k-1)M needs ``min_k = 2``."""
     grouped = structure_entries(section)
-    dim = _int_entry(section, "dim", 1, MAX_DIM)
-    k = _int_entry(section, "k", min_k, MAX_K)
+    dim = int_entry(section, "dim", 1, MAX_DIM)
+    k = int_entry(section, "k", min_k, MAX_K)
     src, dst = _diffeo_charts(dim, ("x", "X"))
     fwd = {}
     inv = {}
@@ -163,7 +148,7 @@ def _distinct_names(grouped, word):
 
 def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     grouped = structure_entries(section)
-    k = _int_entry(section, "k", 2, MAX_K)
+    k = int_entry(section, "k", 2, MAX_K)
     base_names, base_entry = _distinct_names(grouped, "base")
     fiber_names, _ = _distinct_names(grouped, "fiber")
     if not fiber_names:
@@ -202,9 +187,9 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
 def build_tower_section(section, tower) -> TowerSection:
     """``Y a`` and ``Z a r`` entries: fibre indices a in 1..dim, levels r in
     1..k-1."""
-    x_of, info = tower.phase.x_of, tower.tower
-    names, k = info.names, info.k
-    base_names = {x_of[y].name: x_of[y] for y in info.y_of.values()}
+    data, roles = prolongation_roles(tower)
+    names, k, x_of = data.fiber_names, tower.carrier.gl_degree, tower.phase.x_of
+    base_names = {x_of[y].name: x_of[y] for y in roles["y"].values()}
     Y = {}
     Z = {}
     for e in section.entries:
@@ -260,7 +245,7 @@ def _structure(doc: SpecDocument, kind: str, usage: str):
     """The document's first structure section, which must be of ``kind``."""
     section = doc.first("structure")
     if section is None:
-        raise SpecSyntaxError(usage)
+        raise SpecSyntaxError(usage, 1, 1)
     if section.args[0] != kind:
         raise SpecSyntaxError(usage, section.line, 1)
     return section
@@ -397,10 +382,10 @@ def _construct_lie_tower(doc: SpecDocument, section, report: Report):
 
 def _construct_prolong(doc: SpecDocument, section, report: Report):
     _, alg, data = STRUCTURES["prolong"](doc, section)
-    report.info(f"input data lie verdict: {data.is_lie}")
+    is_lie = data.is_lie
+    report.info(f"input data lie verdict: {is_lie}")
     report.merge_validation(alg.check.report)
-    report.add("kind matches the input lie verdict",
-               (alg.kind == "lie") == data.is_lie)
+    report.add("kind matches the input lie verdict", (alg.kind == "lie") == is_lie)
     d_eps = restrict_to_A1(alg.q)
     for v in sorted(d_eps.action, key=lambda u: u.index):
         report.info(f"d_eps({v.name}) = {render_poly(d_eps.action[v])}")

@@ -443,22 +443,10 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
 
 
 # ------------------------------------------------------------ reduction tower
-class TowerInfo:
-    """A prolongation's data and chart maps: ``y_of``/``dy_of`` send (fibre
-    name, r) to y<name>_<r>/dy<name>_<r+1>, ``xi_of`` a name to xi<name>."""
-
-    def __init__(self, data: AlgebroidData, k: int, names: list[str],
-                 y_of: dict[tuple[str, int], Variable], xi_of: dict[str, Variable],
-                 dy_of: dict[tuple[str, int], Variable]):
-        self.data = data
-        self.k = k
-        self.names = names
-        self.y_of = y_of
-        self.xi_of = xi_of
-        self.dy_of = dy_of
-
-
 def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
+    """The prolongation of ``E``; its carrier's provenance has ``E`` as source
+    and roles ``base``, ``xi`` (name n to xi<n>), ``y`` and ``dy`` ((n, r)
+    to y<n>_<r> and dy<n>_<r+1>)."""
     names = E.fiber_names
     levels = range(1, k)
     chart, (base, y_of, xi_of, dy_of) = _chart(f"prolong{k}_{E.base.name}", 2, [
@@ -467,7 +455,8 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
         {n: (f"xi{n}", (0, 1), EVEN) for n in names},
         {(n, r): (f"dy{n}_{r + 1}", (r, 1), EVEN) for r in levels for n in names},
     ])
-    carrier = GLBundle([chart], provenance=Provenance("prolongation", E), gl_degree=k)
+    roles = {"base": [base], "y": [y_of], "xi": [xi_of], "dy": [dy_of]}
+    carrier = GLBundle([chart], provenance=Provenance("prolongation", E, roles), gl_degree=k)
     phase = OddPhaseSpace(carrier)
     action = structure_action(
         E.anchor, E.bracket,
@@ -476,8 +465,15 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
     )
     for key, y in y_of.items():
         action[phase.x_of[y]] = SuperPolynomial.from_var(phase.theta_of[dy_of[key]])
-    tower = TowerInfo(E, k, list(names), y_of, xi_of, dy_of)
-    return WeightedAlgebroid.from_q(carrier, phase.field(action), tower=tower)
+    return WeightedAlgebroid.from_q(carrier, phase.field(action))
+
+
+def prolongation_roles(alg: WeightedAlgebroid) -> tuple[AlgebroidData, dict]:
+    """The data a prolongation was built from and its carrier's role maps."""
+    prov = alg.carrier.provenance
+    if prov.tag != "prolongation":
+        raise ValueError(f"not a prolongation: the carrier's provenance is {prov.tag!r}")
+    return prov.source, {role: per_chart[0] for role, per_chart in prov.maps.items()}
 
 
 def prolongation_algebroid(E: AlgebroidData, k: int) -> WeightedAlgebroid:
@@ -524,44 +520,42 @@ class TowerSection:
 def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPolynomial:
     """Encode (Y, Z) as the pi-linear phase-space function sum Y pi_xi +
     sum Z pi_dy."""
-    pi_of, info, var = alg.phase.pi_of, alg.tower, SuperPolynomial.from_var
+    _, roles = prolongation_roles(alg)
+    pi_of, var = alg.phase.pi_of, SuperPolynomial.from_var
     return linear_combination(
-        [(1, p * var(pi_of[info.xi_of[n]])) for n, p in s.Y.items()]
-        + [(1, p * var(pi_of[info.dy_of[key]])) for key, p in s.Z.items()]
+        [(1, p * var(pi_of[roles["xi"][n]])) for n, p in s.Y.items()]
+        + [(1, p * var(pi_of[roles["dy"][key]])) for key, p in s.Z.items()]
     )
 
 
 def tower_section_from_polynomial(alg: WeightedAlgebroid, p: SuperPolynomial) -> TowerSection:
-    pi_of, info = alg.phase.pi_of, alg.tower
-    Y = {n: partial(p, pi_of[xi]) for n, xi in info.xi_of.items()}
-    Z = {key: partial(p, pi_of[dy]) for key, dy in info.dy_of.items()}
+    _, roles = prolongation_roles(alg)
+    pi_of = alg.phase.pi_of
+    Y = {n: partial(p, pi_of[xi]) for n, xi in roles["xi"].items()}
+    Z = {key: partial(p, pi_of[dy]) for key, dy in roles["dy"].items()}
     return TowerSection({n: c for n, c in Y.items() if not c.is_zero()},
                         {key: c for key, c in Z.items() if not c.is_zero()})
-
-
-def _tower_vector_field(alg: WeightedAlgebroid, Z) -> Derivation:
-    # generally inhomogeneous; only ever applied, so the shift is unused
-    x_of, y_of = alg.phase.x_of, alg.tower.y_of
-    action = {x_of[y_of[key]]: p for key, p in Z.items()}
-    return Derivation(action, EVEN, (0, 0, 0), check=False)
 
 
 def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,
                     s2: TowerSection) -> TowerSection:
     """Componentwise bracket ([Y1,Y2] + Z1(Y2) - Z2(Y1), Z1 Z2 - Z2 Z1)."""
-    info = alg.tower
-    if info.data.base.variables:
+    data, roles = prolongation_roles(alg)
+    if data.base.variables:
         raise ValueError("the reduced bracket is defined over a point base")
-    c = info.data.constants
+    c = data.constants
     if c is None:
         raise ValueError("reduced brackets need structure-constant data")
-    Z1 = _tower_vector_field(alg, s1.Z)
-    Z2 = _tower_vector_field(alg, s2.Z)
-    Y1 = [s1.Y.get(n) for n in info.names]
-    Y2 = [s2.Y.get(n) for n in info.names]
+    names, base_of = data.fiber_names, {key: alg.phase.x_of[y] for key, y in roles["y"].items()}
+    # the vector fields Z1 and Z2, generally inhomogeneous; only ever
+    # applied, so the shift is unused
+    Z1, Z2 = (Derivation({base_of[key]: p for key, p in s.Z.items()}, EVEN, (0, 0, 0), check=False)
+              for s in (s1, s2))
+    Y1 = [s1.Y.get(n) for n in names]
+    Y2 = [s2.Y.get(n) for n in names]
     products = {}  # (a, b) -> Y1[a] * Y2[b], formed on first use
     Y = {}
-    for ci, cn in enumerate(info.names, 1):
+    for ci, cn in enumerate(names, 1):
         parts = []
         for a, ya in enumerate(Y1, 1):
             if ya is None:

@@ -68,10 +68,6 @@ class WeightViolation(ValueError):
 class NotSymmetric(ValueError):
     """A GL-bundle is not the linearisation of any graded bundle."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NonlinearFiber(ValueError):
     """A transition component is not linear in the vector-bundle leg."""
@@ -285,8 +281,7 @@ def _partners(G: GLBundle, chart_idx: int) -> dict[Variable, Variable]:
         if len(fib) != len(base):
             raise NotSymmetric(
                 f"chart {chart_idx}: fibre block ({w - 1},1) has size {len(fib)}"
-                f" but base block of weight {w} has size {len(base)}",
-                witness=(fib, base),
+                f" but base block of weight {w} has size {len(base)}"
             )
         partner.update(zip(fib, base))
     partner.update((z, z) for z in G.fiber_block(k - 1, chart_idx))
@@ -347,7 +342,7 @@ def reconstruct(G: GLBundle) -> GradedBundle:
     rep = symmetry_report(G)
     if not rep.passed:
         bad = rep.failures()[0]
-        raise NotSymmetric(f"not a linearisation: {bad.check_id}", witness=bad)
+        raise NotSymmetric(f"not a linearisation: {bad.check_id}")
     k = G.gl_degree
 
     def spec(i, chart):
@@ -438,11 +433,9 @@ def contragredient(comps, other, src, dst, key=None):
 class PairingResult:
     """The canonical pairing polynomial on D*(F) x_{F_{k-1}} F."""
 
-    def __init__(self, bundle: GradedBundle, dual: GLBundle,
-                 systems: list[CoordinateSystem], polynomials: list[SuperPolynomial],
-                 transitions: dict):
+    def __init__(self, bundle: GradedBundle, systems: list[CoordinateSystem],
+                 polynomials: list[SuperPolynomial], transitions: dict):
         self.bundle = bundle
-        self.dual = dual
         self.systems = systems
         self.polynomials = polynomials
         self.transitions = transitions
@@ -494,7 +487,7 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
         for i, dotted in enumerate(DF.provenance.maps["dotted"])
     ]
     transitions = {key: t.forward for key, t in P.transitions.items()}
-    return PairingResult(F, dual, P.charts, polys, transitions)
+    return PairingResult(F, P.charts, polys, transitions)
 
 
 # ----------------------------------------------------------------- mironian

@@ -427,13 +427,8 @@ class BundleSpec:
 def build_bundle(doc: SpecDocument) -> BundleSpec:
     """Realise the [bundle]/[chart]/[map] sections as a graded bundle."""
     meta = doc.first("bundle")
-    values = {}
-    for e in meta.entries if meta else ():
-        try:
-            values[e.key[0]] = int(e.value)
-        except ValueError:
-            raise SpecSyntaxError(f"{e.key[0]} must be an integer", e.line, e.col)
-    arity, declared_degree = values.get("arity", 1), values.get("degree")
+    arity = int_entry(meta, "arity", 1, required=False) or 1
+    declared_degree = int_entry(meta, "degree", 0, required=False)
     if not doc.all("chart"):
         raise SpecSyntaxError("documents with bundle commands need charts", 1, 1)
     charts = {
@@ -478,6 +473,27 @@ def build_bundle(doc: SpecDocument) -> BundleSpec:
         )
     bundle = two_chart_bundle(charts[a], charts[b], maps[(a, b)], maps[(b, a)])
     return BundleSpec(bundle, declared_degree)
+
+
+def int_entry(section: Section | None, key: str, minimum: int, maximum=math.inf,
+              required: bool = True) -> int | None:
+    """The integer value of the section's ``key`` entry, in minimum..maximum;
+    an absent entry is an error when ``required`` and None otherwise."""
+    entries = structure_entries(section).get(key) if section else None
+    if not entries:
+        if required:
+            raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
+        return None
+    e = entries[0]
+    try:
+        value = int(e.value)
+    except ValueError:
+        raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col) from None
+    if value < minimum:
+        raise SpecSyntaxError(f"{key!r} must be at least {minimum}", e.line, e.col)
+    if value > maximum:
+        raise SpecSyntaxError(f"{key!r} {value} exceeds the limit of {maximum}", e.line, e.col)
+    return value
 
 
 def structure_entries(section: Section) -> dict:

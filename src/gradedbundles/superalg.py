@@ -149,16 +149,6 @@ class Variable:
         return f"Variable({self.name})"
 
 
-def parity_matches_weight(v: Variable, component: int) -> bool:
-    """Whether ``v.parity`` equals the given weight component mod 2.
-
-    Some constructions tie the Grassmann parity to one designated weight
-    entry; this helper asserts that convention where a caller adopts it.
-    Parity is always stored explicitly, this is only a consistency check.
-    """
-    return v.parity == v.weight[component] % 2
-
-
 # A monomial of the ``terms`` view: (variable, exponent) pairs by sort_key.
 Monomial = tuple[tuple[Variable, int], ...]
 

@@ -28,7 +28,7 @@ from gradedbundles.bundle import (
     validate,
 )
 from gradedbundles.linfun import GLBundle, GradedMorphism
-from gradedbundles.constructions import StructureConstants, TowerSection
+from gradedbundles.constructions import StructureConstants, TowerSection, prolongation_roles
 
 ONE = SuperPolynomial.constant(1)
 
@@ -357,19 +357,20 @@ def random_nonjacobi_constants(rng, dim=3) -> StructureConstants:
 def random_tower_section(rng, tower, degree=None) -> TowerSection:
     """Random polynomial section of a reduction tower, possibly mixed degree."""
     phase = tower.phase
-    info = tower.tower
+    data, _ = prolongation_roles(tower)
+    names = data.fiber_names
     base = [v for v in phase.system.variables if v.weight[1] == 0 and v.weight[2] == 0]
     base_chart_like = [(v, v.weight[0]) for v in base]
     Y = {}
     Z = {}
-    for n in info.names:
+    for n in names:
         if rng.randrange(2):
             Y[n] = _phase_poly(rng, base, degree)
-        for r in range(1, info.k):
+        for r in range(1, tower.carrier.gl_degree):
             if rng.randrange(2):
                 Z[(n, r)] = _phase_poly(rng, base, degree)
     if not Y and not Z:
-        Y[info.names[0]] = SuperPolynomial.constant(rational_nonzero(rng))
+        Y[names[0]] = SuperPolynomial.constant(rational_nonzero(rng))
     return TowerSection(Y, Z)
 
 

@@ -171,11 +171,11 @@ def _random_phase_poly(rng, phase, parity=None):
     return p
 
 
-def test_schouten_antisymmetry_jacobi_leibniz(tower2):
-    rng = random.Random(13)
-    phase = tower2.phase
+def assert_schouten_laws(phase, rng, trials=25):
+    """Graded antisymmetry, Jacobi and the Leibniz rule of the odd bracket
+    on ``trials`` random triples of parity-homogeneous polynomials."""
     br = phase.schouten
-    for _ in range(25):
+    for _ in range(trials):
         f = _random_phase_poly(rng, phase, rng.randrange(2))
         g = _random_phase_poly(rng, phase, rng.randrange(2))
         h = _random_phase_poly(rng, phase, rng.randrange(2))
@@ -200,6 +200,10 @@ def test_schouten_antisymmetry_jacobi_leibniz(tower2):
         assert lhs == rhs
 
 
+def test_schouten_antisymmetry_jacobi_leibniz(tower2):
+    assert_schouten_laws(tower2.phase, random.Random(13))
+
+
 def test_p_q_round_trips(tower2):
     Q = tower2.q
     P = p_from_q(Q)
@@ -211,7 +215,7 @@ def test_p_q_round_trips(tower2):
 # every algebroid a shipped spec builds, by the CLI's own structure builders
 ROUND_TRIP_SPECS = ["degree2", "degree3", "so3-tower", "sl2-tower", "heisenberg-tower",
                     "nonjacobi-tower", "prolong-tm", "cotangent-so3", "nonjacobi-cotangent",
-                    "t2m-shear"]
+                    "t2m-shear", "odd-degree2", "odd-degree3"]
 
 
 @pytest.mark.parametrize("name", ROUND_TRIP_SPECS)

@@ -616,6 +616,53 @@ def test_conflicting_structure_data_names_its_entry(tmp_path, capsys, text, mess
     assert f"{message} at line {line}," in err
 
 
+MAPS = "[map a -> b]\nX = x\nY = 2*y\n[map b -> a]\nx = X\ny = 1/2*Y\n"
+
+
+def bad_y(expression):
+    """TWO_CHARTS and its maps with ``expression`` as the image of Y, line 9."""
+    return TWO_CHARTS + MAPS.replace("Y = 2*y", f"Y = {expression}")
+
+
+# One document per rejection in the parser, the bundle builder and the
+# structure builders that the other tests do not reach, with its message and
+# line; the last two are the [bundle] section's bounds.
+@pytest.mark.parametrize("command, text, message, line", [
+    (["validate"], "# a\n[ ]\n", "empty section header", 2),
+    (["validate"], "[bundle]\n = 1\n", "empty key", 2),
+    (["validate"], ONE_CHART + "[chart]\n", "[chart NAME] headers need exactly one name", 4),
+    (["validate"], ONE_CHART + "[map a b]\n", "map sections are '[map SRC -> DST]'", 4),
+    (["check-q"], "[structure foo]\n", "structure kind must be one of", 1),
+    (["validate"], bad_y("y $ 2"), "cannot read expression near ' $ 2'", 9),
+    (["validate"], bad_y("(2*y"), "expected ')'", 9),
+    (["validate"], bad_y("2 y"), "unexpected 'y'", 9),
+    (["validate"], bad_y("y^x"), "exponent must be a natural number", 9),
+    (["validate"], bad_y("1/0*y"), "bad rational literal", 9),
+    (["validate"], bad_y("*y"), "unexpected '*'", 9),
+    (["validate"], "[chart a]\nx = weight 0\ny = wt 1\n",
+     "chart entries read 'name = weight W [odd|even]', got 'wt 1'", 3),
+    (["validate"], "[bundle]\narity = one\n" + ONE_CHART, "'arity' must be an integer", 2),
+    (["validate"], "[bundle]\ndegree = 1\n", "documents with bundle commands need charts", 1),
+    (["validate"], ONE_CHART + "[map a -> c]\nX = x\n", "unknown chart 'c'", 4),
+    (["validate"], TWO_CHARTS + "[chart c]\nz = weight 0\n",
+     "desk-scale documents carry one or two charts", 1),
+    (["validate"], TWO_CHARTS + "[map a -> b]\nX = x\nY = y\n",
+     "two-chart documents need maps a -> b and b -> a", 1),
+    (["check-q"], "[structure lie-tower]\nk = two\ndim = 1\n", "'k' must be an integer", 2),
+    (["check-q"], prolong_text(2) + "bracket e1 e2 e1 = 1\n", "unknown fiber name 'e2'", 6),
+    (["bracket"], ONE_CHART, "bracket documents declare a lie-tower structure", 1),
+    (["linearise"], "[bundle]\narity = 0\n[chart a]\n", "'arity' must be at least 1", 2),
+    (["validate"], "[bundle]\ndegree = -1\n" + ONE_CHART, "'degree' must be at least 0", 2),
+], ids=["empty-header", "empty-key", "chart-header", "map-header", "structure-kind",
+        "unreadable", "unclosed", "trailing-token", "exponent", "zero-denominator",
+        "leading-operator", "weight-entry", "arity-word", "no-charts", "unknown-chart",
+        "three-charts", "one-map", "k-word", "unknown-fiber", "bracket-no-structure",
+        "arity-zero", "degree-negative"])
+def test_spec_rejections_name_their_line(tmp_path, capsys, command, text, message, line):
+    err = run_cli_hostile(tmp_path, capsys, command, text)
+    assert message in err and f"at line {line}," in err
+
+
 def test_structure_kinds_agree():
     # a kind the parser accepts but the CLI cannot build would surface as a
     # failed construction instead of a spec error

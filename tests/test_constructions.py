@@ -154,6 +154,19 @@ def test_reduced_bracket_fiberwise_lie():
     assert out.Z == {}
 
 
+def test_tower_maps_are_the_carriers_provenance():
+    c = so3()
+    prov = lie_tower(c, 3).carrier.provenance
+    assert prov.tag == "prolongation" and prov.source.constants is c
+    names = {role: {key: v.name for key, v in m.items()} for role, (m,) in prov.maps.items()}
+    assert names["xi"] == {"1": "xi1", "2": "xi2", "3": "xi3"}
+    assert names["y"][("2", 1)] == "y2_1" and names["dy"][("2", 2)] == "dy2_3"
+    assert names["base"] == {}
+    one = TowerSection({"1": SuperPolynomial.constant(1)}, {})
+    with pytest.raises(ValueError, match="not a prolongation"):
+        reduced_bracket(tangent_algebroid(degree2_example()), one, one)
+
+
 def test_reduced_bracket_vector_field_part():
     alg = lie_tower(so3(), 2)
     phase = alg.phase

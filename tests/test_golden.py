@@ -44,6 +44,8 @@ EXTRA_COMMANDS = [
     ("odd-degree2.spec", ["dual"]),
     ("odd-degree3.spec", ["linearise"]),
     ("odd-degree3.spec", ["dual"]),
+    ("odd-degree2.spec", ["construct", "tangent"]),
+    ("odd-degree3.spec", ["construct", "tangent"]),
 ]
 # Specs whose reports pin FAIL items and their residuals; they exit 1.
 FAILING_SPECS = {"nonjacobi-tower.spec", "nonjacobi-cotangent.spec",

@@ -6,6 +6,7 @@ import pytest
 
 from gradedbundles.superalg import (
     EVEN,
+    ODD,
     SuperPolynomial,
     differential,
     partial,
@@ -15,6 +16,7 @@ from gradedbundles.superalg import (
 )
 from gradedbundles.bundle import (
     CoordinateSystem,
+    GradedBundle,
     single_chart_bundle,
     two_chart_bundle,
     validate,
@@ -597,6 +599,43 @@ def test_structural_equality_ignores_declaration_order():
     other = declared("yx")
     other.transitions[(0, 1)].forward[other.charts[1]["Y"]] = other.charts[0].var("y")
     assert not bundles_structurally_equal(declared("xy"), other)
+
+
+def _xy_atlas(y_weight=1, y_parity=EVEN):
+    """A two-chart atlas (x, y) -> (X, Y), its y and Y of the given weight
+    and parity."""
+    a = CoordinateSystem([("x", 0, EVEN), ("y", y_weight, y_parity)], name="a")
+    b = CoordinateSystem([("X", 0, EVEN), ("Y", y_weight, y_parity)], name="b")
+    x, y = a.var("x"), a.var("y")
+    X, Y = b.var("X"), b.var("Y")
+    return two_chart_bundle(a, b, {"X": x, "Y": y + x * y}, {"x": X, "y": Y - X * Y})
+
+
+def _other_inverse():
+    F = _xy_atlas()
+    F.transitions[(0, 1)].inverse[F.charts[0]["y"]] = F.charts[1].var("Y")
+    return F
+
+
+# Each way two atlases can differ, as (the other atlas, the name map).
+STRUCTURAL_DIFFERENCES = {
+    "chart count": lambda: (GradedBundle(_xy_atlas().charts[:1]), None),
+    "chart size": lambda: (GradedBundle(
+        [CoordinateSystem([("x", 0, EVEN)], name="a"), _xy_atlas().charts[1]]), None),
+    "missing name": lambda: (_xy_atlas(), str.upper),
+    "weight": lambda: (_xy_atlas(y_weight=2), None),
+    "parity": lambda: (_xy_atlas(y_parity=ODD), None),
+    "transition keys": lambda: (GradedBundle(
+        _xy_atlas().charts, {(0, 1): _xy_atlas().transitions[(0, 1)]}), None),
+    "inverse component": lambda: (_other_inverse(), None),
+}
+
+
+@pytest.mark.parametrize("difference", STRUCTURAL_DIFFERENCES)
+def test_structural_equality_catches_each_difference(difference):
+    other, names = STRUCTURAL_DIFFERENCES[difference]()
+    assert bundles_structurally_equal(_xy_atlas(), _xy_atlas())
+    assert not bundles_structurally_equal(_xy_atlas(), other, names=names)
 
 
 def _perturbed_linearisation(component, extra):

@@ -4,6 +4,8 @@
 at least two odd coordinates of weight 1, odd and even coordinates of higher
 weight, and laws with odd*odd and even*odd terms.  Each property below is
 checked on the same 60 seeds, and a failure names the seeds it fails on.
+The tangent algebroid's properties are checked on the first 12 seeds, and
+the odd bracket's laws on its phase space on the first 3.
 """
 
 import functools
@@ -11,6 +13,7 @@ import random
 
 import pytest
 
+from gradedbundles.algebroid import anchor
 from gradedbundles.bundle import tangent_bundle, validate, vertical_bundle
 from gradedbundles.constructions import cotangent_bundle, tangent_algebroid
 from gradedbundles.linfun import (
@@ -24,8 +27,10 @@ from gradedbundles.linfun import (
     parity_reverse,
     reconstruct,
 )
+from gradedbundles.superalg import SuperPolynomial
 
 from helpers import random_odd_bundle
+from test_algebroid import assert_schouten_laws
 
 SEEDS = range(60)
 
@@ -53,6 +58,32 @@ PROPERTIES = {
 }
 
 
+def phase_parities_follow_the_carrier(A):
+    """x and pi keep their carrier coordinate's parity, chi and theta flip it."""
+    phase = A.phase
+    blocks = ((phase.x_of, 0), (phase.pi_of, 0), (phase.chi_of, 1), (phase.theta_of, 1))
+    return all(v.parity == (c.parity + shift) % 2
+               for block, shift in blocks for c, v in block.items())
+
+
+def anchor_sends_each_coordinate_to_its_velocity(A):
+    maps = A.carrier.provenance.maps
+    return anchor(A).delta == {maps["undotted"][0][v]: SuperPolynomial.from_var(dv)
+                               for v, dv in maps["dotted"][0].items()}
+
+
+ALGEBROID_SEEDS = SEEDS[:12]
+ALGEBROID_PROPERTIES = {
+    "phase parities follow the carrier": phase_parities_follow_the_carrier,
+    "anchor": anchor_sends_each_coordinate_to_its_velocity,
+}
+
+
+@functools.cache
+def tangent_algebroids():
+    return [tangent_algebroid(F) for F in corpus()[:len(ALGEBROID_SEEDS)]]
+
+
 def test_corpus_has_the_promised_shape():
     for F in corpus():
         assert F.degree in (2, 3) and len(F.charts) == 2
@@ -71,3 +102,15 @@ def test_odd_corpus_property(prop):
     check = PROPERTIES[prop]
     failing = [seed for seed, F in zip(SEEDS, corpus()) if not check(F)]
     assert not failing, f"{prop} fails on seeds {failing}"
+
+
+@pytest.mark.parametrize("prop", sorted(ALGEBROID_PROPERTIES))
+def test_odd_corpus_tangent_algebroid_property(prop):
+    check = ALGEBROID_PROPERTIES[prop]
+    failing = [seed for seed, A in zip(ALGEBROID_SEEDS, tangent_algebroids()) if not check(A)]
+    assert not failing, f"{prop} fails on seeds {failing}"
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_odd_bracket_laws_on_the_tangent_phase_space(seed):
+    assert_schouten_laws(tangent_algebroids()[seed].phase, random.Random(seed))

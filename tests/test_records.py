@@ -54,12 +54,14 @@ def test_records_take_their_fields_by_keyword():
     c = StructureConstants(dim=3, c={(1, 2, 3): 1})
     assert c.value(2, 1, 3) == -1
     alg = lie_tower(c, 2)
+    assert (alg.poisson_data, alg.poisson_residual) == (None, None)
+    assert alg.carrier.provenance.source.constants is c
+    P = alg.hamiltonian.poly
     copy = WeightedAlgebroid(alg.carrier, alg.phase, alg.q, alg.hamiltonian, alg.kind,
-                             alg.check, tower=alg.tower)
-    assert copy.tower is alg.tower and copy.tower.data.constants is c
-    assert (copy.poisson_data, copy.poisson_residual) == (None, None)
-    again = WeightedAlgebroid.from_q(alg.carrier, alg.q, tower=alg.tower)
-    assert again.kind == alg.kind and again.tower is alg.tower
+                             alg.check, poisson_data=P)
+    assert copy.poisson_data is P and copy.poisson_residual is None
+    again = WeightedAlgebroid.from_q(alg.carrier, alg.q, poisson_residual=P)
+    assert again.kind == alg.kind and again.poisson_residual is P
     report = Report(command="validate", items=[])
     assert report.command == "validate" and report.passed
 

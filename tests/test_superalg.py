@@ -202,16 +202,6 @@ def test_substitute_is_a_homomorphism(p, q):
     assert substitute(p * q, images) == substitute(p, images) * substitute(q, images)
 
 
-def test_parity_weight_convention_helper():
-    from gradedbundles.superalg import parity_matches_weight
-
-    v = Variable("u4", "theta", (1, 1, 0), ODD, 0)
-    assert parity_matches_weight(v, 1)
-    assert not parity_matches_weight(v, 2)
-    w = Variable("u4", "pi", (1, 0, 1), EVEN, 1)
-    assert parity_matches_weight(w, 1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(), poly_strategy())
 def test_weight_additivity(p, q):

@@ -36,6 +36,7 @@ from gradedbundles.constructions import (
     cotangent_algebroid,
     lie_tower,
     linear_poisson,
+    prolongation_roles,
     reduced_bracket,
     tower_section_polynomial,
 )
@@ -134,14 +135,14 @@ def chained_apply(D, p):
 def chained_tower_action(tower):
     """The structure field of a tower over a point: the CE term
     -1/2 xi_a xi_b c^c_ab on each xi_c, then dy d/dy."""
-    phase, info = tower.phase, tower.tower
-    xi_of = {n: phase.theta_of[x] for n, x in info.xi_of.items()}
+    phase, (data, roles) = tower.phase, prolongation_roles(tower)
+    xi_of = {n: phase.theta_of[x] for n, x in roles["xi"].items()}
     action = {}
-    for (a, b, c), p in info.data.bracket.items():
+    for (a, b, c), p in data.bracket.items():
         term = var(xi_of[a]) * var(xi_of[b]) * p * Fraction(-1, 2)
         action[xi_of[c]] = action.get(xi_of[c], ZERO) + term
-    for key, y in info.y_of.items():
-        action[phase.x_of[y]] = var(phase.theta_of[info.dy_of[key]])
+    for key, y in roles["y"].items():
+        action[phase.x_of[y]] = var(phase.theta_of[roles["dy"][key]])
     return {v: p for v, p in action.items() if not p.is_zero()}
 
 
@@ -155,18 +156,18 @@ def chained_p_from_q(phase, action):
 
 
 def chained_section_polynomial(tower, s):
-    pi_of, info = tower.phase.pi_of, tower.tower
+    pi_of, (_, roles) = tower.phase.pi_of, prolongation_roles(tower)
     out = ZERO
     for n, p in s.Y.items():
-        out = out + p * var(pi_of[info.xi_of[n]])
+        out = out + p * var(pi_of[roles["xi"][n]])
     for key, p in s.Z.items():
-        out = out + p * var(pi_of[info.dy_of[key]])
+        out = out + p * var(pi_of[roles["dy"][key]])
     return out
 
 
 def chained_reduced_bracket(c, tower, s1, s2):
-    x_of, y_of = tower.phase.x_of, tower.tower.y_of
-    names = tower.tower.names
+    data, roles = prolongation_roles(tower)
+    x_of, y_of, names = tower.phase.x_of, roles["y"], data.fiber_names
     Z1 = Derivation({x_of[y_of[k]]: p for k, p in s1.Z.items()}, EVEN, (0, 0, 0), check=False)
     Z2 = Derivation({x_of[y_of[k]]: p for k, p in s2.Z.items()}, EVEN, (0, 0, 0), check=False)
     Y = {}
