@@ -22,7 +22,7 @@ print("carrier is the cotangent bundle, degree", carrier.gl_degree)
 print("carrier validates:", validate(carrier).passed)
 print("poisson data P =", render(P), "| tri-weight", weight_of(P, 3))
 
-alg = cotangent_algebroid(F, P, carrier, phase)
+alg = cotangent_algebroid(F, P)
 print("kind:", alg.kind)
 print("[P,P] =", render(alg.poisson_residual))
 
@@ -38,7 +38,7 @@ for v, c in restrict_to_A1(alg.q).action.items():
 
 broken = StructureConstants(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
                                 (1, 2, 1): 1})
-Fb, cb, pb, Pb = linear_poisson(broken)
-bad = cotangent_algebroid(Fb, Pb, cb, pb)
+Fb, _, _, Pb = linear_poisson(broken)
+bad = cotangent_algebroid(Fb, Pb)
 print("\nperturbed constants give kind:", bad.kind)
 print("perturbed [P,P] =", render(bad.poisson_residual))

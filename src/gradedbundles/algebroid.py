@@ -260,10 +260,12 @@ def q_from_p(P: AlgebroidHamiltonian) -> HomologicalField:
 
 # ------------------------------------------------------------ classification
 class AlgebroidCheck:
-    def __init__(self, residual: Derivation, kind: str, report: Report):
+    """The check report and [Q,Q] of a structure field, Lie when [Q,Q] = 0."""
+
+    def __init__(self, residual: Derivation, report: Report):
         self.residual = residual
-        self.kind = kind
         self.report = report
+        self.kind = "lie" if residual.is_zero() else "skew"
 
 
 def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
@@ -273,37 +275,35 @@ def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
     report.add("structure field is Grassmann odd", Q.derivation.parity == ODD)
     report.add("structure field has weight (0,1)", Q.derivation.weight_shift == (0, 1, 0))
     residual = Q.square()
-    kind = "lie" if residual.is_zero() else "skew"
     for v in phase.xs + phase.thetas:
         report.zero(f"[Q,Q] on {v.name}", residual.coefficient(v))
-    return AlgebroidCheck(residual, kind, report)
+    return AlgebroidCheck(residual, report)
 
 
 class WeightedAlgebroid:
-    """A carrier with a structure field, its Hamiltonian and classification.
-
-    The optional fields record the Poisson data P and its [P,P] of a
-    cotangent algebroid; other sources are in the carrier's provenance.
+    """A phase space and its structure field, with the carrier, Hamiltonian,
+    check and kind read off them; the field is None for a general algebroid,
+    whose bracket data is not skew.  The optional fields record a cotangent
+    algebroid's P and [P,P]; other sources are in the carrier's provenance.
     """
 
-    def __init__(self, carrier: GLBundle, phase: OddPhaseSpace, q: HomologicalField | None,
-                 hamiltonian: AlgebroidHamiltonian | None, kind: str,
-                 check: AlgebroidCheck | None,
+    def __init__(self, phase: OddPhaseSpace, q: HomologicalField | None,
                  poisson_data: SuperPolynomial | None = None,
                  poisson_residual: SuperPolynomial | None = None):
-        self.carrier = carrier
+        if q is not None and q.phase is not phase:
+            raise CoordinateMismatch("structure field is on another phase space")
         self.phase = phase
+        self.carrier = phase.carrier
         self.q = q
-        self.hamiltonian = hamiltonian
-        self.kind = kind
-        self.check = check
+        self.check = None if q is None else check_weighted_algebroid(q)
+        self.hamiltonian = None if q is None else p_from_q(q)
+        self.kind = "general" if q is None else self.check.kind
         self.poisson_data = poisson_data
         self.poisson_residual = poisson_residual
 
     @classmethod
-    def from_q(cls, carrier: GLBundle, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
-        chk = check_weighted_algebroid(Q)
-        return cls(carrier, Q.phase, Q, p_from_q(Q), chk.kind, chk, **fields)
+    def from_q(cls, Q: HomologicalField, **fields) -> "WeightedAlgebroid":
+        return cls(Q.phase, Q, **fields)
 
 
 def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolynomial]:
@@ -347,7 +347,7 @@ def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs
         for (i, j, k_n), c in data.items()
     )
     if not skew:
-        return WeightedAlgebroid(carrier, phase, None, None, "general", None)
+        return WeightedAlgebroid(phase, None)
     # the (I, J, K) entry stands with theta^J theta^I: the bracket of (J, I)
     action = structure_action(
         {(chart_sys[f], chart_sys[b]): poly(c) for (b, f), c in anchor_coeffs.items()},
@@ -355,7 +355,7 @@ def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs
         phase.x_of,
         phase.theta_of,
     )
-    return WeightedAlgebroid.from_q(carrier, phase.field(action))
+    return WeightedAlgebroid.from_q(phase.field(action))
 
 
 # ----------------------------------------------------------------- sections

@@ -175,15 +175,6 @@ class GradedBundle:
         )
 
 
-class NTupleBundle(GradedBundle):
-    """A graded bundle whose weights have arity at least two."""
-
-    def __init__(self, charts, transitions=None, provenance=None):
-        super().__init__(charts, transitions, provenance)
-        if self.arity < 2:
-            raise ValueError("n-tuple bundles need weight arity >= 2")
-
-
 def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle,
                      provenance=None):
     """Convenience constructor for the default desk-scale atlas.
@@ -434,7 +425,7 @@ def _fresh_name(name: str, taken: set, grow) -> str:
 
 
 def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool,
-                       tag: str, cls):
+                       tag: str, cls=GradedBundle):
     """Adjoin dotted coordinates transforming by the differentials of the
     undotted transition laws.  Vertical bundles (dotted for fibre directions
     only) and full tangent bundles (dotted for everything) both come from
@@ -469,7 +460,7 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool
     return rechart(bundle, spec, components, cls=cls, tag=tag)
 
 
-def vertical_bundle(bundle: GradedBundle) -> NTupleBundle:
+def vertical_bundle(bundle: GradedBundle) -> GradedBundle:
     """Tangent directions along the fibration over the base.
 
     The dotted copy of a weight-w coordinate carries bi-weight (w-1, 1), so
@@ -477,10 +468,9 @@ def vertical_bundle(bundle: GradedBundle) -> NTupleBundle:
     """
     if bundle.degree < 1:
         raise ValueError("vertical bundle needs degree >= 1")
-    return _differential_lift(bundle, lambda w: (w - 1, 1), False, "vertical",
-                              NTupleBundle)
+    return _differential_lift(bundle, lambda w: (w - 1, 1), False, "vertical")
 
 
-def tangent_bundle(bundle: GradedBundle, cls=NTupleBundle) -> NTupleBundle:
+def tangent_bundle(bundle: GradedBundle, cls=GradedBundle) -> GradedBundle:
     """Full tangent lift; dotted weight-w coordinates carry bi-weight (w, 1)."""
     return _differential_lift(bundle, lambda w: (w, 1), True, "tangent", cls)

@@ -52,6 +52,7 @@ from .specfile import (
     int_entry,
     parse,
     parse_expression,
+    plain_int,
     structure_entries,
 )
 from .superalg import render as render_poly
@@ -80,12 +81,7 @@ def _scalar(e) -> Fraction:
 def _index(e, word: str, dim: int) -> int:
     """The index ``word`` of entry ``e``, an integer in 1..dim written in plain
     decimal, so that two keys name the same index only if they are spelt alike."""
-    try:
-        i = int(word)
-    except ValueError:
-        raise SpecSyntaxError(f"index {word!r} is not an integer", e.line, 1) from None
-    if word != str(i):
-        raise SpecSyntaxError(f"index {word!r} is not written in plain decimal", e.line, 1)
+    i = plain_int(word, f"index {word!r} is not", e.line, 1)
     if not 1 <= i <= dim:
         raise SpecSyntaxError(f"index {i} is outside 1..{dim}", e.line, 1)
     return i
@@ -119,7 +115,7 @@ def build_tk(section, min_k: int = 1) -> tuple[PolynomialDiffeo, int]:
     grouped = structure_entries(section)
     dim = int_entry(section, "dim", 1, MAX_DIM)
     k = int_entry(section, "k", min_k, MAX_K)
-    src, dst = _diffeo_charts(dim, ("x", "X"))
+    src, dst = _diffeo_charts(dim)
     fwd = {}
     inv = {}
     for side, chart, comps in (("forward", src, fwd), ("inverse", dst, inv)):
@@ -219,9 +215,9 @@ def _cotangent_structure(doc: SpecDocument, section):
     if k != 2:
         e = structure_entries(section)["k"][0]
         raise SpecSyntaxError("cotangent-linear structures fix k = 2", e.line, e.col)
-    F, carrier, phase, P = linear_poisson(c)
+    F, _, _, P = linear_poisson(c)
     return (f"structure: cotangent of a linear Poisson space, dim {c.dim}",
-            cotangent_algebroid(F, P, carrier, phase), c)
+            cotangent_algebroid(F, P), c)
 
 
 def _tk_structure(doc: SpecDocument, section):

@@ -231,7 +231,7 @@ def tangent_algebroid(F: GradedBundle) -> WeightedAlgebroid:
     undotted = TF.provenance.maps["undotted"][0]
     for v, dv in TF.provenance.maps["dotted"][0].items():
         action[phase.x_of[undotted[v]]] = SuperPolynomial.from_var(phase.theta_of[dv])
-    return WeightedAlgebroid.from_q(TF, phase.field(action))
+    return WeightedAlgebroid.from_q(phase.field(action))
 
 
 # ------------------------------------------------------ cotangent algebroid
@@ -253,44 +253,35 @@ def cotangent_bundle(F: GradedBundle) -> GLBundle:
                    gl_degree=km1 + 1)
 
 
-def momentum_pairing(carrier: GLBundle, phase: OddPhaseSpace) -> OddPoissonSpace:
+def momentum_pairing(phase: OddPhaseSpace) -> OddPoissonSpace:
     """The odd symplectic pairing of a parity-reversed cotangent bundle:
     each coordinate against the theta of its own momentum."""
     chart = phase.chart
     pairs = []
-    maps = carrier.provenance.maps
+    maps = phase.carrier.provenance.maps
     for v, pv in maps["dual"][chart].items():
         pairs.append((phase.x_of[maps["base"][chart][v]], phase.theta_of[pv]))
     return OddPoissonSpace(phase.system, pairs)
 
 
-def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial,
-                        carrier: GLBundle | None = None,
-                        phase: OddPhaseSpace | None = None) -> WeightedAlgebroid:
+def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial) -> WeightedAlgebroid:
     """Weighted algebroid of an (almost) Poisson structure on F.
 
     ``P`` is a polynomial in the phase-space coordinates (x..., theta...)
     of the parity-reversed cotangent bundle, homogeneous of tri-weight
     (deg F, 2, 0).  The structure field is minus its Hamiltonian field for
-    the momentum pairing; the Lie verdict is the vanishing of [P, P].
+    the momentum pairing; the Lie verdict is the vanishing of [P, P].  The
+    phase space is built from F, and equal charts share their variables.
     """
-    carrier = carrier if carrier is not None else cotangent_bundle(F)
-    phase = phase if phase is not None else OddPhaseSpace(carrier)
     km1 = F.degree
     w = weight_of(P, 3)
     if w not in ("zero", (km1, 2, 0)):
         raise ValueError(f"Poisson data has tri-weight {w}, expected {(km1, 2, 0)}")
-    poisson = momentum_pairing(carrier, phase)
-    derivation = poisson.hamiltonian_field(
-        P,
-        variables=phase.xs + phase.thetas,
-        weight_shift=(0, 1, 0),
-        parity=ODD,
-    )
-    return WeightedAlgebroid.from_q(
-        carrier, HomologicalField(derivation, phase), poisson_data=P,
-        poisson_residual=poisson.bracket(P, P),
-    )
+    phase = OddPhaseSpace(cotangent_bundle(F))
+    poisson = momentum_pairing(phase)
+    derivation = poisson.hamiltonian_field(P, phase.xs + phase.thetas, (0, 1, 0), ODD)
+    return WeightedAlgebroid.from_q(HomologicalField(derivation, phase), poisson_data=P,
+                                    poisson_residual=poisson.bracket(P, P))
 
 
 def linear_poisson(c: StructureConstants):
@@ -315,10 +306,11 @@ def linear_poisson(c: StructureConstants):
 
 
 # ------------------------------------------------------ higher tangent lift
-def _diffeo_charts(dim: int, stems) -> list[CoordinateSystem]:
-    """Charts m_src and m_dst of even weight-zero coordinates <stem>1..<stem><dim>."""
+def _diffeo_charts(dim: int) -> list[CoordinateSystem]:
+    """Charts m_src and m_dst of even weight-zero coordinates x1..x<dim> and
+    X1..X<dim>."""
     return [CoordinateSystem([(f"{stem}{i}", 0, EVEN) for i in range(1, dim + 1)], name=name)
-            for stem, name in zip(stems, ("m_src", "m_dst"))]
+            for stem, name in (("x", "m_src"), ("X", "m_dst"))]
 
 
 class PolynomialDiffeo(TransitionMap):
@@ -331,8 +323,8 @@ class PolynomialDiffeo(TransitionMap):
     """
 
     @staticmethod
-    def build(dim: int, forward, inverse, names=("x", "X")):
-        src, dst = _diffeo_charts(dim, names)
+    def build(dim: int, forward, inverse):
+        src, dst = _diffeo_charts(dim)
         fw = forward([SuperPolynomial.from_var(v) for v in src])
         iv = inverse([SuperPolynomial.from_var(v) for v in dst])
         return PolynomialDiffeo(
@@ -465,7 +457,7 @@ def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
     )
     for key, y in y_of.items():
         action[phase.x_of[y]] = SuperPolynomial.from_var(phase.theta_of[dy_of[key]])
-    return WeightedAlgebroid.from_q(carrier, phase.field(action))
+    return WeightedAlgebroid.from_q(phase.field(action))
 
 
 def prolongation_roles(alg: WeightedAlgebroid) -> tuple[AlgebroidData, dict]:

@@ -53,7 +53,6 @@ from .bundle import (
     CoordinateSystem,
     GradedBundle,
     IllDefinedProjection,
-    NTupleBundle,
     rechart,
     restrict,
     vertical_bundle,
@@ -73,7 +72,7 @@ class NonlinearFiber(ValueError):
     """A transition component is not linear in the vector-bundle leg."""
 
 
-class GLBundle(NTupleBundle):
+class GLBundle(GradedBundle):
     """Double graded bundle with a linear (Euler) second leg.
 
     The base leg (second weight 0) is a graded bundle of degree k-1, the
@@ -83,6 +82,8 @@ class GLBundle(NTupleBundle):
 
     def __init__(self, charts, transitions=None, provenance=None, gl_degree=None):
         super().__init__(charts, transitions, provenance)
+        if self.arity != 2:
+            raise ValueError(f"GL-bundles need weight arity 2, got {self.arity}")
         for chart in self.charts:
             for v in chart.variables:
                 if v.weight[1] not in (0, 1):

@@ -485,14 +485,23 @@ def int_entry(section: Section | None, key: str, minimum: int, maximum=math.inf,
             raise SpecSyntaxError(f"missing {key!r} entry", section.line, 1)
         return None
     e = entries[0]
-    try:
-        value = int(e.value)
-    except ValueError:
-        raise SpecSyntaxError(f"{key!r} must be an integer", e.line, e.col) from None
+    value = plain_int(e.value, f"{key!r} must be", e.line, e.col)
     if value < minimum:
         raise SpecSyntaxError(f"{key!r} must be at least {minimum}", e.line, e.col)
     if value > maximum:
         raise SpecSyntaxError(f"{key!r} {value} exceeds the limit of {maximum}", e.line, e.col)
+    return value
+
+
+def plain_int(text: str, claim: str, line: int, col: int) -> int:
+    """The integer ``text`` spells in plain decimal, as ``str`` writes it; an
+    error reads ``claim`` then "an integer" or "written in plain decimal"."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise SpecSyntaxError(f"{claim} an integer", line, col) from None
+    if text != str(value):
+        raise SpecSyntaxError(f"{claim} written in plain decimal", line, col)
     return value
 
 

@@ -145,7 +145,7 @@ def test_coordinate_mismatch_names_the_first_foreign_coordinate(seed):
 
 def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
     # once for its Hamiltonian field, twice for [P, P]
-    F, carrier, phase, P = linear_poisson(so3())
+    F, _, _, P = linear_poisson(so3())
     checked = []
     check = OddPoissonSpace._check
 
@@ -154,7 +154,7 @@ def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
         return check(self, p, *args)
 
     monkeypatch.setattr(OddPoissonSpace, "_check", spy)
-    cotangent_algebroid(F, P, carrier, phase)
+    cotangent_algebroid(F, P)
     assert checked.count(True) == 3
 
 
@@ -565,8 +565,37 @@ def test_general_kind_from_non_skew_data():
     )
     assert alg.kind == "general"
     assert alg.q is None
+    assert (alg.hamiltonian, alg.check) == (None, None)
+    assert alg.carrier is carrier
     with pytest.raises(MalformedQ):
         anchor(alg)
+
+
+@pytest.mark.parametrize("constants, kind", [
+    (so3(), "lie"), (random_nonjacobi_constants(random.Random(3)), "skew")])
+def test_records_are_read_off_the_structure_field(constants, kind):
+    alg = lie_tower(constants, 2)
+    again = WeightedAlgebroid(alg.phase, alg.q)
+    assert again.carrier is alg.phase.carrier is alg.carrier
+    assert again.hamiltonian.poly == p_from_q(alg.q).poly
+    assert again.kind == again.check.kind == alg.kind == kind
+    assert again.check.residual.is_zero() == (kind == "lie")
+    assert [(i.check_id, i.verdict) for i in again.check.report.items] == \
+        [(i.check_id, i.verdict) for i in alg.check.report.items]
+
+
+def test_structure_field_on_another_phase_space_rejected(tower2):
+    other = OddPhaseSpace(tower2.carrier)
+    with pytest.raises(CoordinateMismatch, match="structure field is on another phase space"):
+        WeightedAlgebroid(other, tower2.q)
+
+
+def test_cotangent_algebroid_builds_its_phase_space_on_f():
+    # P of so(3) names y3, which T*F of a two-dimensional F does not have
+    _, _, _, P = linear_poisson(so3())
+    F2, _, _, _ = linear_poisson(abelian(2))
+    with pytest.raises(CoordinateMismatch, match="^variable y3 is not on this phase space$"):
+        cotangent_algebroid(F2, P)
 
 
 def test_not_a_linearisation_error():
@@ -582,7 +611,7 @@ def test_not_a_linearisation_error():
             phase.theta_of[TE.charts[0][f_name]]
         )
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
-    alg = WeightedAlgebroid.from_q(TE, Q)
+    alg = WeightedAlgebroid.from_q(Q)
     anc = anchor(alg)
     with pytest.raises(NotALinearisation):
         anc.rho_hat()

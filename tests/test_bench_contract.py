@@ -11,8 +11,9 @@ scripts on this checkout's ``src``, and so do the benchmark's own checks
 (``perfbench/selftest.py``), which read ``p.terms`` and build polynomials
 through the public constructor.  One seeded round of the jets and towers
 tasks passes the benchmark's independent checks, which compare the engine
-with ``perfbench/refalg.py``.  A demo prints the same bytes under every hash
-seed.
+with ``perfbench/refalg.py``, and a traced round, with the tracer installed
+in this process, reaches every ``TIMED`` function.  A demo prints the same
+bytes under every hash seed.
 """
 
 import importlib
@@ -75,6 +76,27 @@ def test_benchmark_tasks_pass_the_independent_checks(workloads, name):
     task, check = getattr(workloads, f"{name}_task"), getattr(workloads, f"check_{name}")
     for inp in inputs:
         assert check(inp, task(inp)) == []
+
+
+def test_traced_tasks_time_every_timed_function(workloads, capsys):
+    # the tracer wraps the engine in place, as a traced benchmark run does,
+    # and each TIMED function is reached by one task or the CLI
+    tracer = load_tracer()
+    from gradedbundles import cli
+
+    jets, towers = workloads.jets_inputs(1)[0], workloads.towers_inputs(1)[0]
+    tr = tracer.Tracer()
+    tr.install([workloads])
+    try:
+        for task, item in ((workloads.jets_task, jets), (workloads.towers_task, towers)):
+            with tr.task():
+                task(item)
+        with tr.task():
+            code = cli.main(["validate", "--spec", str(ROOT / "specs" / "degree2.spec")])
+    finally:
+        tr.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert sorted(key for key in tracer.TIMED if not tr.counts[key]) == []
 
 
 def test_benchmark_selftest_passes():

@@ -626,7 +626,8 @@ def bad_y(expression):
 
 # One document per rejection in the parser, the bundle builder and the
 # structure builders that the other tests do not reach, with its message and
-# line; the last two are the [bundle] section's bounds.
+# line; the last six are the [bundle] section's bounds and integers of a
+# [bundle] or [structure] section not written in plain decimal.
 @pytest.mark.parametrize("command, text, message, line", [
     (["validate"], "# a\n[ ]\n", "empty section header", 2),
     (["validate"], "[bundle]\n = 1\n", "empty key", 2),
@@ -653,11 +654,19 @@ def bad_y(expression):
     (["bracket"], ONE_CHART, "bracket documents declare a lie-tower structure", 1),
     (["linearise"], "[bundle]\narity = 0\n[chart a]\n", "'arity' must be at least 1", 2),
     (["validate"], "[bundle]\ndegree = -1\n" + ONE_CHART, "'degree' must be at least 0", 2),
+    (["validate"], "[bundle]\narity = 0_1\n" + ONE_CHART,
+     "'arity' must be written in plain decimal", 2),
+    (["validate"], "[bundle]\ndegree = +1\n" + ONE_CHART,
+     "'degree' must be written in plain decimal", 2),
+    (["construct", "tk"], tk_text("0_2", 1), "'k' must be written in plain decimal", 2),
+    (["construct", "tk"], tk_text(2, 1).replace("dim = 1", "dim = +1"),
+     "'dim' must be written in plain decimal", 3),
 ], ids=["empty-header", "empty-key", "chart-header", "map-header", "structure-kind",
         "unreadable", "unclosed", "trailing-token", "exponent", "zero-denominator",
         "leading-operator", "weight-entry", "arity-word", "no-charts", "unknown-chart",
         "three-charts", "one-map", "k-word", "unknown-fiber", "bracket-no-structure",
-        "arity-zero", "degree-negative"])
+        "arity-zero", "degree-negative", "arity-underscore", "degree-plus", "k-underscore",
+        "dim-plus"])
 def test_spec_rejections_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert message in err and f"at line {line}," in err

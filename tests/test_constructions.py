@@ -336,19 +336,14 @@ def test_tangent_matches_higher_tangent_picture():
 
 # ------------------------------------------------------- cotangent algebroid
 def test_cotangent_zero_poisson_is_lie():
-    F = degree2_example()
-    carrier = cotangent_bundle(F)
-    from gradedbundles.algebroid import OddPhaseSpace
-
-    phase = OddPhaseSpace(carrier)
-    alg = cotangent_algebroid(F, ZERO, carrier, phase)
+    alg = cotangent_algebroid(degree2_example(), ZERO)
     assert alg.kind == "lie"
     assert alg.q.derivation.is_zero()
 
 
 def test_cotangent_so3_is_lie():
-    F, carrier, phase, P = linear_poisson(so3())
-    alg = cotangent_algebroid(F, P, carrier, phase)
+    F, _, _, P = linear_poisson(so3())
+    alg = cotangent_algebroid(F, P)
     assert alg.kind == "lie"
     assert alg.poisson_residual.is_zero()
     assert weight_of(P, 3) == (1, 2, 0)
@@ -359,8 +354,8 @@ def test_cotangent_so3_is_lie():
 def test_cotangent_perturbed_is_skew():
     rng = random.Random(37)
     c = random_nonjacobi_constants(rng)
-    F, carrier, phase, P = linear_poisson(c)
-    alg = cotangent_algebroid(F, P, carrier, phase)
+    F, _, _, P = linear_poisson(c)
+    alg = cotangent_algebroid(F, P)
     assert alg.kind == "skew"
     assert not alg.poisson_residual.is_zero()
 

@@ -7,6 +7,7 @@ import pytest
 from gradedbundles.superalg import (
     EVEN,
     ODD,
+    ParityMismatch,
     SuperPolynomial,
     differential,
     partial,
@@ -386,6 +387,23 @@ def test_linear_dual_degree1():
     pi = dual.charts[1]["pdY"]
     assert t.forward[pi] == Fraction(1, 5) * dual.chart.var("pdy")
     assert validate(dual).passed
+
+
+def test_contragredient_rejects_a_fibre_image_of_the_wrong_parity():
+    # the odd fibre coordinate DA of chart b has the even image dx
+    A = CoordinateSystem([("x", (0, 0), EVEN), ("dx", (0, 1), EVEN)], name="pa", arity=2)
+    B = CoordinateSystem([("X", (0, 0), EVEN), ("DA", (0, 1), ODD)], name="pb", arity=2)
+    G = two_chart_bundle(A, B, {"X": A.var("x"), "DA": A.var("dx")},
+                         {"x": B.var("X"), "dx": B.var("DA")}, cls=GLBundle)
+    with pytest.raises(ParityMismatch, match=r"^image of DA \(parity 1\) has parity 0$"):
+        linear_dual(G.base_bundle(), G)
+
+
+@pytest.mark.parametrize("weights", [[0, 1], [(0, 0, 0), (0, 1, 0)]], ids=["arity-1", "arity-3"])
+def test_gl_bundle_needs_weight_arity_two(weights):
+    chart = CoordinateSystem([("x", weights[0], EVEN), ("v", weights[1], EVEN)], name="ga")
+    with pytest.raises(ValueError, match="^GL-bundles need weight arity 2, got"):
+        GLBundle([chart])
 
 
 def test_dual_validates_and_pairing_invariance():

@@ -57,10 +57,9 @@ def test_records_take_their_fields_by_keyword():
     assert (alg.poisson_data, alg.poisson_residual) == (None, None)
     assert alg.carrier.provenance.source.constants is c
     P = alg.hamiltonian.poly
-    copy = WeightedAlgebroid(alg.carrier, alg.phase, alg.q, alg.hamiltonian, alg.kind,
-                             alg.check, poisson_data=P)
+    copy = WeightedAlgebroid(alg.phase, alg.q, poisson_data=P)
     assert copy.poisson_data is P and copy.poisson_residual is None
-    again = WeightedAlgebroid.from_q(alg.carrier, alg.q, poisson_residual=P)
+    again = WeightedAlgebroid.from_q(alg.q, poisson_residual=P)
     assert again.kind == alg.kind and again.poisson_residual is P
     report = Report(command="validate", items=[])
     assert report.command == "validate" and report.passed

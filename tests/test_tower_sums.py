@@ -284,7 +284,7 @@ def test_linear_poisson_and_its_cotangent_algebroid(seed):
         if i < j:
             chained = chained + y[k - 1] * theta[i - 1] * theta[j - 1] * v
     same(P, chained)
-    cot = cotangent_algebroid(F, P, carrier, phase)
+    cot = cotangent_algebroid(F, P)
     same(cot.hamiltonian.poly, chained_p_from_q(phase, cot.q.derivation.action))
     same_maps(anchor(cot).delta, chained_anchor(cot))
     display = epsilon_components(cot)

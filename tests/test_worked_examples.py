@@ -131,7 +131,7 @@ def test_general_degree2_field_display():
     assert verdicts["structure field is Grassmann odd"] == "PASS"
     assert verdicts["structure field has weight (0,1)"] == "PASS"
 
-    alg = WeightedAlgebroid.from_q(D, Q)
+    alg = WeightedAlgebroid.from_q(Q)
     anc = anchor(alg)
     chart = D.chart
     dy, dz = chart.var("dy"), chart.var("dz")
