@@ -31,10 +31,10 @@ from .superalg import (
     Variable,
     ZERO,
     commutator,
-    linear_combination,
     partial,
     partial_right,
     render,
+    sum_of_products,
     total,
     weight_add,
     weight_of,
@@ -103,10 +103,10 @@ class OddPoissonSpace:
         parts = []
         for q, qs in self.pairs:
             if q in fv and qs in gv:
-                parts.append((1, partial_right(f, q) * partial(g, qs)))
+                parts.append((1, partial_right(f, q), partial(g, qs)))
             if qs in fv and q in gv:
-                parts.append((-1, partial_right(f, qs) * partial(g, q)))
-        return linear_combination(parts)
+                parts.append((-1, partial_right(f, qs), partial(g, q)))
+        return sum_of_products(parts)
 
     def hamiltonian_field(self, h: SuperPolynomial, variables, weight_shift,
                           parity) -> Derivation:
@@ -216,13 +216,16 @@ class AlgebroidHamiltonian:
 
 def _check_shape(phase: OddPhaseSpace, p: SuperPolynomial, expected, error, what: str):
     """Raise ``error`` unless ``p`` is zero or a polynomial on the phase space
-    of tri-weight ``expected``.  The last two tri-weight entries count theta
-    (1, 0), pi (0, 1) and chi (1, 1) factors, so they fix the shape: (2, 1)
-    is theta chi or theta theta pi, (0, 1) one pi and (1, 0) one theta."""
+    of tri-weight ``expected``, or of any weight when that is None.  The last
+    two tri-weight entries count theta (1, 0), pi (0, 1) and chi (1, 1)
+    factors, so they fix the shape: (2, 1) is theta chi or theta theta pi,
+    (0, 1) one pi and (1, 0) one theta."""
     try:
         phase.poisson._check(p)
     except CoordinateMismatch as exc:
         raise error(f"{what}: {exc}") from None
+    if expected is None:
+        return
     w = weight_of(p, 3)
     if w not in ("zero", expected):
         raise error(f"{what} has tri-weight {w}, expected {expected}")
@@ -233,8 +236,12 @@ def _check_q_shape(Q: HomologicalField):
     for v in phase.pis + phase.chis:
         if not Q.coefficient(v).is_zero():
             raise MalformedQ(f"field acts on dual coordinate {v.name}")
+    # a checked derivation has compared each coefficient's weight with
+    # v.weight + (0, 1, 0) already
+    checked = Q.derivation.check
     for v in phase.xs + phase.thetas:
-        _check_shape(phase, Q.coefficient(v), weight_add(v.weight, (0, 1, 0)), MalformedQ,
+        _check_shape(phase, Q.coefficient(v),
+                     None if checked else weight_add(v.weight, (0, 1, 0)), MalformedQ,
                      f"coefficient of d/d{v.name}")
 
 
@@ -242,9 +249,9 @@ def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:
     """Hamiltonian encoding: P = sum Q(x) chi - sum Q(theta) pi."""
     _check_q_shape(Q)
     phase, action, var = Q.phase, Q.derivation.action, SuperPolynomial.from_var
-    P = linear_combination(
-        [(1, action[x] * var(phase.chi_of[b])) for b, x in phase.x_of.items() if x in action]
-        + [(-1, action[th] * var(phase.pi_of[f]))
+    P = sum_of_products(
+        [(1, action[x], var(phase.chi_of[b])) for b, x in phase.x_of.items() if x in action]
+        + [(-1, action[th], var(phase.pi_of[f]))
            for f, th in phase.theta_of.items() if th in action]
     )
     return AlgebroidHamiltonian(P, phase)
@@ -313,15 +320,15 @@ def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolyno
     terms: dict[Variable, list] = {}  # per coefficient, in first-seen order
     rename, var = ChartMap(x_of), SuperPolynomial.from_var
     for (a, b), p in anchor.items():
-        terms.setdefault(x_of[b], []).append((1, var(xi_of[a]) * rename(p)))
+        terms.setdefault(x_of[b], []).append((1, var(xi_of[a]), rename(p)))
     pairs = {}  # (a, b) -> xi_a xi_b, formed on first use
     minus_half = Fraction(-1, 2)
     for (a, b, c), p in bracket.items():
         ab = pairs.get((a, b))
         if ab is None:
             ab = pairs[(a, b)] = var(xi_of[a]) * var(xi_of[b])
-        terms.setdefault(xi_of[c], []).append((minus_half, ab * rename(p)))
-    return {v: linear_combination(ts) for v, ts in terms.items()}
+        terms.setdefault(xi_of[c], []).append((minus_half, ab, rename(p)))
+    return {v: sum_of_products(ts) for v, ts in terms.items()}
 
 
 def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs,
@@ -445,8 +452,8 @@ def anchor(A: WeightedAlgebroid) -> AnchorData:
     x_to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
     parts = {b: [] for b in phase.x_of}
     for (b, f), c in _anchor_coefficients(A.q).items():
-        parts[b].append((1, var(f) * x_to_carrier(c)))
-    return AnchorData(A, {b: linear_combination(ts) for b, ts in parts.items()})
+        parts[b].append((1, var(f), x_to_carrier(c)))
+    return AnchorData(A, {b: sum_of_products(ts) for b, ts in parts.items()})
 
 
 # ------------------------------------------------------- weight-one leg A1
@@ -555,16 +562,16 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
     delta_pi = {"delta_pi_" + f.name: [] for f in fiber}
     for (bn, fn), c in p_ai.items():
         c = x_map(c)
-        delta_x["delta_" + bn].append((1, var(y_of[chart[fn]]) * c))
-        delta_pi["delta_pi_" + fn].append((1, c * var(p_of[chart[bn]])))
+        delta_x["delta_" + bn].append((1, var(y_of[chart[fn]]), c))
+        delta_pi["delta_pi_" + fn].append((1, c, var(p_of[chart[bn]])))
     for (i_n, j_n, k_n), c in p_kij.items():
         delta_pi["delta_pi_" + j_n].append(
-            (1, var(y_of[chart[i_n]]) * x_map(c) * var(pi_of[chart[k_n]]))
+            (1, var(y_of[chart[i_n]]) * x_map(c), var(pi_of[chart[k_n]]))
         )
     return EpsilonComponents(
         sys,
-        {n: linear_combination(ts) for n, ts in delta_x.items()},
-        {n: linear_combination(ts) for n, ts in delta_pi.items()},
+        {n: sum_of_products(ts) for n, ts in delta_x.items()},
+        {n: sum_of_products(ts) for n, ts in delta_pi.items()},
     )
 
 

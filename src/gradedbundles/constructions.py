@@ -33,6 +33,7 @@ from .superalg import (
     commutator,
     linear_combination,
     partial,
+    sum_of_products,
     total,
     weight_of,
 )
@@ -299,8 +300,8 @@ def linear_poisson(c: StructureConstants):
     maps = carrier.provenance.maps
     y = [SuperPolynomial.from_var(phase.x_of[maps["base"][0][v]]) for v in chart]
     theta = [SuperPolynomial.from_var(phase.theta_of[maps["dual"][0][v]]) for v in chart]
-    P = linear_combination(
-        (v, y[k - 1] * theta[i - 1] * theta[j - 1]) for (i, j, k), v in c.c.items() if i < j
+    P = sum_of_products(
+        (v, y[k - 1] * theta[i - 1], theta[j - 1]) for (i, j, k), v in c.c.items() if i < j
     )
     return F, carrier, phase, P
 
@@ -514,9 +515,9 @@ def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPo
     sum Z pi_dy."""
     _, roles = prolongation_roles(alg)
     pi_of, var = alg.phase.pi_of, SuperPolynomial.from_var
-    return linear_combination(
-        [(1, p * var(pi_of[roles["xi"][n]])) for n, p in s.Y.items()]
-        + [(1, p * var(pi_of[roles["dy"][key]])) for key, p in s.Z.items()]
+    return sum_of_products(
+        [(1, p, var(pi_of[roles["xi"][n]])) for n, p in s.Y.items()]
+        + [(1, p, var(pi_of[roles["dy"][key]])) for key, p in s.Z.items()]
     )
 
 

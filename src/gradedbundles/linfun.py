@@ -41,10 +41,10 @@ from .superalg import (
     Variable,
     ZERO,
     differential,
-    linear_combination,
     partial,
     render,
     substitute,
+    sum_of_products,
     total,
     weight_of,
 )
@@ -312,8 +312,8 @@ def symmetry_report(G: GLBundle) -> Report:
             law = t.forward[f]
             if b is f:
                 what = "its Euler potential"
-                potential = linear_combination(
-                    (Fraction(total(g.weight), k), SuperPolynomial.from_var(c) * partial(law, g))
+                potential = sum_of_products(
+                    (Fraction(total(g.weight), k), SuperPolynomial.from_var(c), partial(law, g))
                     for g, c in partners[i].items() if law.involves(g)
                 )
             else:
@@ -425,8 +425,8 @@ def contragredient(comps, other, src, dst, key=None):
                 renamed = {v: renamed[v] if v in renamed else base(p) for v, p in comps.items()}
                 pull = ChartMap(renamed)
                 rename_all = False
-            terms.append((1, pull(entry) * SuperPolynomial.from_var(pb)))
-        out[pa] = linear_combination(terms)
+            terms.append((1, pull(entry), SuperPolynomial.from_var(pb)))
+        out[pa] = sum_of_products(terms)
     return out
 
 
@@ -480,9 +480,9 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
     P = rechart(F, spec, components, tag="pairing", inverse=False)
     on = P.provenance.maps
     polys = [
-        linear_combination(
-            (total(fvar.weight), SuperPolynomial.from_var(on["vars"][i][fvar])
-             * SuperPolynomial.from_var(on["dual"][i][dual_of[i][dot]]))
+        sum_of_products(
+            (total(fvar.weight), SuperPolynomial.from_var(on["vars"][i][fvar]),
+             SuperPolynomial.from_var(on["dual"][i][dual_of[i][dot]]))
             for fvar, dot in dotted.items()
         )
         for i, dotted in enumerate(DF.provenance.maps["dotted"])

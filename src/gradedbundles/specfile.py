@@ -234,7 +234,7 @@ MAX_DIM = 32
 MAX_K = 6
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
 )
 
 
@@ -391,8 +391,9 @@ def parse_expression(text: str, names: CoordinateSystem | dict[str, Variable],
 
 
 # --------------------------------------------------------------- weights
+# numerals are ASCII digits, read by plain_int
 _WEIGHT_RE = re.compile(
-    r"^weight\s+(?:(?P<int>\d+)|\((?P<tuple>[\d\s,]+)\))\s*(?P<parity>odd|even)?$"
+    r"^weight\s+(?:(?P<int>[0-9]+)|\((?P<tuple>[0-9\s,]+)\))\s*(?P<parity>odd|even)?$"
 )
 
 
@@ -404,10 +405,10 @@ def parse_weight_entry(e: Entry, arity: int):
             e.line, e.col,
         )
     if m.group("int") is not None:
-        weight = (int(m.group("int")),)
+        parts = [m.group("int")]
     else:
         parts = [p.strip() for p in m.group("tuple").split(",") if p.strip()]
-        weight = tuple(int(p) for p in parts)
+    weight = tuple(plain_int(p, f"weight {p!r} must be", e.line, e.col) for p in parts)
     if len(weight) != arity:
         raise WeightArityMismatchError(
             f"weight {weight} has arity {len(weight)}, document declares {arity}",

@@ -46,10 +46,18 @@ Performance invariants, kept by every operation in this module:
   supports, so no exponent ever wraps around;
 * sums are accumulated in place (``_add_into``, ``_Sum``) into a fresh
   dict, never as ``out = out + term``, which would copy the running sum per
-  step; new keys are appended in the order the plain sum would give.  The
-  construction layers keep the same rule: each of their polynomials is one
-  ``linear_combination`` of its terms, and each product in it is formed
-  once, however many terms share it;
+  step; new keys are appended in the order the plain sum would give;
+* a product that only feeds a sum is not built as a polynomial:
+  ``_Sum.add_product`` multiplies it, with the one multiply kernel
+  ``_mul_into`` that ``p * q`` uses too, into a fresh dict and folds that
+  into the sum, with no gcd reduction per product.  ``sum_of_products``,
+  ``apply``, the odd bracket and the last factor of a substituted term sum
+  this way.  The fresh dict keeps the term order of the chained sum, which
+  writing into the running sum would not: a key whose running coefficient
+  passed through zero mid-product would move to the end.  The construction
+  layers keep the same rule: each of their polynomials is one
+  ``linear_combination`` or ``sum_of_products`` of its terms, and each
+  product in it is formed once, however many terms share it;
 * work is done in the target chart: a law is renamed into its new chart
   once and lifted there, not per variable as a chain of small polynomials;
   ``differential`` moves each key of p by one field per variable, widening
@@ -350,7 +358,7 @@ def _add_into(acc: dict, num: Mapping[int, int], scale: int = 1) -> None:
 
 
 class _Sum:
-    """A running sum of scaled polynomials, accumulated in place."""
+    """A running sum of scaled polynomials and products, accumulated in place."""
 
     __slots__ = ("ring", "num", "den")
 
@@ -359,42 +367,71 @@ class _Sum:
         self.num: dict[int, int] = {}
         self.den = 1
 
+    def _join(self, ring: _Ring, t: int) -> int:
+        """Merge ``ring`` into the sum's and bring its denominator to a
+        multiple of ``t``; returns the scale ``den // t`` of a term over ``t``."""
+        merged = _merged(self.ring, ring)
+        if merged is not self.ring:
+            self.num = _repack(self.num, self.ring, merged)
+            self.ring = merged
+        den = self.den
+        if t == den:
+            return 1
+        if not self.num:
+            self.den = t
+            return 1
+        common = lcm(den, t)
+        if common != den:
+            f = common // den
+            num = self.num
+            for k, n in num.items():
+                num[k] = n * f
+            self.den = common
+        return common // t
+
     def add(self, p: "SuperPolynomial", a: int = 1, b: int = 1) -> None:
         """``self += (a / b) * p`` for integers ``a`` and ``b > 0``."""
         if not p._num or not a:
             return
-        ring = _merged(self.ring, p._ring)
-        if ring is not self.ring:
-            self.num = _repack(self.num, self.ring, ring)
-            self.ring = ring
-        t = p._den * b
-        den = self.den
-        if t != den:
-            common = lcm(den, t)
-            if common != den:
-                f = common // den
-                num = self.num
-                for k, n in num.items():
-                    num[k] = n * f
-                self.den = den = common
-            a *= den // t
-        _add_into(self.num, _repack(p._num, p._ring, ring), a)
+        a *= self._join(p._ring, p._den * b)
+        _add_into(self.num, _repack(p._num, p._ring, self.ring), a)
+
+    def add_product(self, p: "SuperPolynomial", q: "SuperPolynomial",
+                    a: int = 1, b: int = 1) -> None:
+        """``self += (a / b) * p * q`` for integers ``a`` and ``b > 0``.
+
+        The product is multiplied into a fresh dict, adopted by an empty sum
+        and folded into any other, so the sum keeps the term order of
+        ``self + (a / b) * p * q``; p and q may be unreduced temporaries."""
+        if not a or not p._num or not q._num:
+            return
+        ring, A, B = _product_ring(p, q)
+        a *= self._join(ring, p._den * q._den * b)
+        out: dict[int, int] = {}
+        _mul_into(out, A, B, ring.odd, a)
+        out = _repack(out, ring, self.ring)
+        if self.num:
+            _add_into(self.num, out)
+        else:
+            self.num = out
 
     def result(self) -> "SuperPolynomial":
         return _make(self.ring, self.num, self.den)
 
 
-def _make(ring: _Ring, num: dict, den: int = 1) -> "SuperPolynomial":
+def _make(ring: _Ring, num: dict, den: int = 1, reduce: bool = True) -> "SuperPolynomial":
     """Adopt ``num`` over the positive denominator ``den``, without copying.
 
     ``num`` must be a fresh dict that no other object holds or will mutate,
-    its values nonzero ints; ``num`` and ``den`` are reduced here.
+    its values nonzero ints; ``num`` and ``den`` are reduced here.  An
+    unreduced polynomial (``reduce`` false) is a temporary that only feeds
+    ``_Sum.add_product`` and is never handed out.
     """
     p = object.__new__(SuperPolynomial)
     # zero and the constants belong to no chart, so they never force a merge
     p._ring = _EMPTY if len(num) <= 1 and (not num or 0 in num) else ring
     p._num = num
-    p._den = den if den == 1 else _reduce(num, den)
+    p._den = den if den == 1 or not reduce else _reduce(num, den)
     p._parity = None
     p._support = None
     return p
@@ -414,12 +451,10 @@ def _scalar(c) -> Scalar:
     return c
 
 
-def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
-    """The product of two polynomials, as a fresh polynomial."""
-    A, B = p._num, q._num
-    if not A or not B:
-        return _make(_EMPTY, {})
-    ring = p._ring
+def _product_ring(p: "SuperPolynomial", q: "SuperPolynomial") -> tuple[_Ring, dict, dict]:
+    """The ring of ``p * q`` and the numerators of p and q keyed in it: the
+    merged ring, widened until no field of a product key can overflow."""
+    ring, A, B = p._ring, p._num, q._num
     sp, sq = p._support, q._support
     if sp is None:
         sp = p._support = _or(A)
@@ -434,11 +469,20 @@ def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
             if not (_or(A) + _or(B)) & ring.guard:
                 break
             ring = ring.wider()
-    odd = ring.odd
+    return ring, A, B
+
+
+def _mul_into(out: dict, A: Mapping[int, int], B: Mapping[int, int], odd: int,
+              scale: int = 1) -> None:
+    """``out += scale * A * B`` in place, for numerators keyed in one ring
+    with odd mask ``odd``; ``out`` is owned by the caller.
+
+    New keys are appended in the order of the product's terms, A's outer."""
     items = B.items()
-    out: dict[int, int] = {}
     get = out.get
     for k1, c1 in A.items():
+        if scale != 1:
+            c1 *= scale
         o1 = k1 & odd
         if o1:
             # bit j of below is set when an odd number of k1's odd factors
@@ -467,6 +511,15 @@ def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
                     out[k] = s
                 else:
                     del out[k]
+
+
+def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
+    """The product of two polynomials, as a fresh polynomial."""
+    if not p._num or not q._num:
+        return _make(_EMPTY, {})
+    ring, A, B = _product_ring(p, q)
+    out: dict[int, int] = {}
+    _mul_into(out, A, B, ring.odd)
     return _make(ring, out, p._den * q._den)
 
 
@@ -715,6 +768,17 @@ def linear_combination(pairs: Iterable[tuple[Scalar, SuperPolynomial]]) -> Super
     return acc.result()
 
 
+def sum_of_products(triples: Iterable[tuple[Scalar, SuperPolynomial, SuperPolynomial]]
+                    ) -> SuperPolynomial:
+    """``sum(c * p * q for c, p, q in triples)``, each product accumulated
+    into the sum without being built as a polynomial."""
+    acc = _Sum()
+    for c, p, q in triples:
+        c = _scalar(c)
+        acc.add_product(p, q, c.numerator, c.denominator)
+    return acc.result()
+
+
 def render(p: SuperPolynomial) -> str:
     """Deterministic human form, terms in canonical monomial order."""
     if p.is_zero():
@@ -798,12 +862,9 @@ def _field(p: SuperPolynomial, v: Variable) -> tuple[int, int] | None:
     return shift, mask
 
 
-def partial(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
-    """Left derivative with respect to ``v``."""
-    f = _field(p, v)
-    if f is None:
-        return _make(_EMPTY, {})
-    shift, mask = f
+def _left(p: SuperPolynomial, v: Variable, shift: int) -> dict:
+    """The numerators of ``partial(p, v)`` over p's denominator, for v's
+    field of p's ring at ``shift``."""
     ring = p._ring
     unit = 1 << shift
     out = {}
@@ -813,11 +874,20 @@ def partial(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
             if k & unit:
                 out[k - unit] = -c if (k & below).bit_count() & 1 else c
     else:
+        mask = ((1 << ring.width) - 1) << shift
         for k, c in p._num.items():
             e = k & mask
             if e:
                 out[k - unit] = c if e == unit else c * (e >> shift)
-    return _make(ring, out, p._den)
+    return out
+
+
+def partial(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
+    """Left derivative with respect to ``v``."""
+    f = _field(p, v)
+    if f is None:
+        return _make(_EMPTY, {})
+    return _make(p._ring, _left(p, v, f[0]), p._den)
 
 
 def partial_right(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
@@ -975,7 +1045,9 @@ class ChartMap:
         acc = _Sum()
         den = p._den
         for k, c in num.items():
-            term = None
+            # the product of all but the last power is built; the last
+            # multiplies into the sum
+            term = last = None
             for f in src.fields(k):
                 power = cache.get(f)
                 if power is None:
@@ -983,10 +1055,16 @@ class ChartMap:
                     if base.__class__ is Variable:
                         base = SuperPolynomial.from_var(base)
                     power = cache[f] = base if f[1] == 1 else base ** f[1]
-                term = power if term is None else _mul_terms(term, power)
-                if not term._num:
-                    break
-            acc.add(ONE if term is None else term, c, den)
+                if last is not None:
+                    term = last if term is None else _mul_terms(term, last)
+                    if not term._num:
+                        break
+                last = power
+            else:
+                if term is not None:
+                    acc.add_product(term, last, c, den)
+                else:
+                    acc.add(ONE if last is None else last, c, den)
         return acc.result()
 
 
@@ -1081,10 +1159,19 @@ class Derivation:
 
 
 def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
+    """The sum of ``D.action[v] * partial(p, v)`` over the variables v of p
+    that D acts on, in ``D.action`` order; each derivative is a temporary
+    that only feeds its product."""
     acc = _Sum()
-    for v, coeff in D.action.items():
-        if p.involves(v):
-            acc.add(_mul_terms(coeff, partial(p, v)))
+    support = _support_of(p)
+    if support:
+        ring, den = p._ring, p._den
+        w = ring.width
+        field = (1 << w) - 1
+        for v, coeff in D.action.items():
+            i = ring.pos(v)
+            if i is not None and support >> (i * w) & field:
+                acc.add_product(coeff, _make(ring, _left(p, v, i * w), den, reduce=False))
     return acc.result()
 
 

@@ -368,6 +368,22 @@ def test_off_phase_variables_rejected(tower2):
         AlgebroidSection(_var(pi) * z, pi.weight[0] + 1, phase)
 
 
+def test_checked_field_off_the_phase_space_rejected(tower2):
+    # phase.field checks every coefficient's weight, so p_from_q skips that
+    # test; z has the weight of the base and still may not appear
+    phase = tower2.phase
+    k = phase.k
+    theta = next(v for v in phase.thetas if v.weight == (k - 1, 1, 0))
+    x = next(v for v in phase.xs if v.weight == (k - 1, 0, 0))
+    z = _off_phase((0, 0, 0))
+    for v, c in ((x, _var(theta) * z), (theta, _var(theta) * _var(phase.thetas[0]) * z)):
+        Q = phase.field({v: c})
+        assert Q.derivation.check
+        with pytest.raises(MalformedQ,
+                           match=f"^coefficient of d/d{v.name}: variable z is not on"):
+            p_from_q(Q)
+
+
 def test_derived_bracket_degree_law():
     from helpers import random_antisym_constants
 

@@ -626,8 +626,10 @@ def bad_y(expression):
 
 # One document per rejection in the parser, the bundle builder and the
 # structure builders that the other tests do not reach, with its message and
-# line; the last six are the [bundle] section's bounds and integers of a
-# [bundle] or [structure] section not written in plain decimal.
+# line; the next six are the [bundle] section's bounds and integers of a
+# [bundle] or [structure] section not written in plain decimal, and the last
+# five weights and numerals of a chart or map that are not plain ASCII
+# decimal integers.
 @pytest.mark.parametrize("command, text, message, line", [
     (["validate"], "# a\n[ ]\n", "empty section header", 2),
     (["validate"], "[bundle]\n = 1\n", "empty key", 2),
@@ -661,12 +663,23 @@ def bad_y(expression):
     (["construct", "tk"], tk_text("0_2", 1), "'k' must be written in plain decimal", 2),
     (["construct", "tk"], tk_text(2, 1).replace("dim = 1", "dim = +1"),
      "'dim' must be written in plain decimal", 3),
+    (["validate"], TWO_CHARTS.replace("y = weight 1", "y = weight \u0661") + MAPS,
+     "chart entries read 'name = weight W [odd|even]', got 'weight \u0661'", 3),
+    (["validate"], "[bundle]\narity = 2\n[chart a]\nx = weight (0, 0)\n"
+     "y = weight (\u0661, 0)\n",
+     "chart entries read 'name = weight W [odd|even]', got 'weight (\u0661, 0)'", 5),
+    (["validate"], TWO_CHARTS.replace("y = weight 1", "y = weight 01") + MAPS,
+     "weight '01' must be written in plain decimal", 3),
+    (["validate"], bad_y("\u0662*y"), "cannot read expression near '\u0662*y'", 9),
+    (["validate"], "[bundle]\narity = 2\n[chart a]\nx = weight (0, 0)\ny = weight (1 2)\n",
+     "weight '1 2' must be an integer", 5),
 ], ids=["empty-header", "empty-key", "chart-header", "map-header", "structure-kind",
         "unreadable", "unclosed", "trailing-token", "exponent", "zero-denominator",
         "leading-operator", "weight-entry", "arity-word", "no-charts", "unknown-chart",
         "three-charts", "one-map", "k-word", "unknown-fiber", "bracket-no-structure",
         "arity-zero", "degree-negative", "arity-underscore", "degree-plus", "k-underscore",
-        "dim-plus"])
+        "dim-plus", "arabic-indic-weight", "arabic-indic-weight-tuple", "zero-padded-weight",
+        "arabic-indic-numeral", "weight-without-comma"])
 def test_spec_rejections_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert message in err and f"at line {line}," in err

@@ -641,3 +641,105 @@ def test_chart_map_parity_mismatch_on_every_application(spec, image_desc):
         for p, _ in polynomials(spec) * 2:
             with pytest.raises(live.ParityMismatch, match="image of x"):
                 m(p)
+
+
+# -------------------------------------------------------- sums of products
+# apply, the odd bracket and substitution multiply the last factor of each
+# product straight into their sum; these compare them, over both charts,
+# with rational denominators and widened rings, with the reference's chained
+# sums
+def mixed_derivation_strategy():
+    names = SOURCE_NAMES + TARGET_NAMES
+    return st.tuples(
+        st.integers(0, 1),
+        st.lists(st.tuples(st.sampled_from(names), poly_desc(names, 3)), max_size=5,
+                 unique_by=lambda entry: entry[0]),
+    )
+
+
+def mixed_derivations(spec):
+    """A derivation acting on variables of either chart, with coefficients of
+    either chart cut down to the parity each needs."""
+    par, entries = spec
+    action, raction = {}, {}
+    for name, d in entries:
+        c, rc = both(d)
+        want = (PARITY[name] + par) % 2
+        action[LIVE[name]] = c.parity_part(want)
+        raction[REF[name]] = rc.parity_part(want)
+    return (live.Derivation(action, par, (0,), check=False),
+            ref.Derivation(raction, par, (0,), check=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_derivation_strategy(), poly_desc(SOURCE_NAMES + TARGET_NAMES), st.booleans())
+def test_apply_across_charts_and_widened_rings(spec, d, widen):
+    D, R = mixed_derivations(spec)
+    p, rp = both(d)
+    if widen:  # x^130 does not fit x's 8-bit field
+        x, rx = var("x")
+        p, rp = p * x ** 130 + p, rp * rx ** 130 + rp
+    same(live.apply(D, p), ref.apply(R, rp))
+
+
+PAIRS = [("x", "xi"), ("y", "eta"), ("z", "theta")]
+
+
+def odd_poisson_space():
+    from gradedbundles.algebroid import OddPoissonSpace
+    from gradedbundles.bundle import CoordinateSystem
+
+    # an equal chart shares the source chart's ring and variables
+    system = CoordinateSystem([(n, w, par) for _, n, w, par, _ in SOURCE], name="u")
+    assert system.variables is SOURCE_RING.vars
+    return OddPoissonSpace(system, [(LIVE[q], LIVE[qs]) for q, qs in PAIRS])
+
+
+def ref_bracket(rf, rg):
+    """The oracle: the chained sum over the pairs (q, q*) of
+    partial_right(f, q) partial(g, q*) - partial_right(f, q*) partial(g, q)."""
+    out = ref.ZERO
+    for q, qs in PAIRS:
+        out = out + ref.partial_right(rf, REF[q]) * ref.partial(rg, REF[qs])
+        out = out - ref.partial_right(rf, REF[qs]) * ref.partial(rg, REF[q])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_desc(), poly_desc(), st.booleans())
+def test_odd_poisson_bracket(d1, d2, widen):
+    space = odd_poisson_space()
+    (f, rf), (g, rg) = both(d1), both(d2)
+    if widen:
+        y, ry = var("y")
+        f, rf = f * y ** 120, rf * ry ** 120
+        g, rg = g * y ** 20, rg * ry ** 20
+    same(space.bracket(f, g), ref_bracket(rf, rg))
+    same(space.bracket(g, f), ref_bracket(rg, rf))
+
+
+def test_substitution_multiplies_the_last_factor_into_the_sum():
+    # a constant term and terms of one, two and three factors: x -> xi theta
+    # and eta -> xi make x eta y vanish before its last factor, z -> 0 makes
+    # a last factor zero, xi -> theta + rho is reordered past other odd
+    # images, and y -> x^100 / 2 + eta xi overflows x's field when squared
+    p, rp = both([(Fraction(3, 2), []), (Fraction(1), [("x", 1)]),
+                  (Fraction(-2, 3), [("x", 1), ("y", 1)]),
+                  (Fraction(1), [("x", 1), ("xi", 1), ("y", 2)]),
+                  (Fraction(5), [("x", 1), ("eta", 1), ("y", 1)]),
+                  (Fraction(1, 3), [("xi", 1), ("eta", 1)]),
+                  (Fraction(-1), [("y", 1), ("z", 2)])])
+    images = {"x": [(Fraction(1), [("xi", 1), ("theta", 1)])],
+              "xi": [(Fraction(1), [("theta", 1)]), (Fraction(-1), [("rho", 1)])],
+              "y": [(Fraction(1, 2), [("x", 100)]), (Fraction(1), [("eta", 1), ("xi", 1)])],
+              "eta": [(Fraction(1), [("xi", 1)])],
+              "z": []}
+    live_map, ref_map = {}, {}
+    for name, desc in images.items():
+        img, rimg = both(desc)
+        live_map[LIVE[name]] = img
+        ref_map[REF[name]] = ChainPowers(rimg.terms)
+    got = live.substitute(p, live_map)
+    same(got, ref.substitute(rp, ref_map))
+    assert got._ring.width > 8
+    same(live.ChartMap(live_map)(p * p), ref.substitute(rp * rp, ref_map))
