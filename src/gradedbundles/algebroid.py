@@ -216,16 +216,13 @@ class AlgebroidHamiltonian:
 
 def _check_shape(phase: OddPhaseSpace, p: SuperPolynomial, expected, error, what: str):
     """Raise ``error`` unless ``p`` is zero or a polynomial on the phase space
-    of tri-weight ``expected``, or of any weight when that is None.  The last
-    two tri-weight entries count theta (1, 0), pi (0, 1) and chi (1, 1)
-    factors, so they fix the shape: (2, 1) is theta chi or theta theta pi,
-    (0, 1) one pi and (1, 0) one theta."""
+    of tri-weight ``expected``.  The last two tri-weight entries count theta
+    (1, 0), pi (0, 1) and chi (1, 1) factors, so they fix the shape: (2, 1)
+    is theta chi or theta theta pi, (0, 1) one pi and (1, 0) one theta."""
     try:
         phase.poisson._check(p)
     except CoordinateMismatch as exc:
         raise error(f"{what}: {exc}") from None
-    if expected is None:
-        return
     w = weight_of(p, 3)
     if w not in ("zero", expected):
         raise error(f"{what} has tri-weight {w}, expected {expected}")
@@ -236,13 +233,18 @@ def _check_q_shape(Q: HomologicalField):
     for v in phase.pis + phase.chis:
         if not Q.coefficient(v).is_zero():
             raise MalformedQ(f"field acts on dual coordinate {v.name}")
-    # a checked derivation has compared each coefficient's weight with
-    # v.weight + (0, 1, 0) already
-    checked = Q.derivation.check
     for v in phase.xs + phase.thetas:
-        _check_shape(phase, Q.coefficient(v),
-                     None if checked else weight_add(v.weight, (0, 1, 0)), MalformedQ,
-                     f"coefficient of d/d{v.name}")
+        what = f"coefficient of d/d{v.name}"
+        if not Q.derivation.check:
+            _check_shape(phase, Q.coefficient(v), weight_add(v.weight, (0, 1, 0)),
+                         MalformedQ, what)
+            continue
+        # a checked derivation has compared each coefficient's weight with
+        # v.weight + (0, 1, 0) already
+        try:
+            phase.poisson._check(Q.coefficient(v))
+        except CoordinateMismatch as exc:
+            raise MalformedQ(f"{what}: {exc}") from None
 
 
 def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:

@@ -402,14 +402,12 @@ class _Sum:
 
         The product is multiplied into a fresh dict, adopted by an empty sum
         and folded into any other, so the sum keeps the term order of
-        ``self + (a / b) * p * q``; p and q may be unreduced temporaries."""
+        ``self + (a / b) * p * q``."""
         if not a or not p._num or not q._num:
             return
         ring, A, B = _product_ring(p, q)
         a *= self._join(ring, p._den * q._den * b)
-        out: dict[int, int] = {}
-        _mul_into(out, A, B, ring.odd, a)
-        out = _repack(out, ring, self.ring)
+        out = _repack(_mul_into(A, B, ring.odd, a), ring, self.ring)
         if self.num:
             _add_into(self.num, out)
         else:
@@ -419,19 +417,17 @@ class _Sum:
         return _make(self.ring, self.num, self.den)
 
 
-def _make(ring: _Ring, num: dict, den: int = 1, reduce: bool = True) -> "SuperPolynomial":
+def _make(ring: _Ring, num: dict, den: int = 1) -> "SuperPolynomial":
     """Adopt ``num`` over the positive denominator ``den``, without copying.
 
     ``num`` must be a fresh dict that no other object holds or will mutate,
-    its values nonzero ints; ``num`` and ``den`` are reduced here.  An
-    unreduced polynomial (``reduce`` false) is a temporary that only feeds
-    ``_Sum.add_product`` and is never handed out.
+    its values nonzero ints; ``num`` and ``den`` are reduced here.
     """
     p = object.__new__(SuperPolynomial)
     # zero and the constants belong to no chart, so they never force a merge
     p._ring = _EMPTY if len(num) <= 1 and (not num or 0 in num) else ring
     p._num = num
-    p._den = den if den == 1 or not reduce else _reduce(num, den)
+    p._den = den if den == 1 else _reduce(num, den)
     p._parity = None
     p._support = None
     return p
@@ -472,13 +468,13 @@ def _product_ring(p: "SuperPolynomial", q: "SuperPolynomial") -> tuple[_Ring, di
     return ring, A, B
 
 
-def _mul_into(out: dict, A: Mapping[int, int], B: Mapping[int, int], odd: int,
-              scale: int = 1) -> None:
-    """``out += scale * A * B`` in place, for numerators keyed in one ring
-    with odd mask ``odd``; ``out`` is owned by the caller.
-
-    New keys are appended in the order of the product's terms, A's outer."""
+def _mul_into(A: Mapping[int, int], B: Mapping[int, int], odd: int,
+              scale: int = 1) -> dict[int, int]:
+    """The numerators of ``scale * A * B`` as a fresh dict, for numerators
+    keyed in one ring with odd mask ``odd``, in the order of the product's
+    terms, A's outer."""
     items = B.items()
+    out: dict[int, int] = {}
     get = out.get
     for k1, c1 in A.items():
         if scale != 1:
@@ -511,6 +507,7 @@ def _mul_into(out: dict, A: Mapping[int, int], B: Mapping[int, int], odd: int,
                     out[k] = s
                 else:
                     del out[k]
+    return out
 
 
 def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
@@ -518,9 +515,7 @@ def _mul_terms(p: "SuperPolynomial", q: "SuperPolynomial") -> "SuperPolynomial":
     if not p._num or not q._num:
         return _make(_EMPTY, {})
     ring, A, B = _product_ring(p, q)
-    out: dict[int, int] = {}
-    _mul_into(out, A, B, ring.odd)
-    return _make(ring, out, p._den * q._den)
+    return _make(ring, _mul_into(A, B, ring.odd), p._den * q._den)
 
 
 def _combine(p: "SuperPolynomial", q: "SuperPolynomial", scale: int) -> "SuperPolynomial":
@@ -1160,8 +1155,8 @@ class Derivation:
 
 def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
     """The sum of ``D.action[v] * partial(p, v)`` over the variables v of p
-    that D acts on, in ``D.action`` order; each derivative is a temporary
-    that only feeds its product."""
+    that D acts on, in ``D.action`` order; each derivative's numerators feed
+    their product over p's denominator, with no gcd reduction of their own."""
     acc = _Sum()
     support = _support_of(p)
     if support:
@@ -1171,7 +1166,7 @@ def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
         for v, coeff in D.action.items():
             i = ring.pos(v)
             if i is not None and support >> (i * w) & field:
-                acc.add_product(coeff, _make(ring, _left(p, v, i * w), den, reduce=False))
+                acc.add_product(coeff, _make(ring, _left(p, v, i * w)), 1, den)
     return acc.result()
 
 
