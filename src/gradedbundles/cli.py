@@ -1,14 +1,13 @@
 """Command-line front end: parse a spec file, run one check, emit a report.
 
-Exit codes: 0 when every verdict passes, 1 when any check fails, 2 on
-parse or usage errors.  ``main`` names each command's report; a command
-that reads the declared bundle validates it first, and on a failure
-reports only the bundle's failed items.
+Exit codes: 0 when every verdict passes, 1 when any check fails, 2 on parse or usage
+errors.  ``parse_args`` reads argv off the ``COMMANDS`` and ``CONSTRUCTS`` tables, so
+start-up loads no argparse.  ``main`` names each command's report; a command that reads
+the declared bundle validates it first and, on a failure, reports only its failed items.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 
@@ -418,42 +417,69 @@ COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gradedbundles",
-        description="exact checks for graded bundles and weighted algebroids",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        if name == "construct":
-            p.add_argument("target", choices=CONSTRUCTS)
-        p.add_argument("--spec", required=True, help="path to the spec file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+USAGE = "usage: gradedbundles COMMAND [TARGET] --spec PATH [--format text|json]"
+
+
+def _pick(word, choices, what: str) -> str:
+    """``word`` if it is one of ``choices``, else a usage fault naming them."""
+    if word not in choices:
+        given = f"no {what}" if word is None else f"unknown {what} {word!r}"
+        raise ValueError(f"{given}; choose from {'|'.join(choices)}")
+    return word
+
+
+def parse_args(argv) -> tuple[str, str | None, str, str]:
+    """``(command, target, spec, format)`` from ``argv`` read as ``USAGE``, the target and
+    each option once in any order, an option as ``--opt value`` or ``--opt=value``."""
+    command = _pick(argv[0] if argv else None, COMMANDS, "command")
+    words, opts, rest = [], {}, iter(argv[1:])
+    for word in rest:
+        name, eq, value = word.partition("=")
+        if not word.startswith("-"):
+            words.append(word)
+        elif _pick(name, ("--spec", "--format"), "option") in opts:
+            raise ValueError(f"option {name} is repeated")
+        else:
+            opts[name] = value if eq else next(rest, None)
+    target = (_pick(words.pop(0) if words else None, CONSTRUCTS, "target")
+              if command == "construct" else None)
+    if words:
+        raise ValueError(f"unexpected word {words[0]!r}")
+    if opts.get("--spec") is None:
+        raise ValueError("option --spec needs a PATH")
+    fmt = _pick(opts.get("--format", "text"), ("text", "json"), "format")
+    return command, target, opts["--spec"], fmt
+
+
+def _read(path: str) -> str:
+    """The text of the spec file ``path``, or a located SpecError if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SpecSyntaxError(f"{path} is not valid UTF-8", line) from None
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\n\nCOMMAND  {'|'.join(COMMANDS)}\nTARGET   {'|'.join(CONSTRUCTS)}")
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        command, target, spec, fmt = parse_args(argv)
+    except ValueError as exc:  # a usage fault
+        print(USAGE, f"error: {exc}", sep="\n", file=sys.stderr)
         return 2
-    target = getattr(args, "target", None)
-    report = Report(args.command if target is None else f"{args.command} {target}")
+    report = Report(command if target is None else f"{command} {target}")
     try:
-        doc = parse(text)
+        doc = parse(_read(spec))
         if target is None:
-            COMMANDS[args.command](doc, report)
+            COMMANDS[command](doc, report)
         else:
             cmd_construct(doc, report, target)
-    except SpecError as exc:
+    except (OSError, SpecError) as exc:  # an unreadable or malformed spec file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _InvalidBundle as exc:  # the bundle's failures, and nothing built on it
@@ -461,7 +487,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # construction failures surface as verdicts
         report.items = []
         report.add(f"construction failed: {exc}", False)
-    out = render_text(report) if args.format == "text" else render_json(report)
+    out = render_text(report) if fmt == "text" else render_json(report)
     sys.stdout.write(out)
     return report.exit_code
 

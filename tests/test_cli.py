@@ -314,6 +314,98 @@ def test_determinism_across_hash_seeds():
     assert len(outputs) == 1
 
 
+# ------------------------------------------------------- the argv grammar
+DEGREE2 = str(SPEC_DIR / "degree2.spec")
+T2M = str(SPEC_DIR / "t2m-shear.spec")
+
+USAGE_FAULTS = {
+    "no command": [],
+    "unknown command": ["validat", "--spec", DEGREE2],
+    "option before the command": ["--spec", DEGREE2, "validate"],
+    "unknown target": ["construct", "tkk", "--spec", T2M],
+    "missing target": ["construct", "--spec", T2M],
+    "missing --spec": ["validate"],
+    "missing --spec value": ["validate", "--spec"],
+    "missing --format value": ["validate", "--spec", DEGREE2, "--format"],
+    "unknown option": ["validate", "--spec", DEGREE2, "--verbose"],
+    "abbreviated option": ["validate", "--sp", DEGREE2],
+    "short unknown option": ["validate", "-s", DEGREE2],
+    "stray word": ["validate", "--spec", DEGREE2, "extra"],
+    "stray word after a target": ["construct", "tk", "tk", "--spec", T2M],
+    "bad --format": ["validate", "--spec", DEGREE2, "--format", "xml"],
+    "bad --format=": ["validate", "--spec", DEGREE2, "--format=yaml"],
+    "repeated --spec": ["validate", "--spec", DEGREE2, "--spec", DEGREE2],
+    "repeated --format": ["validate", "--spec", DEGREE2, "--format", "text", "--format=text"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_FAULTS.values(), ids=USAGE_FAULTS)
+def test_usage_faults_exit_two_with_a_usage_line(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: gradedbundles COMMAND")
+    assert error.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["validate", "-h"],
+                                  ["construct", "--help", "--spec", T2M]])
+def test_help_exits_zero(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith(cli.USAGE + "\n")
+    assert "check-q" in captured.out and "lie-tower" in captured.out
+
+
+EQUIVALENT_ARGV = [
+    (["validate", "--spec", DEGREE2], ["validate", f"--spec={DEGREE2}"]),
+    (["validate", "--spec", DEGREE2, "--format", "json"],
+     ["validate", "--format", "json", "--spec", DEGREE2]),
+    (["validate", "--spec", DEGREE2, "--format", "json"],
+     ["validate", "--format=json", f"--spec={DEGREE2}"]),
+    (["construct", "tk", "--spec", T2M], ["construct", "--spec", T2M, "tk"]),
+    (["construct", "tk", "--spec", T2M, "--format", "json"],
+     ["construct", "--format", "json", "tk", "--spec", T2M]),
+]
+
+
+@pytest.mark.parametrize("canonical, variant", EQUIVALENT_ARGV,
+                         ids=[" ".join(v[:1] + v[-1:]) for _, v in EQUIVALENT_ARGV])
+def test_argv_variants_print_the_canonical_report(canonical, variant):
+    assert run_cli(variant) == run_cli(canonical)
+    assert run_cli(canonical)[0] == 0
+
+
+def test_parse_args_returns_the_four_fields():
+    assert cli.parse_args(["construct", "--format=json", "tk", "--spec", "f"]) == (
+        "construct", "tk", "f", "json")
+    assert cli.parse_args(["dual", "--spec=a=b"]) == ("dual", None, "a=b", "text")
+
+
+def test_module_entry_point_reads_sys_argv():
+    proc = run_cli_subprocess(["construct", "--spec", T2M, "tk"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(["construct", "tk", "--spec", T2M])[1]
+    proc = run_cli_subprocess(["construct", "--spec", T2M])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ") and "error: no target" in proc.stderr
+    proc = run_cli_subprocess(["--help"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
+
+
+def test_spec_file_that_is_not_utf8_exits_two_located(tmp_path, capsys):
+    doc = tmp_path / "latin1.spec"
+    doc.write_bytes(b"[chart a]\nx = weight 0\n# caf\xe9\ny = weight 1\n")
+    code = cli.main(["validate", "--spec", str(doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {doc} is not valid UTF-8 at line 3\n"
+
+
 # ------------------------------------------------ hostile specs: exit 2, located
 TWO_CHARTS = (
     "[chart a]\nx = weight 0\ny = weight 1\n"

@@ -3,7 +3,9 @@
 Records (``Report``, ``Provenance``, ``Section``, ``WeightedAlgebroid``, ...)
 are plain classes with hand-written constructors, so importing the CLI
 loads neither ``dataclasses`` nor the ``inspect`` machinery it pulls in,
-and ``json`` is loaded only to render ``--format json``.
+and ``json`` is loaded only to render ``--format json``.  The CLI reads its
+command line itself, so a text-mode command loads neither ``argparse`` nor
+the ``gettext`` and ``locale`` modules that argparse pulls in.
 """
 
 import pathlib
@@ -22,7 +24,7 @@ SPEC = pathlib.Path(__file__).resolve().parent.parent / "specs" / "degree2.spec"
 
 START_UP_SCRIPT = """
 import sys
-HEAVY = ("dataclasses", "inspect", "json")
+HEAVY = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale")
 from gradedbundles.cli import main
 print(sorted(m for m in HEAVY if m in sys.modules))
 code = main(["validate", "--spec", sys.argv[1]])
