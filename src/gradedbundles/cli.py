@@ -429,8 +429,8 @@ def _pick(word, choices, what: str) -> str:
 
 
 def parse_args(argv) -> tuple[str, str | None, str, str]:
-    """``(command, target, spec, format)`` from ``argv`` read as ``USAGE``, the target and
-    each option once in any order, an option as ``--opt value`` or ``--opt=value``."""
+    """``(command, target, spec, format)`` of ``argv`` read as ``USAGE``, else ValueError: the
+    target and each option once, in any order, an option as ``--opt value`` or ``--opt=value``."""
     command = _pick(argv[0] if argv else None, COMMANDS, "command")
     words, opts, rest = [], {}, iter(argv[1:])
     for word in rest:
