@@ -30,6 +30,7 @@ from .superalg import (
     SuperPolynomial,
     Variable,
     ZERO,
+    chart_support,
     commutator,
     partial,
     partial_right,
@@ -80,31 +81,39 @@ class OddPoissonSpace:
                 raise ValueError(
                     f"pair ({q.name}, {qstar.name}) must have opposite parities"
                 )
-        self._allowed = set(system.variables)
+        # a pair's variables as bits of ``chart_support``; 0 for one off
+        # the space, which no operand on it holds
+        self._pairs = [(q, qs, self._bit(q), self._bit(qs)) for q, qs in self.pairs]
 
-    def _check(self, p: SuperPolynomial, variables=()) -> set[Variable]:
-        """The variables of ``p``, which must all be on this space, as must
-        ``variables``."""
-        vs = p.variables()
-        if not (vs <= self._allowed and self._allowed.issuperset(variables)):
-            # name the first in chart order, whatever the set's order, of
-            # p when p has one
-            foreign = vs - self._allowed or set(variables) - self._allowed
+    def _bit(self, v: Variable) -> int:
+        """The bit of ``v`` on this space, or 0 when ``v`` is not on it."""
+        vs = self.system.variables
+        i = v.index
+        return 1 << i if i < len(vs) and vs[i] == v else 0
+
+    def _check(self, p: SuperPolynomial, variables=()) -> int:
+        """The ``chart_support`` of ``p``, whose variables must all be on
+        this space, as must ``variables``."""
+        bits = chart_support(p, self.system.variables)
+        if bits is None or not all(map(self._bit, variables)):
+            # name the first in chart order, of p when p has one
+            foreign = ([v for v in p.variables() if not self._bit(v)]
+                       or [v for v in variables if not self._bit(v)])
             v = min(foreign, key=lambda u: u.sort_key)
             raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
-        return vs
+        return bits
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
         return self._bracket(f, self._check(f), g, self._check(g))
 
-    def _bracket(self, f, fv, g, gv) -> SuperPolynomial:
-        """(f, g) for ``fv`` and ``gv`` the variables of f and g."""
+    def _bracket(self, f, fb, g, gb) -> SuperPolynomial:
+        """(f, g) for ``fb`` and ``gb`` the ``chart_support`` of f and g."""
         # a pair adds a term only when f and g each hold one of its variables
         parts = []
-        for q, qs in self.pairs:
-            if q in fv and qs in gv:
+        for q, qs, qb, qsb in self._pairs:
+            if fb & qb and gb & qsb:
                 parts.append((1, partial_right(f, q), partial(g, qs)))
-            if qs in fv and q in gv:
+            if fb & qsb and gb & qb:
                 parts.append((-1, partial_right(f, qs), partial(g, q)))
         return sum_of_products(parts)
 
@@ -112,10 +121,10 @@ class OddPoissonSpace:
                           parity) -> Derivation:
         """The derivation v -> -(h, v) on the listed variables; h and the
         variables are checked once."""
-        hv = self._check(h, variables)
+        hb = self._check(h, variables)
         action = {}
         for v in variables:
-            c = -self._bracket(h, hv, SuperPolynomial.from_var(v), {v})
+            c = -self._bracket(h, hb, SuperPolynomial.from_var(v), self._bit(v))
             if not c.is_zero():
                 action[v] = c
         return Derivation(action, parity, weight_shift)

@@ -9,13 +9,15 @@ verification.
 Every construction keeps the atlas and changes the chart.  ``rechart`` is
 the one primitive for that: a ``spec_fn`` declares one new chart per old
 chart, and a ``component_fn`` carries each transition across, forward and
-inverse.  The chart comes as role blocks, and ``_chart`` builds it: a block
-maps each source key to a (name, weight, parity) triple, which declares a
-coordinate, or to a plain name, which maps the key onto a coordinate a
-triple declares, so each coordinate is declared once.  The result's
-``provenance`` (a ``Provenance``) records the construction's tag, its source
-and, per role, one map per chart from source keys to new variables.  The
-roles in use:
+inverse, once per direction: a transition held as the reversal of another
+(the swapped component dicts that ``two_chart_bundle`` stores) comes out
+as the reversal of that one's result.  The chart comes as role blocks, and
+``_chart`` builds it: a block maps each source key to a (name, weight,
+parity) triple, which declares a coordinate, or to a plain name, which maps
+the key onto a coordinate a triple declares, so each coordinate is declared
+once.  The result's ``provenance`` (a ``Provenance``) records the
+construction's tag, its source and, per role, one map per chart from source
+keys to new variables.  The roles in use:
 
 * ``vars``: each kept coordinate to its copy (restrictions, projections,
   parity reversal, pairing charts); for ``reconstruct`` each coordinate of
@@ -313,6 +315,14 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     variables) of its source and target charts, ``key`` their indices.  With
     ``inverse=False`` only forward components are built.  The role maps
     become the result's provenance; further keywords go to ``cls``.
+
+    ``component_fn`` runs once per direction of a transition.  Where the
+    transition under ``(j, i)`` is the reversal of the one under ``(i, j)``
+    (it holds the very dicts of ``(i, j)``, swapped, as ``two_chart_bundle``
+    and ``TransitionMap.reversed`` build it), the result's ``(j, i)`` is the
+    reversal of its ``(i, j)``, so the sharing carries on to every
+    construction built from the result.  Two directions held in distinct
+    dicts are each built.
     """
     charts, maps = [], []
     for i, chart in enumerate(bundle.charts):
@@ -322,6 +332,11 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
         maps.append(dict(zip(roles, role_maps)))
     transitions = {}
     for (i, j), t in bundle.transitions.items():
+        back = bundle.transitions.get((j, i))
+        if inverse and (j, i) in transitions and back.forward is t.inverse \
+                and back.inverse is t.forward:
+            transitions[(i, j)] = transitions[(j, i)].reversed()
+            continue
         fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
         inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i)) if inverse else {}
         transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)

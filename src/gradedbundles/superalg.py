@@ -65,11 +65,17 @@ Performance invariants, kept by every operation in this module:
 * a map applied to many polynomials is compiled once, into one plan per
   source ring (:class:`ChartMap`): ``substitute`` and ``remap`` are
   one-off maps, and every re-charting builds one map per transition
-  direction and applies it to each component;
+  direction and applies it to each component.  ``bundle.rechart`` builds
+  each direction once: a transition held as the reversal of another (the
+  same two component dicts, swapped) is re-charted as the reversal of
+  that one's result, so the sharing carries on down a chain of
+  constructions;
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
-  index is its ``index``, checked by identity.  A variable computes its
-  hash and its ``sort_key`` once, at construction; ``==`` tests identity
-  first.  Equality and hash values are those of the field tuple.
+  index is its ``index``, checked by identity, and ``chart_support``
+  reads which chart variables a polynomial holds off its ring and support.
+  A variable computes its hash and its ``sort_key`` once, at construction;
+  ``==`` tests identity first.  Equality and hash values are those of the
+  field tuple.
 """
 
 from __future__ import annotations
@@ -855,6 +861,22 @@ def _field(p: SuperPolynomial, v: Variable) -> tuple[int, int] | None:
     if not _support_of(p) & mask:
         return None
     return shift, mask
+
+
+def chart_support(p: SuperPolynomial, variables: tuple[Variable, ...]) -> int | None:
+    """The variables of ``p`` as bits, bit i for ``variables[i]``, or None
+    when one is not in ``variables``, a chart's variables in index order.
+    Read off p's ring and support: no variable is hashed."""
+    ring = p._ring
+    vs = ring.vars
+    bits = 0
+    for i, _ in ring.fields(_support_of(p)):
+        v = vs[i]
+        j = v.index
+        if vs is not variables and not (j < len(variables) and variables[j] == v):
+            return None
+        bits |= 1 << j
+    return bits
 
 
 def _left(p: SuperPolynomial, v: Variable, shift: int) -> dict:

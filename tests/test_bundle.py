@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbundles.superalg import commutator
+from gradedbundles.superalg import ChartMap, commutator
 from gradedbundles.bundle import (
     CoordinateSystem,
     GradedBundle,
     TransitionMap,
     core_submanifold,
     project_tower,
+    rechart,
     single_chart_bundle,
     tangent_bundle,
     two_chart_bundle,
@@ -17,6 +18,7 @@ from gradedbundles.bundle import (
     vertical_bundle,
     weight_vector_field,
 )
+from gradedbundles.linfun import linear_dual
 
 from helpers import random_bundle, run_python_subprocess
 
@@ -325,3 +327,64 @@ def test_mixed_parity_is_reported_not_raised():
     assert "transition 1->0: round trip on y1" in ids
     assert not any(i.startswith("cocycle 0->1->") for i in ids)
     assert "cocycle 1->0->2" in ids
+
+
+def _copy_chart(i, chart):
+    """A rechart spec: the same coordinates on a chart named ``<name>_c``."""
+    return chart.name + "_c", chart.arity, {
+        "vars": {v: (v.name, v.weight, v.parity) for v in chart.variables}}
+
+
+def _counting_rename(keys):
+    """A rechart component function that renames each component into the
+    new chart and appends the transition's key to ``keys``."""
+    def components(comps, other, src, dst, key):
+        keys.append(key)
+        rename = ChartMap(src["vars"])
+        return {dst["vars"][v]: rename(p) for v, p in comps.items()}
+    return components
+
+
+def _reversal_shared(bundle):
+    t, back = bundle.transitions[(0, 1)], bundle.transitions[(1, 0)]
+    return back.forward is t.inverse and back.inverse is t.forward
+
+
+def test_rechart_builds_each_direction_once():
+    """On a two-chart atlas whose 1->0 is the reversal of 0->1, each
+    direction is built once and the result stores 1->0 as the reversal of
+    its 0->1, so a chain of constructions keeps sharing."""
+    F = degree2_example()
+    assert _reversal_shared(F)
+    keys = []
+    G = rechart(F, _copy_chart, _counting_rename(keys))
+    assert keys == [(0, 1), (1, 0)]
+    assert G.transitions[(1, 0)].forward is G.transitions[(0, 1)].inverse
+    assert _reversal_shared(G)
+    assert validate(G).passed
+    keys.clear()
+    rechart(G, _copy_chart, _counting_rename(keys))
+    assert keys == [(0, 1), (1, 0)]
+    V = vertical_bundle(F)
+    assert _reversal_shared(V) and _reversal_shared(tangent_bundle(F))
+    assert _reversal_shared(linear_dual(F))
+
+
+def test_rechart_builds_distinct_directions_each():
+    """Directions held in their own dicts, equal in value to the reversal,
+    are each built, with the components the shared atlas gets."""
+    F = degree2_example()
+    t = F.transitions[(0, 1)]
+    own = GradedBundle(F.charts, {
+        (0, 1): t,
+        (1, 0): TransitionMap(t.target, t.source, dict(t.inverse), dict(t.forward)),
+    })
+    assert not _reversal_shared(own)
+    keys = []
+    G = rechart(own, _copy_chart, _counting_rename(keys))
+    assert keys == [(0, 1), (1, 0), (1, 0), (0, 1)]
+    assert not _reversal_shared(G)
+    shared = rechart(F, _copy_chart, _counting_rename([]))
+    for key, g in G.transitions.items():
+        assert g.forward == shared.transitions[key].forward
+        assert g.inverse == shared.transitions[key].inverse
