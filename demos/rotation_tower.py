@@ -55,10 +55,8 @@ for n, p in out.Y.items():
     print(f"  Y {n} = {render(p)}")
 for (n, r), p in out.Z.items():
     print(f"  Z {n} {r} = {render(p)}")
-derived = -phase.schouten(
-    phase.schouten(tower_section_polynomial(tower, s1), tower.hamiltonian.poly),
-    tower_section_polynomial(tower, s2),
-)
+derived = phase.derived_bracket(tower_section_polynomial(tower, s1),
+                                tower_section_polynomial(tower, s2), tower.hamiltonian.poly)
 print("matches the derived bracket:",
       tower_section_polynomial(tower, out) == derived)
 

@@ -16,7 +16,14 @@ Sign conventions, fixed once and used everywhere:
   ``P = sum Q(x) chi - sum Q(theta) pi``,
 * the derived bracket is normalised as ``-[[s1, P], s2]`` so that the
   bracket of a reduced higher tangent bundle of a Lie group comes out
-  componentwise as ([Y1,Y2] + Z1(Y2) - Z2(Y1), Z1(Z2) - Z2(Z1)).
+  componentwise as ([Y1,Y2] + Z1(Y2) - Z2(Y1), Z1(Z2) - Z2(Z1)),
+* a structure field is fixed by two blocks, keyed by carrier coordinates
+  and with coefficients on the carrier's base leg: the anchor
+  ``rho[(f, b)] = d Q(x_b) / d theta_f`` and the bracket
+  ``c[(I, J, K)] = d_I d_J Q(theta_K)``, the outer derivative first, so
+  that ``Q(x_b) = sum theta_f rho[(f, b)]`` and
+  ``Q(theta_K) = -1/2 sum theta_I theta_J c[(I, J, K)]``.
+  ``structure_action`` writes Q from them and ``q_blocks`` reads them back.
 """
 
 from __future__ import annotations
@@ -59,10 +66,6 @@ class DegreeUnderflow(ValueError):
 
 class NotALinearisation(ValueError):
     """Graded-bundle anchors need a symmetric carrier."""
-
-
-class ProjectionObstruction(ValueError):
-    """The field does not project to the weight-one leg."""
 
 
 # ------------------------------------------------------------- odd brackets
@@ -183,6 +186,10 @@ class OddPhaseSpace:
 
     def schouten(self, f, g) -> SuperPolynomial:
         return self.poisson.bracket(f, g)
+
+    def derived_bracket(self, s1, s2, P) -> SuperPolynomial:
+        """-[[s1, P], s2] of phase-space polynomials."""
+        return -self.schouten(self.schouten(s1, P), s2)
 
     def field(self, action: dict[Variable, SuperPolynomial]) -> "HomologicalField":
         """The structure field sending each variable of ``action`` to its
@@ -342,6 +349,35 @@ def structure_action(anchor, bracket, x_of, xi_of) -> dict[Variable, SuperPolyno
     return {v: sum_of_products(ts) for v, ts in terms.items()}
 
 
+def q_blocks(Q: HomologicalField):
+    """The anchor and bracket blocks (rho, c) of Q, keyed as the module
+    docstring states, the inverse of ``structure_action``: the nonzero
+    entries only, rho with b outer and f inner, c with K, then I, then J,
+    each in chart order."""
+    _check_q_shape(Q)
+    phase = Q.phase
+    to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
+    fibers = list(phase.theta_of.items())
+    rho, c = {}, {}
+    for b, x in phase.x_of.items():
+        body = Q.coefficient(x)
+        for f, th in fibers:
+            p = partial(body, th)
+            if not p.is_zero():
+                rho[(f, b)] = to_carrier(p)
+    for fk, thk in fibers:
+        body = Q.coefficient(thk)
+        if body.is_zero():
+            continue
+        inner = [(fj, partial(body, thj)) for fj, thj in fibers]
+        for fi, thi in fibers:
+            for fj, dj in inner:
+                p = partial(dj, thi)
+                if not p.is_zero():
+                    c[(fi, fj, fk)] = to_carrier(p)
+    return rho, c
+
+
 def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs,
                                 chart: int = 0) -> WeightedAlgebroid:
     """Build from raw epsilon data.
@@ -403,8 +439,7 @@ def derived_bracket(
     if s1.phase is not s2.phase or s1.phase is not P.phase:
         raise CoordinateMismatch("sections and Hamiltonian on different spaces")
     phase = P.phase
-    inner = phase.schouten(s1.poly, P.poly)
-    result = -phase.schouten(inner, s2.poly)
+    result = phase.derived_bracket(s1.poly, s2.poly, P.poly)
     degree = s1.degree + s2.degree - phase.k
     if degree < 1 and not result.is_zero():
         raise DegreeUnderflow(
@@ -427,14 +462,9 @@ class AnchorData:
         self.algebroid = algebroid
         self.delta = delta
 
-    def rho_q(self, q: int) -> dict[Variable, SuperPolynomial]:
-        """Composition with the tower projection to B_{q-1}."""
-        return {
-            b: p for b, p in self.delta.items() if b.weight[0] <= q - 1
-        }
-
     def rho_hat(self, q: int | None = None) -> dict[Variable, SuperPolynomial]:
-        """Graded-bundle anchor rho-hat_q = T tau o rho o iota on F_k.
+        """Graded-bundle anchor rho-hat_q = T tau o rho o iota on F_k, the
+        components over base-leg coordinates of weight below q.
 
         Needs the carrier to be a linearisation; raises NotALinearisation
         otherwise.  Components are polynomials over the source bundle F.
@@ -459,44 +489,24 @@ class AnchorData:
 def anchor(A: WeightedAlgebroid) -> AnchorData:
     if A.q is None:
         raise MalformedQ("general algebroids carry no anchor field")
-    phase, var = A.phase, SuperPolynomial.from_var
-    x_to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
-    parts = {b: [] for b in phase.x_of}
-    for (b, f), c in _anchor_coefficients(A.q).items():
-        parts[b].append((1, var(f), x_to_carrier(c)))
+    rho, _ = q_blocks(A.q)
+    parts = {b: [] for b in A.phase.x_of}
+    for (f, b), c in rho.items():
+        parts[b].append((1, SuperPolynomial.from_var(f), c))
     return AnchorData(A, {b: sum_of_products(ts) for b, ts in parts.items()})
 
 
 # ------------------------------------------------------- weight-one leg A1
 def restrict_to_A1(Q: HomologicalField) -> Derivation:
-    """Projection d of the structure field to the (x_0, theta_1) leg."""
-    phase = Q.phase
-    a1 = {v for v in phase.xs if v.weight == (0, 0, 0)}
-    a1 |= {v for v in phase.thetas if v.weight == (0, 1, 0)}
-    action = {}
-    for v in sorted(a1, key=lambda u: u.index):
-        c = Q.coefficient(v)
-        outside = [u.name for u in c.variables() if u not in a1]
-        if outside:
-            raise ProjectionObstruction(
-                f"coefficient of d/d{v.name} depends on {', '.join(sorted(outside))}"
-            )
-        if not c.is_zero():
-            action[v] = c
+    """Projection d of the structure field to the (x_0, theta_1) leg, built
+    from the weight-zero entries of its blocks.  By weight, the coefficient
+    of a weight-zero x or theta involves weight-zero coordinates only."""
+    def low(block):
+        return {key: c for key, c in block.items() if not any(v.weight[0] for v in key)}
+
+    rho, c = q_blocks(Q)
+    action = structure_action(low(rho), low(c), Q.phase.x_of, Q.phase.theta_of)
     return Derivation(action, ODD, (0, 1, 0))
-
-
-def leibniz_check(Q: HomologicalField, alpha: SuperPolynomial,
-                  phi: SuperPolynomial) -> bool:
-    """Q(alpha phi) = d(alpha) phi + (-1)^|alpha| alpha Q(phi), exactly."""
-    d = restrict_to_A1(Q)
-    par = alpha.parity()
-    if par == "mixed":
-        raise ValueError("alpha must be parity homogeneous")
-    sign = -1 if par == ODD else 1
-    lhs = Q(alpha * phi)
-    rhs = d(alpha) * phi + sign * (alpha * Q(phi))
-    return lhs == rhs
 
 
 # --------------------------------------------------------------- components
@@ -510,41 +520,16 @@ class EpsilonComponents:
         self.delta_pi = delta_pi
 
 
-def _anchor_coefficients(Q: HomologicalField) -> dict[tuple[Variable, Variable], SuperPolynomial]:
-    """The nonzero d Q(x_b) / d theta_f keyed by carrier coordinates (b, f),
-    in chart order."""
-    phase = Q.phase
-    out = {}
-    for b, x in phase.x_of.items():
-        body = Q.coefficient(x)
-        for f, th in phase.theta_of.items():
-            c = partial(body, th)
-            if not c.is_zero():
-                out[(b, f)] = c
-    return out
-
-
 def extract_coefficients(Q: HomologicalField):
-    """Anchor and bracket coefficient polynomials in the base variables.
+    """Anchor and bracket coefficient polynomials in the carrier's base-leg
+    coordinates, as ``algebroid_from_coefficients`` takes them.
 
     Returns (P_aI, P_KIJ): P_aI[(base name, fibre name)] and
-    P_KIJ[(I, J, K)] with P_KIJ antisymmetric in (I, J).
+    P_KIJ[(I, J, K)] = -d_I d_J Q(theta^K), antisymmetric in (I, J).
     """
-    phase = Q.phase
-    p_ai = {(b.name, f.name): c for (b, f), c in _anchor_coefficients(Q).items()}
-    p_kij = {}
-    fibers = list(phase.theta_of.items())
-    for fk, thk in fibers:
-        body = Q.coefficient(thk)
-        if body.is_zero():
-            continue
-        for fi, thi in fibers:
-            for fj, thj in fibers:
-                # P^K_{IJ} = -d_I d_J Q(theta^K), outer derivative first
-                c = -partial(partial(body, thj), thi)
-                if not c.is_zero():
-                    p_kij[(fi.name, fj.name, fk.name)] = c
-    return p_ai, p_kij
+    rho, c = q_blocks(Q)
+    return ({(b.name, f.name): p for (f, b), p in rho.items()},
+            {(i.name, j.name, k.name): -p for (i, j, k), p in c.items()})
 
 
 def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
@@ -554,7 +539,6 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
         raise MalformedQ("general algebroids are classified by raw data only")
     phase = A.phase
     k = phase.k
-    chart = A.carrier.charts[phase.chart]
     base_leg = A.carrier.base_leg_vars(phase.chart)
     fiber = A.carrier.fiber_vars(phase.chart)
     sys, (x_of, y_of, p_of, pi_of) = _tri_chart(
@@ -564,21 +548,20 @@ def epsilon_components(A: WeightedAlgebroid) -> EpsilonComponents:
          (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), 0),
          (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), 0)],
     )
-    x_map = ChartMap({phase.x_of[b]: x for b, x in x_of.items()})
+    x_map = ChartMap(x_of)
     var = SuperPolynomial.from_var
-    p_ai, p_kij = extract_coefficients(A.q)
+    rho, c = q_blocks(A.q)
 
     # the terms of each component, summed once at the end
     delta_x = {"delta_" + b.name: [] for b in base_leg}
     delta_pi = {"delta_pi_" + f.name: [] for f in fiber}
-    for (bn, fn), c in p_ai.items():
-        c = x_map(c)
-        delta_x["delta_" + bn].append((1, var(y_of[chart[fn]]), c))
-        delta_pi["delta_pi_" + fn].append((1, c, var(p_of[chart[bn]])))
-    for (i_n, j_n, k_n), c in p_kij.items():
-        delta_pi["delta_pi_" + j_n].append(
-            (1, var(y_of[chart[i_n]]) * x_map(c), var(pi_of[chart[k_n]]))
-        )
+    for (f, b), p in rho.items():
+        p = x_map(p)
+        delta_x["delta_" + b.name].append((1, var(y_of[f]), p))
+        delta_pi["delta_pi_" + f.name].append((1, p, var(p_of[b])))
+    # P^K_IJ = -c[(I, J, K)] stands with y_I pi_K in delta_pi_J
+    for (i, j, kf), p in c.items():
+        delta_pi["delta_pi_" + j.name].append((-1, var(y_of[i]) * x_map(p), var(pi_of[kf])))
     return EpsilonComponents(
         sys,
         {n: sum_of_products(ts) for n, ts in delta_x.items()},

@@ -334,7 +334,7 @@ def cmd_bracket(doc: SpecDocument, report: Report):
         report.info("result = 0")
     phase = tower.phase
     p1, p2 = (tower_section_polynomial(tower, s) for s in (s1, s2))
-    derived = -phase.schouten(phase.schouten(p1, tower.hamiltonian.poly), p2)
+    derived = phase.derived_bracket(p1, p2, tower.hamiltonian.poly)
     report.zero("reduced bracket agrees with the derived bracket",
                 tower_section_polynomial(tower, out) - derived)
 

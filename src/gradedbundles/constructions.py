@@ -32,7 +32,6 @@ from .superalg import (
     ZERO,
     commutator,
     linear_combination,
-    partial,
     sum_of_products,
     total,
     weight_of,
@@ -519,15 +518,6 @@ def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPo
         [(1, p, var(pi_of[roles["xi"][n]])) for n, p in s.Y.items()]
         + [(1, p, var(pi_of[roles["dy"][key]])) for key, p in s.Z.items()]
     )
-
-
-def tower_section_from_polynomial(alg: WeightedAlgebroid, p: SuperPolynomial) -> TowerSection:
-    _, roles = prolongation_roles(alg)
-    pi_of = alg.phase.pi_of
-    Y = {n: partial(p, pi_of[xi]) for n, xi in roles["xi"].items()}
-    Z = {key: partial(p, pi_of[dy]) for key, dy in roles["dy"].items()}
-    return TowerSection({n: c for n, c in Y.items() if not c.is_zero()},
-                        {key: c for key, c in Z.items() if not c.is_zero()})
 
 
 def reduced_bracket(alg: WeightedAlgebroid, s1: TowerSection,

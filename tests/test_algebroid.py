@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from gradedbundles.superalg import (
     ODD,
     SuperPolynomial,
     ZERO,
-    remap,
     weight_of,
 )
 from gradedbundles.bundle import CoordinateSystem, single_chart_bundle
@@ -24,17 +24,17 @@ from gradedbundles.algebroid import (
     NotALinearisation,
     OddPhaseSpace,
     OddPoissonSpace,
-    ProjectionObstruction,
     WeightedAlgebroid,
     algebroid_from_coefficients,
     anchor,
     derived_bracket,
     epsilon_components,
     extract_coefficients,
-    leibniz_check,
     p_from_q,
+    q_blocks,
     q_from_p,
     restrict_to_A1,
+    structure_action,
     weighted_lie_algebra_check,
 )
 from gradedbundles.constructions import (
@@ -47,12 +47,14 @@ from gradedbundles.constructions import (
     prolongation_algebroid,
     sl2,
     so3,
+    tangent_algebroid,
     tm_algebroid,
 )
 
 from helpers import (
     homogeneous_section_poly,
     random_nonjacobi_constants,
+    random_odd_bundle,
     rational_nonzero,
     run_python_subprocess,
 )
@@ -213,16 +215,21 @@ def test_p_q_round_trips(tower2):
 
 
 # every algebroid a shipped spec builds, by the CLI's own structure builders
+# (the tangent algebroid, as ``construct tangent`` builds it, of a bundle spec)
 ROUND_TRIP_SPECS = ["degree2", "degree3", "so3-tower", "sl2-tower", "heisenberg-tower",
                     "nonjacobi-tower", "prolong-tm", "cotangent-so3", "nonjacobi-cotangent",
-                    "t2m-shear", "odd-degree2", "odd-degree3"]
+                    "t2m-shear", "odd-degree2", "odd-degree3", "bracket-so3"]
+
+
+def spec_algebroid(name):
+    doc = specfile.parse((SPEC_DIR / f"{name}.spec").read_text())
+    section = doc.first("structure")
+    return cli.STRUCTURES[section.args[0] if section else None](doc, section)[1]
 
 
 @pytest.mark.parametrize("name", ROUND_TRIP_SPECS)
 def test_q_p_q_round_trip_on_shipped_specs(name):
-    doc = specfile.parse((SPEC_DIR / f"{name}.spec").read_text())
-    section = doc.first("structure")
-    alg = cli.STRUCTURES[section.args[0] if section else None](doc, section)[1]
+    alg = spec_algebroid(name)
     Q = alg.q
     again = q_from_p(p_from_q(Q))
     assert p_from_q(again).poly == alg.hamiltonian.poly
@@ -461,14 +468,15 @@ def test_anchor_tower(tower2):
 
 
 def test_anchor_rho_q_restriction():
+    # rho-hat_q keeps the base-leg coordinates of weight below q; the
+    # tower's single chart is symmetric, and its base has no weight-0 ones
     alg = lie_tower(so3(), 3)
     anc = anchor(alg)
-    full = anc.rho_q(3)
-    low = anc.rho_q(1)
-    assert set(low) <= set(full)
-    for b in low:
-        assert b.weight[0] == 0 or b.weight[0] <= 0
-    assert len(low) == 0  # tower base has no weight-0 coordinates
+    base_leg = alg.carrier.base_leg_vars(0)
+    for q in (1, 2, 3):
+        assert set(anc.rho_hat(q)) == {b for b in base_leg if b.weight[0] <= q - 1}
+    assert anc.rho_hat(1) == {}
+    assert anc.rho_hat(3) == anc.rho_hat()
 
 
 def test_restrict_to_a1_chevalley_eilenberg(tower2):
@@ -478,6 +486,16 @@ def test_restrict_to_a1_chevalley_eilenberg(tower2):
     assert d(phase.var("theta_xi1") * 1) == -(th[1] * th[2])
     for v in d.action:
         assert v.weight[0] == 0
+
+
+def leibniz_check(Q, alpha, phi) -> bool:
+    """Q(alpha phi) = d(alpha) phi + (-1)^|alpha| alpha Q(phi), exactly."""
+    d = restrict_to_A1(Q)
+    par = alpha.parity()
+    if par == "mixed":
+        raise ValueError("alpha must be parity homogeneous")
+    sign = -1 if par == ODD else 1
+    return Q(alpha * phi) == d(alpha) * phi + sign * (alpha * Q(phi))
 
 
 def test_leibniz_rule(tower2):
@@ -507,7 +525,9 @@ def test_projection_obstruction():
     bad = HomologicalField(
         Derivation(action, ODD, (0, 1, 0), check=False), phase
     )
-    with pytest.raises(ProjectionObstruction):
+    # the field is weight-malformed, which the block reader's shape check finds
+    with pytest.raises(MalformedQ, match=r"^coefficient of d/dtheta_xi1 has tri-weight "
+                       r"\(1, 2, 0\), expected \(0, 2, 0\)$"):
         restrict_to_A1(bad)
 
 
@@ -646,16 +666,44 @@ def _polynomial_data():
     )
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("data", [tm_algebroid(2), _polynomial_data()], ids=["tm2", "polynomial"])
-def test_extracted_coefficients_rebuild_q(data, k):
-    alg = prolongation_algebroid(data, k)
-    to_carrier = {x: b for b, x in alg.phase.x_of.items()}
-    p_ai, p_kij = extract_coefficients(alg.q)
-    rebuilt = algebroid_from_coefficients(
-        alg.carrier,
-        {key: remap(c, to_carrier) for key, c in p_ai.items()},
-        {key: remap(c, to_carrier) for key, c in p_kij.items()},
-    )
+def _so3_cotangent():
+    F, _, _, P = linear_poisson(so3())
+    return cotangent_algebroid(F, P)
+
+
+def _odd_tangent(seed):
+    return tangent_algebroid(random_odd_bundle(random.Random(seed), name=f"odd{seed}"))
+
+
+def _rebuild_cases():
+    """Builders of every algebroid a shipped spec builds, of seeded towers,
+    prolongations and the so(3) cotangent algebroid, and of the tangent
+    algebroids of the 60 odd-corpus bundles."""
+    for k in (2, 3):
+        for name, data in (("tm2", lambda: tm_algebroid(2)), ("polynomial", _polynomial_data)):
+            yield pytest.param(lambda data=data, k=k: prolongation_algebroid(data(), k),
+                               id=f"{name}-{k}")
+    for name in ROUND_TRIP_SPECS:
+        yield pytest.param(functools.partial(spec_algebroid, name), id=f"spec-{name}")
+    for name, constants in (("so3", so3), ("sl2", sl2), ("h3", heisenberg3),
+                            ("abelian3", lambda: abelian(3))):
+        for k in (1, 2, 3, 4):
+            yield pytest.param(lambda c=constants, k=k: lie_tower(c(), k),
+                               id=f"lie_tower-{name}-{k}")
+    yield pytest.param(_so3_cotangent, id="cotangent-so3")
+    for seed in range(60):
+        yield pytest.param(functools.partial(_odd_tangent, seed), id=f"odd-{seed}")
+
+
+@pytest.mark.parametrize("build", _rebuild_cases())
+def test_extracted_coefficients_rebuild_q(build):
+    alg = build()
+    Q, phase = alg.q, alg.phase
+    # the block reader is the exact inverse of structure_action
+    again = phase.field(structure_action(*q_blocks(Q), phase.x_of, phase.theta_of))
+    assert again.derivation == Q.derivation
+    # the named coefficients lie on the carrier's base leg, as the builder takes them
+    p_ai, p_kij = extract_coefficients(Q)
+    rebuilt = algebroid_from_coefficients(alg.carrier, p_ai, p_kij, phase.chart)
     assert rebuilt.kind == alg.kind
-    assert rebuilt.q.derivation == alg.q.derivation
+    assert rebuilt.q.derivation == Q.derivation

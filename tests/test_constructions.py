@@ -9,6 +9,7 @@ from gradedbundles.superalg import (
     SuperPolynomial,
     ZERO,
     commutator,
+    partial,
     weight_of,
 )
 from gradedbundles.bundle import (
@@ -40,12 +41,12 @@ from gradedbundles.constructions import (
     linear_poisson,
     point_algebroid,
     prolongation_algebroid,
+    prolongation_roles,
     reduced_bracket,
     sl2,
     so3,
     tangent_algebroid,
     tm_algebroid,
-    tower_section_from_polynomial,
     tower_section_polynomial,
 )
 
@@ -222,6 +223,16 @@ def test_reduced_bracket_jacobi_when_lie():
         lhs = tower_section_polynomial(alg, jac)
         rhs = tower_section_polynomial(alg, jac2) + tower_section_polynomial(alg, jac3)
         assert lhs == rhs
+
+
+def tower_section_from_polynomial(alg, p):
+    """The (Y, Z) of a pi-linear phase-space function, read off its momenta."""
+    _, roles = prolongation_roles(alg)
+    pi_of = alg.phase.pi_of
+    Y = {n: partial(p, pi_of[xi]) for n, xi in roles["xi"].items()}
+    Z = {key: partial(p, pi_of[dy]) for key, dy in roles["dy"].items()}
+    return TowerSection({n: c for n, c in Y.items() if not c.is_zero()},
+                        {key: c for key, c in Z.items() if not c.is_zero()})
 
 
 def test_section_round_trip():

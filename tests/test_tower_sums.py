@@ -220,7 +220,7 @@ def chained_epsilon(A):
          (base_leg, "p_", lambda u: (k - 1 - u, 1, 1), EVEN),
          (fiber, "pi_", lambda u: (k - 1 - u, 0, 1), EVEN)],
     )
-    x_map = ChartMap({phase.x_of[b]: x for b, x in x_of.items()})
+    x_map = ChartMap(x_of)
     p_ai, p_kij = extract_coefficients(A.q)
     delta_x = {"delta_" + b.name: ZERO for b in base_leg}
     delta_pi = {"delta_pi_" + f.name: ZERO for f in fiber}
