@@ -23,7 +23,8 @@ keys to new variables.  The roles in use:
   parity reversal, pairing charts); for ``reconstruct`` each coordinate of
   the GL-bundle to the coordinate it pulls back to;
 * ``undotted`` and ``dotted``: a coordinate and its dotted partner in a
-  vertical or tangent lift and in a linearisation;
+  vertical or tangent lift and in a linearisation, whose top coordinates
+  have a dotted partner only;
 * ``base`` and ``dual``: base-leg coordinates and dual fibre coordinates of
   a linear dual or cotangent bundle (``linfun.contragredient``), and on a
   pairing chart the dual bundle's coordinates; and ``base``, ``y``, ``xi``
@@ -47,6 +48,7 @@ from .superalg import (
     ZERO,
     declare_chart,
     differential,
+    partial,
     render,
     total,
     weight_of,
@@ -54,7 +56,7 @@ from .superalg import (
 
 
 class IllDefinedProjection(ValueError):
-    """A tower projection hit a transition that mixes dropped coordinates in."""
+    """A projection or linearisation hit a law that a dropped coordinate leaks into."""
 
 
 _system_counter = itertools.count()
@@ -346,22 +348,19 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
 
 
 def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
-             zero=(), roles=None, **kwargs) -> GradedBundle:
+             zero=(), **kwargs) -> GradedBundle:
     """Rebuild the atlas on the coordinates ``keep`` accepts (role ``vars``).
 
     ``reweight`` maps each kept weight to its new weight (unchanged by
     default); coordinates in ``zero`` are set to zero first, and any other
     dropped coordinate in a kept image raises IllDefinedProjection.
-    ``roles[role][i]`` adds a role map from keys to names of kept coordinates
-    on chart ``i``.
     """
     reweight = reweight or (lambda w: w)
     zero_map = ChartMap(dict.fromkeys(zero, ZERO)) if zero else None
 
     def spec(i, chart):
         kept = {v: (v.name, reweight(v.weight), v.parity) for v in chart.variables if keep(v)}
-        extra = {role: per_chart[i] for role, per_chart in (roles or {}).items()}
-        return chart.name, len(reweight((0,) * chart.arity)), {"vars": kept, **extra}
+        return chart.name, len(reweight((0,) * chart.arity)), {"vars": kept}
 
     def components(comps, other, src, dst, key):
         rename = ChartMap(src["vars"])
@@ -439,40 +438,58 @@ def _fresh_name(name: str, taken: set, grow) -> str:
     return name
 
 
-def _differential_lift(bundle: GradedBundle, dotted_weight, dotted_of_base: bool,
-                       tag: str, cls=GradedBundle):
+def _lifted_laws(comps, other, src, dst, key=None):
+    """The component function of the differential lifts, also applied to a
+    morphism's pullbacks: each law is renamed along ``src["undotted"]`` and
+    differentiated in the new chart along ``src["dotted"]``, for the
+    coordinates ``dst`` keeps undotted and dotted."""
+    # An injective renaming r has r(dp/du) = d r(p) / d r(u).  A coordinate
+    # u with no undotted copy (a top coordinate of D(F)) is renamed onto its
+    # dotted copy du, which the differential sends to itself: by homogeneity
+    # u enters a law of top weight only as (weight-0 coefficient) * u, and
+    # the Euler term gives a term linear in du back unchanged, so the dotted
+    # law is exact and no mixed-ring polynomial is built.  Anywhere else, in
+    # a law kept undotted or with a coefficient of positive weight, u has
+    # leaked in, and the renamed law would lose its coordinate's weight.
+    und, dst_und, dst_dot = src["undotted"], dst["undotted"], dst["dotted"]
+    tops = {u: du for u, du in src["dotted"].items() if u not in und}
+    for v, p in comps.items():
+        for u in tops:
+            if p.involves(u) and (v in dst_und or weight_of(partial(p, u), 1) != (0,)):
+                new = dst_und[v] if v in dst_und else dst_dot[v]
+                raise IllDefinedProjection(
+                    f"image of {new.name} depends on dropped coordinate {u.name}")
+    rename = ChartMap({**und, **tops})
+    dot = {und.get(u, du): du for u, du in src["dotted"].items()}
+    renamed = {v: rename(p) for v, p in comps.items()}
+    out = {dst_und[v]: law for v, law in renamed.items() if v in dst_und}
+    out.update((dst_dot[v], differential(law, dot)) for v, law in renamed.items() if v in dst_dot)
+    return out
+
+
+def _differential_lift(bundle: GradedBundle, dotted_weight, tag: str,
+                       cls=GradedBundle, keep=lambda v: True):
     """Adjoin dotted coordinates transforming by the differentials of the
     undotted transition laws.  Vertical bundles (dotted for fibre directions
-    only) and full tangent bundles (dotted for everything) both come from
-    here.
+    only), full tangent bundles (dotted for everything) and linearisations
+    (vertical, undotted where ``keep`` holds) all come from here.
 
     Undotted variables get weight (w, 0); each dotted partner ``d<name>`` of
-    a weight-w variable gets ``dotted_weight(w)`` and the same parity.
+    a weight-w variable gets ``dotted_weight(w)``, unless it is negative,
+    and the same parity.
     """
     if bundle.arity != 1:
         raise ValueError("differential lifts are implemented for arity-1 bundles")
 
     def spec(i, chart):
         taken = {v.name for v in chart.variables}
-        undotted = {v: (v.name, v.weight + (0,), v.parity) for v in chart.variables}
+        undotted = {v: (v.name, v.weight + (0,), v.parity) for v in chart.variables if keep(v)}
         dotted = {v: (_fresh_name("d" + v.name, taken, lambda n: "d" + n),
                       dotted_weight(total(v.weight)), v.parity)
-                  for v in chart.variables if dotted_of_base or total(v.weight) != 0}
+                  for v in chart.variables if dotted_weight(total(v.weight))[0] >= 0}
         return chart.name + "_d", chart.arity + 1, {"undotted": undotted, "dotted": dotted}
 
-    def components(comps, other, src, dst, key):
-        # each law is renamed once and differentiated in the new chart: an
-        # injective renaming r has r(dp/du) = d r(p) / d r(u)
-        und = src["undotted"]
-        rename = ChartMap(und)
-        dot = {und[u]: du for u, du in src["dotted"].items()}
-        out = {dst["undotted"][v]: rename(p) for v, p in comps.items()}
-        for v in comps:
-            if v in dst["dotted"]:
-                out[dst["dotted"][v]] = differential(out[dst["undotted"][v]], dot)
-        return out
-
-    return rechart(bundle, spec, components, cls=cls, tag=tag)
+    return rechart(bundle, spec, _lifted_laws, cls=cls, tag=tag)
 
 
 def vertical_bundle(bundle: GradedBundle) -> GradedBundle:
@@ -483,9 +500,9 @@ def vertical_bundle(bundle: GradedBundle) -> GradedBundle:
     """
     if bundle.degree < 1:
         raise ValueError("vertical bundle needs degree >= 1")
-    return _differential_lift(bundle, lambda w: (w - 1, 1), False, "vertical")
+    return _differential_lift(bundle, lambda w: (w - 1, 1), "vertical")
 
 
 def tangent_bundle(bundle: GradedBundle, cls=GradedBundle) -> GradedBundle:
     """Full tangent lift; dotted weight-w coordinates carry bi-weight (w, 1)."""
-    return _differential_lift(bundle, lambda w: (w, 1), True, "tangent", cls)
+    return _differential_lift(bundle, lambda w: (w, 1), "tangent", cls)

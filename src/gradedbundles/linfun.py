@@ -1,11 +1,11 @@
 """Linearisation of graded bundles, linear duals, pairing, parity reversion.
 
-The linearisation of a degree-k bundle is obtained from its vertical bundle
-by projecting out the top-weight undotted coordinates; the dotted transition
-laws are the differentials of the undotted ones.  The result is a
-graded-linear bundle: a double graded bundle whose second weight takes
-values in {0, 1} and whose weight-1 leg is a vector bundle over the degree
-k-1 base leg.
+The linearisation of a degree-k bundle is its vertical bundle without the
+top-weight undotted coordinates, built in one pass by ``bundle._lifted_laws``:
+the dotted transition laws are the differentials of the undotted ones.  The
+result is a graded-linear bundle: a double graded bundle whose second weight
+takes values in {0, 1} and whose weight-1 leg is a vector bundle over the
+degree k-1 base leg.
 
 A GL-bundle is a linearisation exactly when it is symmetric, and
 ``symmetry_report`` decides that by one vertical-lift identity per fibre
@@ -53,9 +53,10 @@ from .bundle import (
     CoordinateSystem,
     GradedBundle,
     IllDefinedProjection,
+    _differential_lift,
+    _lifted_laws,
     rechart,
     restrict,
-    vertical_bundle,
 )
 from .report import Report
 
@@ -125,19 +126,14 @@ class GLBundle(GradedBundle):
 
 # --------------------------------------------------------------- linearise
 def linearise(F: GradedBundle) -> GLBundle:
-    """D(F): vertical bundle with the top-weight undotted coordinates
-    projected out.  Its provenance maps F's variables to its own."""
+    """D(F): the vertical lift of F with undotted coordinates of weight below
+    k only, built in one pass.  Its provenance maps F's variables to its own;
+    a law that a dropped top coordinate leaks into raises IllDefinedProjection."""
     if F.degree < 1:
         raise ValueError("linearisation needs degree >= 1")
     k = F.degree
-    V = vertical_bundle(F)
-    keep = lambda v: v.weight[0] <= k - 1
-    roles = {
-        role: [{v: w.name for v, w in m.items() if keep(w)} for m in V.provenance.maps[role]]
-        for role in ("undotted", "dotted")
-    }
-    return restrict(V, keep, "linearise", cls=GLBundle, roles=roles, source=F,
-                    gl_degree=k)
+    return _differential_lift(F, lambda w: (w - 1, 1), "linearise", GLBundle,
+                              keep=lambda v: total(v.weight) < k)
 
 
 # --------------------------------------------------------------- morphisms
@@ -199,28 +195,15 @@ def morphisms_equal(a: GradedMorphism, b: GradedMorphism) -> bool:
 def linearise_morphism(
     phi: GradedMorphism, DF: GLBundle | None = None, DFp: GLBundle | None = None
 ) -> GradedMorphism:
-    """The linearisation functor on morphisms.
-
-    Dotted components are the differentials of the undotted ones with the
-    top-weight source coordinates projected out.
-    """
+    """The linearisation functor on morphisms: the components are lifted as
+    D(F)'s laws are (``bundle._lifted_laws``), from D(F)'s chart-0 role maps
+    to D(F')'s.  A component that a top source coordinate leaks into (a map
+    raising the degree) raises IllDefinedProjection."""
     phi.validate()
-    F, Fp = phi.source, phi.target
-    DF = DF if DF is not None else linearise(F)
-    DFp = DFp if DFp is not None else linearise(Fp)
-    k = F.degree
-    drop_top = ChartMap({v: ZERO for v in F.chart.variables if total(v.weight) == k})
-    und_src = ChartMap(DF.provenance.maps["undotted"][0])
-    dot_src = DF.provenance.maps["dotted"][0]
-
-    comps: dict[Variable, SuperPolynomial] = {}
-    for vt, dvt in DFp.provenance.maps["undotted"][0].items():
-        comps[dvt] = und_src(drop_top(phi.components[vt]))
-    # the pullback to D(F) is a homomorphism fixing the dotted coordinates,
-    # so it is applied once to the whole differential
-    for vt, dvt in DFp.provenance.maps["dotted"][0].items():
-        comps[dvt] = und_src(drop_top(differential(phi.components[vt], dot_src)))
-    return GradedMorphism(DF, DFp, comps)
+    DF = DF if DF is not None else linearise(phi.source)
+    DFp = DFp if DFp is not None else linearise(phi.target)
+    chart0 = lambda D: {role: D.provenance.maps[role][0] for role in ("undotted", "dotted")}
+    return GradedMorphism(DF, DFp, _lifted_laws(phi.components, None, chart0(DF), chart0(DFp)))
 
 
 def _holonomic(pairs):

@@ -24,8 +24,10 @@ from gradedbundles.superalg import (
 from gradedbundles.bundle import (
     CoordinateSystem,
     GradedBundle,
+    restrict,
     two_chart_bundle,
     validate,
+    vertical_bundle,
 )
 from gradedbundles.linfun import GLBundle, GradedMorphism
 from gradedbundles.constructions import StructureConstants, TowerSection, prolongation_roles
@@ -297,6 +299,13 @@ def random_odd_bundle(rng, name="odd"):
     rep = validate(bundle)
     assert rep.passed, f"generator produced an invalid bundle:\n{rep}"
     return bundle
+
+
+def two_pass_linearisation(F: GradedBundle) -> GLBundle:
+    """D(F) as the paper defines it, the reference for ``linearise``: the
+    vertical bundle V(F) with its top-weight undotted coordinates
+    projected out."""
+    return restrict(vertical_bundle(F), lambda v: v.weight[0] < F.degree, "ref", cls=GLBundle)
 
 
 def random_morphism(rng, src: GradedBundle, dst: GradedBundle) -> GradedMorphism:

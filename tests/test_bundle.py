@@ -220,6 +220,22 @@ def test_ill_defined_projection_on_invalid_input():
     with pytest.raises(IllDefinedProjection):
         project_tower(bad, 1)
 
+    # linearisation drops z, which leaks into the kept Y, and into dZ as
+    # dy*z when z's coefficient in Z has positive weight
+    from gradedbundles.linfun import linearise
+
+    with pytest.raises(IllDefinedProjection,
+                       match="^image of Y depends on dropped coordinate z$"):
+        linearise(bad)
+    leaky = two_chart_bundle(
+        A, B,
+        {"X": A.var("x"), "Y": A.var("y"), "Z": A.var("z") + A.var("y") * A.var("z")},
+        {"x": B.var("X"), "y": B.var("Y"), "z": B.var("Z") - B.var("Y") * B.var("Z")},
+    )
+    with pytest.raises(IllDefinedProjection,
+                       match="^image of dZ depends on dropped coordinate z$"):
+        linearise(leaky)
+
 
 # y, z and w are all dropped; the message names the first in chart order
 ILL_DEFINED_SCRIPT = """

@@ -18,6 +18,7 @@ from gradedbundles.superalg import (
 from gradedbundles.bundle import (
     CoordinateSystem,
     GradedBundle,
+    IllDefinedProjection,
     single_chart_bundle,
     two_chart_bundle,
     validate,
@@ -47,7 +48,14 @@ from gradedbundles.linfun import (
 )
 from gradedbundles.constructions import PolynomialDiffeo, higher_tangent
 
-from helpers import rational_nonzero, random_bundle, random_morphism, vector_bundle_tangent
+from helpers import (
+    rational_nonzero,
+    random_bundle,
+    random_morphism,
+    two_pass_linearisation,
+    vector_bundle_tangent,
+)
+from test_atlas_golden import bundles
 from test_bundle import degree2_example
 
 
@@ -245,11 +253,45 @@ def test_degree1_gl_always_symmetric():
     assert is_symmetric(G)
 
 
+def two_top_example():
+    """Degree 2 with two top coordinates, one in the other's law."""
+    A = CoordinateSystem([("x", 0, 0), ("y", 1, 0), ("z", 2, 0), ("w", 2, 0)], name="tt_a")
+    B = CoordinateSystem([("X", 0, 0), ("Y", 1, 0), ("Z", 2, 0), ("W", 2, 0)], name="tt_b")
+    x, y, z, w = (A.var(n) for n in "xyzw")
+    X, Y, Z, W = (B.var(n) for n in "XYZW")
+    return two_chart_bundle(
+        A, B,
+        {"X": x, "Y": y, "Z": z + x * w + y ** 2, "W": w},
+        {"x": X, "y": Y, "z": Z - X * W - Y ** 2, "w": W},
+    )
+
+
 def test_reconstruct_round_trip():
-    for F in (degree2_example(), degree3_example()):
-        R = reconstruct(linearise(F))
+    # linearise also agrees with the two-pass reference, V(F) restricted
+    for F in (degree2_example(), degree3_example(), *bundles().values(), two_top_example()):
+        D = linearise(F)
+        assert bundles_structurally_equal(D, two_pass_linearisation(F))
+        R = reconstruct(D)
         assert bundles_structurally_equal(F, R)
         assert validate(R).passed
+
+
+def test_linearise_recharts_once_and_linearise_morphism_never(monkeypatch):
+    from gradedbundles import bundle
+
+    calls = []
+    rechart = bundle.rechart
+    monkeypatch.setattr(bundle, "rechart", lambda *a, **kw: calls.append(a) or rechart(*a, **kw))
+    F = degree3_example()
+    DF = linearise(F)
+    assert len(calls) == 1
+    Fm = bundle.project_tower(F, 2)
+    DFm = linearise(Fm)
+    tau = GradedMorphism(F, Fm, {v: F.chart.var(v.name) for v in Fm.chart.variables})
+    del calls[:]
+    linearise_morphism(tau, DF, DFm)
+    linearise_morphism(identity_morphism(F), DF, DF)
+    assert calls == []
 
 
 def test_reconstruct_round_trip_random():
@@ -269,7 +311,7 @@ def test_functor_identity():
 
 def test_functor_composition_random():
     # exact on chains of non-increasing degree, where no intermediate
-    # top-weight coordinate can leak into the projected formulas
+    # top-weight coordinate can leak into a lifted component
     rng = random.Random(31)
     for _ in range(8):
         degrees = sorted((rng.choice([2, 3]), rng.choice([2, 3])), reverse=True)
@@ -304,11 +346,11 @@ def test_embedding_naturality_random():
 
 
 def test_degree_raising_composites_leak_top_coordinates():
-    # The projected-differential formula for D on morphisms is only
-    # functorial when degrees do not increase along the chain: a map into a
-    # higher degree whose top component mixes the source top with pure
-    # lower-weight terms changes the composite.  This pins the scope of the
-    # exact functor laws.
+    # D on morphisms is only defined when no component of a kept coordinate
+    # involves a top-weight source coordinate: a map into a higher degree
+    # whose weight-2 component is the source top, or mixes it with pure
+    # lower-weight terms, has no lift, and D raises naming the source top
+    # coordinate.  This pins the scope of the exact functor laws.
     A = CoordinateSystem([("x", 0, 0), ("y", 1, 0), ("z", 2, 0)], name="lk_f")
     F = single_chart_bundle(A)
     B = CoordinateSystem([("u", 0, 0), ("v", 1, 0), ("t", 2, 0)], name="lk_g")
@@ -325,11 +367,12 @@ def test_degree_raising_composites_leak_top_coordinates():
         C["d"]: B.var("t") * B.var("v"),
     })
     DF, DG, DH = linearise(F), linearise(G), linearise(H)
-    lhs = linearise_morphism(compose_morphisms(phi, chi), DF, DH)
-    rhs = compose_morphisms(
-        linearise_morphism(phi, DG, DH), linearise_morphism(chi, DF, DG)
-    )
-    assert not morphisms_equal(lhs, rhs)
+    with pytest.raises(IllDefinedProjection,
+                       match="^image of c depends on dropped coordinate t$"):
+        linearise_morphism(phi, DG, DH)
+    with pytest.raises(IllDefinedProjection,
+                       match="^image of c depends on dropped coordinate z$"):
+        linearise_morphism(compose_morphisms(phi, chi), DF, DH)
 
 
 def test_projection_lift_diagram():

@@ -19,17 +19,20 @@ from gradedbundles.constructions import cotangent_bundle, tangent_algebroid
 from gradedbundles.linfun import (
     bundles_structurally_equal,
     embedding_compatibility,
+    identity_morphism,
     is_symmetric,
     linear_dual,
     linearise,
+    linearise_morphism,
     mironian_report,
+    morphisms_equal,
     pairing,
     parity_reverse,
     reconstruct,
 )
 from gradedbundles.superalg import SuperPolynomial
 
-from helpers import random_odd_bundle
+from helpers import random_odd_bundle, two_pass_linearisation
 from test_algebroid import assert_schouten_laws
 
 SEEDS = range(60)
@@ -40,8 +43,16 @@ def corpus():
     return [random_odd_bundle(random.Random(seed), name=f"odd{seed}") for seed in SEEDS]
 
 
+def linearised_identity_is_the_identity(F):
+    D = linearise(F)
+    return morphisms_equal(linearise_morphism(identity_morphism(F), D, D), identity_morphism(D))
+
+
 PROPERTIES = {
     "validate": lambda F: validate(F).passed,
+    "linearisation is the two-pass reference": lambda F: bundles_structurally_equal(
+        linearise(F), two_pass_linearisation(F)),
+    "D(identity) is the identity": linearised_identity_is_the_identity,
     "linearisation symmetric": lambda F: is_symmetric(linearise(F)),
     "reconstruct round trip": lambda F: bundles_structurally_equal(F, reconstruct(linearise(F))),
     "linear dual validates": lambda F: validate(linear_dual(F)).passed,
