@@ -52,7 +52,7 @@ alg = prolongation_algebroid(E, 2)
 print("\nprolongation of the plane's tangent algebroid:")
 print("kind:", alg.kind)
 anc = anchor(alg)
-for b, p in anc.delta.items():
+for b, p in anc.items():
     print(f"  delta {b.name} -> {render(p)}")
 d = restrict_to_A1(alg.q)
 print("weight-one leg returns the input field:")

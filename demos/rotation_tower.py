@@ -41,7 +41,7 @@ for v, c in d.action.items():
 
 anc = anchor(tower)
 print("\nanchor sends (X, Y, Z) to (X, Z):")
-for b, p in anc.delta.items():
+for b, p in anc.items():
     print(f"  delta {b.name} -> {render(p)}")
 
 one = SuperPolynomial.constant(1)

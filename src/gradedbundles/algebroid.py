@@ -450,50 +450,38 @@ def derived_bracket(
 
 
 # ------------------------------------------------------------------ anchors
-class AnchorData:
-    """Anchor pullback data over the carrier's own coordinates.
-
-    ``delta`` maps each base-leg coordinate b to the pullback of the fibre
+def anchor(A: WeightedAlgebroid) -> dict[Variable, SuperPolynomial]:
+    """The anchor as pullback data over the carrier's own coordinates: each
+    base-leg coordinate b to the pullback sum_f f rho[(f, b)] of the fibre
     coordinate delta-b of T(B_{k-1}); base coordinates pull back to
-    themselves.
-    """
-
-    def __init__(self, algebroid: WeightedAlgebroid, delta: dict[Variable, SuperPolynomial]):
-        self.algebroid = algebroid
-        self.delta = delta
-
-    def rho_hat(self, q: int | None = None) -> dict[Variable, SuperPolynomial]:
-        """Graded-bundle anchor rho-hat_q = T tau o rho o iota on F_k, the
-        components over base-leg coordinates of weight below q.
-
-        Needs the carrier to be a linearisation; raises NotALinearisation
-        otherwise.  Components are polynomials over the source bundle F.
-        """
-        carrier = self.algebroid.carrier
-        try:
-            holo = holonomic_assignment(carrier, self.algebroid.phase.chart)
-        except NotSymmetric as exc:
-            raise NotALinearisation(
-                "carrier is not symmetric, graded-bundle anchors undefined"
-            ) from exc
-        k = carrier.gl_degree
-        q = q if q is not None else k
-        pull = ChartMap(holo)
-        return {
-            b: pull(p)
-            for b, p in self.delta.items()
-            if b.weight[0] <= q - 1
-        }
-
-
-def anchor(A: WeightedAlgebroid) -> AnchorData:
+    themselves."""
     if A.q is None:
         raise MalformedQ("general algebroids carry no anchor field")
     rho, _ = q_blocks(A.q)
     parts = {b: [] for b in A.phase.x_of}
     for (f, b), c in rho.items():
         parts[b].append((1, SuperPolynomial.from_var(f), c))
-    return AnchorData(A, {b: sum_of_products(ts) for b, ts in parts.items()})
+    return {b: sum_of_products(ts) for b, ts in parts.items()}
+
+
+def rho_hat(A: WeightedAlgebroid, q: int | None = None) -> dict[Variable, SuperPolynomial]:
+    """Graded-bundle anchor rho-hat_q = T tau o rho o iota on F_k: the
+    ``anchor`` components over base-leg coordinates of weight below q (the
+    carrier's degree by default), pulled back along the holonomic embedding.
+
+    Needs the carrier to be a linearisation; raises NotALinearisation
+    otherwise.  Components are polynomials over the source bundle F.
+    """
+    delta = anchor(A)
+    try:
+        holo = holonomic_assignment(A.carrier, A.phase.chart)
+    except NotSymmetric as exc:
+        raise NotALinearisation(
+            "carrier is not symmetric, graded-bundle anchors undefined"
+        ) from exc
+    q = q if q is not None else A.carrier.gl_degree
+    pull = ChartMap(holo)
+    return {b: pull(p) for b, p in delta.items() if b.weight[0] <= q - 1}
 
 
 # ------------------------------------------------------- weight-one leg A1

@@ -303,7 +303,7 @@ def weight_vector_field(chart: CoordinateSystem, component: int = 0) -> Derivati
 
 # ---------------------------------------------------------------- re-charting
 def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
-            tag: str = "", source=None, inverse: bool = True, **kwargs):
+            tag: str = "", source=None, **kwargs):
     """Re-chart every chart of ``bundle`` and carry its transitions across.
 
     ``spec_fn(i, chart)`` returns ``(name, arity, roles)``: the new chart's
@@ -314,9 +314,8 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     src, dst, key)`` returns the new components of one direction of a
     transition: ``comps`` are its old components, ``other`` those of the
     opposite direction, ``src`` and ``dst`` the role maps (now to new
-    variables) of its source and target charts, ``key`` their indices.  With
-    ``inverse=False`` only forward components are built.  The role maps
-    become the result's provenance; further keywords go to ``cls``.
+    variables) of its source and target charts, ``key`` their indices.  The
+    role maps become the result's provenance; further keywords go to ``cls``.
 
     ``component_fn`` runs once per direction of a transition.  Where the
     transition under ``(j, i)`` is the reversal of the one under ``(i, j)``
@@ -335,12 +334,12 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     transitions = {}
     for (i, j), t in bundle.transitions.items():
         back = bundle.transitions.get((j, i))
-        if inverse and (j, i) in transitions and back.forward is t.inverse \
+        if (j, i) in transitions and back.forward is t.inverse \
                 and back.inverse is t.forward:
             transitions[(i, j)] = transitions[(j, i)].reversed()
             continue
         fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
-        inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i)) if inverse else {}
+        inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i))
         transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
     provenance = Provenance(tag, bundle if source is None else source,
                             {role: [m[role] for m in maps] for role in maps[0]})

@@ -345,7 +345,7 @@ def _construct_tangent(doc: SpecDocument, section, report: Report):
                 f"degree {alg.carrier.gl_degree}")
     report.merge_validation(validate(alg.carrier), prefix="carrier ")
     report.add("kind = lie", alg.kind == "lie")
-    for b, p in anchor(alg).delta.items():
+    for b, p in anchor(alg).items():
         report.info(f"anchor delta_{b.name} = {render_poly(p)}")
 
 

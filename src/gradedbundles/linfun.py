@@ -50,7 +50,6 @@ from .superalg import (
 )
 from .bundle import (
     _fresh_name,
-    CoordinateSystem,
     GradedBundle,
     IllDefinedProjection,
     _differential_lift,
@@ -138,7 +137,11 @@ def linearise(F: GradedBundle) -> GLBundle:
 
 # --------------------------------------------------------------- morphisms
 class GradedMorphism:
-    """Chart-level morphism: pullback components of target coordinates."""
+    """Pullback components of the target's chart-0 coordinates on the
+    source's chart 0.  They fix the morphism: an atlas that passes
+    ``validate`` has polynomial transitions with polynomial inverses, so
+    every chart is global, and chart i's components are their transport
+    tF_i0^*(phi_0^*(tG_0i[V])), not a second copy that could disagree."""
 
     def __init__(self, source: GradedBundle, target: GradedBundle,
                  components: dict[Variable, SuperPolynomial]):
@@ -415,14 +418,12 @@ def contragredient(comps, other, src, dst, key=None):
 
 # ------------------------------------------------------------------ pairing
 class PairingResult:
-    """The canonical pairing polynomial on D*(F) x_{F_{k-1}} F."""
+    """The canonical pairing on D*(F) x_{F_{k-1}} F: ``bundle`` is that
+    fibre product's atlas, ``polynomials[i]`` the pairing on its chart i."""
 
-    def __init__(self, bundle: GradedBundle, systems: list[CoordinateSystem],
-                 polynomials: list[SuperPolynomial], transitions: dict):
+    def __init__(self, bundle: GradedBundle, polynomials: list[SuperPolynomial]):
         self.bundle = bundle
-        self.systems = systems
         self.polynomials = polynomials
-        self.transitions = transitions
 
     @property
     def polynomial(self) -> SuperPolynomial:
@@ -430,14 +431,16 @@ class PairingResult:
 
     def check_invariance(self) -> Report:
         report = Report()
-        for (i, j), assign in sorted(self.transitions.items()):
+        for (i, j), t in sorted(self.bundle.transitions.items()):
             report.zero(f"transition {i}->{j}: pairing invariance",
-                        substitute(self.polynomials[j], assign) - self.polynomials[i])
+                        substitute(self.polynomials[j], t.forward) - self.polynomials[i])
         return report
 
 
 def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
-    """delta* = sum_w w y_w pi + k z pi^1, of bi-weight (k, 1): each fibre
+    """delta* = sum_w w y_w pi + k z pi^1, of bi-weight (k, 1), on the fibre
+    product re-charted from F: role ``vars`` maps F's coordinates to their
+    copies, ``dual`` the dual's, its base leg onto those copies.  Each fibre
     coordinate stands left of its dual, the order the contragredient
     transition of the duals is written for."""
     dual = dual if dual is not None else linear_dual(F)
@@ -460,7 +463,7 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
                 out[dst["dual"][v]] = rename_dual(q)
         return out
 
-    P = rechart(F, spec, components, tag="pairing", inverse=False)
+    P = rechart(F, spec, components, tag="pairing")
     on = P.provenance.maps
     polys = [
         sum_of_products(
@@ -470,8 +473,7 @@ def pairing(F: GradedBundle, dual: GLBundle | None = None) -> PairingResult:
         )
         for i, dotted in enumerate(DF.provenance.maps["dotted"])
     ]
-    transitions = {key: t.forward for key, t in P.transitions.items()}
-    return PairingResult(F, P.charts, polys, transitions)
+    return PairingResult(P, polys)
 
 
 # ----------------------------------------------------------------- mironian

@@ -621,11 +621,6 @@ class SuperPolynomial:
         """Whether ``v`` occurs in some term."""
         return _field(self, v) is not None
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        k = self._ring.key(m)
-        n = self._num.get(k) if k is not None else None
-        return Fraction(n, self._den) if n else _ZERO_FRACTION
-
     def constant_term(self) -> Fraction:
         n = self._num.get(0)
         return Fraction(n, self._den) if n else _ZERO_FRACTION

@@ -34,6 +34,7 @@ from gradedbundles.algebroid import (
     q_blocks,
     q_from_p,
     restrict_to_A1,
+    rho_hat,
     structure_action,
     weighted_lie_algebra_check,
 )
@@ -428,6 +429,26 @@ def test_derived_bracket_underflow_returns_zero(tower2):
     assert out.is_zero() and out.degree == 0
 
 
+def _bracket_across_phase_spaces(phase):
+    other = lie_tower(so3(), 2)
+    s = AlgebroidSection(phase.var("pi_dy1_2"), 1, phase)
+    return derived_bracket(s, AlgebroidSection(other.phase.var("pi_dy1_2"), 1, other.phase),
+                           other.hamiltonian)
+
+
+@pytest.mark.parametrize("error, message, build", [
+    (ValueError, r"^pair \(y1_1, pi_xi1\) must have opposite parities$",
+     lambda ph: OddPoissonSpace(ph.system, [(ph.xs[0], ph.pis[0])])),
+    (MalformedQ, r"^structure field must shift tri-weight by \(0, 1, 0\), got \(0, 0, 0\)$",
+     lambda ph: HomologicalField(Derivation({}, ODD, (0, 0, 0)), ph)),
+    (CoordinateMismatch, "^sections and Hamiltonian on different spaces$",
+     _bracket_across_phase_spaces),
+], ids=["pair-parities", "field-shift", "bracket-across-spaces"])
+def test_phase_space_faults_rejected(tower2, error, message, build):
+    with pytest.raises(error, match=message):
+        build(tower2.phase)
+
+
 def test_anchor_leibniz_compatibility(tower2):
     # [s1, f s2] = f [s1, s2] + rho(s1)(f) s2 with rho the Z-part
     rng = random.Random(77)
@@ -456,11 +477,11 @@ def test_anchor_leibniz_compatibility(tower2):
 
 def test_anchor_tower(tower2):
     anc = anchor(tower2)
-    for b, p in anc.delta.items():
+    for b, p in anc.items():
         assert p == SuperPolynomial.from_var(
             tower2.carrier.chart["d" + b.name.split("_")[0] + "_2"]
         )
-    hat = anc.rho_hat()
+    hat = rho_hat(tower2)
     # single-chart tower is trivially symmetric: the holonomic locus sets
     # dy = 2 z with z the reconstructed weight-2 coordinate
     for b, p in hat.items():
@@ -471,12 +492,11 @@ def test_anchor_rho_q_restriction():
     # rho-hat_q keeps the base-leg coordinates of weight below q; the
     # tower's single chart is symmetric, and its base has no weight-0 ones
     alg = lie_tower(so3(), 3)
-    anc = anchor(alg)
     base_leg = alg.carrier.base_leg_vars(0)
     for q in (1, 2, 3):
-        assert set(anc.rho_hat(q)) == {b for b in base_leg if b.weight[0] <= q - 1}
-    assert anc.rho_hat(1) == {}
-    assert anc.rho_hat(3) == anc.rho_hat()
+        assert set(rho_hat(alg, q)) == {b for b in base_leg if b.weight[0] <= q - 1}
+    assert rho_hat(alg, 1) == {}
+    assert rho_hat(alg, 3) == rho_hat(alg)
 
 
 def test_restrict_to_a1_chevalley_eilenberg(tower2):
@@ -603,8 +623,11 @@ def test_general_kind_from_non_skew_data():
     assert alg.q is None
     assert (alg.hamiltonian, alg.check) == (None, None)
     assert alg.carrier is carrier
-    with pytest.raises(MalformedQ):
-        anchor(alg)
+    for read_anchor in (anchor, rho_hat):
+        with pytest.raises(MalformedQ, match="^general algebroids carry no anchor field$"):
+            read_anchor(alg)
+    with pytest.raises(MalformedQ, match="^general algebroids are classified by raw data only$"):
+        epsilon_components(alg)
 
 
 @pytest.mark.parametrize("constants, kind", [
@@ -648,9 +671,8 @@ def test_not_a_linearisation_error():
         )
     Q = HomologicalField(Derivation(action, ODD, (0, 1, 0)), phase)
     alg = WeightedAlgebroid.from_q(Q)
-    anc = anchor(alg)
     with pytest.raises(NotALinearisation):
-        anc.rho_hat()
+        rho_hat(alg)
 
 
 def _polynomial_data():

@@ -131,7 +131,7 @@ def components(alg):
         },
         "anchor_coefficients": [[*key, render(p)] for key, p in p_ai.items()],
         "bracket_coefficients": [[*key, render(p)] for key, p in p_kij.items()],
-        "anchor": [[b.name, render(p)] for b, p in anchor(alg).delta.items()],
+        "anchor": [[b.name, render(p)] for b, p in anchor(alg).items()],
     }
 
 

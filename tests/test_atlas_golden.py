@@ -86,11 +86,11 @@ def atlas(bundle):
 
 def pairing_record(result):
     return {
-        "systems": [_chart(s) for s in result.systems],
+        "systems": [_chart(s) for s in result.bundle.charts],
         "polynomials": [render(p) for p in result.polynomials],
         "transitions": {
-            f"{i}->{j}": _components(assign, result.systems[j])
-            for (i, j), assign in sorted(result.transitions.items())
+            f"{i}->{j}": _components(t.forward, result.bundle.charts[j])
+            for (i, j), t in sorted(result.bundle.transitions.items())
         },
     }
 

@@ -404,3 +404,37 @@ def test_rechart_builds_distinct_directions_each():
     for key, g in G.transitions.items():
         assert g.forward == shared.transitions[key].forward
         assert g.inverse == shared.transitions[key].inverse
+
+
+# ------------------------------------------------------------ rejected input
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoordinateSystem([("x", 0, 0), ("x", 1, 0)], name="dup"),
+     "^duplicate coordinate name 'x'$"),
+    (lambda: CoordinateSystem([("x", 0, 0), ("v", (0, 1), 0)], name="mixed"),
+     r"^mixed weight arities in chart mixed: \{1, 2\}$"),
+    (lambda: GradedBundle([CoordinateSystem([("x", 0, 0)], name="one"),
+                           CoordinateSystem([("x", (0, 0), 0)], name="two")]),
+     r"^charts disagree on grading arity: \{1, 2\}$"),
+    (lambda: weight_vector_field(degree2_example().chart, 1),
+     "^component 1 out of range for arity 1$"),
+    (lambda: vertical_bundle(single_chart_bundle(CoordinateSystem([("x", 0, 0)], name="pt0"))),
+     "^vertical bundle needs degree >= 1$"),
+], ids=["duplicate-name", "chart-arity", "bundle-arity", "euler-component", "vertical-degree-0"])
+def test_malformed_bundle_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_validate_reports_missing_components():
+    # drop Z from the forward law; the reversed transition then lacks the
+    # inverse component of Z
+    F = degree2_example()
+    A, B = F.charts
+    t = F.transitions[(0, 1)]
+    short = TransitionMap(A, B, {v: p for v, p in t.forward.items() if v.name != "Z"}, t.inverse)
+    rep = validate(GradedBundle([A, B], {(0, 1): short, (1, 0): short.reversed()}))
+    assert [item.check_id for item in rep.failures()] == [
+        "transition 0->1: component for Z declared",
+        "transition 0->1: round trip on z",
+        "transition 1->0: inverse component for Z declared",
+    ]

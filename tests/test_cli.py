@@ -174,6 +174,15 @@ def test_bracket_at_order_three(tmp_path):
     assert "reduced bracket agrees with the derived bracket" in out
 
 
+def test_bracket_of_a_section_with_itself_prints_zero(tmp_path):
+    doc = tmp_path / "self.spec"
+    doc.write_text(TOWER + "[section a]\nY 1 = 1\n[section b]\nY 1 = 1\n")
+    code, out = run_cli(["bracket", "--spec", str(doc)])
+    assert code == 0
+    assert out.endswith("INFO  structure: lie-tower, dim 1, k 2\nINFO  result = 0\n"
+                        "PASS  reduced bracket agrees with the derived bracket\nresult: PASS\n")
+
+
 def test_parse_error_exits_two(tmp_path):
     doc = tmp_path / "syntax.spec"
     doc.write_text("[chart a]\nx weight 0\n")

@@ -309,8 +309,8 @@ def test_prolongation_of_tm_matches_tangent_algebroid():
     anc = anchor(alg)
     # anchor components are exactly the xi and dy fibre directions
     chart = alg.carrier.chart
-    assert anc.delta[chart["x1"]] == SuperPolynomial.from_var(chart["xie1"])
-    assert anc.delta[chart["ye1_1"]] == SuperPolynomial.from_var(chart["dye1_2"])
+    assert anc[chart["x1"]] == SuperPolynomial.from_var(chart["xie1"])
+    assert anc[chart["ye1_1"]] == SuperPolynomial.from_var(chart["dye1_2"])
 
 
 # -------------------------------------------------------- tangent algebroid
@@ -320,7 +320,7 @@ def test_tangent_algebroid_lie_and_anchor_identity():
     assert alg.kind == "lie"
     assert validate(alg.carrier).passed
     anc = anchor(alg)
-    for b, p in anc.delta.items():
+    for b, p in anc.items():
         vs = p.variables()
         assert len(vs) == 1 and vs.pop().weight == (b.weight[0], 1)
 
@@ -592,3 +592,36 @@ def test_complete_lift_detects_broken_input():
     assert not commutator(q, q).is_zero()
     lift = complete_lift(q, sys1, 2)
     assert not commutator(lift.derivation, lift.derivation).is_zero()
+
+
+# ------------------------------------------------------------ rejected input
+def _identity_diffeo():
+    return PolynomialDiffeo.build(1, lambda xs: [xs[0]], lambda Xs: [Xs[0]])
+
+
+def _point_data_without_constants():
+    return AlgebroidData(CoordinateSystem([], name="pt", arity=1), ["1", "2"], {}, {})
+
+
+def _empty_bracket(alg):
+    return reduced_bracket(alg, TowerSection({}, {}), TowerSection({}, {}))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StructureConstants(2, {(1, 3, 1): 1}), r"^index out of range in c\^1_\{13\}$"),
+    (lambda: cotangent_algebroid(degree2_example(), SuperPolynomial.constant(1)),
+     r"^Poisson data has tri-weight \(0, 0, 0\), expected \(2, 2, 0\)$"),
+    (lambda: higher_tangent(_identity_diffeo(), 0), "^higher tangent bundles need k >= 1$"),
+    (lambda: complete_lift(tm_algebroid(1).q_field(), tm_algebroid(1).pie_system()[0], 0),
+     "^complete lifts need k >= 1$"),
+    (lambda: prolongation_algebroid(tm_algebroid(1), 1), "^prolongation algebroids need k >= 2$"),
+    (lambda: lie_tower(so3(), 0), "^towers need k >= 1$"),
+    (lambda: _empty_bracket(prolongation_algebroid(tm_algebroid(1), 2)),
+     "^the reduced bracket is defined over a point base$"),
+    (lambda: _empty_bracket(prolongation_algebroid(_point_data_without_constants(), 2)),
+     "^reduced brackets need structure-constant data$"),
+], ids=["constant-index", "poisson-weight", "higher-tangent-k", "complete-lift-k",
+        "prolongation-k", "tower-k", "bracket-base", "bracket-constants"])
+def test_malformed_construction_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gradedbundles.superalg import (
+    ChartMap,
     EVEN,
     ODD,
     ParityMismatch,
@@ -47,6 +48,7 @@ from gradedbundles.linfun import (
     symmetry_report,
 )
 from gradedbundles.constructions import PolynomialDiffeo, higher_tangent
+from gradedbundles.specfile import build_bundle, parse
 
 from helpers import (
     rational_nonzero,
@@ -55,7 +57,7 @@ from helpers import (
     two_pass_linearisation,
     vector_bundle_tangent,
 )
-from test_atlas_golden import bundles
+from test_atlas_golden import SPEC_DIR, bundles, seeded_t3m
 from test_bundle import degree2_example
 
 
@@ -294,6 +296,39 @@ def test_linearise_recharts_once_and_linearise_morphism_never(monkeypatch):
     assert calls == []
 
 
+def test_pairing_builds_each_transition_direction_once(monkeypatch):
+    from gradedbundles import linfun
+
+    F = degree3_example()
+    dual = linear_dual(F)
+    keys = []
+    rechart = linfun.rechart
+
+    def counted(bundle, spec_fn, component_fn, *a, **kw):
+        def component(*args):
+            keys.append(args[-1])
+            return component_fn(*args)
+        return rechart(bundle, spec_fn, component, *a, **kw)
+
+    monkeypatch.setattr(linfun, "rechart", counted)
+    P = pairing(F, dual).bundle
+    assert keys == [(0, 1), (1, 0)]
+    # the second direction is stored as the reversal of the first
+    assert P.transitions[(1, 0)].forward is P.transitions[(0, 1)].inverse
+
+
+@pytest.mark.parametrize("name", ["degree2", "degree3", "odd-degree2", "odd-degree3",
+                                  "seeded T^3 M"])
+def test_pairing_atlas_validates(name):
+    if name == "seeded T^3 M":
+        F = seeded_t3m()
+    else:
+        F = build_bundle(parse((SPEC_DIR / f"{name}.spec").read_text())).bundle
+    P = pairing(F).bundle
+    assert (P.provenance.tag, P.provenance.source) == ("pairing", F)
+    assert validate(P).passed
+
+
 def test_reconstruct_round_trip_random():
     rng = random.Random(23)
     for _ in range(4):
@@ -329,6 +364,28 @@ def test_functor_composition_random():
             linearise_morphism(phi, DG, DH), linearise_morphism(chi, DF, DG)
         )
         assert morphisms_equal(lhs, rhs)
+
+
+def test_chart_zero_components_transport_to_chart_one():
+    # phi_1[V] = tF_10^*(phi_0^*(tG_01[V])) intertwines both transitions and
+    # keeps weights and parities: every chart of a validated atlas is global
+    rng = random.Random(5)
+    for _ in range(20):
+        k_g = rng.choice([2, 3])
+        F = random_bundle(rng, max(k_g, rng.choice([2, 3])), name="tf")
+        G = random_bundle(rng, k_g, name="tg")
+        phi0 = random_morphism(rng, F, G).components
+        tF, tG = F.transitions, G.transitions
+        pull_0, pull_10 = ChartMap(phi0), ChartMap(tF[(1, 0)].forward)
+        phi1 = {V: pull_10(pull_0(tG[(0, 1)].forward[V])) for V in G.charts[1].variables}
+        phis = [phi0, phi1]
+        for i, j in ((0, 1), (1, 0)):
+            pull_f, pull_phi = ChartMap(tF[(i, j)].forward), ChartMap(phis[i])
+            for V in G.charts[j].variables:
+                assert pull_f(phis[j][V]) == pull_phi(tG[(i, j)].forward[V])
+        for V, p in phi1.items():
+            assert weight_of(p, 1) in ("zero", V.weight)
+            assert p.parity() in ("zero", V.parity)
 
 
 def test_embedding_naturality_random():
@@ -407,14 +464,50 @@ def test_projection_lift_diagram():
         assert lhs == rhs
 
 
-def test_weight_violation_raised():
-    F = degree2_example()
-    G = degree2_example()
-    bad = GradedMorphism(F, G, {
-        v: SuperPolynomial.from_var(F.chart["x"]) for v in G.chart.variables
-    })
-    with pytest.raises(WeightViolation):
-        bad.validate()
+def _morphism_of_degree2(components):
+    F, G = degree2_example(), degree2_example()
+    return GradedMorphism(F, G, {G.chart[n]: p(F.chart) for n, p in components.items()})
+
+
+def _parity_flip():
+    S = single_chart_bundle(CoordinateSystem([("x", 0, EVEN), ("y", 1, EVEN)], name="flips"))
+    T = single_chart_bundle(CoordinateSystem([("x", 0, EVEN), ("t", 1, ODD)], name="flipt"))
+    return GradedMorphism(S, T, {T.chart["x"]: S.chart.var("x"), T.chart["t"]: S.chart.var("y")})
+
+
+@pytest.mark.parametrize("morphism, message", [
+    (lambda: _morphism_of_degree2({n: lambda a: a.var("x") for n in "xyz"}),
+     r"^component of y has weight \(0,\), expected \(1,\)$"),
+    (lambda: _morphism_of_degree2({}), "^missing component for x$"),
+    (lambda: _morphism_of_degree2({"x": lambda a: a.var("x"),
+                                   "y": lambda a: a.var("y") + a.var("z")}),
+     "^component of y is inhomogeneous$"),
+    (_parity_flip, "^component of t flips parity$"),
+], ids=["weight", "missing", "inhomogeneous", "parity"])
+def test_weight_violation_raised(morphism, message):
+    with pytest.raises(WeightViolation, match=message):
+        morphism().validate()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GLBundle([CoordinateSystem([("x", (0, 0), 0), ("v", (0, 2), 0)], name="w2")]),
+     "^v has second weight 2, expected 0 or 1$"),
+    (lambda: GLBundle([CoordinateSystem([("x", (0, 0), 0), ("y", (2, 0), 0)], name="bound")],
+                      gl_degree=2),
+     "^first weight 2 exceeds degree bound 1$"),
+    (lambda: linearise(single_chart_bundle(CoordinateSystem([("x", 0, 0)], name="lin0"))),
+     "^linearisation needs degree >= 1$"),
+], ids=["second-weight", "degree-bound", "linearise-degree-0"])
+def test_malformed_gl_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_reconstruct_renames_a_top_coordinate_whose_stripped_name_is_taken():
+    # stripping the d of the top fibre coordinate dx gives the base name x
+    G = GLBundle([CoordinateSystem([("x", (0, 0), 0), ("dx", (1, 1), 0)], name="strip")])
+    R = reconstruct(G)
+    assert [(v.name, v.weight) for v in R.chart.variables] == [("x", (0,)), ("dx_u", (2,))]
 
 
 def test_linear_dual_degree1():
@@ -471,7 +564,7 @@ def test_dual_on_random_bundles():
 def test_pairing_formula_degree2():
     F = degree2_example()
     pr = pairing(F)
-    sys = pr.systems[0]
+    sys = pr.bundle.charts[0]
     expected = sys.var("y") * sys.var("pdy") + 2 * sys.var("z") * sys.var("pdz")
     assert pr.polynomial == expected
 
@@ -731,7 +824,7 @@ def _embedding_failures():
 
 def _invariance_failures():
     pr = pairing(degree3_example())
-    pr.polynomials[1] = pr.polynomials[1] + pr.systems[1].var("X") * pr.systems[1].var("Z")
+    pr.polynomials[1] = pr.polynomials[1] + pr.bundle.charts[1].var("X") * pr.bundle.charts[1].var("Z")
     return _failures(pr.check_invariance())
 
 

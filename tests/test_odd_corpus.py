@@ -57,6 +57,7 @@ PROPERTIES = {
     "reconstruct round trip": lambda F: bundles_structurally_equal(F, reconstruct(linearise(F))),
     "linear dual validates": lambda F: validate(linear_dual(F)).passed,
     "pairing invariance": lambda F: pairing(F).check_invariance().passed,
+    "pairing atlas validates": lambda F: validate(pairing(F).bundle).passed,
     "mironian": lambda F: mironian_report(F).passed,
     "embedding compatibility": lambda F: embedding_compatibility(F).passed,
     "tangent bundle validates": lambda F: validate(tangent_bundle(F)).passed,
@@ -79,7 +80,7 @@ def phase_parities_follow_the_carrier(A):
 
 def anchor_sends_each_coordinate_to_its_velocity(A):
     maps = A.carrier.provenance.maps
-    return anchor(A).delta == {maps["undotted"][0][v]: SuperPolynomial.from_var(dv)
+    return anchor(A) == {maps["undotted"][0][v]: SuperPolynomial.from_var(dv)
                                for v, dv in maps["dotted"][0].items()}
 
 

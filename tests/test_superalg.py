@@ -396,3 +396,40 @@ def test_commutator_order_does_not_depend_on_the_hash_seed():
     assert square == "['theta_xi3', 'theta_xi1']"
     # first-seen order: the keys of D1, then those of D2
     assert mixed == "['a', 'c', 'e', 'g', 'b', 'd', 'f', 'h']"
+
+
+# ------------------------------------------------------------ rejected input
+@pytest.mark.parametrize("build, message", [
+    (lambda: superalg.weight_add((1,), (1, 2)), r"^weight arity mismatch: \(1,\) vs \(1, 2\)$"),
+    (lambda: Variable("u", "v", (1, -1), EVEN, 0), r"^negative weight on v: \(1, -1\)$"),
+    (lambda: Variable("u", "v", (1,), 2, 0), "^parity must be 0 or 1, got 2$"),
+    (lambda: superalg.declare_chart([Variable("ix", "v", (0,), EVEN, 1)]),
+     "^v has index 1, not its position 0$"),
+    (lambda: y ** -1, "^negative powers are not defined$"),
+], ids=["weight-add-arity", "variable-weight", "variable-parity", "chart-index", "negative-power"])
+def test_malformed_algebra_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("action, message", [
+    ({Y: z}, r"^coefficient of d/dy has weight \(2,\), expected \(1,\)$"),
+    ({Y: xi}, "^coefficient of d/dy has parity 1, expected 0$"),
+], ids=["weight", "parity"])
+def test_derivation_rejects_an_inhomogeneous_coefficient(action, message):
+    with pytest.raises(ValueError, match=message):
+        Derivation(action, EVEN, (0,))
+
+
+def test_derivation_sum():
+    D = Derivation({Y: y, Z: z}, EVEN, (0,)) + Derivation({Y: 2 * y, X: x}, EVEN, (0,))
+    assert D.action == {Y: 3 * y, Z: z, X: x}
+    with pytest.raises(ValueError, match="^can only add derivations of equal parity and shift$"):
+        D + Derivation({Y: z}, EVEN, (1,))
+
+
+def test_constructor_widens_for_a_large_exponent():
+    # an exponent of 128 or more does not fit the default field width
+    p = SuperPolynomial({((Y, 200),): 3, ((X, 1), (Y, 1)): Fraction(1, 2)})
+    assert p == 3 * y ** 200 + x * y / 2
+    assert p.terms == {((Y, 200),): Fraction(3), ((X, 1), (Y, 1)): Fraction(1, 2)}

@@ -40,6 +40,7 @@ from gradedbundles.algebroid import (
     epsilon_components,
     p_from_q,
     restrict_to_A1,
+    rho_hat,
     WeightedAlgebroid,
 )
 from gradedbundles.constructions import (
@@ -78,7 +79,7 @@ def test_pairing_degree1():
         {"x": B.var("X"), "y": B.var("Y") / 2},
     )
     pr = pairing(E)
-    sys = pr.systems[0]
+    sys = pr.bundle.charts[0]
     assert pr.polynomial == sys.var("y") * sys.var("pdy")
     assert weight_of(pr.polynomial, 2) == (1, 1)
     assert pr.check_invariance().passed
@@ -136,10 +137,10 @@ def test_general_degree2_field_display():
     chart = D.chart
     dy, dz = chart.var("dy"), chart.var("dz")
     xb, yb = chart.var("x"), chart.var("y")
-    assert anc.delta[chart["x"]] == dy * (1 + xb)
-    assert anc.delta[chart["y"]] == dy * yb * (xb * xb) + dz * (3 + xb)
+    assert anc[chart["x"]] == dy * (1 + xb)
+    assert anc[chart["y"]] == dy * yb * (xb * xb) + dz * (3 + xb)
 
-    hat = anc.rho_hat()
+    hat = rho_hat(alg)
     Fx, Fy, Fz = F.chart.var("x"), F.chart.var("y"), F.chart.var("z")
     assert hat[chart["x"]] == Fy * (1 + Fx)
     assert hat[chart["y"]] == Fy * Fy * (Fx * Fx) + 2 * Fz * (3 + Fx)
