@@ -41,7 +41,6 @@ from .superalg import (
     commutator,
     partial,
     partial_right,
-    render,
     sum_of_products,
     total,
     weight_add,
@@ -58,10 +57,6 @@ class CoordinateMismatch(ValueError):
 
 class MalformedQ(ValueError):
     """An odd vector field is outside the algebroid structural shape."""
-
-
-class DegreeUnderflow(ValueError):
-    """A derived bracket left the representable section degrees."""
 
 
 class NotALinearisation(ValueError):
@@ -198,7 +193,13 @@ class OddPhaseSpace:
 
 
 class HomologicalField:
-    """Odd vector field of total weight one on the parity-reversed carrier."""
+    """Odd vector field of total weight one on the parity-reversed carrier.
+
+    The field's shape is checked here, once: it is odd, shifts tri-weight by
+    (0, 1, 0), leaves pi and chi alone, and each x and theta coefficient is
+    a polynomial on the phase space of tri-weight ``v.weight + (0, 1, 0)``.
+    Every reader of a field relies on that.
+    """
 
     def __init__(self, derivation: Derivation, phase: OddPhaseSpace):
         if derivation.parity != ODD:
@@ -208,6 +209,15 @@ class HomologicalField:
                 f"structure field must shift tri-weight by (0, 1, 0), "
                 f"got {derivation.weight_shift}"
             )
+        for v in phase.pis + phase.chis:
+            if not derivation.coefficient(v).is_zero():
+                raise MalformedQ(f"field acts on dual coordinate {v.name}")
+        for v in phase.xs + phase.thetas:
+            # a checked derivation has compared each coefficient's weight
+            # with v.weight + (0, 1, 0) already
+            expected = None if derivation.check else weight_add(v.weight, (0, 1, 0))
+            _check_shape(phase, derivation.coefficient(v), expected, MalformedQ,
+                         f"coefficient of d/d{v.name}")
         self.derivation = derivation
         self.phase = phase
 
@@ -232,40 +242,23 @@ class AlgebroidHamiltonian:
 
 def _check_shape(phase: OddPhaseSpace, p: SuperPolynomial, expected, error, what: str):
     """Raise ``error`` unless ``p`` is zero or a polynomial on the phase space
-    of tri-weight ``expected``.  The last two tri-weight entries count theta
-    (1, 0), pi (0, 1) and chi (1, 1) factors, so they fix the shape: (2, 1)
-    is theta chi or theta theta pi, (0, 1) one pi and (1, 0) one theta."""
+    of tri-weight ``expected``; an ``expected`` of None checks the phase
+    space only.  The last two tri-weight entries count theta (1, 0), pi
+    (0, 1) and chi (1, 1) factors, so they fix the shape: (2, 1) is theta chi
+    or theta theta pi, (0, 1) one pi and (1, 0) one theta."""
     try:
         phase.poisson._check(p)
     except CoordinateMismatch as exc:
         raise error(f"{what}: {exc}") from None
+    if expected is None:
+        return
     w = weight_of(p, 3)
     if w not in ("zero", expected):
         raise error(f"{what} has tri-weight {w}, expected {expected}")
 
 
-def _check_q_shape(Q: HomologicalField):
-    phase = Q.phase
-    for v in phase.pis + phase.chis:
-        if not Q.coefficient(v).is_zero():
-            raise MalformedQ(f"field acts on dual coordinate {v.name}")
-    for v in phase.xs + phase.thetas:
-        what = f"coefficient of d/d{v.name}"
-        if not Q.derivation.check:
-            _check_shape(phase, Q.coefficient(v), weight_add(v.weight, (0, 1, 0)),
-                         MalformedQ, what)
-            continue
-        # a checked derivation has compared each coefficient's weight with
-        # v.weight + (0, 1, 0) already
-        try:
-            phase.poisson._check(Q.coefficient(v))
-        except CoordinateMismatch as exc:
-            raise MalformedQ(f"{what}: {exc}") from None
-
-
 def p_from_q(Q: HomologicalField) -> AlgebroidHamiltonian:
     """Hamiltonian encoding: P = sum Q(x) chi - sum Q(theta) pi."""
-    _check_q_shape(Q)
     phase, action, var = Q.phase, Q.derivation.action, SuperPolynomial.from_var
     P = sum_of_products(
         [(1, action[x], var(phase.chi_of[b])) for b, x in phase.x_of.items() if x in action]
@@ -354,7 +347,6 @@ def q_blocks(Q: HomologicalField):
     docstring states, the inverse of ``structure_action``: the nonzero
     entries only, rho with b outer and f inner, c with K, then I, then J,
     each in chart order."""
-    _check_q_shape(Q)
     phase = Q.phase
     to_carrier = ChartMap({x: b for b, x in phase.x_of.items()})
     fibers = list(phase.theta_of.items())
@@ -431,22 +423,13 @@ def derived_bracket(
 ) -> AlgebroidSection:
     """[[s1, P], s2] up to the fixed overall sign; degree r1 + r2 - k.
 
-    A bracket that would land below the representable section degrees is
-    identically zero by weight accounting; it is returned as the zero
-    section and DegreeUnderflow is raised only if a nonzero residue ever
-    appeared there.
-    """
+    A bracket below degree 1 is zero by weight accounting, and the section's
+    own shape check holds it to that."""
     if s1.phase is not s2.phase or s1.phase is not P.phase:
         raise CoordinateMismatch("sections and Hamiltonian on different spaces")
     phase = P.phase
-    result = phase.derived_bracket(s1.poly, s2.poly, P.poly)
-    degree = s1.degree + s2.degree - phase.k
-    if degree < 1 and not result.is_zero():
-        raise DegreeUnderflow(
-            f"bracket of degrees {s1.degree}, {s2.degree} is nonzero below "
-            f"degree 1: {render(result)}"
-        )
-    return AlgebroidSection(result, degree, phase)
+    return AlgebroidSection(phase.derived_bracket(s1.poly, s2.poly, P.poly),
+                            s1.degree + s2.degree - phase.k, phase)
 
 
 # ------------------------------------------------------------------ anchors

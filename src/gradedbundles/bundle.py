@@ -198,13 +198,15 @@ def single_chart_bundle(chart, cls=GradedBundle):
 
 
 # ------------------------------------------------------------------ validate
-def _check_components(report, label, target_vars, components, arity) -> bool:
-    """Add the weight and parity items; True when every parity holds."""
-    parities_ok = True
+def _check_components(report, label, target_vars, components, arity):
+    """Add the declared, weight and parity items; returns whether every
+    component is declared and whether every declared one has its parity."""
+    declared = parities_ok = True
     for v in target_vars:
         p = components.get(v)
         if p is None:
             report.add(f"{label}: component for {v.name} declared", False)
+            declared = False
             continue
         w = weight_of(p, arity)
         ok = w == "zero" or w == v.weight
@@ -221,7 +223,7 @@ def _check_components(report, label, target_vars, components, arity) -> bool:
             "" if ok else f"parity {par}, expected {v.parity}",
         )
         parities_ok &= ok
-    return parities_ok
+    return declared, parities_ok
 
 
 def _check_round_trip(report, label, t: TransitionMap) -> ChartMap:
@@ -259,20 +261,25 @@ def _check_linear_block(report, label, t: TransitionMap):
 def validate(bundle: GradedBundle) -> Report:
     """Check homogeneity, declared invertibility and structure of an atlas."""
     report = Report()
-    # Substituting a transition's components for coordinates needs their
-    # parities, so a transition whose parity items fail gets no round trip,
-    # and no cocycle starts with it.  The round trip and the cocycles pull
-    # back along one map per transition, its forward components.
-    pulls = {}
+    # Substituting a transition's components for coordinates needs all of
+    # them, with their parities, so a transition with a missing component
+    # or a failed parity item gets no round trip, and no cocycle starts with
+    # it; a cocycle also reads every component of its other two legs.  The
+    # round trip and the cocycles pull back along one map per transition,
+    # its forward components.
+    pulls, complete = {}, set()
     for (i, j), t in sorted(bundle.transitions.items()):
         label = f"transition {i}->{j}"
-        if _check_components(report, label, t.target.variables, t.forward, bundle.arity):
-            pulls[(i, j)] = _check_round_trip(report, label, t)
+        declared, parities_ok = _check_components(
+            report, label, t.target.variables, t.forward, bundle.arity)
+        if declared:
+            complete.add((i, j))
+            if parities_ok:
+                pulls[(i, j)] = _check_round_trip(report, label, t)
         _check_linear_block(report, label, t)
     if len(bundle.charts) >= 3:
         for i, j, k in itertools.permutations(range(len(bundle.charts)), 3):
-            if (i, j) in pulls and (j, k) in bundle.transitions \
-                    and (i, k) in bundle.transitions:
+            if (i, j) in pulls and (j, k) in complete and (i, k) in complete:
                 t_jk = bundle.transitions[(j, k)]
                 t_ik = bundle.transitions[(i, k)]
                 ok = True

@@ -390,28 +390,22 @@ def contragredient(comps, other, src, dst, key=None):
     fibre coordinate transforms by the transpose of the opposite direction's
     Jacobian, pulled back along this direction.
     """
-    base = ChartMap(src["base"])
-    out = {new: base(comps[v]) for v, new in dst["base"].items()}
     # An entry is pulled back along the renamed components, which equals
-    # renaming its pullback, since renaming is a homomorphism.  The entries
-    # of a law linear in the fibre involve base coordinates only, whose
-    # renamed components are those just built.  The others are renamed for
-    # the first entry that involves them, or when a component has the wrong
-    # parity, so that the pullback rejects it.
-    renamed = {v: out[new] for v, new in dst["base"].items()}
+    # renaming its pullback, since renaming is a homomorphism.  A law linear
+    # in the fibre has entries in the base coordinates only, so the pullback
+    # needs their renamed components alone; a component of the wrong parity
+    # is renamed too, so that the pullback's first application rejects it.
+    base = ChartMap(src["base"])
+    renamed = {v: base(p) for v, p in comps.items()
+               if v in dst["base"] or p.parity() not in ("zero", v.parity)}
+    out = {new: renamed[v] for v, new in dst["base"].items()}
     pull = ChartMap(renamed)
-    rename_all = any(p.parity() not in ("zero", v.parity) for v, p in comps.items())
     for a, pa in dst["dual"].items():
         terms = []
         for b, pb in src["dual"].items():
             entry = partial(other[b], a)
-            if entry.is_zero():
-                continue
-            if rename_all or pull.unmapped(entry) is not None:
-                renamed = {v: renamed[v] if v in renamed else base(p) for v, p in comps.items()}
-                pull = ChartMap(renamed)
-                rename_all = False
-            terms.append((1, pull(entry), SuperPolynomial.from_var(pb)))
+            if not entry.is_zero():
+                terms.append((1, pull(entry), SuperPolynomial.from_var(pb)))
         out[pa] = sum_of_products(terms)
     return out
 

@@ -161,6 +161,28 @@ def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
     assert checked.count(True) == 3
 
 
+def test_structure_field_shape_is_checked_once_when_made(tower2, monkeypatch):
+    # the field's constructor checks each x and theta coefficient, in chart
+    # order; building the algebroid (which checks its Hamiltonian) and
+    # reading its anchor and A1 projection check none of them again
+    phase = tower2.phase
+    coefficients = [tower2.q.coefficient(v) for v in phase.xs + phase.thetas]
+    checked = []
+    check = OddPoissonSpace._check
+
+    def spy(self, p, *args):
+        checked.append(p)
+        return check(self, p, *args)
+
+    monkeypatch.setattr(OddPoissonSpace, "_check", spy)
+    alg = WeightedAlgebroid.from_q(phase.field(dict(tower2.q.derivation.action)))
+    anchor(alg)
+    restrict_to_A1(alg.q)
+    n = len(coefficients)
+    assert len(checked) > n and all(p is c for p, c in zip(checked, coefficients))
+    assert not any(p is c for p in checked[n:] for c in coefficients)
+
+
 def _random_phase_poly(rng, phase, parity=None):
     vars_ = phase.system.variables
     p = ZERO
@@ -310,7 +332,7 @@ def test_malformed_q_rejected(tower2):
     bad = Derivation({x: SuperPolynomial.from_var(phase.chis[0])}, ODD, (0, 1, 0),
                      check=False)
     with pytest.raises(MalformedQ):
-        p_from_q(HomologicalField(bad, phase))
+        HomologicalField(bad, phase)
     with pytest.raises(MalformedQ):
         HomologicalField(
             Derivation({x: SuperPolynomial.from_var(phase.thetas[0])}, 0, (0, 1, 0),
@@ -334,14 +356,14 @@ def _off_phase(weight):
 
 # each builds a field, Hamiltonian or section outside the structural shape
 SHAPE_FAULTS = {
-    "q-acts-on-pi": (MalformedQ, lambda ph: p_from_q(
-        _unchecked_field(ph, ph.pis[0], _var(ph.thetas[0])))),
-    "q-acts-on-chi": (MalformedQ, lambda ph: p_from_q(
-        _unchecked_field(ph, ph.chis[0], _var(ph.thetas[0])))),
-    "theta-coefficient-linear-in-theta": (MalformedQ, lambda ph: p_from_q(
-        _unchecked_field(ph, ph.thetas[0], _var(ph.thetas[1])))),
-    "x-coefficient-with-chi": (MalformedQ, lambda ph: p_from_q(
-        _unchecked_field(ph, ph.xs[0], _var(ph.chis[0])))),
+    "q-acts-on-pi": (MalformedQ, lambda ph: _unchecked_field(
+        ph, ph.pis[0], _var(ph.thetas[0]))),
+    "q-acts-on-chi": (MalformedQ, lambda ph: _unchecked_field(
+        ph, ph.chis[0], _var(ph.thetas[0]))),
+    "theta-coefficient-linear-in-theta": (MalformedQ, lambda ph: _unchecked_field(
+        ph, ph.thetas[0], _var(ph.thetas[1]))),
+    "x-coefficient-with-chi": (MalformedQ, lambda ph: _unchecked_field(
+        ph, ph.xs[0], _var(ph.chis[0]))),
     "hamiltonian-theta-pi": (MalformedQ, lambda ph: AlgebroidHamiltonian(
         _var(ph.thetas[0]) * _var(ph.pis[0]), ph)),
     "section-with-theta": (ValueError, lambda ph: AlgebroidSection(
@@ -370,26 +392,33 @@ def test_off_phase_variables_rejected(tower2):
         AlgebroidHamiltonian(_var(theta) * _var(chi) * z, phase)
     x = next(v for v in phase.xs if v.weight == (k - 1, 0, 0))
     with pytest.raises(MalformedQ):
-        p_from_q(HomologicalField(Derivation({x: _var(theta) * z}, ODD, (0, 1, 0)), phase))
+        HomologicalField(Derivation({x: _var(theta) * z}, ODD, (0, 1, 0)), phase)
     pi = phase.pis[0]
     with pytest.raises(ValueError, match="^section: variable z is not on this phase space$"):
         AlgebroidSection(_var(pi) * z, pi.weight[0] + 1, phase)
 
 
-def test_checked_field_off_the_phase_space_rejected(tower2):
-    # phase.field checks every coefficient's weight, so p_from_q skips that
-    # test; z has the weight of the base and still may not appear
+def test_checked_field_off_the_phase_space_rejected(tower2, monkeypatch):
+    # phase.field checks every coefficient's weight, so HomologicalField
+    # skips that test; z has the weight of the base and still may not appear
     phase = tower2.phase
     k = phase.k
     theta = next(v for v in phase.thetas if v.weight == (k - 1, 1, 0))
     x = next(v for v in phase.xs if v.weight == (k - 1, 0, 0))
     z = _off_phase((0, 0, 0))
+    derivations = []
+    init = HomologicalField.__init__
+
+    def spy(self, derivation, phase):
+        derivations.append(derivation)
+        init(self, derivation, phase)
+
+    monkeypatch.setattr(HomologicalField, "__init__", spy)
     for v, c in ((x, _var(theta) * z), (theta, _var(theta) * _var(phase.thetas[0]) * z)):
-        Q = phase.field({v: c})
-        assert Q.derivation.check
         with pytest.raises(MalformedQ,
                            match=f"^coefficient of d/d{v.name}: variable z is not on"):
-            p_from_q(Q)
+            phase.field({v: c})
+        assert derivations.pop().check
 
 
 def test_derived_bracket_degree_law():
@@ -542,13 +571,11 @@ def test_projection_obstruction():
     action[th_low] = SuperPolynomial.from_var(th_low) * SuperPolynomial.from_var(
         [v for v in phase.thetas if v.weight[0] == 1][0]
     )
-    bad = HomologicalField(
-        Derivation(action, ODD, (0, 1, 0), check=False), phase
-    )
-    # the field is weight-malformed, which the block reader's shape check finds
+    # the field is weight-malformed, which its own shape check finds before
+    # the projection reads it
     with pytest.raises(MalformedQ, match=r"^coefficient of d/dtheta_xi1 has tri-weight "
                        r"\(1, 2, 0\), expected \(0, 2, 0\)$"):
-        restrict_to_A1(bad)
+        restrict_to_A1(HomologicalField(Derivation(action, ODD, (0, 1, 0), check=False), phase))
 
 
 def test_epsilon_components_structure(tower2):

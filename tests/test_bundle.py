@@ -433,8 +433,35 @@ def test_validate_reports_missing_components():
     t = F.transitions[(0, 1)]
     short = TransitionMap(A, B, {v: p for v, p in t.forward.items() if v.name != "Z"}, t.inverse)
     rep = validate(GradedBundle([A, B], {(0, 1): short, (1, 0): short.reversed()}))
+    # the forward law without Z gets no round trip, whose residual would mix
+    # the two charts
     assert [item.check_id for item in rep.failures()] == [
         "transition 0->1: component for Z declared",
-        "transition 0->1: round trip on z",
         "transition 1->0: inverse component for Z declared",
     ]
+
+
+def test_validate_skips_cocycles_through_a_missing_component():
+    """On three charts, a transition that lacks a component gets no round
+    trip and enters no cocycle, in any leg, instead of raising."""
+    charts = [CoordinateSystem([(f"x{i}", 0, 0), (f"v{i}", 1, 0)], name=f"mc{i}")
+              for i in range(3)]
+
+    def tmap(i, j):
+        x, v = charts[i].var(f"x{i}"), charts[i].var(f"v{i}")
+        X, V = charts[j].var(f"x{j}"), charts[j].var(f"v{j}")
+        fwd = {charts[j][f"x{j}"]: x, charts[j][f"v{j}"]: v}
+        if (i, j) == (1, 2):
+            del fwd[charts[2]["v2"]]
+        return TransitionMap(charts[i], charts[j], fwd,
+                             {charts[i][f"x{i}"]: X, charts[i][f"v{i}"]: V})
+
+    bundle = GradedBundle(charts, {(i, j): tmap(i, j)
+                                   for i in range(3) for j in range(3) if i != j})
+    rep = validate(bundle)
+    assert [i.check_id for i in rep.failures()] == ["transition 1->2: component for v2 declared"]
+    ids = {i.check_id for i in rep.items}
+    assert not any(i.startswith("transition 1->2: round trip") for i in ids)
+    assert "transition 2->1: round trip on v2" in ids
+    assert sorted(i for i in ids if i.startswith("cocycle")) == [
+        "cocycle 0->2->1", "cocycle 2->0->1", "cocycle 2->1->0"]

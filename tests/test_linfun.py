@@ -20,6 +20,7 @@ from gradedbundles.bundle import (
     CoordinateSystem,
     GradedBundle,
     IllDefinedProjection,
+    TransitionMap,
     single_chart_bundle,
     two_chart_bundle,
     validate,
@@ -47,7 +48,7 @@ from gradedbundles.linfun import (
     reconstruct,
     symmetry_report,
 )
-from gradedbundles.constructions import PolynomialDiffeo, higher_tangent
+from gradedbundles.constructions import PolynomialDiffeo, cotangent_bundle, higher_tangent
 from gradedbundles.specfile import build_bundle, parse
 
 from helpers import (
@@ -78,6 +79,39 @@ def degree3_example():
               - Fraction(1, 240) * Y ** 3 - Fraction(1, 240) * X * Y ** 3
               + Fraction(1, 240) * X ** 2 * Y ** 3},
     )
+
+
+def _declared_as(F, order):
+    """F's atlas with each chart's coordinates declared in ``order``, a list
+    of positions in the chart; names, weights and laws are unchanged."""
+    charts = [CoordinateSystem([(c.variables[n].name, c.variables[n].weight, c.variables[n].parity)
+                                for n in order], name=c.name + "_r", arity=F.arity)
+              for c in F.charts]
+    to = [ChartMap({v: new[v.name] for v in c.variables}) for c, new in zip(F.charts, charts)]
+    return GradedBundle(charts, {
+        (i, j): TransitionMap(charts[i], charts[j],
+                              {charts[j][v.name]: to[i](p) for v, p in t.forward.items()},
+                              {charts[i][v.name]: to[j](p) for v, p in t.inverse.items()})
+        for (i, j), t in F.transitions.items()})
+
+
+@pytest.mark.parametrize("example, order", [
+    (degree2_example, [0, 2, 1]),
+    (degree3_example, [0, 2, 1, 3]),
+    (degree3_example, [0, 3, 2, 1]),
+], ids=["degree2-xzy", "degree3-xzyw", "degree3-xwzy"])
+def test_linearisation_of_charts_declared_out_of_weight_order(example, order):
+    # a top coordinate declared before a lower-weight one is renamed onto its
+    # dotted copy out of field order, by substitution; the atlas is the one
+    # linearised from the charts declared in weight order
+    F = example()
+    shuffled = _declared_as(F, order)
+    assert [v.name for v in shuffled.charts[0].variables] == \
+        [F.charts[0].variables[n].name for n in order]
+    for D in (linearise(F), linearise(shuffled)):
+        assert validate(D).passed
+        assert is_symmetric(D)
+    assert bundles_structurally_equal(linearise(shuffled), linearise(F))
 
 
 def test_linearise_degree2_dotted_laws():
@@ -525,14 +559,31 @@ def test_linear_dual_degree1():
     assert validate(dual).passed
 
 
-def test_contragredient_rejects_a_fibre_image_of_the_wrong_parity():
+def _dual_of_a_wrong_parity_fibre_image():
     # the odd fibre coordinate DA of chart b has the even image dx
     A = CoordinateSystem([("x", (0, 0), EVEN), ("dx", (0, 1), EVEN)], name="pa", arity=2)
     B = CoordinateSystem([("X", (0, 0), EVEN), ("DA", (0, 1), ODD)], name="pb", arity=2)
     G = two_chart_bundle(A, B, {"X": A.var("x"), "DA": A.var("dx")},
                          {"x": B.var("X"), "dx": B.var("DA")}, cls=GLBundle)
-    with pytest.raises(ParityMismatch, match=r"^image of DA \(parity 1\) has parity 0$"):
-        linear_dual(G.base_bundle(), G)
+    return "DA", lambda: linear_dual(G.base_bundle(), G)
+
+
+def _cotangent_of_a_wrong_parity_image():
+    # the odd coordinate T of chart b has the even image y
+    A = CoordinateSystem([("x", 0, EVEN), ("y", 1, EVEN)], name="ca")
+    B = CoordinateSystem([("X", 0, EVEN), ("T", 1, ODD)], name="cb")
+    F = two_chart_bundle(A, B, {"X": A.var("x"), "T": A.var("y")},
+                         {"x": B.var("X"), "y": B.var("T")})
+    return "T", lambda: cotangent_bundle(F)
+
+
+@pytest.mark.parametrize("case", [_dual_of_a_wrong_parity_fibre_image,
+                                  _cotangent_of_a_wrong_parity_image],
+                         ids=["linear_dual", "cotangent_bundle"])
+def test_contragredient_rejects_a_fibre_image_of_the_wrong_parity(case):
+    name, build = case()
+    with pytest.raises(ParityMismatch, match=rf"^image of {name} \(parity 1\) has parity 0$"):
+        build()
 
 
 @pytest.mark.parametrize("weights", [[0, 1], [(0, 0, 0), (0, 1, 0)]], ids=["arity-1", "arity-3"])
