@@ -2,7 +2,9 @@
 
 The dual of a Lie algebra carries its linear Poisson bracket; the cotangent
 bundle of that space is then a weighted Lie algebroid, and its weight-one
-leg is the classical cotangent Lie algebroid. Perturbing the structure
+leg is the classical cotangent Lie algebroid. ``linear_poisson`` writes P
+on the phase space of that cotangent bundle, and ``cotangent_algebroid``
+builds the algebroid on the same phase space. Perturbing the structure
 constants demotes everything to a skew algebroid, detected exactly.
 """
 
@@ -17,12 +19,12 @@ from gradedbundles import (
     weight_of,
 )
 
-F, carrier, phase, P = linear_poisson(so3())
-print("carrier is the cotangent bundle, degree", carrier.gl_degree)
-print("carrier validates:", validate(carrier).passed)
+phase, P = linear_poisson(so3())
+print("carrier is the cotangent bundle, degree", phase.carrier.gl_degree)
+print("carrier validates:", validate(phase.carrier).passed)
 print("poisson data P =", render(P), "| tri-weight", weight_of(P, 3))
 
-alg = cotangent_algebroid(F, P)
+alg = cotangent_algebroid(phase, P)
 print("kind:", alg.kind)
 print("[P,P] =", render(alg.poisson_residual))
 
@@ -38,7 +40,6 @@ for v, c in restrict_to_A1(alg.q).action.items():
 
 broken = StructureConstants(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
                                 (1, 2, 1): 1})
-Fb, _, _, Pb = linear_poisson(broken)
-bad = cotangent_algebroid(Fb, Pb)
+bad = cotangent_algebroid(*linear_poisson(broken))
 print("\nperturbed constants give kind:", bad.kind)
 print("perturbed [P,P] =", render(bad.poisson_residual))

@@ -370,19 +370,18 @@ def q_blocks(Q: HomologicalField):
     return rho, c
 
 
-def algebroid_from_coefficients(carrier: GLBundle, anchor_coeffs, bracket_coeffs,
-                                chart: int = 0) -> WeightedAlgebroid:
-    """Build from raw epsilon data.
+def algebroid_from_coefficients(phase: OddPhaseSpace, anchor_coeffs,
+                                bracket_coeffs) -> WeightedAlgebroid:
+    """Build on ``phase`` from raw epsilon data named on its carrier's chart.
 
     ``anchor_coeffs`` maps (base-leg name, fibre name) to a polynomial in
-    the carrier's base-leg coordinates; ``bracket_coeffs`` maps fibre-name
-    triples (I, J, K) to the coefficient standing with theta^J theta^I
-    against d/d theta^K.  Antisymmetric bracket data encodes an odd vector
-    field and the result is classified skew or lie; non-antisymmetric data
-    is recorded as a general weighted algebroid without a field.
+    the base-leg coordinates of ``phase.chart``; ``bracket_coeffs`` maps
+    fibre-name triples (I, J, K) to the coefficient standing with theta^J
+    theta^I against d/d theta^K.  Antisymmetric bracket data encodes an odd
+    vector field and the result is classified skew or lie; non-antisymmetric
+    data is recorded as a general weighted algebroid without a field.
     """
-    phase = OddPhaseSpace(carrier, chart)
-    chart_sys = carrier.charts[chart]
+    chart_sys = phase.carrier.charts[phase.chart]
 
     def poly(p):
         return p if isinstance(p, SuperPolynomial) else SuperPolynomial.constant(p)

@@ -387,16 +387,6 @@ def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
     return rechart(bundle, spec, components, cls=cls or type(bundle), tag=tag, **kwargs)
 
 
-def project_leq(bundle: GradedBundle, l: int, component: int | None = None,
-                cls=None) -> GradedBundle:
-    """Base of the fibration keeping weights <= l (total or one component)."""
-    if component is None:
-        keep = lambda v: total(v.weight) <= l
-    else:
-        keep = lambda v: v.weight[component] <= l
-    return restrict(bundle, keep, "project", cls=cls)
-
-
 def project_tower(bundle: GradedBundle, l: int) -> GradedBundle:
     """The tower fibration F_k -> F_l, recorded in the result's provenance.
 
@@ -405,7 +395,7 @@ def project_tower(bundle: GradedBundle, l: int) -> GradedBundle:
     """
     if l < 0:
         raise ValueError(f"negative tower level {l}")
-    return project_leq(bundle, l, cls=GradedBundle)
+    return restrict(bundle, lambda v: total(v.weight) <= l, "project", cls=GradedBundle)
 
 
 def core_submanifold(bundle: GradedBundle, i: int) -> GradedBundle:

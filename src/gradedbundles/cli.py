@@ -214,9 +214,8 @@ def _cotangent_structure(doc: SpecDocument, section):
     if k != 2:
         e = structure_entries(section)["k"][0]
         raise SpecSyntaxError("cotangent-linear structures fix k = 2", e.line, e.col)
-    F, _, _, P = linear_poisson(c)
     return (f"structure: cotangent of a linear Poisson space, dim {c.dim}",
-            cotangent_algebroid(F, P), c)
+            cotangent_algebroid(*linear_poisson(c)), c)
 
 
 def _tk_structure(doc: SpecDocument, section):

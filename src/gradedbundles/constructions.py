@@ -253,32 +253,25 @@ def cotangent_bundle(F: GradedBundle) -> GLBundle:
                    gl_degree=km1 + 1)
 
 
-def momentum_pairing(phase: OddPhaseSpace) -> OddPoissonSpace:
-    """The odd symplectic pairing of a parity-reversed cotangent bundle:
-    each coordinate against the theta of its own momentum."""
-    chart = phase.chart
-    pairs = []
-    maps = phase.carrier.provenance.maps
-    for v, pv in maps["dual"][chart].items():
-        pairs.append((phase.x_of[maps["base"][chart][v]], phase.theta_of[pv]))
-    return OddPoissonSpace(phase.system, pairs)
-
-
-def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial) -> WeightedAlgebroid:
+def cotangent_algebroid(phase: OddPhaseSpace, P: SuperPolynomial) -> WeightedAlgebroid:
     """Weighted algebroid of an (almost) Poisson structure on F.
 
-    ``P`` is a polynomial in the phase-space coordinates (x..., theta...)
-    of the parity-reversed cotangent bundle, homogeneous of tri-weight
-    (deg F, 2, 0).  The structure field is minus its Hamiltonian field for
-    the momentum pairing; the Lie verdict is the vanishing of [P, P].  The
-    phase space is built from F, and equal charts share their variables.
+    ``phase`` is ``OddPhaseSpace(cotangent_bundle(F), chart)``, on any chart,
+    and ``P`` is a polynomial in its coordinates (x..., theta...),
+    homogeneous of tri-weight (deg F, 2, 0).  The structure field is minus
+    its Hamiltonian field for the momentum pairing, each coordinate against
+    the theta of its own momentum; the Lie verdict is the vanishing of
+    [P, P].
     """
-    km1 = F.degree
+    prov = phase.carrier.provenance
+    if prov.tag != "cotangent":
+        raise ValueError(f"not a cotangent phase space: the carrier's provenance is {prov.tag!r}")
     w = weight_of(P, 3)
-    if w not in ("zero", (km1, 2, 0)):
-        raise ValueError(f"Poisson data has tri-weight {w}, expected {(km1, 2, 0)}")
-    phase = OddPhaseSpace(cotangent_bundle(F))
-    poisson = momentum_pairing(phase)
+    if w not in ("zero", (phase.k - 1, 2, 0)):
+        raise ValueError(f"Poisson data has tri-weight {w}, expected {(phase.k - 1, 2, 0)}")
+    base = prov.maps["base"][phase.chart]
+    poisson = OddPoissonSpace(phase.system, [(phase.x_of[base[v]], phase.theta_of[pv])
+                                             for v, pv in prov.maps["dual"][phase.chart].items()])
     derivation = poisson.hamiltonian_field(P, phase.xs + phase.thetas, (0, 1, 0), ODD)
     return WeightedAlgebroid.from_q(HomologicalField(derivation, phase), poisson_data=P,
                                     poisson_residual=poisson.bracket(P, P))
@@ -287,22 +280,22 @@ def cotangent_algebroid(F: GradedBundle, P: SuperPolynomial) -> WeightedAlgebroi
 def linear_poisson(c: StructureConstants):
     """The linear Poisson structure of a Lie algebra on its dual space.
 
-    Returns (F, carrier, phase, P) where F is the dual space as a degree-1
-    bundle over a point and P = 1/2 c^k_{ij} y_k theta^i theta^j.
+    Returns (phase, P), the arguments of ``cotangent_algebroid``: ``phase``
+    is the phase space of T*F, where F (``phase.carrier.provenance.source``)
+    is the dual space as a degree-1 bundle over a point, and
+    P = 1/2 c^k_{ij} y_k theta^i theta^j is written on it.
     """
     chart = CoordinateSystem(
         [(f"y{a}", 1, EVEN) for a in range(1, c.dim + 1)], name="gstar"
     )
-    F = single_chart_bundle(chart)
-    carrier = cotangent_bundle(F)
-    phase = OddPhaseSpace(carrier)
-    maps = carrier.provenance.maps
+    phase = OddPhaseSpace(cotangent_bundle(single_chart_bundle(chart)))
+    maps = phase.carrier.provenance.maps
     y = [SuperPolynomial.from_var(phase.x_of[maps["base"][0][v]]) for v in chart]
     theta = [SuperPolynomial.from_var(phase.theta_of[maps["dual"][0][v]]) for v in chart]
     P = sum_of_products(
         (v, y[k - 1] * theta[i - 1], theta[j - 1]) for (i, j, k), v in c.c.items() if i < j
     )
-    return F, carrier, phase, P
+    return phase, P
 
 
 # ------------------------------------------------------ higher tangent lift

@@ -977,9 +977,10 @@ class ChartMap:
 
     Per source ring, on first use, a plan is kept while the map lives: the
     assigned fields' mask, each field's image and one power cache that all
-    polynomials share.  A renaming whose images keep the order of the
-    assigned fields, in one ring of the same width, moves keys by masked
-    shifts; other polynomials are substituted, which reorders odd factors
+    polynomials share.  An injective renaming into one ring of the same
+    width, whose odd images keep their order, moves keys by masked shifts:
+    an even factor commutes with every factor, so even images may pass any
+    other.  Other polynomials are substituted, which reorders odd factors
     with their Koszul sign, zeroes two odd factors sent to one variable and
     adds the exponents of even factors sent to one variable.
     """
@@ -1015,8 +1016,9 @@ class ChartMap:
             order = sorted(images)
             ring = _home(images[order[0]])
             targets = [ring.pos(images[i]) if _home(images[i]) is ring else -1 for i in order]
-            if ring.width == w and -1 not in targets and all(
-                    a < b for a, b in zip(targets, targets[1:])):
+            odd = [j for i, j in zip(order, targets) if images[i].parity == ODD]
+            if ring.width == w and -1 not in targets and len(set(targets)) == len(targets) \
+                    and odd == sorted(odd):
                 moves = {}
                 for i, j in zip(order, targets):
                     moves[j - i] = moves.get(j - i, 0) | field << (i * w)

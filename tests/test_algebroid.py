@@ -148,7 +148,7 @@ def test_coordinate_mismatch_names_the_first_foreign_coordinate(seed):
 
 def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
     # once for its Hamiltonian field, twice for [P, P]
-    F, _, _, P = linear_poisson(so3())
+    phase, P = linear_poisson(so3())
     checked = []
     check = OddPoissonSpace._check
 
@@ -157,7 +157,7 @@ def test_cotangent_algebroid_checks_the_poisson_data_three_times(monkeypatch):
         return check(self, p, *args)
 
     monkeypatch.setattr(OddPoissonSpace, "_check", spy)
-    cotangent_algebroid(F, P)
+    cotangent_algebroid(phase, P)
     assert checked.count(True) == 3
 
 
@@ -642,7 +642,7 @@ def test_general_kind_from_non_skew_data():
     )
     carrier = single_chart_bundle(chart, cls=GLBundle)
     alg = algebroid_from_coefficients(
-        carrier,
+        OddPhaseSpace(carrier),
         {},
         {("xi1", "xi2", "xi1"): SuperPolynomial.constant(1)},  # one-sided table
     )
@@ -676,12 +676,29 @@ def test_structure_field_on_another_phase_space_rejected(tower2):
         WeightedAlgebroid(other, tower2.q)
 
 
-def test_cotangent_algebroid_builds_its_phase_space_on_f():
-    # P of so(3) names y3, which T*F of a two-dimensional F does not have
-    _, _, _, P = linear_poisson(so3())
-    F2, _, _, _ = linear_poisson(abelian(2))
+def test_cotangent_algebroid_reads_p_on_the_phase_space_it_is_given():
+    # P of so(3) names y3, which the phase space of a two-dimensional F does not have
+    _, P = linear_poisson(so3())
+    phase2, _ = linear_poisson(abelian(2))
     with pytest.raises(CoordinateMismatch, match="^variable y3 is not on this phase space$"):
-        cotangent_algebroid(F2, P)
+        cotangent_algebroid(phase2, P)
+
+
+@pytest.mark.parametrize("constants", [so3, heisenberg3, lambda: abelian(2)])
+def test_cotangent_algebroid_builds_on_the_phase_space_of_linear_poisson(constants,
+                                                                          monkeypatch):
+    # T*F and its phase space are built once, by linear_poisson
+    built = []
+    init = OddPhaseSpace.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(OddPhaseSpace, "__init__", spy)
+    phase, P = linear_poisson(constants())
+    alg = cotangent_algebroid(phase, P)
+    assert built == [phase] and alg.phase is phase
 
 
 def test_not_a_linearisation_error():
@@ -716,8 +733,7 @@ def _polynomial_data():
 
 
 def _so3_cotangent():
-    F, _, _, P = linear_poisson(so3())
-    return cotangent_algebroid(F, P)
+    return cotangent_algebroid(*linear_poisson(so3()))
 
 
 def _odd_tangent(seed):
@@ -753,6 +769,6 @@ def test_extracted_coefficients_rebuild_q(build):
     assert again.derivation == Q.derivation
     # the named coefficients lie on the carrier's base leg, as the builder takes them
     p_ai, p_kij = extract_coefficients(Q)
-    rebuilt = algebroid_from_coefficients(alg.carrier, p_ai, p_kij, phase.chart)
-    assert rebuilt.kind == alg.kind
+    rebuilt = algebroid_from_coefficients(phase, p_ai, p_kij)
+    assert rebuilt.phase is phase and rebuilt.kind == alg.kind
     assert rebuilt.q.derivation == Q.derivation

@@ -136,8 +136,8 @@ def components(alg):
 
 
 def cotangent(c):
-    F, _, phase, P = linear_poisson(c)
-    alg = cotangent_algebroid(F, P)
+    phase, P = linear_poisson(c)
+    alg = cotangent_algebroid(phase, P)
     out = algebroid(alg)
     out["poisson_data"] = render(alg.poisson_data)
     out["poisson_residual"] = render(alg.poisson_residual)
@@ -159,13 +159,12 @@ def snapshot():
             out[f"prolongation tm {dim} {k}"] = algebroid(prolongation_algebroid(tm_algebroid(dim), k))
         out[f"prolongation action {k}"] = algebroid(prolongation_algebroid(action_algebroid(), k))
     degree2 = build_bundle(parse((SPEC_DIR / "degree2.spec").read_text())).bundle
-    F, _, _, P = linear_poisson(so3())
     for name, alg in (
         ("lie_tower so3 2", lie_tower(so3(), 2)),
         ("lie_tower sl2 3", lie_tower(sl2(), 3)),
         ("prolongation action 2", prolongation_algebroid(action_algebroid(), 2)),
         ("tangent degree2", tangent_algebroid(degree2)),
-        ("cotangent so3", cotangent_algebroid(F, P)),
+        ("cotangent so3", cotangent_algebroid(*linear_poisson(so3()))),
     ):
         out[f"components {name}"] = components(alg)
     for k in (1, 2, 3):

@@ -7,9 +7,10 @@ reports.  A rename in the engine would break the benchmark only when it
 runs, so these tests load the tracer by path and check both tables against
 the live engine.  The benchmark's ``workloads.SHIPPED`` must name the
 acceptance gate's commands, ``helpers.SHIPPED_COMMANDS``.  The demos run as
-scripts on this checkout's ``src``, and so do the benchmark's own checks
-(``perfbench/selftest.py``), which read ``p.terms`` and build polynomials
-through the public constructor.  One seeded round of the jets and towers
+scripts on this checkout's ``src`` and print, byte for byte, their pinned
+stdout ``tests/golden/demos/<name>.txt``.  The benchmark's own checks
+(``perfbench/selftest.py``) run as a script too; they read ``p.terms`` and
+build polynomials through the public constructor.  One seeded round of the jets and towers
 tasks passes the benchmark's independent checks, which compare the engine
 with ``perfbench/refalg.py``, and a traced round, with the tracer installed
 in this process, reaches every ``TIMED`` function.  A demo prints the same
@@ -27,6 +28,7 @@ from helpers import SHIPPED_COMMANDS, run_python_subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_GOLDEN_DIR = ROOT / "tests" / "golden" / "demos"
 
 
 def load_tracer():
@@ -104,10 +106,15 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_every_demo_golden_has_a_demo():
+    assert sorted(p.name for p in DEMO_GOLDEN_DIR.iterdir()) == [f"{d.stem}.txt" for d in DEMOS]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     proc = run_python_subprocess([str(demo)], timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.encode() == (DEMO_GOLDEN_DIR / f"{demo.stem}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -11,6 +11,7 @@ from gradedbundles.bundle import (
     core_submanifold,
     project_tower,
     rechart,
+    restrict,
     single_chart_bundle,
     tangent_bundle,
     two_chart_bundle,
@@ -186,10 +187,8 @@ def test_vertical_weights_shift():
 
 def test_projection_component_filter():
     F = degree2_example()
-    from gradedbundles.bundle import project_leq
-
     V = vertical_bundle(F)
-    B0 = project_leq(V, 0, component=1)
+    B0 = restrict(V, lambda v: v.weight[1] == 0, "project")
     assert [v.name for v in B0.chart.variables] == ["x", "y", "z"]
 
 

@@ -25,7 +25,7 @@ from gradedbundles.linfun import (
     mironian,
     linear_dual,
 )
-from gradedbundles.algebroid import anchor, restrict_to_A1
+from gradedbundles.algebroid import OddPhaseSpace, anchor, restrict_to_A1
 from gradedbundles.constructions import (
     AlgebroidData,
     PolynomialDiffeo,
@@ -347,14 +347,17 @@ def test_tangent_matches_higher_tangent_picture():
 
 # ------------------------------------------------------- cotangent algebroid
 def test_cotangent_zero_poisson_is_lie():
-    alg = cotangent_algebroid(degree2_example(), ZERO)
-    assert alg.kind == "lie"
-    assert alg.q.derivation.is_zero()
+    # on the phase space of either chart of T*F
+    for chart in (0, 1):
+        phase = OddPhaseSpace(cotangent_bundle(degree2_example()), chart)
+        alg = cotangent_algebroid(phase, ZERO)
+        assert alg.phase is phase and alg.kind == "lie"
+        assert alg.q.derivation.is_zero()
 
 
 def test_cotangent_so3_is_lie():
-    F, _, _, P = linear_poisson(so3())
-    alg = cotangent_algebroid(F, P)
+    phase, P = linear_poisson(so3())
+    alg = cotangent_algebroid(phase, P)
     assert alg.kind == "lie"
     assert alg.poisson_residual.is_zero()
     assert weight_of(P, 3) == (1, 2, 0)
@@ -365,8 +368,7 @@ def test_cotangent_so3_is_lie():
 def test_cotangent_perturbed_is_skew():
     rng = random.Random(37)
     c = random_nonjacobi_constants(rng)
-    F, _, _, P = linear_poisson(c)
-    alg = cotangent_algebroid(F, P)
+    alg = cotangent_algebroid(*linear_poisson(c))
     assert alg.kind == "skew"
     assert not alg.poisson_residual.is_zero()
 
@@ -609,8 +611,11 @@ def _empty_bracket(alg):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: StructureConstants(2, {(1, 3, 1): 1}), r"^index out of range in c\^1_\{13\}$"),
-    (lambda: cotangent_algebroid(degree2_example(), SuperPolynomial.constant(1)),
+    (lambda: cotangent_algebroid(OddPhaseSpace(cotangent_bundle(degree2_example())),
+                                 SuperPolynomial.constant(1)),
      r"^Poisson data has tri-weight \(0, 0, 0\), expected \(2, 2, 0\)$"),
+    (lambda: cotangent_algebroid(lie_tower(so3(), 2).phase, ZERO),
+     "^not a cotangent phase space: the carrier's provenance is 'prolongation'$"),
     (lambda: higher_tangent(_identity_diffeo(), 0), "^higher tangent bundles need k >= 1$"),
     (lambda: complete_lift(tm_algebroid(1).q_field(), tm_algebroid(1).pie_system()[0], 0),
      "^complete lifts need k >= 1$"),
@@ -620,8 +625,8 @@ def _empty_bracket(alg):
      "^the reduced bracket is defined over a point base$"),
     (lambda: _empty_bracket(prolongation_algebroid(_point_data_without_constants(), 2)),
      "^reduced brackets need structure-constant data$"),
-], ids=["constant-index", "poisson-weight", "higher-tangent-k", "complete-lift-k",
-        "prolongation-k", "tower-k", "bracket-base", "bracket-constants"])
+], ids=["constant-index", "poisson-weight", "not-cotangent", "higher-tangent-k",
+        "complete-lift-k", "prolongation-k", "tower-k", "bracket-base", "bracket-constants"])
 def test_malformed_construction_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -43,8 +43,8 @@ TARGET = [
     ("t", "tau", (2,), ODD, 4),
     ("t", "c", (2,), EVEN, 5),
 ]
-# a declared copy of the source chart: a renaming into it that keeps the
-# order of its variables moves keys directly, any other renaming is
+# a declared copy of the source chart: an injective renaming into it whose
+# odd images keep their order moves keys directly, any other renaming is
 # substituted
 COPY = [("s", "s" + name, w, par, i) for _, name, w, par, i in SOURCE]
 # a chart of two-entry weights, for sums and products of mixed arity
@@ -545,11 +545,14 @@ def test_differential_widens_a_field_at_the_guard_bit():
 
 # ---------------------------------------------------------------- ChartMap
 # into the declared copy: in order (the direct move: in place, or by fields
-# moving down and up by different offsets), and swapping two even and two
-# odd variables (an odd reorder within one ring)
+# moving down and up by different offsets), swapping two even variables (the
+# direct move too: even images may pass any other), and swapping two even
+# and two odd variables (an odd reorder within one ring)
 INTO_COPY = [(n, "s" + n) for n in SOURCE_NAMES]
 SQUEEZE_INTO_COPY = [("x", "sx"), ("xi", "sxi"), ("z", "sy"), ("theta", "seta")]
 SPREAD_INTO_COPY = [("x", "sx"), ("xi", "sxi"), ("y", "sz"), ("eta", "stheta")]
+EVEN_SWAP_INTO_COPY = [("x", "sz"), ("z", "sx"), ("xi", "sxi"), ("theta", "stheta"),
+                       ("y", "sy"), ("eta", "seta")]
 SWAP_INTO_COPY = [("x", "sz"), ("z", "sx"), ("xi", "stheta"), ("theta", "sxi"),
                   ("y", "sy"), ("eta", "seta")]
 
@@ -600,9 +603,10 @@ def test_chart_map_renaming_random(spec, pairs):
 
 @pytest.mark.parametrize(
     "pairs", [INTO_COPY, INTO_COPY[::2], SQUEEZE_INTO_COPY, SPREAD_INTO_COPY, SWAP_INTO_COPY,
-              REVERSING, EVEN_COLLAPSE, ODD_COLLAPSE],
+              EVEN_SWAP_INTO_COPY, REVERSING, EVEN_COLLAPSE, ODD_COLLAPSE],
     ids=["into-copy", "half-into-copy", "squeeze-into-copy", "spread-into-copy",
-         "swap-into-copy", "outside-one-ring", "even-collapse", "odd-collapse"],
+         "swap-into-copy", "even-swap-into-copy", "outside-one-ring", "even-collapse",
+         "odd-collapse"],
 )
 @settings(max_examples=60, deadline=None)
 @given(spec=polynomials_strategy(), data=st.data())
@@ -621,6 +625,10 @@ def test_chart_map_moves_in_order_and_reorders_with_the_koszul_sign():
     moved = into_copy(p)
     assert moved._ring is COPY_RING and into_copy._plans[p._ring][4] is COPY_RING
     assert list(key(moved).values()) == list(key(p).values())
+    # x <-> z alone in the copy moves too: the odd images keep their order
+    even_swapped = live.ChartMap(renaming(EVEN_SWAP_INTO_COPY)[0])
+    assert even_swapped(p)._ring is COPY_RING and even_swapped._plans[p._ring][4] is COPY_RING
+    same(even_swapped(p), ref.remap(rp, renaming(EVEN_SWAP_INTO_COPY)[1]))
     # x <-> z and xi <-> theta in the copy: xi*eta*theta -> stheta*seta*sxi
     swapped = live.ChartMap(renaming(SWAP_INTO_COPY)[0])
     assert swapped._plans.get(p._ring) is None and swapped(p) == live.remap(p, swapped.assignment)

@@ -21,8 +21,9 @@ SPEC_DIR = TESTS_DIR.parent / "specs"
 GOLDEN_DIR = TESTS_DIR / "golden"
 HASH_SEEDS = ("0", "1", "7", "42", "1234")
 # The golden files of tests/test_atlas_golden.py, tests/test_algebroid_golden.py
-# and tests/test_provenance_golden.py.
-STRUCTURE_GOLDENS = {"atlas.json", "algebroids.json", "provenance.json"}
+# and tests/test_provenance_golden.py, and the directory of the demos' stdout,
+# which tests/test_bench_contract.py pins.
+STRUCTURE_GOLDENS = {"atlas.json", "algebroids.json", "provenance.json", "demos"}
 
 # Commands pinned beyond the acceptance gate.
 EXTRA_COMMANDS = [

@@ -64,7 +64,7 @@ PUBLIC_API = [
     "heisenberg3", "higher_tangent", "holonomic_embedding", "identity_morphism",
     "is_symmetric", "lie_tower", "linear_dual", "linear_poisson", "linearise",
     "linearise_morphism", "mironian", "mironian_report", "p_from_q", "pairing",
-    "parity_reverse", "partial", "partial_right", "point_algebroid", "project_leq",
+    "parity_reverse", "partial", "partial_right", "point_algebroid",
     "project_tower", "prolongation_algebroid", "prolongation_roles", "q_from_p", "rechart",
     "reconstruct", "reduced_bracket", "remap", "render", "restrict", "restrict_to_A1",
     "rho_hat", "single_chart_bundle", "sl2", "so3", "substitute", "symmetry_report",

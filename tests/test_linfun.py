@@ -13,6 +13,7 @@ from gradedbundles.superalg import (
     differential,
     partial,
     render,
+    _support_of,
     substitute,
     weight_of,
 )
@@ -95,15 +96,18 @@ def _declared_as(F, order):
         for (i, j), t in F.transitions.items()})
 
 
-@pytest.mark.parametrize("example, order", [
+OUT_OF_WEIGHT_ORDER = pytest.mark.parametrize("example, order", [
     (degree2_example, [0, 2, 1]),
     (degree3_example, [0, 2, 1, 3]),
     (degree3_example, [0, 3, 2, 1]),
 ], ids=["degree2-xzy", "degree3-xzyw", "degree3-xwzy"])
+
+
+@OUT_OF_WEIGHT_ORDER
 def test_linearisation_of_charts_declared_out_of_weight_order(example, order):
     # a top coordinate declared before a lower-weight one is renamed onto its
-    # dotted copy out of field order, by substitution; the atlas is the one
-    # linearised from the charts declared in weight order
+    # dotted copy out of field order; the atlas is the one linearised from
+    # the charts declared in weight order
     F = example()
     shuffled = _declared_as(F, order)
     assert [v.name for v in shuffled.charts[0].variables] == \
@@ -112,6 +116,27 @@ def test_linearisation_of_charts_declared_out_of_weight_order(example, order):
         assert validate(D).passed
         assert is_symmetric(D)
     assert bundles_structurally_equal(linearise(shuffled), linearise(F))
+
+
+@OUT_OF_WEIGHT_ORDER
+def test_linearisation_out_of_weight_order_renames_by_masked_shifts(example, order, monkeypatch):
+    # the even fields renamed out of field order keep the direct move: no
+    # application of a ChartMap takes the substitution path
+    shuffled = _declared_as(example(), order)
+    substituted = []
+    call = ChartMap.__call__
+
+    def spy(self, p):
+        out = call(self, p)
+        support = _support_of(p)
+        if support:
+            mask, *_, ring = self._plans[p._ring]
+            substituted.append(ring is None or bool(support & ~mask))
+        return out
+
+    monkeypatch.setattr(ChartMap, "__call__", spy)
+    linearise(shuffled)
+    assert substituted and substituted.count(True) == 0
 
 
 def test_linearise_degree2_dotted_laws():

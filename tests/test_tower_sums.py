@@ -275,8 +275,8 @@ def test_anchor_and_epsilon_components_of_towers(case):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_linear_poisson_and_its_cotangent_algebroid(seed):
     c = gl2_in_random_basis(random.Random(seed))
-    F, carrier, phase, P = linear_poisson(c)
-    maps = carrier.provenance.maps
+    phase, P = linear_poisson(c)
+    F, maps = phase.carrier.provenance.source, phase.carrier.provenance.maps
     y = [var(phase.x_of[maps["base"][0][v]]) for v in F.chart]
     theta = [var(phase.theta_of[maps["dual"][0][v]]) for v in F.chart]
     chained = ZERO
@@ -284,7 +284,7 @@ def test_linear_poisson_and_its_cotangent_algebroid(seed):
         if i < j:
             chained = chained + y[k - 1] * theta[i - 1] * theta[j - 1] * v
     same(P, chained)
-    cot = cotangent_algebroid(F, P)
+    cot = cotangent_algebroid(phase, P)
     same(cot.hamiltonian.poly, chained_p_from_q(phase, cot.q.derivation.action))
     same_maps(anchor(cot), chained_anchor(cot))
     display = epsilon_components(cot)
