@@ -37,10 +37,10 @@ from .superalg import (
     SuperPolynomial,
     Variable,
     ZERO,
+    antibracket,
     chart_support,
     commutator,
     partial,
-    partial_right,
     sum_of_products,
     total,
     weight_add,
@@ -107,13 +107,8 @@ class OddPoissonSpace:
     def _bracket(self, f, fb, g, gb) -> SuperPolynomial:
         """(f, g) for ``fb`` and ``gb`` the ``chart_support`` of f and g."""
         # a pair adds a term only when f and g each hold one of its variables
-        parts = []
-        for q, qs, qb, qsb in self._pairs:
-            if fb & qb and gb & qsb:
-                parts.append((1, partial_right(f, q), partial(g, qs)))
-            if fb & qsb and gb & qb:
-                parts.append((-1, partial_right(f, qs), partial(g, q)))
-        return sum_of_products(parts)
+        return antibracket(f, g, [(q, qs) for q, qs, qb, qsb in self._pairs
+                                  if fb & qb and gb & qsb or fb & qsb and gb & qb])
 
     def hamiltonian_field(self, h: SuperPolynomial, variables, weight_shift,
                           parity) -> Derivation:

@@ -1,10 +1,12 @@
 """Sums of products multiplied straight into the sum, against the chained sum.
 
-``sum_of_products`` and ``_Sum.add_product`` multiply each product into a
-fresh dict and fold it into the running sum, without building the product
-as a polynomial.  On seeded random operands they must give the value of
+``sum_of_products`` and ``_Sum.add_product`` multiply each product straight
+into the running sum's dict, without building the product as a polynomial,
+under the placeholder rule of "Writing into a sum" in the ``superalg``
+module docstring.  On seeded random operands they must give the value of
 ``out = out + c * p * q``, with the same term insertion order and the same
-reduced denominator.
+reduced denominator.  So must ``antibracket``, which feeds raw derivative
+numerators into its sum, against ``sum_of_products`` of the derivatives.
 """
 
 import random
@@ -14,7 +16,18 @@ from math import lcm
 import pytest
 
 from gradedbundles.bundle import CoordinateSystem
-from gradedbundles.superalg import ZERO, SuperPolynomial, _Sum, sum_of_products
+from gradedbundles.constructions import lie_tower, tangent_algebroid
+from gradedbundles.superalg import (
+    ZERO,
+    SuperPolynomial,
+    _Sum,
+    antibracket,
+    partial,
+    partial_right,
+    sum_of_products,
+)
+
+from helpers import random_antisym_constants, random_nonjacobi_constants, random_odd_bundle
 
 EVEN, ODD = 0, 1
 
@@ -103,6 +116,19 @@ CASES = {
     "cancels-mid-product": (z - x * y, [(1, x + y, x + y)]),
     # the sum cancels to zero before its last product
     "cancels-to-zero": (x * y, [(-1, x, y), (Fraction(1, 2), y, x + y)]),
+    # x*y*z, new to the sum, is met at +1, -1 and +1 in one product: it
+    # comes back after y*z, where the chained sum appends it again
+    "returns-mid-product": (z, [(1, x + x * y + y, y * z - z + x * z)]),
+    # a one-term left operand whose odd factors sit on both sides of xi,
+    # and clash with eta
+    "one-term-left": (y + rho * xi, [(Fraction(2, 3), rho * eta * b, xi + x * xi * y + eta * z + a),
+                                     (-1, xi, rho * b + eta)]),
+    # the same products with their operands swapped: one-term right operands
+    "one-term-right": (y + rho * xi, [(Fraction(2, 3), xi + x * xi * y + eta * z + a, rho * eta * b),
+                                      (1, rho * b + eta, xi)]),
+    # one-term operands on either side whose products need a widened ring
+    "one-term-widened": (x, [(1, x ** 100 * xi, x ** 30 + x ** 40 * eta + y),
+                             (Fraction(1, 2), x ** 30 + eta * x ** 40, x ** 100 * xi)]),
 }
 
 
@@ -116,9 +142,68 @@ def test_fixed_sums_of_products_are_the_chained_sum(case):
     check(sum_of_products(triples[::-1]), chained(triples[::-1]))
 
 
+def case_sum(name):
+    start, triples = CASES[name]
+    return accumulated([(Fraction(c), p, q) for c, p, q in triples], start)
+
+
+def term_names(p):
+    return [str(SuperPolynomial({m: 1})) for m in p.terms]
+
+
 def test_fixed_cases_reach_what_they_name():
-    start, triples = CASES["widened"]
-    assert accumulated([(Fraction(c), p, q) for c, p, q in triples], start)._ring.width > 8
-    start, triples = CASES["cancels-mid-product"]
-    s = accumulated([(Fraction(c), p, q) for c, p, q in triples], start)
-    assert [str(SuperPolynomial({m: 1})) for m in s.terms] == ["z", "x*y", "x^2", "y^2"]
+    assert case_sum("widened")._ring.width > 8
+    assert term_names(case_sum("cancels-mid-product")) == ["z", "x*y", "x^2", "y^2"]
+    assert term_names(case_sum("returns-mid-product")) == [
+        "z", "x*z", "x^2*z", "x*y^2*z", "x^2*y*z", "y^2*z", "y*z", "x*y*z"]
+    # a sign taken with the one-term operand on the right is the one taken
+    # with it on the left
+    left, right = case_sum("one-term-left"), case_sum("one-term-right")
+    assert left == right and "rho*xi*b*eta" in term_names(left)
+    assert case_sum("one-term-widened")._ring.width > 8
+
+
+# ------------------------------------------------------------ the odd bracket
+def derivative_sum(f, g, pairs):
+    """The odd bracket with each derivative built as a polynomial."""
+    return sum_of_products((c, partial_right(f, u), partial(g, v))
+                           for q, qs in pairs for c, u, v in ((1, q, qs), (-1, qs, q)))
+
+
+def phase_poly(rng, variables):
+    """A sum of up to four monomials of one to three phase-space variables,
+    with coefficients over 2, 3 or 4 and a denominator other than 1."""
+    while True:
+        p = ZERO
+        for _ in range(rng.randint(1, 4)):
+            m = SuperPolynomial.constant(Fraction(rng.choice([1, -1, 3, -5]), rng.choice([2, 3, 4])))
+            for v in rng.sample(variables, rng.randint(1, 3)):
+                m = m * SuperPolynomial.from_var(v)
+            p = p + m
+        if p._den > 1:
+            return p
+
+
+def odd_phase_space(kind, seed):
+    """A tower's phase space (Jacobi or not, k 2 or 3) or the tangent
+    algebroid's phase space of a seeded odd bundle."""
+    rng = random.Random(seed)
+    if kind == "tower":
+        c = random_nonjacobi_constants(rng, 3) if seed % 2 else random_antisym_constants(rng, 4)
+        return lie_tower(c, 2 + seed % 2).phase, rng
+    return tangent_algebroid(random_odd_bundle(rng, name=f"bracket{seed}")).phase, rng
+
+
+@pytest.mark.parametrize("kind", ["tower", "odd-tangent"])
+@pytest.mark.parametrize("seed", range(6))
+def test_antibracket_is_the_sum_of_derivative_products(kind, seed):
+    phase, rng = odd_phase_space(kind, seed)
+    pairs = phase.poisson.pairs
+    # an odd bundle's odd fibre coordinates give odd momenta
+    assert any(q.parity for q, _ in pairs) == (kind == "odd-tangent")
+    variables = list(phase.system.variables)
+    for _ in range(12):
+        f, g = phase_poly(rng, variables), phase_poly(rng, variables)
+        want = derivative_sum(f, g, pairs)
+        check(antibracket(f, g, pairs), want)
+        check(phase.schouten(f, g), want)

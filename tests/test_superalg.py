@@ -2,6 +2,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -341,6 +342,25 @@ def test_variable_hash_survives_pickling_across_processes():
                          env=env, timeout=60, check=True).stdout
     v = pickle.loads(bytes.fromhex(out))
     assert v == X and hash(v) == hash(X) and v in {X}
+
+
+def test_a_new_chart_hashes_each_variable_once(monkeypatch):
+    # declaring a fresh chart and dropping it: the lookup, the insert and
+    # the removal of its ring once hashed the variable tuple each
+    variables = [Variable("hash_once", f"v{i}", (i,), i % 2, i) for i in range(6)]
+    calls = []
+    original = Variable.__hash__
+
+    def spy(v):
+        calls.append(v)
+        return original(v)
+
+    monkeypatch.setattr(Variable, "__hash__", spy)
+    ring = superalg.declare_chart(variables)
+    gone = weakref.ref(ring)
+    del ring
+    assert gone() is None
+    assert len(calls) <= len(variables)
 
 
 def test_equal_polynomials_over_different_rings_hash_equal():
