@@ -43,11 +43,11 @@ from .report import Report
 from .superalg import (
     ChartMap,
     Derivation,
+    Differential,
     SuperPolynomial,
     Variable,
     ZERO,
     declare_chart,
-    differential,
     partial,
     render,
     total,
@@ -456,10 +456,10 @@ def _lifted_laws(comps, other, src, dst, key=None):
                 raise IllDefinedProjection(
                     f"image of {new.name} depends on dropped coordinate {u.name}")
     rename = ChartMap({**und, **tops})
-    dot = {und.get(u, du): du for u, du in src["dotted"].items()}
+    lift = Differential({und.get(u, du): du for u, du in src["dotted"].items()})
     renamed = {v: rename(p) for v, p in comps.items()}
     out = {dst_und[v]: law for v, law in renamed.items() if v in dst_und}
-    out.update((dst_dot[v], differential(law, dot)) for v, law in renamed.items() if v in dst_dot)
+    out.update((dst_dot[v], lift(law)) for v, law in renamed.items() if v in dst_dot)
     return out
 
 

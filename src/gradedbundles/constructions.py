@@ -25,6 +25,7 @@ from fractions import Fraction
 from .superalg import (
     ChartMap,
     Derivation,
+    Differential,
     EVEN,
     ODD,
     SuperPolynomial,
@@ -349,18 +350,18 @@ def _level_chart(variables, levels, weight, name: str, arity: int):
     return chart, level_of
 
 
-def _total_derivative(level_of, top: int, shift) -> Derivation:
+def _total_derivative(level_of, top: int) -> Differential:
     """The total derivative D sending each level-r coordinate below ``top``
-    to r+1 times its level-(r+1) partner."""
-    action = {
-        x: SuperPolynomial.from_var(level_of[(v, r + 1)]) * (r + 1)
-        for (v, r), x in level_of.items()
-        if r < top
-    }
-    return Derivation(action, EVEN, shift)
+    to r+1 times its level-(r+1) partner, compiled once."""
+    dot, scale = {}, {}
+    for (v, r), x in level_of.items():
+        if r < top:
+            dot[x] = level_of[(v, r + 1)]
+            scale[x] = r + 1
+    return Differential(dot, scale)
 
 
-def _jet_series(p: SuperPolynomial, d_t: Derivation, k: int) -> list[SuperPolynomial]:
+def _jet_series(p: SuperPolynomial, d_t: Differential, k: int) -> list[SuperPolynomial]:
     """The jet coefficients D^r(p)/r! of ``p``, for r = 0..k."""
     series = [p]
     for r in range(1, k + 1):
@@ -369,10 +370,10 @@ def _jet_series(p: SuperPolynomial, d_t: Derivation, k: int) -> list[SuperPolyno
     return series
 
 
-def _jet_lift(pairs, src_level, dst_level, top: int, shift) -> dict[str, SuperPolynomial]:
+def _jet_lift(pairs, src_level, dst_level, top: int) -> dict[str, SuperPolynomial]:
     """D^r(f)/r! for each (v, f) in ``pairs`` and r = 0..top, keyed by the
     name of dst_level[(v, r)]; f is read on src_level's level 0."""
-    d_t = _total_derivative(src_level, top, shift)
+    d_t = _total_derivative(src_level, top)
     level_zero = ChartMap({v: x for (v, r), x in src_level.items() if r == 0})
     return {
         dst_level[(v, r)].name: p
@@ -391,8 +392,8 @@ def higher_tangent(phi: PolynomialDiffeo, k: int) -> GradedBundle:
     src, dst = phi.source.variables, phi.target.variables
     chart_a, level_a = _level_chart(src, range(k + 1), lambda v, r: r, "tk_src", 1)
     chart_b, level_b = _level_chart(dst, range(k + 1), lambda v, r: r, "tk_dst", 1)
-    forward = _jet_lift([(v, phi.forward[v]) for v in dst], level_a, level_b, k, (1,))
-    inverse = _jet_lift([(v, phi.inverse[v]) for v in src], level_b, level_a, k, (1,))
+    forward = _jet_lift([(v, phi.forward[v]) for v in dst], level_a, level_b, k)
+    inverse = _jet_lift([(v, phi.inverse[v]) for v in src], level_b, level_a, k)
     return two_chart_bundle(chart_a, chart_b, forward, inverse,
                             provenance=Provenance("higher_tangent", phi))
 
@@ -421,7 +422,7 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
                                     lambda v, r: (r, total(v.weight)),
                                     system.name + f"_t{k - 1}", 2)
     coefficients = [(v, Q.coefficient(v)) for v in system.variables]
-    action = _jet_lift(coefficients, level_of, level_of, k - 1, (1, 0))
+    action = _jet_lift(coefficients, level_of, level_of, k - 1)
     action = {lifted[n]: p for n, p in action.items() if not p.is_zero()}
     lift = Derivation(action, Q.parity, (0,) + tuple(Q.weight_shift))
     return LiftedField(lifted, lift, level_of)

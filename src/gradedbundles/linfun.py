@@ -37,10 +37,10 @@ from fractions import Fraction
 
 from .superalg import (
     ChartMap,
+    Differential,
     SuperPolynomial,
     Variable,
     ZERO,
-    differential,
     partial,
     render,
     substitute,
@@ -291,7 +291,7 @@ def symmetry_report(G: GLBundle) -> Report:
         report.add("fibre/base block sizes match", False, str(exc))
         return report
     report.add("fibre/base block sizes match", True)
-    dots = [{b: f for f, b in partner.items()} for partner in partners]
+    lifts = [Differential({b: f for f, b in partner.items()}) for partner in partners]
 
     for (i, j), t in sorted(G.transitions.items()):
         for f, b in partners[j].items():
@@ -305,7 +305,7 @@ def symmetry_report(G: GLBundle) -> Report:
             else:
                 what, potential = b.name, t.forward[b]
             report.zero(f"transition {i}->{j}: {f.name} transforms as the vertical lift of {what}",
-                        law - differential(potential, dots[i]))
+                        law - lifts[i](potential))
     return report
 
 
@@ -533,7 +533,8 @@ def parity_reverse(G: GLBundle) -> GLBundle:
         dot = {v: w for v, w in src["vars"].items() if v.weight[1] == 1}
         drop = ChartMap({v: ZERO for v in dot})
         rename = ChartMap({v: w for v, w in src["vars"].items() if v not in dot})
-        return {dst["vars"][v]: rename(drop(p) + differential(p, dot)) for v, p in comps.items()}
+        lift = Differential(dot)
+        return {dst["vars"][v]: rename(drop(p) + lift(p)) for v, p in comps.items()}
 
     return rechart(G, spec, components, cls=GLBundle, tag="parity_reverse",
                    gl_degree=G.gl_degree)

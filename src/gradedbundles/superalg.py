@@ -58,14 +58,23 @@ Performance invariants, kept by every operation in this module:
   each of their polynomials is one ``linear_combination`` or
   ``sum_of_products`` of its terms, and each product in it is formed once,
   however many terms share it;
+* a bracket or a derivation reads each operand once for all its
+  derivatives: ``apply`` and ``antibracket`` take every derivative they
+  need of an operand from one pass over its terms (``_derivatives``, which
+  holds the sign rules of left and right derivatives), not one scan of the
+  operand per variable;
 * work is done in the target chart: a law is renamed into its new chart
   once and lifted there, not per variable as a chain of small polynomials;
-  ``differential`` moves each key of p by one field per variable, widening
-  the ring first when a moved field could overflow;
+  a :class:`Differential` moves each key of p by one field per variable,
+  widening the ring first when a moved field could overflow;
 * a map applied to many polynomials is compiled once, into one plan per
-  source ring (:class:`ChartMap`): ``substitute`` and ``remap`` are
-  one-off maps, and every re-charting builds one map per transition
-  direction and applies it to each component.  ``bundle.rechart`` builds
+  source ring: a substitution or renaming (:class:`ChartMap`) and a
+  derivation along a fixed map of variables (:class:`Differential`).
+  ``substitute``, ``remap`` and ``differential`` are their one-off forms;
+  every re-charting builds one map per transition direction and applies it
+  to each component, each lift one differential per transition direction
+  (``bundle._lifted_laws``) or per chart, and the total derivative of the
+  jet constructions is one differential.  ``bundle.rechart`` builds
   each direction once: a transition held as the reversal of another (the
   same two component dicts, swapped) is re-charted as the reversal of
   that one's result, so the sharing carries on down a chain of
@@ -909,60 +918,60 @@ def chart_support(p: SuperPolynomial, variables: tuple[Variable, ...]) -> int | 
     return bits
 
 
-def _left(num: dict, ring: _Ring, shift: int, parity: int) -> dict:
-    """The numerators of the left derivative of ``num``, keyed in
-    ``ring``, by the variable of that parity whose field is at ``shift``."""
-    unit = 1 << shift
-    out = {}
-    if parity == ODD:
-        below = ring.odd & (unit - 1)
-        for k, c in num.items():
-            if k & unit:
-                out[k - unit] = -c if (k & below).bit_count() & 1 else c
-    else:
-        mask = ((1 << ring.width) - 1) << shift
-        for k, c in num.items():
-            e = k & mask
-            if e:
-                out[k - unit] = c if e == unit else c * (e >> shift)
-    return out
-
-
-def _right(num: dict, ring: _Ring, shift: int, parity: int) -> dict:
-    """As :func:`_left`, for the right derivative."""
-    if parity == EVEN:
-        return _left(num, ring, shift, parity)
-    unit = 1 << shift
-    odd, below = ring.odd, ring.odd & (unit - 1)
-    # terms of even parity pick up a sign and come first, as in
-    # -partial(p.parity_part(EVEN)) + partial(p.parity_part(ODD))
-    evens, odds = {}, {}
+def _derivatives(num: dict, ring: _Ring, fields: int, right: bool = False) -> dict[int, dict]:
+    """The numerators of the left (with ``right``, the right) derivatives
+    of ``num``, keyed in ``ring``, by each variable whose field is covered
+    by the mask ``fields`` and occurs in num, taken in one pass over num:
+    a dict from the field's shift to the derivative, whose terms are in the
+    order of num's.  A right derivative by an odd variable puts its terms of
+    even parity first, with a sign, as in
+    ``-partial(p.parity_part(EVEN)) + partial(p.parity_part(ODD))``."""
+    w, odd = ring.width, ring.odd
+    field = (1 << w) - 1
+    outs, evens = {}, {}
     for k, c in num.items():
-        if k & unit:
-            if (k & below).bit_count() & 1:
-                c = -c
-            if (k & odd).bit_count() & 1:
-                odds[k - unit] = c
+        hit = k & fields
+        while hit:
+            shift = ((hit & -hit).bit_length() - 1) // w * w
+            e = (hit >> shift) & field
+            hit ^= e << shift
+            unit = 1 << shift
+            out = outs.get(shift)
+            if out is None:
+                out = outs[shift] = {}
+            if not unit & odd:
+                out[k - unit] = c if e == 1 else c * e
+                continue
+            # an odd variable passes the odd factors below it
+            d = -c if (k & odd & (unit - 1)).bit_count() & 1 else c
+            if right and not (k & odd).bit_count() & 1:
+                ev = evens.get(shift)
+                if ev is None:
+                    ev = evens[shift] = {}
+                ev[k - unit] = -d
             else:
-                evens[k - unit] = -c
-    evens.update(odds)
-    return evens
+                out[k - unit] = d
+    for shift, ev in evens.items():
+        ev.update(outs[shift])
+        outs[shift] = ev
+    return outs
 
 
 def partial(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
     """Left derivative with respect to ``v``."""
-    f = _field(p, v)
-    if f is None:
-        return _make(_EMPTY, {})
-    return _make(p._ring, _left(p._num, p._ring, f[0], v.parity), p._den)
+    return _partial(p, v, False)
 
 
 def partial_right(p: SuperPolynomial, v: Variable) -> SuperPolynomial:
     """Right derivative; for homogeneous p it is (-1)^{|v|(|p|+|v|)} partial."""
+    return _partial(p, v, True)
+
+
+def _partial(p: SuperPolynomial, v: Variable, right: bool) -> SuperPolynomial:
     f = _field(p, v)
     if f is None:
         return _make(_EMPTY, {})
-    return _make(p._ring, _right(p._num, p._ring, f[0], v.parity), p._den)
+    return _make(p._ring, _derivatives(p._num, p._ring, f[1], right)[f[0]], p._den)
 
 
 def antibracket(f: SuperPolynomial, g: SuperPolynomial,
@@ -970,9 +979,10 @@ def antibracket(f: SuperPolynomial, g: SuperPolynomial,
     """The odd Poisson bracket of f and g for the conjugate ``pairs`` (q, q*)
     of opposite parities: the sum of
     ``partial_right(f, q) * partial(g, q*) - partial_right(f, q*) * partial(g, q)``
-    in pair order, without the terms whose derivatives vanish.  Each
-    derivative's numerators feed their product over f's and g's
-    denominators, as in :func:`apply`."""
+    in pair order, without the terms whose derivatives vanish.  The
+    derivatives of each operand come from one pass over its terms, and each
+    one's numerators feed its product over f's and g's denominators, as in
+    :func:`apply`."""
     acc = _Sum()
     if f._num and g._num:
         ring, F, G = _product_ring(f, g)
@@ -980,54 +990,119 @@ def antibracket(f: SuperPolynomial, g: SuperPolynomial,
         sg = _support_of(g) if G is g._num else _or(G)
         w, den = ring.width, f._den * g._den
         field = (1 << w) - 1
+        products, by_f, by_g = [], 0, 0
         for q, qs in pairs:
             for a, u, v in ((1, q, qs), (-1, qs, q)):
                 i, j = ring.pos(u), ring.pos(v)
-                if (i is not None and j is not None
-                        and sf >> (i * w) & field and sg >> (j * w) & field):
-                    acc.add_numerators(ring, _right(F, ring, i * w, u.parity),
-                                       _left(G, ring, j * w, v.parity), a, den)
+                if i is None or j is None:
+                    continue
+                fi, fj = field << (i * w), field << (j * w)
+                if sf & fi and sg & fj:
+                    products.append((a, i * w, j * w))
+                    by_f |= fi
+                    by_g |= fj
+        if products:
+            dF = _derivatives(F, ring, by_f, True)
+            dG = _derivatives(G, ring, by_g)
+            for a, i, j in products:
+                acc.add_numerators(ring, dF[i], dG[j], a, den)
     return acc.result()
+
+
+class Differential:
+    """The derivation ``sum_u scale[u] * from_var(dot[u]) * partial(-, u)``
+    along a fixed map ``dot`` of variables to variables, compiled once and
+    applied to many polynomials, as :class:`ChartMap` is for substitutions.
+
+    ``scale`` maps variables to integers, 1 where it has none.  The terms
+    are summed over the variables u of p that ``dot`` maps, in ``sort_key``
+    order.  Each is one key move, ``k - unit(u) + unit(dot[u])``, with the
+    exponent and the Koszul signs of that product, so no intermediate
+    polynomial is built.  Per source ring, on first use, a plan is kept
+    while the differential lives: the ring it works in, which holds every
+    image, and per mapped field its mask, shift, move, Koszul and clash
+    masks, the image's unit and the scale.  A polynomial whose moved field
+    could reach its guard bit is differentiated in the ring twice as wide.
+    """
+
+    __slots__ = ("dot", "scale", "_plans")
+
+    def __init__(self, dot: Mapping[Variable, Variable],
+                 scale: Mapping[Variable, int] | None = None):
+        self.dot = dot
+        self.scale = scale or {}
+        self._plans: dict[_Ring, tuple] = {}
+
+    def _plan(self, src: _Ring, ring: _Ring | None = None) -> tuple:
+        """(the ring to work in, the moves of src's mapped fields in it, in
+        its order) for polynomials over ``src``: by default src merged with
+        every image's ring, or ``ring``, a wider ring that holds them."""
+        mapped = [(u, t) for u in src.vars if (t := self.dot.get(u)) is not None]
+        if ring is None:
+            ring = src
+            for _, t in mapped:
+                if ring.pos(t) is None:
+                    ring = _merged(ring, _home(t))
+        w, odd = ring.width, ring.odd
+        field = (1 << w) - 1
+        moves = []
+        for u, t in mapped:
+            shift = ring.pos(u) * w
+            unit, tunit = 1 << shift, 1 << (ring.pos(t) * w)
+            # odd fields below u's give partial's sign, those below t's (u's
+            # aside, as partial removed it) the product's; an odd t other
+            # than u already in the term gives zero
+            below_u = odd & (unit - 1) if u.parity else 0
+            below_t, clash = (odd & (tunit - 1) & ~unit, tunit & ~unit) if t.parity else (0, 0)
+            moves.append((field << shift, shift, tunit - unit, below_u ^ below_t, clash,
+                          tunit, self.scale.get(u, 1)))
+        return ring, tuple(moves)
+
+    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
+        support = _support_of(p)
+        if not support:  # a constant
+            return _make(_EMPTY, {})
+        src = p._ring
+        plan = self._plans.get(src)
+        if plan is None:
+            plan = self._plans[src] = self._plan(src)
+        ring, moves = plan
+        num = _repack(p._num, src, ring)
+        if num is not p._num:
+            support = _or(num)
+        while True:
+            active = [m for m in moves if support & m[0]]
+            if not active:
+                return _make(_EMPTY, {})
+            # widen until no moved field reaches its guard bit
+            if not (support + _or(m[5] for m in active)) & ring.guard:
+                break
+            ring, moves = self._plan(src, ring.wider())
+            num = _repack(p._num, src, ring)
+            support = _or(num)
+        field = (1 << ring.width) - 1
+        out = None
+        for _, shift, move, koszul, clash, _, scale in active:
+            moved = {}  # the map of keys is injective for one u
+            for k, c in num.items():
+                e = (k >> shift) & field
+                if not e or k & clash:
+                    continue
+                if (k & koszul).bit_count() & 1:
+                    c = -c
+                moved[k + move] = c * (e * scale)
+            if out is None:
+                out = moved
+            else:
+                _add_into(out, moved)
+        return _make(ring, out, p._den)
 
 
 def differential(p: SuperPolynomial, dot: Mapping[Variable, Variable]) -> SuperPolynomial:
     """The sum of ``from_var(dot[u]) * partial(p, u)`` over the variables u
-    of p that ``dot`` maps, in ``sort_key`` order.  Each term is one key
-    move, ``k - unit(u) + unit(dot[u])``, with the exponent and the Koszul
-    signs of that product, so no intermediate polynomial is built."""
-    src = ring = p._ring
-    pairs = [(u, dot[u]) for u in (src.vars[i] for i, _ in src.fields(_support_of(p)))
-             if u in dot]
-    if not pairs:
-        return _make(_EMPTY, {})
-    for _, t in pairs:
-        if ring.pos(t) is None:
-            ring = _merged(ring, _home(t))
-    while True:  # widen until no moved field reaches its guard bit
-        num = _repack(p._num, src, ring)
-        w = ring.width
-        if not (_or(num) + _or(1 << (ring.pos(t) * w) for _, t in pairs)) & ring.guard:
-            break
-        ring = ring.wider()
-    mask, odd, out = (1 << w) - 1, ring.odd, {}
-    for u, t in pairs:
-        shift = ring.pos(u) * w
-        unit, tunit = 1 << shift, 1 << (ring.pos(t) * w)
-        # odd fields below u's give partial's sign, those below t's the
-        # product's; an odd t already in the term gives zero
-        below_u = odd & (unit - 1) if u.parity else 0
-        below_t, clash = (odd & (tunit - 1), tunit) if t.parity else (0, 0)
-        moved = {}  # the map of keys is injective for one u
-        for k, c in num.items():
-            e = (k >> shift) & mask
-            rest = k - unit
-            if not e or rest & clash:
-                continue
-            if ((k & below_u).bit_count() + (rest & below_t).bit_count()) & 1:
-                c = -c
-            moved[rest + tunit] = c * e
-        _add_into(out, moved)
-    return _make(ring, out, p._den)
+    of p that ``dot`` maps, in ``sort_key`` order: a one-off
+    :class:`Differential`."""
+    return Differential(dot)(p)
 
 
 class ChartMap:
@@ -1237,20 +1312,27 @@ class Derivation:
 
 def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
     """The sum of ``D.action[v] * partial(p, v)`` over the variables v of p
-    that D acts on, in ``D.action`` order; each derivative's numerators feed
-    their product over the denominators of p and the coefficient, with no
-    polynomial built for the derivative."""
+    that D acts on, in ``D.action`` order.  All the derivatives come from
+    one pass over p's terms, and each one's numerators feed its product
+    over the denominators of p and the coefficient, with no polynomial built
+    for the derivative."""
     acc = _Sum()
     support = _support_of(p)
     if support:
         src = p._ring
         w = src.width
         field = (1 << w) - 1
+        acts, fields = [], 0
         for v, coeff in D.action.items():
             i = src.pos(v)
-            if i is not None and support >> (i * w) & field:
-                ring, C, P = _product_ring(coeff, p)
-                acc.add_numerators(ring, C, _left(P, ring, ring.pos(v) * ring.width, v.parity),
+            if i is not None and support & field << (i * w):
+                acts.append((i * w, coeff))
+                fields |= field << (i * w)
+        if acts:
+            dP = _derivatives(p._num, src, fields)
+            for shift, coeff in acts:
+                ring, C, _ = _product_ring(coeff, p)
+                acc.add_numerators(ring, C, _repack(dP[shift], src, ring),
                                    1, coeff._den * p._den)
     return acc.result()
 

@@ -1,13 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradedbundles import bundle, superalg
 from gradedbundles.superalg import (
+    ChartMap,
     Derivation,
+    EVEN,
     ODD,
     SuperPolynomial,
     ZERO,
+    apply,
     commutator,
     partial,
     weight_of,
@@ -630,3 +635,108 @@ def _empty_bracket(alg):
 def test_malformed_construction_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# ------------------------------------ jets by the compiled total derivative
+def seeded_diffeo(seed):
+    """(x1, x2) -> (a x1 + b x2^3 + e x2^2 + c, d x2 + f) with seeded
+    nonzero rational coefficients, and its inverse by back substitution."""
+    rng = random.Random(seed)
+    a, b, c, d, e, f = (Fraction(rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(1, 3))
+                        for _ in range(6))
+
+    def inverse(Xs):
+        x2 = (Xs[1] - f) * (1 / d)
+        return [(Xs[0] - b * x2 ** 3 - e * x2 * x2 - c) * (1 / a), x2]
+
+    return PolynomialDiffeo.build(
+        2, lambda xs: [a * xs[0] + b * xs[1] ** 3 + e * xs[1] * xs[1] + c, d * xs[1] + f], inverse)
+
+
+def jets_by_apply(pairs, level, top, shift):
+    """((v, r), D^r(f)/r!) for each (v, f) in ``pairs`` and r = 0..top, f
+    read on level 0, D the generic Derivation x_r -> (r+1) x_{r+1} applied
+    by ``apply``, in level-major action order."""
+    D = Derivation({x: SuperPolynomial.from_var(level[(v, r + 1)]) * (r + 1)
+                    for (v, r), x in level.items() if r < top}, EVEN, shift)
+    to_level_zero = ChartMap({v: x for (v, r), x in level.items() if r == 0})
+    out = []
+    for v, f in pairs:
+        p = to_level_zero(f)
+        for r in range(top + 1):
+            if r:
+                p = apply(D, p)
+            out.append(((v, r), p * Fraction(1, math.factorial(r))))
+    return out
+
+
+def same_terms(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got._den == want._den
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_higher_tangent_is_the_generic_total_derivative(k, seed):
+    phi = seeded_diffeo(seed)
+    tk = higher_tangent(phi, k)
+    t = tk.transitions[(0, 1)]
+    for laws, dst, chart, other, comps in (
+            (phi.forward, phi.target, tk.charts[0], tk.charts[1], t.forward),
+            (phi.inverse, phi.source, tk.charts[1], tk.charts[0], t.inverse)):
+        src = phi.source if dst is phi.target else phi.target
+        level = {(v, r): chart[v.name if r == 0 else f"{v.name}_{r}"]
+                 for r in range(k + 1) for v in src.variables}
+        want = jets_by_apply([(v, laws[v]) for v in dst.variables], level, k, (1,))
+        assert len(want) == len(comps)
+        for (v, r), p in want:
+            same_terms(comps[other[v.name if r == 0 else f"{v.name}_{r}"]], p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_complete_lift_of_a_tower_field_is_the_generic_total_derivative(k):
+    # the Chevalley-Eilenberg field so(3)'s tower is built on, with odd
+    # coefficients, and an anchored field
+    for E in (lie_tower(so3(), 2).carrier.provenance.source, action_algebroid_data()):
+        Q, (system, _) = E.q_field(), E.pie_system()
+        lift = complete_lift(Q, system, k)
+        want = [(lift.level_of[vr], p) for vr, p in jets_by_apply(
+            [(v, Q.coefficient(v)) for v in system.variables], lift.level_of, k - 1, (1, 0))
+            if not p.is_zero()]
+        assert [v for v, _ in want] == list(lift.derivation.action)
+        for v, p in want:
+            same_terms(lift.derivation.action[v], p)
+
+
+def action_algebroid_data():
+    """The Heisenberg action on R^3, whose anchor is polynomial."""
+    base = CoordinateSystem([("x", 0, 0), ("y", 0, 0), ("z", 0, 0)], name="r3jet")
+    one = SuperPolynomial.constant(1)
+    return AlgebroidData(base, ["a", "b", "c"],
+                         {("a", "x"): one, ("b", "y"): one, ("b", "z"): base.var("x"),
+                          ("c", "z"): one},
+                         {("a", "b", "c"): one})
+
+
+def test_lifted_laws_compiles_one_differential_per_transition_direction(monkeypatch):
+    tk = higher_tangent(seeded_diffeo(5), 3)
+    per_direction = []  # [plans compiled, laws lifted] per call
+    compile_plan, lifted_laws = superalg.Differential._plan, bundle._lifted_laws
+
+    def counting_plan(self, *args):
+        if per_direction:
+            per_direction[-1][0] += 1
+        return compile_plan(self, *args)
+
+    def counting_lifted_laws(comps, other, src, dst, key=None):
+        per_direction.append([0, sum(1 for v in comps if v in dst["dotted"])])
+        return lifted_laws(comps, other, src, dst, key)
+
+    monkeypatch.setattr(superalg.Differential, "_plan", counting_plan)
+    monkeypatch.setattr(bundle, "_lifted_laws", counting_lifted_laws)
+    linearise(tk)
+    tangent_bundle(tk)
+    # two bundles, each with one transition built in both directions
+    assert len(per_direction) == 4
+    assert [plans for plans, _ in per_direction] == [1, 1, 1, 1]
+    assert all(laws > 1 for _, laws in per_direction)

@@ -543,6 +543,101 @@ def test_differential_widens_a_field_at_the_guard_bit():
         assert key(d)[((("u", "x") if name == "x" else ("t", "b")) + (128,),)] == 1
 
 
+# ---------------------------------------------------- compiled differential
+def ref_scaled_differential(rp, rdot, rscale):
+    """The oracle: the chained sum of scale[u] * from_var(dot[u]) *
+    partial(p, u) over the variables u of p in declaration order."""
+    out = ref.ZERO
+    for u in sorted(rp.variables(), key=lambda v: v.sort_key):
+        if u in rdot:
+            out = out + ref.SuperPolynomial.from_var(rdot[u]) * ref.partial(rp, u) * rscale.get(u, 1)
+    return out
+
+
+def scales(pairs, factors):
+    """The integer scale of each mapped variable, live and reference."""
+    return ({LIVE[a]: f for (a, _), f in zip(pairs, factors)},
+            {REF[a]: f for (a, _), f in zip(pairs, factors)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(poly_desc(SOURCE_NAMES + TARGET_NAMES), min_size=1, max_size=5),
+       dot_strategy(), st.lists(st.integers(-3, 3).filter(bool), min_size=6, max_size=6),
+       st.booleans())
+def test_one_differential_on_many_polynomials(descs, pairs, factors, scaled):
+    # polynomials over the declared chart, over the undeclared one and over
+    # both, each of mixed parity, through one compiled differential, twice
+    dot, rdot = renaming(pairs)
+    scale, rscale = scales(pairs, factors) if scaled else (None, {})
+    D = live.Differential(dot, scale)
+    for d in descs + descs:
+        p, rp = both(d)
+        same(D(p), ref_scaled_differential(rp, rdot, rscale))
+    if not scaled:
+        p, rp = both(descs[0])
+        same(D(p), live.differential(p, dot))
+
+
+def test_one_differential_widens_and_keeps_a_plan_per_ring():
+    # odd to odd past other odd factors, even to even, odd to the undeclared
+    # chart; x^127 fills x's field up to its guard bit, so y -> x widens
+    pairs = [("y", "x"), ("z", "y"), ("xi", "eta"), ("eta", "rho"), ("b", "a"),
+             ("theta", "xi")]
+    dot, rdot = renaming(pairs)
+    scale, rscale = scales(pairs, [3, 1, -2, 1, 5, 1])
+    D = live.Differential(dot, scale)
+    narrow = [(Fraction(1, 2), [("y", 2), ("xi", 1)]), (Fraction(-1), [("z", 1), ("eta", 1)]),
+              (Fraction(2, 3), [("eta", 1), ("theta", 1), ("y", 1)])]
+    wide = [(Fraction(1), [("x", 127), ("y", 1)]), (Fraction(-3), [("z", 1)])]
+    other = [(Fraction(2), [("b", 2), ("rho", 1)]), (Fraction(1), [("eta", 1), ("b", 1)])]
+    polys = [both(desc) for desc in (narrow, wide, other)]
+    for p, rp in polys + polys:
+        got = D(p)
+        same(got, ref_scaled_differential(rp, rdot, rscale))
+        if p is polys[1][0]:
+            assert p._ring.width == 8 and got._ring.width > 8
+            assert key(got)[(("u", "x", 128),)] == 3
+    # the declared chart and the ring of b, rho and eta: one plan each
+    assert polys[0][0]._ring is polys[1][0]._ring is SOURCE_RING
+    assert set(D._plans) == {SOURCE_RING, polys[2][0]._ring}
+
+
+# -------------------------------------------------- the derivative kernel
+@settings(max_examples=150, deadline=None)
+@given(rational_desc(SOURCE_NAMES + TARGET_NAMES), st.booleans())
+def test_derivatives_in_one_pass_are_the_partials(d, widen):
+    p, rp = both(d)
+    if widen:
+        x, rx = var("x")
+        p, rp = p * x ** 130 + p, rp * rx ** 130 + rp
+    ring = p._ring
+    w = ring.width
+    everything = sum(((1 << w) - 1) << (i * w) for i in range(len(ring.vars)))
+    for right, oracle in ((False, ref.partial), (True, ref.partial_right)):
+        outs = live._derivatives(p._num, ring, everything, right)
+        for i, v in enumerate(ring.vars):
+            got = live._make(ring, dict(outs.get(i * w, {})), p._den)
+            same(got, oracle(rp, REF[v.name]))
+            same(got, (live.partial_right if right else live.partial)(p, v))
+
+
+def test_right_derivatives_by_an_odd_variable_put_even_terms_first():
+    # terms in the order odd, even, odd, even; by xi on the right the even
+    # terms come first, with their sign, then the odd ones
+    p, rp = both([(Fraction(1), [("xi", 1), ("x", 1)]),
+                  (Fraction(2), [("xi", 1), ("eta", 1)]),
+                  (Fraction(3), [("xi", 1), ("y", 1)]),
+                  (Fraction(4), [("xi", 1), ("theta", 1)])])
+    ring, w = p._ring, p._ring.width
+    i = ring.pos(LIVE["xi"])
+    outs = live._derivatives(p._num, ring, ((1 << w) - 1) << (i * w), True)
+    got = live._make(ring, dict(outs[i * w]), p._den)
+    assert list(key(got).items()) == [
+        ((("u", "eta", 1),), Fraction(-2)), ((("u", "theta", 1),), Fraction(-4)),
+        ((("u", "x", 1),), Fraction(1)), ((("u", "y", 1),), Fraction(3))]
+    same(got, ref.partial_right(rp, REF["xi"]))
+
+
 # ---------------------------------------------------------------- ChartMap
 # into the declared copy: in order (the direct move: in place, or by fields
 # moving down and up by different offsets), swapping two even variables (the
