@@ -56,6 +56,7 @@ from gradedbundles.constructions import (
 )
 
 from helpers import SMALL, random_nonjacobi_constants, random_tower_section
+from test_algebroid_golden import action_algebroid
 from test_bundle import degree2_example
 
 
@@ -697,7 +698,7 @@ def test_higher_tangent_is_the_generic_total_derivative(k, seed):
 def test_complete_lift_of_a_tower_field_is_the_generic_total_derivative(k):
     # the Chevalley-Eilenberg field so(3)'s tower is built on, with odd
     # coefficients, and an anchored field
-    for E in (lie_tower(so3(), 2).carrier.provenance.source, action_algebroid_data()):
+    for E in (lie_tower(so3(), 2).carrier.provenance.source, action_algebroid()):
         Q, (system, _) = E.q_field(), E.pie_system()
         lift = complete_lift(Q, system, k)
         want = [(lift.level_of[vr], p) for vr, p in jets_by_apply(
@@ -706,16 +707,6 @@ def test_complete_lift_of_a_tower_field_is_the_generic_total_derivative(k):
         assert [v for v, _ in want] == list(lift.derivation.action)
         for v, p in want:
             same_terms(lift.derivation.action[v], p)
-
-
-def action_algebroid_data():
-    """The Heisenberg action on R^3, whose anchor is polynomial."""
-    base = CoordinateSystem([("x", 0, 0), ("y", 0, 0), ("z", 0, 0)], name="r3jet")
-    one = SuperPolynomial.constant(1)
-    return AlgebroidData(base, ["a", "b", "c"],
-                         {("a", "x"): one, ("b", "y"): one, ("b", "z"): base.var("x"),
-                          ("c", "z"): one},
-                         {("a", "b", "c"): one})
 
 
 def test_lifted_laws_compiles_one_differential_per_transition_direction(monkeypatch):
