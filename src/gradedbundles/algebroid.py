@@ -282,13 +282,11 @@ class AlgebroidCheck:
 
 
 def check_weighted_algebroid(Q: HomologicalField) -> AlgebroidCheck:
-    """Verify oddness and the (0,1) weight, then decide lie vs skew by Q^2."""
+    """Decide lie vs skew by Q^2: one item per x and theta coordinate.  Q's
+    oddness and (0,1) weight were checked when it was made."""
     report = Report()
-    phase = Q.phase
-    report.add("structure field is Grassmann odd", Q.derivation.parity == ODD)
-    report.add("structure field has weight (0,1)", Q.derivation.weight_shift == (0, 1, 0))
     residual = Q.square()
-    for v in phase.xs + phase.thetas:
+    for v in Q.phase.xs + Q.phase.thetas:
         report.zero(f"[Q,Q] on {v.name}", residual.coefficient(v))
     return AlgebroidCheck(residual, report)
 

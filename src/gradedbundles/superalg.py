@@ -70,9 +70,9 @@ Performance invariants, kept by every operation in this module:
 * a map applied to many polynomials is compiled once, into one plan per
   source ring: a substitution or renaming (:class:`ChartMap`) and a
   derivation along a fixed map of variables (:class:`Differential`).
-  ``substitute``, ``remap`` and ``differential`` are their one-off forms;
-  every re-charting builds one map per transition direction and applies it
-  to each component, each lift one differential per transition direction
+  ``substitute`` is a substitution's one-off form; every re-charting
+  builds one map per transition direction and applies it to each
+  component, each lift one differential per transition direction
   (``bundle._lifted_laws``) or per chart, and the total derivative of the
   jet constructions is one differential.  ``bundle.rechart`` builds
   each direction once: a transition held as the reversal of another (the
@@ -1098,20 +1098,12 @@ class Differential:
         return _make(ring, out, p._den)
 
 
-def differential(p: SuperPolynomial, dot: Mapping[Variable, Variable]) -> SuperPolynomial:
-    """The sum of ``from_var(dot[u]) * partial(p, u)`` over the variables u
-    of p that ``dot`` maps, in ``sort_key`` order: a one-off
-    :class:`Differential`."""
-    return Differential(dot)(p)
-
-
 class ChartMap:
     """An algebra homomorphism, compiled once and applied to many polynomials.
 
-    ``assignment`` sends variables all to variables, a renaming (as
-    ``remap``), or to polynomials (as ``substitute``); unassigned variables
-    are kept.  Parities are checked on the first application, where
-    ``substitute`` and ``remap`` raise.
+    ``assignment`` sends variables all to variables, a renaming, or to
+    polynomials; unassigned variables are kept.  Parities are checked on the
+    first application, where ``substitute`` raises.
 
     Per source ring, on first use, a plan is kept while the map lives: the
     assigned fields' mask, each field's image and one power cache that all
@@ -1229,11 +1221,6 @@ def substitute(
     variable (weight compatibility is the caller's concern).
     """
     return ChartMap(assignment)(p)
-
-
-def remap(p: SuperPolynomial, varmap: Mapping[Variable, Variable]) -> SuperPolynomial:
-    """Rename variables: the substitution of each ``v`` by ``varmap[v]``."""
-    return ChartMap(varmap)(p)
 
 
 # -------------------------------------------------------------- derivations

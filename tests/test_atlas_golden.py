@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbundles.superalg import ZERO, SuperPolynomial, partial, remap, render, substitute
+from gradedbundles.superalg import ZERO, ChartMap, SuperPolynomial, partial, render, substitute
 from gradedbundles.bundle import (
     core_submanifold,
     project_tower,
@@ -145,14 +145,14 @@ if __name__ == "__main__":
 def pullback_then_rename(comps, other, src, dst):
     """Dual components by the formula ``contragredient`` replaced: each
     Jacobian entry pulled back along the old components, then renamed."""
-    base = src["base"]
-    out = {new: remap(comps[v], base) for v, new in dst["base"].items()}
+    base = ChartMap(src["base"])
+    out = {new: base(comps[v]) for v, new in dst["base"].items()}
     for a, pa in dst["dual"].items():
         expr = ZERO
         for b, pb in src["dual"].items():
             entry = partial(other[b], a)
             if not entry.is_zero():
-                expr = expr + remap(substitute(entry, comps), base) * SuperPolynomial.from_var(pb)
+                expr = expr + base(substitute(entry, comps)) * SuperPolynomial.from_var(pb)
         out[pa] = expr
     return out
 

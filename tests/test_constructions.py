@@ -268,9 +268,7 @@ def _transport(src_alg, dst_alg, p):
     varmap = {
         v: dst_alg.phase.system[v.name] for v in src_alg.phase.system.variables
     }
-    from gradedbundles.superalg import remap
-
-    return remap(p, varmap)
+    return ChartMap(varmap)(p)
 
 
 def test_prolongation_restricts_to_input():

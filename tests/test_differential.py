@@ -259,8 +259,8 @@ def test_exponents_past_the_field_width():
     same(live.substitute(big * y, {LIVE["x"]: y, LIVE["y"]: x}),
          ref.substitute(rbig * ry, {REF["x"]: ry, REF["y"]: rx}))
     # into a narrower ring of another chart, and two even variables into one
-    same(live.remap(big * y, {LIVE["x"]: LIVE["a"]}), ref.remap(rbig * ry, {REF["x"]: REF["a"]}))
-    same(live.remap(big * y ** 200, {LIVE["x"]: LIVE["b"], LIVE["y"]: LIVE["b"]}),
+    same(live.ChartMap({LIVE["x"]: LIVE["a"]})(big * y), ref.remap(rbig * ry, {REF["x"]: REF["a"]}))
+    same(live.ChartMap({LIVE["x"]: LIVE["b"], LIVE["y"]: LIVE["b"]})(big * y ** 200),
          ref.remap(rbig * ry ** 200, {REF["x"]: REF["b"], REF["y"]: REF["b"]}))
 
 
@@ -367,7 +367,7 @@ def renaming(pairs):
 def check_remap(d, pairs):
     p, rp = both(d)
     live_map, ref_map = renaming(pairs)
-    same(live.remap(p, live_map), ref.remap(rp, ref_map))
+    same(live.ChartMap(live_map)(p), ref.remap(rp, ref_map))
 
 
 def renaming_strategy(names=SOURCE_NAMES + TARGET_NAMES):
@@ -413,11 +413,11 @@ def test_remap_fixed_maps_on_full_products():
         check_remap(full, pairs)
     p, _ = both(full)
     # xi*eta*theta -> tau*sigma*rho: an odd permutation of three odd factors
-    reversed_p = live.remap(p, renaming(REVERSING)[0])
+    reversed_p = live.ChartMap(renaming(REVERSING)[0])(p)
     assert key(reversed_p)[(("t", "rho", 1), ("t", "a", 1), ("t", "sigma", 1),
                             ("t", "b", 1), ("t", "tau", 1), ("t", "c", 1))] == Fraction(-5, 2)
     # two odd variables sent to one: xi*eta terms vanish
-    assert all(("t", "rho", 2) not in m for m in key(live.remap(p, renaming(ODD_COLLAPSE)[0])))
+    assert all(("t", "rho", 2) not in m for m in key(live.ChartMap(renaming(ODD_COLLAPSE)[0])(p)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +426,7 @@ def test_remap_parity_mismatch(d):
     p, rp = both(d)
     live_map, ref_map = renaming([("x", "rho")])
     with pytest.raises(live.ParityMismatch):
-        live.remap(p, live_map)
+        live.ChartMap(live_map)(p)
     with pytest.raises(ref.ParityMismatch):
         ref.remap(rp, ref_map)
 
@@ -486,7 +486,7 @@ def ref_differential(rp, rdot):
 
 def check_differential(p, rp, pairs):
     dot, rdot = renaming(pairs)
-    d = live.differential(p, dot)
+    d = live.Differential(dot)(p)
     same(d, ref_differential(rp, rdot))
     action = {u: live.SuperPolynomial.from_var(t) for u, t in dot.items()}
     assert d == live.apply(live.Derivation(action, EVEN, (0,), check=False), p)
@@ -575,7 +575,7 @@ def test_one_differential_on_many_polynomials(descs, pairs, factors, scaled):
         same(D(p), ref_scaled_differential(rp, rdot, rscale))
     if not scaled:
         p, rp = both(descs[0])
-        same(D(p), live.differential(p, dot))
+        same(D(p), live.Differential(dot)(p))
 
 
 def test_one_differential_widens_and_keeps_a_plan_per_ring():
@@ -687,7 +687,7 @@ def test_chart_map_substitution(spec, image_descs):
 def check_renaming(spec, pairs, extra=()):
     live_map, ref_map = renaming(pairs)
     check_chart_map(polynomials(spec) + [both(d) for d in extra], live_map, ref_map,
-                    live.remap, ref.remap)
+                    lambda p, m: live.ChartMap(m)(p), ref.remap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -726,7 +726,7 @@ def test_chart_map_moves_in_order_and_reorders_with_the_koszul_sign():
     same(even_swapped(p), ref.remap(rp, renaming(EVEN_SWAP_INTO_COPY)[1]))
     # x <-> z and xi <-> theta in the copy: xi*eta*theta -> stheta*seta*sxi
     swapped = live.ChartMap(renaming(SWAP_INTO_COPY)[0])
-    assert swapped._plans.get(p._ring) is None and swapped(p) == live.remap(p, swapped.assignment)
+    assert swapped._plans.get(p._ring) is None and swapped(p) == live.ChartMap(swapped.assignment)(p)
     assert swapped._plans[p._ring][4] is None
     assert key(swapped(p))[tuple(("s", n, 1) for n in COPY_NAMES)] == Fraction(-5, 2)
     same(swapped(p), ref.remap(rp, renaming(SWAP_INTO_COPY)[1]))

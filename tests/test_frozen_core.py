@@ -1,0 +1,98 @@
+"""The whole engine on the frozen reference core, against the live core.
+
+``reference_core`` completes the frozen ``reference_superalg`` to the
+``superalg`` API by textbook formulas.  Run as a script with ``reference``,
+this module installs it as ``gradedbundles.superalg`` before the package is
+imported, then prints as one JSON object every golden CLI report (with its
+exit code), the stdout of every demo and the three structure goldens built
+in ``tests/``.  With ``live`` it prints the same from the live core.  The
+test runs both in subprocesses, so this process's modules are untouched,
+and compares them byte for byte; the live run must reproduce the goldens.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import pathlib
+import re
+import runpy
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
+UPPER_LAYERS = [p for p in sorted((ROOT / "src" / "gradedbundles").glob("*.py"))
+                if p.stem != "superalg"]
+# module with snapshot() and dump(), and the golden file it writes
+STRUCTURES = {"test_atlas_golden": "atlas.json", "test_algebroid_golden": "algebroids.json",
+              "test_provenance_golden": "provenance.json"}
+
+
+def superalg_imports():
+    """The names the upper layers import from ``superalg``."""
+    names = set()
+    for path in UPPER_LAYERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "superalg":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def run_all() -> dict[str, str]:
+    from gradedbundles import bundle, cli
+    from test_golden import CASES, SPEC_DIR, golden_path
+
+    # the module the engine's layers bound, to show which core ran
+    out = {"core": bundle.ChartMap.__module__}
+    for name, command, fmt, ext in CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([*command, "--spec", str(SPEC_DIR / name), "--format", fmt])
+        out[golden_path(name, command, ext).name] = f"exit {code}\n{buf.getvalue()}"
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            runpy.run_path(str(demo), run_name="__main__")
+        out[f"demos/{demo.stem}.txt"] = buf.getvalue()
+    for module, golden in STRUCTURES.items():
+        m = __import__(module)
+        out[golden] = m.dump(m.snapshot())
+    return out
+
+
+def test_reference_core_covers_every_superalg_import():
+    import reference_core
+    from gradedbundles.superalg import SuperPolynomial
+
+    assert sorted(n for n in superalg_imports() if not hasattr(reference_core, n)) == []
+    # and every method of the live polynomial that the upper layers call
+    source = "".join(path.read_text() for path in UPPER_LAYERS)
+    called = {a for a in vars(SuperPolynomial) if not a.startswith("_")
+              and re.search(rf"\.{a}\(", source)}
+    assert sorted(a for a in called if not hasattr(reference_core.SuperPolynomial, a)) == []
+
+
+def test_engine_on_the_frozen_core_matches_the_live_core():
+    from helpers import run_python_subprocess
+
+    runs = {}
+    for core in ("live", "reference"):
+        proc = run_python_subprocess([__file__, core], seed="0", timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[core] = json.loads(proc.stdout)
+    live, ref = runs["live"], runs["reference"]
+    assert (live.pop("core"), ref.pop("core")) == ("gradedbundles.superalg", "reference_core")
+    for name, text in live.items():
+        expected = GOLDEN_DIR / name
+        body = text.split("\n", 1)[1] if text.startswith("exit ") else text
+        assert body == expected.read_text(), name
+    assert list(ref) == list(live)
+    assert [name for name in live if ref[name] != live[name]] == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "reference":
+        import reference_core
+
+        sys.modules["gradedbundles.superalg"] = reference_core
+    sys.stdout.write(json.dumps(run_all()))

@@ -60,13 +60,13 @@ PUBLIC_API = [
     "anchor", "apply", "bundles_structurally_equal", "check_weighted_algebroid",
     "commutator", "complete_lift", "compose_morphisms", "contragredient",
     "core_submanifold", "cotangent_algebroid", "cotangent_bundle", "derived_bracket",
-    "differential", "embedding_compatibility", "epsilon_components", "extract_coefficients",
+    "embedding_compatibility", "epsilon_components", "extract_coefficients",
     "heisenberg3", "higher_tangent", "holonomic_embedding", "identity_morphism",
     "is_symmetric", "lie_tower", "linear_dual", "linear_poisson", "linearise",
     "linearise_morphism", "mironian", "mironian_report", "p_from_q", "pairing",
     "parity_reverse", "partial", "partial_right", "point_algebroid",
     "project_tower", "prolongation_algebroid", "prolongation_roles", "q_from_p", "rechart",
-    "reconstruct", "reduced_bracket", "remap", "render", "restrict", "restrict_to_A1",
+    "reconstruct", "reduced_bracket", "render", "restrict", "restrict_to_A1",
     "rho_hat", "single_chart_bundle", "sl2", "so3", "substitute", "symmetry_report",
     "tangent_algebroid", "tangent_bundle", "tm_algebroid", "tower_section_polynomial",
     "two_chart_bundle", "validate", "vertical_bundle", "weight_of", "weight_vector_field",

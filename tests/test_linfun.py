@@ -6,11 +6,11 @@ import pytest
 
 from gradedbundles.superalg import (
     ChartMap,
+    Differential,
     EVEN,
     ODD,
     ParityMismatch,
     SuperPolynomial,
-    differential,
     partial,
     render,
     _support_of,
@@ -240,7 +240,7 @@ def _pairwise_reference(G):
     for (i, j), t in sorted(G.transitions.items()):
         dot = {b: f for f, b in pairs[i]}
         for f, b in pairs[j]:
-            r = t.forward[f] - differential(t.forward[b], dot)
+            r = t.forward[f] - Differential(dot)(t.forward[b])
             lifts.append((f"transition {i}->{j}: {f.name} transforms as the vertical lift"
                           f" of {b.name}", "" if r.is_zero() else render(r)))
         for z in G.fiber_block(k - 1, j):
@@ -647,8 +647,6 @@ def test_pairing_formula_degree2():
 
 def test_dual_contragredience_blockwise():
     # N M = 1 blockwise: the dual transition matrix against the dotted one
-    from gradedbundles.superalg import partial, remap
-
     F = degree3_example()
     D = linearise(F)
     dual = linear_dual(F, D)
@@ -663,7 +661,7 @@ def test_dual_contragredience_blockwise():
         for b in fib_i:
             pi_of = dual.provenance.maps["dual"]
             entry = partial(t_pi.forward[pi_of[1][a]], pi_of[0][b])
-            n[(b, a)] = remap(entry, dual_map)
+            n[(b, a)] = ChartMap(dual_map)(entry)
     for b in fib_i:
         for c in fib_i:
             s = SuperPolynomial.zero()
