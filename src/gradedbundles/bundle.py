@@ -17,7 +17,11 @@ parity) triple, which declares a coordinate, or to a plain name, which maps
 the key onto a coordinate a triple declares, so each coordinate is declared
 once.  The result's ``provenance`` (a ``Provenance``) records the
 construction's tag, its source and, per role, one map per chart from source
-keys to new variables.  The roles in use:
+keys to new variables.  Transitions are carried when the atlas is made, so
+a refused law raises from the construction that hit it; the one exception
+is a differential lift that drops no coordinate (``tangent_bundle``,
+``vertical_bundle``), which can refuse no law, so its laws are lifted on
+the first read of ``transitions``.  The roles in use:
 
 * ``vars``: each kept coordinate to its copy (restrictions, projections,
   parity reversal, pairing charts); for ``reconstruct`` each coordinate of
@@ -37,6 +41,7 @@ with its residual, so callers can surface honest failures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .report import Report
@@ -153,16 +158,29 @@ class Provenance:
 
 
 class GradedBundle:
-    """An atlas of charts with weight-homogeneous polynomial transitions."""
+    """An atlas of charts with weight-homogeneous polynomial transitions.
+
+    A lift that cannot refuse a law leaves its transitions unbuilt: its
+    builder, ``_pending``, runs once, on the first read of ``transitions``.
+    """
 
     def __init__(self, charts, transitions=None, provenance=None):
         self.charts: list[CoordinateSystem] = list(charts)
-        self.transitions: dict[tuple[int, int], TransitionMap] = dict(transitions or {})
+        if not self.charts:
+            raise ValueError("a bundle needs at least one chart")
+        self._transitions = dict(transitions or {})
+        self._pending = None
         self.provenance: Provenance = provenance or Provenance()
         arities = {c.arity for c in self.charts}
         if len(arities) != 1:
             raise ValueError(f"charts disagree on grading arity: {arities}")
         self.arity = arities.pop()
+
+    @property
+    def transitions(self) -> dict[tuple[int, int], TransitionMap]:
+        if self._pending is not None:
+            self._transitions, self._pending = self._pending(), None
+        return self._transitions
 
     @property
     def degree(self) -> int:
@@ -331,13 +349,37 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     reversal of its ``(i, j)``, so the sharing carries on to every
     construction built from the result.  Two directions held in distinct
     dicts are each built.
+
+    ``rechart`` carries every transition before it returns, so a law that
+    ``component_fn`` refuses (``IllDefinedProjection``, ``ParityMismatch``)
+    raises from the call that made the atlas.  Only ``_differential_lift``
+    shares its chart declaration and leaves the carrying to the first read
+    of ``transitions``, and only when it drops no coordinate
+    (``tangent_bundle``, ``vertical_bundle``): ``_lifted_laws`` then renames
+    and differentiates and cannot refuse.
     """
+    charts, maps, provenance = _declare(bundle, spec_fn, tag, source)
+    return cls(charts, _carry(bundle, charts, maps, component_fn),
+               provenance=provenance, **kwargs)
+
+
+def _declare(bundle: GradedBundle, spec_fn, tag: str, source=None):
+    """The charts ``spec_fn`` declares, one per chart of ``bundle``, their
+    role maps and the provenance that records them (see ``rechart``)."""
     charts, maps = [], []
     for i, chart in enumerate(bundle.charts):
         name, arity, roles = spec_fn(i, chart)
         new, role_maps = _chart(name, arity, roles.values())
         charts.append(new)
         maps.append(dict(zip(roles, role_maps)))
+    provenance = Provenance(tag, bundle if source is None else source,
+                            {role: [m[role] for m in maps] for role in maps[0]})
+    return charts, maps, provenance
+
+
+def _carry(bundle: GradedBundle, charts, maps, component_fn) -> dict:
+    """``bundle``'s transitions carried onto ``charts`` by ``component_fn``,
+    once per direction (see ``rechart``)."""
     transitions = {}
     for (i, j), t in bundle.transitions.items():
         back = bundle.transitions.get((j, i))
@@ -348,9 +390,7 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
         fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
         inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i))
         transitions[(i, j)] = TransitionMap(charts[i], charts[j], fwd, inv)
-    provenance = Provenance(tag, bundle if source is None else source,
-                            {role: [m[role] for m in maps] for role in maps[0]})
-    return cls(charts, transitions, provenance=provenance, **kwargs)
+    return transitions
 
 
 def restrict(bundle: GradedBundle, keep, tag: str, cls=None, reweight=None,
@@ -485,7 +525,13 @@ def _differential_lift(bundle: GradedBundle, dotted_weight, tag: str,
                   for v in chart.variables if dotted_weight(total(v.weight))[0] >= 0}
         return chart.name + "_d", chart.arity + 1, {"undotted": undotted, "dotted": dotted}
 
-    return rechart(bundle, spec, _lifted_laws, cls=cls, tag=tag)
+    if not all(keep(v) for chart in bundle.charts for v in chart.variables):
+        return rechart(bundle, spec, _lifted_laws, cls=cls, tag=tag)
+    # with no coordinate dropped, _lifted_laws cannot refuse a law
+    charts, maps, provenance = _declare(bundle, spec, tag)
+    lift = cls(charts, provenance=provenance)
+    lift._pending = functools.partial(_carry, bundle, charts, maps, _lifted_laws)
+    return lift
 
 
 def vertical_bundle(bundle: GradedBundle) -> GradedBundle:

@@ -41,6 +41,11 @@ def test_degree2_example_validates():
     assert validate(degree2_example()).passed
 
 
+def test_a_bundle_needs_a_chart():
+    with pytest.raises(ValueError, match="^a bundle needs at least one chart$"):
+        GradedBundle([])
+
+
 def test_weight_violation_reported():
     A = CoordinateSystem([("x", 0, 0), ("y", 1, 0), ("z", 2, 0)], name="wva")
     B = CoordinateSystem([("X", 0, 0), ("Y", 1, 0), ("Z", 2, 0)], name="wvb")

@@ -15,13 +15,16 @@ from gradedbundles.superalg import (
     apply,
     commutator,
     partial,
+    total,
     weight_of,
 )
 from gradedbundles.bundle import (
     CoordinateSystem,
+    rechart,
     single_chart_bundle,
     tangent_bundle,
     validate,
+    vertical_bundle,
 )
 from gradedbundles.linfun import (
     bundles_structurally_equal,
@@ -55,8 +58,10 @@ from gradedbundles.constructions import (
     tower_section_polynomial,
 )
 
+from gradedbundles.specfile import build_bundle, parse
 from helpers import SMALL, random_nonjacobi_constants, random_tower_section
 from test_algebroid_golden import action_algebroid
+from test_atlas_golden import SPEC_DIR
 from test_bundle import degree2_example
 
 
@@ -724,8 +729,87 @@ def test_lifted_laws_compiles_one_differential_per_transition_direction(monkeypa
     monkeypatch.setattr(superalg.Differential, "_plan", counting_plan)
     monkeypatch.setattr(bundle, "_lifted_laws", counting_lifted_laws)
     linearise(tk)
-    tangent_bundle(tk)
+    # a tangent bundle lifts its laws when its transitions are first read
+    tangent_bundle(tk).transitions
     # two bundles, each with one transition built in both directions
     assert len(per_direction) == 4
     assert [plans for plans, _ in per_direction] == [1, 1, 1, 1]
     assert all(laws > 1 for _, laws in per_direction)
+
+
+# ------------------------------------------- lifts that defer their laws
+LIFTS = {"tangent": (tangent_bundle, lambda w: (w, 1)),
+         "vertical": (vertical_bundle, lambda w: (w - 1, 1))}
+DEFERRED = {"tangent": lambda F: tangent_bundle(F),
+            "vertical": lambda F: vertical_bundle(F),
+            "tangent algebroid": lambda F: lie_carrier(tangent_algebroid(F))}
+
+
+def lie_carrier(algebroid):
+    """The carrier of an algebroid whose verdict is read first, as the jets
+    benchmark reads it."""
+    assert algebroid.kind == "lie"
+    return algebroid.carrier
+
+
+def lift_sources():
+    """The declared shipped bundles and a seeded T^3 M, by name."""
+    out = {name: build_bundle(parse((SPEC_DIR / f"{name}.spec").read_text())).bundle
+           for name in ("degree2", "degree3", "odd-degree2", "odd-degree3")}
+    out["seeded T^3 M"] = higher_tangent(seeded_diffeo(5), 3)
+    return out
+
+
+def eager_lift(F, dotted_weight):
+    """The differential lift of F by ``rechart``, which carries every law
+    when it is called: each coordinate kept undotted, each with a dotted
+    partner of weight ``dotted_weight(w)`` unless that is negative."""
+    def spec(i, chart):
+        taken = {v.name for v in chart}
+        undotted = {v: (v.name, v.weight + (0,), v.parity) for v in chart}
+        dotted = {}
+        for v in chart:
+            if dotted_weight(total(v.weight))[0] >= 0:
+                name = bundle._fresh_name("d" + v.name, taken, lambda n: "d" + n)
+                dotted[v] = (name, dotted_weight(total(v.weight)), v.parity)
+        return chart.name + "_e", chart.arity + 1, {"undotted": undotted, "dotted": dotted}
+
+    return rechart(F, spec, bundle._lifted_laws)
+
+
+@pytest.mark.parametrize("lift", sorted(DEFERRED))
+def test_lifts_that_drop_no_coordinate_lift_their_laws_on_first_read(lift, monkeypatch):
+    F = higher_tangent(seeded_diffeo(5), 3)
+    calls, lifted_laws = [], bundle._lifted_laws
+
+    def counting_lifted_laws(comps, other, src, dst, key=None):
+        calls.append(key)
+        return lifted_laws(comps, other, src, dst, key)
+
+    monkeypatch.setattr(bundle, "_lifted_laws", counting_lifted_laws)
+    carrier = DEFERRED[lift](F)
+    assert calls == []
+    transitions = carrier.transitions
+    # once per direction of the one transition, then never again
+    assert calls == [(0, 1), (1, 0)]
+    assert carrier.transitions is transitions
+    assert calls == [(0, 1), (1, 0)]
+    assert transitions[(1, 0)].forward is transitions[(0, 1)].inverse
+
+
+@pytest.mark.parametrize("name", ["degree2", "degree3", "odd-degree2", "odd-degree3",
+                                  "seeded T^3 M"])
+@pytest.mark.parametrize("lift", sorted(LIFTS))
+def test_a_deferred_lift_reads_as_the_eager_one(lift, name):
+    F = lift_sources()[name]
+    make, dotted_weight = LIFTS[lift]
+    deferred = make(F)
+    assert deferred._pending is not None
+    assert bundles_structurally_equal(deferred, eager_lift(F, dotted_weight))
+    assert validate(deferred).passed
+
+
+def test_linearisation_carries_its_laws_when_it_is_made():
+    # it drops the top coordinates, so a leaking law must raise from the call
+    D = linearise(lift_sources()["degree2"])
+    assert D._pending is None and set(D.transitions) == {(0, 1), (1, 0)}

@@ -4,10 +4,12 @@
 ``superalg`` API by textbook formulas.  Run as a script with ``reference``,
 this module installs it as ``gradedbundles.superalg`` before the package is
 imported, then prints as one JSON object every golden CLI report (with its
-exit code), the stdout of every demo and the three structure goldens built
-in ``tests/``.  With ``live`` it prints the same from the live core.  The
-test runs both in subprocesses, so this process's modules are untouched,
-and compares them byte for byte; the live run must reproduce the goldens.
+exit code), the stdout of every demo, the three structure goldens built in
+``tests/`` and the outputs of one seed of the ``jets`` and ``towers``
+benchmark workloads.  With ``live`` it prints the same from the live core.
+The test runs both in subprocesses, so this process's modules are
+untouched, and compares them byte for byte; the live run must reproduce
+the goldens.
 """
 
 import ast
@@ -26,6 +28,9 @@ UPPER_LAYERS = [p for p in sorted((ROOT / "src" / "gradedbundles").glob("*.py"))
 # module with snapshot() and dump(), and the golden file it writes
 STRUCTURES = {"test_atlas_golden": "atlas.json", "test_algebroid_golden": "algebroids.json",
               "test_provenance_golden": "provenance.json"}
+# one seed of each in-process benchmark workload; these have no golden file
+BENCH_SEED = 1
+SEEDED = (f"jets seed {BENCH_SEED}", f"towers seed {BENCH_SEED}")
 
 
 def superalg_imports():
@@ -57,7 +62,56 @@ def run_all() -> dict[str, str]:
     for module, golden in STRUCTURES.items():
         m = __import__(module)
         out[golden] = m.dump(m.snapshot())
+    out.update(zip(SEEDED, (json.dumps(jets_records()), json.dumps(towers_records()))))
     return out
+
+
+def _workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def jets_records():
+    """T^k M of each jets input, its linearisation, dual and pairing, and the
+    tangent algebroid's verdict; its carrier's atlas is read after the
+    verdict, so its transitions are built then, as they would be after the
+    benchmark's task."""
+    from gradedbundles import constructions, linfun
+    from test_atlas_golden import atlas, pairing_record
+
+    workloads = _workloads()
+    records = []
+    for inp in workloads.jets_inputs(BENCH_SEED):
+        tk = constructions.higher_tangent(inp.phi, workloads.JETS_K)
+        lin = linfun.linearise(tk)
+        dual = linfun.linear_dual(tk, lin)
+        algebroid = constructions.tangent_algebroid(tk)
+        records.append({"T^k M": atlas(tk), "linearise": atlas(lin), "linear_dual": atlas(dual),
+                        "pairing": pairing_record(linfun.pairing(tk, dual)),
+                        "kind": algebroid.kind})
+        records[-1]["carrier"] = atlas(algebroid.carrier)
+    return records
+
+
+def towers_records():
+    """Each towers case's verdict, Hamiltonian and reduced bracket, and
+    whether it equals the derived bracket."""
+    from gradedbundles.constructions import lie_tower
+    from gradedbundles.superalg import render
+
+    workloads = _workloads()
+    records = []
+    for pair in workloads.towers_inputs(BENCH_SEED):
+        for case, out in zip(pair, workloads.towers_task(pair)):
+            tower = lie_tower(case.engine_constants, workloads.TOWERS_K)
+            reduced = out["reduced"]
+            records.append({"kind": out["kind"], "agrees": out["agrees"],
+                            "hamiltonian": render(tower.hamiltonian.poly),
+                            "Y": {n: render(p) for n, p in sorted(reduced.Y.items())},
+                            "Z": {f"{n} {r}": render(p) for (n, r), p in sorted(reduced.Z.items())}})
+    return records
 
 
 def test_reference_core_covers_every_superalg_import():
@@ -83,6 +137,8 @@ def test_engine_on_the_frozen_core_matches_the_live_core():
     live, ref = runs["live"], runs["reference"]
     assert (live.pop("core"), ref.pop("core")) == ("gradedbundles.superalg", "reference_core")
     for name, text in live.items():
+        if name in SEEDED:
+            continue
         expected = GOLDEN_DIR / name
         body = text.split("\n", 1)[1] if text.startswith("exit ") else text
         assert body == expected.read_text(), name
@@ -95,4 +151,9 @@ if __name__ == "__main__":
         import reference_core
 
         sys.modules["gradedbundles.superalg"] = reference_core
+        import gradedbundles
+
+        # a submodule already in sys.modules is not bound on its package,
+        # and the benchmark's workloads read gradedbundles.superalg
+        gradedbundles.superalg = reference_core
     sys.stdout.write(json.dumps(run_all()))
