@@ -740,8 +740,7 @@ def test_lifted_laws_compiles_one_differential_per_transition_direction(monkeypa
 # ------------------------------------------- lifts that defer their laws
 LIFTS = {"tangent": (tangent_bundle, lambda w: (w, 1)),
          "vertical": (vertical_bundle, lambda w: (w - 1, 1))}
-DEFERRED = {"tangent": lambda F: tangent_bundle(F),
-            "vertical": lambda F: vertical_bundle(F),
+DEFERRED = {"tangent": tangent_bundle, "vertical": vertical_bundle,
             "tangent algebroid": lambda F: lie_carrier(tangent_algebroid(F))}
 
 
@@ -752,12 +751,11 @@ def lie_carrier(algebroid):
     return algebroid.carrier
 
 
-def lift_sources():
-    """The declared shipped bundles and a seeded T^3 M, by name."""
-    out = {name: build_bundle(parse((SPEC_DIR / f"{name}.spec").read_text())).bundle
-           for name in ("degree2", "degree3", "odd-degree2", "odd-degree3")}
-    out["seeded T^3 M"] = higher_tangent(seeded_diffeo(5), 3)
-    return out
+def lift_source(name):
+    """A shipped spec's declared bundle, or a seeded T^3 M."""
+    if name == "seeded T^3 M":
+        return higher_tangent(seeded_diffeo(5), 3)
+    return build_bundle(parse((SPEC_DIR / f"{name}.spec").read_text())).bundle
 
 
 def eager_lift(F, dotted_weight):
@@ -801,15 +799,9 @@ def test_lifts_that_drop_no_coordinate_lift_their_laws_on_first_read(lift, monke
                                   "seeded T^3 M"])
 @pytest.mark.parametrize("lift", sorted(LIFTS))
 def test_a_deferred_lift_reads_as_the_eager_one(lift, name):
-    F = lift_sources()[name]
+    F = lift_source(name)
     make, dotted_weight = LIFTS[lift]
     deferred = make(F)
     assert deferred._pending is not None
     assert bundles_structurally_equal(deferred, eager_lift(F, dotted_weight))
     assert validate(deferred).passed
-
-
-def test_linearisation_carries_its_laws_when_it_is_made():
-    # it drops the top coordinates, so a leaking law must raise from the call
-    D = linearise(lift_sources()["degree2"])
-    assert D._pending is None and set(D.transitions) == {(0, 1), (1, 0)}
