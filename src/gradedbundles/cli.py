@@ -35,6 +35,7 @@ from .constructions import (
     lie_tower,
     linear_poisson,
     prolongation_algebroid,
+    prolongation_blocks,
     prolongation_roles,
     reduced_bracket,
     tangent_algebroid,
@@ -148,10 +149,7 @@ def build_prolong_data(section) -> tuple[AlgebroidData, int]:
     fiber_names, _ = _distinct_names(grouped, "fiber")
     if not fiber_names:
         raise SpecSyntaxError("prolong structures need a fiber entry", section.line, 1)
-    # the coordinates the carrier declares beside the base
-    levels = range(1, k)
-    declared = {name for n in fiber_names for name in (
-        f"xi{n}", *(f"y{n}_{r}" for r in levels), *(f"dy{n}_{r + 1}" for r in levels))}
+    declared = {name for b in prolongation_blocks(fiber_names, k) for name, _, _ in b.values()}
     for n in base_names:
         if n in declared:
             raise SpecSyntaxError(

@@ -33,6 +33,7 @@ from .superalg import (
     ZERO,
     commutator,
     linear_combination,
+    maps_equal,
     sum_of_products,
     total,
     weight_of,
@@ -429,17 +430,24 @@ def complete_lift(Q: Derivation, system: CoordinateSystem, k: int) -> LiftedFiel
 
 
 # ------------------------------------------------------------ reduction tower
-def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
-    """The prolongation of ``E``; its carrier's provenance has ``E`` as source
-    and roles ``base``, ``xi`` (name n to xi<n>), ``y`` and ``dy`` ((n, r)
-    to y<n>_<r> and dy<n>_<r+1>)."""
-    names = E.fiber_names
+def prolongation_blocks(names: list[str], k: int) -> list[dict]:
+    """The ``_chart`` blocks the order-``k`` prolongation declares beside the
+    base, for fibre names n and levels r in 1..k-1: ``y`` ((n, r) to
+    y<n>_<r>), ``xi`` (n to xi<n>) and ``dy`` ((n, r) to dy<n>_<r+1>)."""
     levels = range(1, k)
-    chart, (base, y_of, xi_of, dy_of) = _chart(f"prolong{k}_{E.base.name}", 2, [
-        {v: (v.name, (0, 0), EVEN) for v in E.base.variables},
+    return [
         {(n, r): (f"y{n}_{r}", (r, 0), EVEN) for r in levels for n in names},
         {n: (f"xi{n}", (0, 1), EVEN) for n in names},
         {(n, r): (f"dy{n}_{r + 1}", (r, 1), EVEN) for r in levels for n in names},
+    ]
+
+
+def _prolongation(E: AlgebroidData, k: int) -> WeightedAlgebroid:
+    """The prolongation of ``E``; its carrier's provenance has ``E`` as source
+    and roles ``base`` and ``prolongation_blocks``' ``y``, ``xi`` and ``dy``."""
+    chart, (base, y_of, xi_of, dy_of) = _chart(f"prolong{k}_{E.base.name}", 2, [
+        {v: (v.name, (0, 0), EVEN) for v in E.base.variables},
+        *prolongation_blocks(E.fiber_names, k),
     ])
     roles = {"base": [base], "y": [y_of], "xi": [xi_of], "dy": [dy_of]}
     carrier = GLBundle([chart], provenance=Provenance("prolongation", E, roles), gl_degree=k)
@@ -494,13 +502,7 @@ class TowerSection:
     def __eq__(self, other):
         if not isinstance(other, TowerSection):
             return NotImplemented
-        keys_y = set(self.Y) | set(other.Y)
-        keys_z = set(self.Z) | set(other.Z)
-        return all(
-            self.Y.get(n, ZERO) == other.Y.get(n, ZERO) for n in keys_y
-        ) and all(
-            self.Z.get(a, ZERO) == other.Z.get(a, ZERO) for a in keys_z
-        )
+        return maps_equal(self.Y, other.Y) and maps_equal(self.Z, other.Z)
 
 
 def tower_section_polynomial(alg: WeightedAlgebroid, s: TowerSection) -> SuperPolynomial:

@@ -41,6 +41,7 @@ from .superalg import (
     SuperPolynomial,
     Variable,
     ZERO,
+    maps_equal,
     partial,
     render,
     substitute,
@@ -191,8 +192,7 @@ def compose_morphisms(outer: GradedMorphism, inner: GradedMorphism) -> GradedMor
 
 
 def morphisms_equal(a: GradedMorphism, b: GradedMorphism) -> bool:
-    keys = set(a.components) | set(b.components)
-    return all(a.components.get(v, ZERO) == b.components.get(v, ZERO) for v in keys)
+    return maps_equal(a.components, b.components)
 
 
 def linearise_morphism(

@@ -29,7 +29,8 @@ exhausting the interpreter's stack, and the third bounds the size of every
 intermediate polynomial, so the time to parse grows with the length of an
 expression rather than with the polynomials it describes.  A ``[structure]``
 section's ``dim`` and ``k`` may not exceed ``MAX_DIM`` and ``MAX_K``, which
-bound the size of the charts a construction builds from it.
+bound the size of the charts a construction builds from it; ``parse``
+rejects a ``[chart]`` section's coordinate past ``MAX_COORDINATES``.
 
 Each section's entry keys take one of the shapes below (``_SECTION_KEYS``
 and ``_STRUCTURE_KEYS``): a first word, then one word per placeholder;
@@ -212,6 +213,9 @@ def _check_known(sections):
                                       e.line, 1)
             if e.key in seen:
                 raise SpecSyntaxError(f"duplicate entry {key!r} in {header}", e.line, 1)
+            if s.kind == "chart" and len(seen) == MAX_COORDINATES:
+                raise SpecSyntaxError(
+                    f"[{header}] declares more than {MAX_COORDINATES} coordinates", e.line, 1)
             seen.add(e.key)
 
 
@@ -232,6 +236,13 @@ MAX_TERMS = 1_000
 # and 30 MB, and 4 such coordinates at k = 16 take 0.2 s and 25 MB.
 MAX_DIM = 32
 MAX_K = 6
+# Most coordinates a [chart] section may declare; shipped specs use at most
+# 7 per chart and benchmark specs 4.  The costliest spec measured at the
+# bound, two charts of 64 weight-1 coordinates under a dense unimodular
+# linear map and its inverse (83 KB), takes at most about 1.8 s and 22 MB
+# per command (`dual`), process start included, on a 2-core x86-64 machine;
+# the same construction at 128 coordinates (450 KB) takes `validate` 4.1 s.
+MAX_COORDINATES = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"

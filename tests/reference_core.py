@@ -15,6 +15,8 @@ is written here as its textbook formula over it:
 * ``antibracket(f, g, pairs)`` is the chained sum of
   ``partial_right(f, q) * partial(g, q*) - partial_right(f, q*) * partial(g, q)``
   in pair order;
+* ``maps_equal(a, b)`` compares the two maps key by key over the union
+  of their keys, a missing key reading as ``ZERO``;
 * ``chart_support`` and the methods ``term_count``, ``monomials`` and
   ``involves`` read the reference's term dict, and ``declare_chart``
   returns a ring that holds only its ``vars``.
@@ -104,6 +106,10 @@ def antibracket(f, g, pairs):
     for q, qs in pairs:
         out = out + partial_right(f, q) * partial(g, qs) - partial_right(f, qs) * partial(g, q)
     return out
+
+
+def maps_equal(a, b):
+    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in set(a) | set(b))
 
 
 def chart_support(p, variables):

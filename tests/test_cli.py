@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from gradedbundles import cli, specfile
+from gradedbundles.bundle import CoordinateSystem
+from gradedbundles.constructions import AlgebroidData, prolongation_algebroid
 from gradedbundles.linfun import (
     bundles_structurally_equal,
     is_symmetric,
@@ -16,6 +18,7 @@ from gradedbundles.linfun import (
 )
 from gradedbundles.superalg import Variable
 from gradedbundles.specfile import (
+    MAX_COORDINATES,
     MAX_DIM,
     MAX_EXPONENT,
     MAX_K,
@@ -609,6 +612,44 @@ DIM_OVER = f"'dim' {MAX_DIM + 1} exceeds the limit of {MAX_DIM} at line 3,"
         "prolong-k"])
 def test_structure_above_its_bounds_exit_two(tmp_path, capsys, command, text, message):
     assert message in run_cli_hostile(tmp_path, capsys, command, text)
+
+
+def test_every_coordinate_of_the_prolongation_clashes_with_a_base_name(tmp_path, capsys):
+    # the names are read off the built carrier, so a renamed coordinate
+    # must still meet the located error, not a failed construction
+    data = AlgebroidData(CoordinateSystem([("x", 0, 0)], name="base"), ["e", "f"], {}, {})
+    names = [v.name for v in prolongation_algebroid(data, 3).carrier.chart.variables][1:]
+    assert len(names) == 10
+    for n in names:
+        text = f"[structure prolong]\nk = 3\nbase = {n}\nfiber = e f\n"
+        err = run_cli_hostile(tmp_path, capsys, ["check-q"], text)
+        assert f"base name {n!r} clashes with a coordinate of the prolongation at line 3" in err
+
+
+def identity_charts_text(n):
+    """Two charts of n weight-1 coordinates and the identity maps between them."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    return "".join((
+        "[chart A]\n", *(f"{v} = weight 1\n" for v in names),
+        "[chart B]\n", *(f"{v.upper()} = weight 1\n" for v in names),
+        "[map A -> B]\n", *(f"{v.upper()} = {v}\n" for v in names),
+        "[map B -> A]\n", *(f"{v} = {v.upper()}\n" for v in names)))
+
+
+def test_charts_at_the_coordinate_bound_run(tmp_path):
+    doc = tmp_path / "bound.spec"
+    doc.write_text(identity_charts_text(MAX_COORDINATES))
+    code, out = run_cli(["validate", "--spec", str(doc)])
+    assert code == 0, out
+
+
+def test_a_coordinate_past_the_bound_exits_two(tmp_path, capsys):
+    # the first chart's header is line 1, so its coordinate past the bound
+    # sits on line MAX_COORDINATES + 2
+    text = identity_charts_text(MAX_COORDINATES + 1)
+    err = run_cli_hostile(tmp_path, capsys, ["validate"], text)
+    assert (f"[chart A] declares more than {MAX_COORDINATES} coordinates"
+            f" at line {MAX_COORDINATES + 2}, column 1") in err
 
 
 def test_dimension_30_lie_tower_constructs_in_time(tmp_path):

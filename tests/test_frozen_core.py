@@ -5,11 +5,12 @@
 this module installs it as ``gradedbundles.superalg`` before the package is
 imported, then prints as one JSON object every golden CLI report (with its
 exit code), the stdout of every demo, the three structure goldens built in
-``tests/`` and the outputs of one seed of the ``jets`` and ``towers``
-benchmark workloads.  With ``live`` it prints the same from the live core.
-The test runs both in subprocesses, so this process's modules are
-untouched, and compares them byte for byte; the live run must reproduce
-the goldens.
+``tests/``, the outputs of one seed of the ``jets`` and ``towers``
+benchmark workloads and the duals of the first seeds of
+``helpers.random_odd_bundle``.  With ``live`` it prints the same from the
+live core.  The test runs both in subprocesses, so this process's modules
+are untouched, and compares them byte for byte; the live run must
+reproduce the goldens.
 """
 
 import ast
@@ -17,6 +18,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import re
 import runpy
 import sys
@@ -28,9 +30,12 @@ UPPER_LAYERS = [p for p in sorted((ROOT / "src" / "gradedbundles").glob("*.py"))
 # module with snapshot() and dump(), and the golden file it writes
 STRUCTURES = {"test_atlas_golden": "atlas.json", "test_algebroid_golden": "algebroids.json",
               "test_provenance_golden": "provenance.json"}
-# one seed of each in-process benchmark workload; these have no golden file
+# one seed of each in-process benchmark workload and the first seeds of the
+# random odd bundles; these have no golden file
 BENCH_SEED = 1
-SEEDED = (f"jets seed {BENCH_SEED}", f"towers seed {BENCH_SEED}")
+ODD_SEEDS = range(3)
+SEEDED = (f"jets seed {BENCH_SEED}", f"towers seed {BENCH_SEED}",
+          *(f"odd seed {seed}" for seed in ODD_SEEDS))
 
 
 def superalg_imports():
@@ -62,7 +67,8 @@ def run_all() -> dict[str, str]:
     for module, golden in STRUCTURES.items():
         m = __import__(module)
         out[golden] = m.dump(m.snapshot())
-    out.update(zip(SEEDED, (json.dumps(jets_records()), json.dumps(towers_records()))))
+    records = [jets_records(), towers_records(), *map(odd_record, ODD_SEEDS)]
+    out.update(zip(SEEDED, map(json.dumps, records)))
     return out
 
 
@@ -112,6 +118,26 @@ def towers_records():
                             "Y": {n: render(p) for n, p in sorted(reduced.Y.items())},
                             "Z": {f"{n} {r}": render(p) for (n, r), p in sorted(reduced.Z.items())}})
     return records
+
+
+def odd_record(seed):
+    """The random odd bundle of ``seed``: its linearisation D(F), dual D*(F)
+    and pairing with its invariance report, and the parity reversals of D(F)
+    and D*(F)."""
+    from gradedbundles import linfun
+    from gradedbundles.report import render_text
+    from helpers import random_odd_bundle
+    from test_atlas_golden import atlas, pairing_record
+
+    F = random_odd_bundle(random.Random(seed), name=f"odd{seed}")
+    lin = linfun.linearise(F)
+    dual = linfun.linear_dual(F, lin)
+    result = linfun.pairing(F, dual)
+    return {"linearise": atlas(lin), "linear_dual": atlas(dual),
+            "pairing": pairing_record(result),
+            "invariance": render_text(result.check_invariance()),
+            "parity_reverse D": atlas(linfun.parity_reverse(lin)),
+            "parity_reverse D*": atlas(linfun.parity_reverse(dual))}
 
 
 def test_reference_core_covers_every_superalg_import():
