@@ -315,7 +315,7 @@ def validate(bundle: GradedBundle) -> Report:
 # ----------------------------------------------------------------- operators
 def weight_vector_field(chart: CoordinateSystem, component: int = 0) -> Derivation:
     """The Euler-type field counting one weight component: sum of w v d/dv."""
-    if component >= chart.arity:
+    if not 0 <= component < chart.arity:
         raise ValueError(f"component {component} out of range for arity {chart.arity}")
     action = {}
     for v in chart.variables:

@@ -26,9 +26,10 @@ Zero and the constants live over the empty ring, and a chart equal to one
 in use shares its ring, so the engine's operands seldom need re-packing.
 
 ``p.terms`` is a view built on each access: a dict from monomials
-``((Variable, exponent), ...)`` to ``Fraction``, in insertion order.  The
-engine never reads it; the public constructor accepts the same form and
-sums its terms, in order, through the kernels (``_Sum``, ``from_var``).
+``((Variable, exponent), ...)`` to ``Fraction``.  The engine never reads
+it; the public constructor accepts the same form and sums its terms
+through the kernels (``_Sum``, ``from_var``).  Values never depend on the
+order of a polynomial's terms, and that order is unspecified.
 
 Performance invariants, kept by every operation in this module:
 
@@ -47,11 +48,11 @@ Performance invariants, kept by every operation in this module:
   supports, so no exponent ever wraps around;
 * sums are accumulated in place (``_add_into``, ``_Sum``) into a fresh
   dict, never as ``out = out + term``, which would copy the running sum per
-  step; new keys are appended in the order the plain sum would give;
+  step;
 * a product that only feeds a sum is not built as a polynomial:
   ``_Sum.add_product`` multiplies it straight into the sum's dict, with the
   one multiply kernel ``_mul_into`` that ``p * q`` uses too, and with no
-  gcd reduction per product (see "Writing into a sum" below).
+  gcd reduction per product.
   ``sum_of_products``, ``apply``, ``antibracket`` and the last factor of a
   substituted term sum this way; ``apply`` and ``antibracket`` feed each
   derivative's numerators over their operands' denominators, building no
@@ -86,30 +87,12 @@ Performance invariants, kept by every operation in this module:
   A variable computes its hash and its ``sort_key`` once, at construction;
   ``==`` tests identity first.  Equality and hash values are those of the
   field tuple.
-
-Writing into a sum.  ``_mul_into`` adds each term of a product to the
-running sum's dict as it is formed, and the sum keeps the term order of
-the chained sum ``out = out + c * p * q``, in which the product is built
-whole (a key that cancels inside it is dropped there, and appended again
-if it comes back) and then added (a key that cancels against the sum is
-dropped).  A coefficient that reaches zero inside a product stays in the
-dict as a 0 placeholder, and placeholders still zero when the product ends
-are dropped.  When a placeholder comes back nonzero, a key that was in the
-sum before this product stays where it is, and a key new to the sum moves
-to the end, where the chained sum appends it again.  Placeholders come
-back rarely: in about 2 of the 444 products of a ``towers`` task of the
-benchmark, and in no ``jets`` product.  ``p * q`` is the same kernel
-writing into an empty dict.
-A one-term operand on either side runs a single loop over the other
-operand, and its odd factors give the Koszul sign of every product term by
-one precomputed mask.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -320,7 +303,7 @@ def _repack(num: dict, src: _Ring, dst: _Ring) -> dict:
     """``num``, keyed in ``src``, keyed in ``dst``, which holds src's variables.
 
     Returns ``num`` itself when the keys already agree; the caller may then
-    only read the result.  Insertion order is kept.
+    only read the result.
     """
     if src is dst or not src.vars:
         return num
@@ -363,9 +346,7 @@ def _reduce(num: dict, den: int) -> int:
 def _add_into(acc: dict, num: Mapping[int, int], scale: int = 1) -> None:
     """``acc += scale * num`` in place, dropping zero numerators.
 
-    ``acc`` is a dict owned by the caller; ``num`` is only read.  New keys
-    are appended in the order of ``num``, as ``acc + num`` would, so results
-    keep the insertion order of the plain sum.
+    ``acc`` is a dict owned by the caller; ``num`` is only read.
     """
     get = acc.get
     items = num.items() if scale == 1 else ((k, c * scale) for k, c in num.items())
@@ -429,11 +410,8 @@ class _Sum:
 
     def add_numerators(self, ring: _Ring, A: dict, B: dict, a: int, t: int) -> None:
         """``self += (a / t) * A * B`` for numerators A and B keyed in
-        ``ring``, in which no product key overflows, and ``t > 0``.
-
-        The product is multiplied straight into the sum's dict, which keeps
-        the term order of ``self + (a / t) * A * B`` ("Writing into a sum"
-        in the module docstring)."""
+        ``ring``, in which no product key overflows, and ``t > 0``; the
+        product is multiplied straight into the sum's dict."""
         a *= self._join(ring, t)
         dst = self.ring
         _mul_into(self.num, _repack(A, ring, dst), _repack(B, ring, dst), dst.odd, a)
@@ -496,12 +474,11 @@ def _product_ring(p: "SuperPolynomial", q: "SuperPolynomial") -> tuple[_Ring, di
 def _mul_into(out: dict[int, int], A: Mapping[int, int], B: Mapping[int, int],
               odd: int, scale: int = 1) -> None:
     """Add the numerators of ``scale * A * B`` into ``out``, for numerators
-    keyed in one ring with odd mask ``odd``, in the order of the product's
-    terms, A's outer, keeping the term order of the chained sum
-    ``out + scale * A * B`` ("Writing into a sum" in the module docstring)."""
-    n0 = len(out)
+    keyed in one ring with odd mask ``odd``, dropping a key whose numerator
+    cancels.  A one-term operand on either side runs a single loop over the
+    other operand, and its odd factors give the Koszul sign of every product
+    term by one precomputed mask."""
     get = out.get
-    zeroed = []
     # a one-term B runs one pass over A, with B's term outer
     swap = len(B) == 1 and len(A) > 1
     if swap:
@@ -530,20 +507,12 @@ def _mul_into(out: dict[int, int], A: Mapping[int, int], B: Mapping[int, int],
             s = get(k)
             if s is None:
                 out[k] = c
-            elif s:
-                s += c
-                out[k] = s
-                if not s:
-                    zeroed.append(k)
             else:
-                # a placeholder comes back: one new to ``out`` moves to the
-                # end, where the chained sum appends it again
-                if k not in islice(out, n0):
+                s += c
+                if s:
+                    out[k] = s
+                else:
                     del out[k]
-                out[k] = c
-    for k in zeroed:
-        if not out.get(k, 1):
-            del out[k]
 
 
 # ``p * q`` and ``p + q`` keep kernels of their own rather than running
@@ -609,7 +578,8 @@ class SuperPolynomial:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """A fresh dict from monomials to ``Fraction`` coefficients."""
+        """A fresh dict from monomials to ``Fraction`` coefficients, in no
+        specified order."""
         monomial, den = self._ring.monomial, self._den
         return {monomial(k): Fraction(n, den) for k, n in self._num.items()}
 
@@ -636,7 +606,7 @@ class SuperPolynomial:
         return len(self._num)
 
     def monomials(self) -> list[Monomial]:
-        """The monomials of the nonzero terms, in insertion order."""
+        """The monomials of the nonzero terms, in no specified order."""
         monomial = self._ring.monomial
         return [monomial(k) for k in self._num]
 
@@ -697,8 +667,7 @@ class SuperPolynomial:
         return self * (1 / Fraction(other))
 
     def __pow__(self, n: int):
-        """``self`` to the ``n``-th power by repeated squaring, with the terms
-        in the order of that product chain: ``b ** 3`` is ``b * (b * b)``."""
+        """``self`` to the ``n``-th power by repeated squaring."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         if n == 0:
@@ -910,13 +879,10 @@ def _derivatives(num: dict, ring: _Ring, fields: int, right: bool = False) -> di
     """The numerators of the left (with ``right``, the right) derivatives
     of ``num``, keyed in ``ring``, by each variable whose field is covered
     by the mask ``fields`` and occurs in num, taken in one pass over num:
-    a dict from the field's shift to the derivative, whose terms are in the
-    order of num's.  A right derivative by an odd variable puts its terms of
-    even parity first, with a sign, as in
-    ``-partial(p.parity_part(EVEN)) + partial(p.parity_part(ODD))``."""
+    a dict from the field's shift to the derivative."""
     w, odd = ring.width, ring.odd
     field = (1 << w) - 1
-    outs, evens = {}, {}
+    outs = {}
     for k, c in num.items():
         hit = k & fields
         while hit:
@@ -930,18 +896,10 @@ def _derivatives(num: dict, ring: _Ring, fields: int, right: bool = False) -> di
             if not unit & odd:
                 out[k - unit] = c if e == 1 else c * e
                 continue
-            # an odd variable passes the odd factors below it
-            d = -c if (k & odd & (unit - 1)).bit_count() & 1 else c
-            if right and not (k & odd).bit_count() & 1:
-                ev = evens.get(shift)
-                if ev is None:
-                    ev = evens[shift] = {}
-                ev[k - unit] = -d
-            else:
-                out[k - unit] = d
-    for shift, ev in evens.items():
-        ev.update(outs[shift])
-        outs[shift] = ev
+            # an odd variable passes the odd factors below it, or with
+            # ``right`` those above it
+            passed = k & odd & (-(unit << 1) if right else unit - 1)
+            out[k - unit] = -c if passed.bit_count() & 1 else c
     return outs
 
 
@@ -1239,7 +1197,7 @@ class Derivation:
         if self.check:
             for v, p in self.action.items():
                 w = weight_of(p, len(v.weight))
-                expect = tuple(a + b for a, b in zip(v.weight, self.weight_shift))
+                expect = weight_add(v.weight, self.weight_shift)
                 if w not in ("zero",) and w != expect:
                     raise ValueError(
                         f"coefficient of d/d{v.name} has weight {w}, expected {expect}"
@@ -1317,7 +1275,7 @@ def apply(D: Derivation, p: SuperPolynomial) -> SuperPolynomial:
 def commutator(D1: Derivation, D2: Derivation) -> Derivation:
     """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1, in coefficient form."""
     sign = -1 if (D1.parity and D2.parity) else 1
-    shift = tuple(a + b for a, b in zip(D1.weight_shift, D2.weight_shift))
+    shift = weight_add(D1.weight_shift, D2.weight_shift)
     action: dict[Variable, SuperPolynomial] = {}
     if D1 is D2:
         # [D, D] is 2 D D for an odd D and zero for an even one

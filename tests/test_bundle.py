@@ -421,9 +421,12 @@ def test_rechart_builds_distinct_directions_each():
      r"^charts disagree on grading arity: \{1, 2\}$"),
     (lambda: weight_vector_field(degree2_example().chart, 1),
      "^component 1 out of range for arity 1$"),
+    (lambda: weight_vector_field(degree2_example().chart, -1),
+     "^component -1 out of range for arity 1$"),
     (lambda: vertical_bundle(single_chart_bundle(CoordinateSystem([("x", 0, 0)], name="pt0"))),
      "^vertical bundle needs degree >= 1$"),
-], ids=["duplicate-name", "chart-arity", "bundle-arity", "euler-component", "vertical-degree-0"])
+], ids=["duplicate-name", "chart-arity", "bundle-arity", "euler-component",
+        "euler-negative-component", "vertical-degree-0"])
 def test_malformed_bundle_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

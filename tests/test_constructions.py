@@ -675,7 +675,7 @@ def jets_by_apply(pairs, level, top, shift):
 
 
 def same_terms(got, want):
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.terms == want.terms
     assert got._den == want._den
 
 

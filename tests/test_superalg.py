@@ -424,7 +424,12 @@ def test_commutator_order_does_not_depend_on_the_hash_seed():
     (lambda: superalg.declare_chart([Variable("ix", "v", (0,), EVEN, 1)]),
      "^v has index 1, not its position 0$"),
     (lambda: y ** -1, "^negative powers are not defined$"),
-], ids=["weight-add-arity", "variable-weight", "variable-parity", "chart-index", "negative-power"])
+    # a weight shift of another arity than the variables' or the other shift's
+    (lambda: Derivation({X: x}, EVEN, (0, 5)), r"^weight arity mismatch: \(0,\) vs \(0, 5\)$"),
+    (lambda: commutator(Derivation({}, EVEN, (0,)), Derivation({}, EVEN, (0, 0))),
+     r"^weight arity mismatch: \(0,\) vs \(0, 0\)$"),
+], ids=["weight-add-arity", "variable-weight", "variable-parity", "chart-index", "negative-power",
+        "derivation-shift-arity", "commutator-shift-arity"])
 def test_malformed_algebra_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

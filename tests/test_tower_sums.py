@@ -1,10 +1,9 @@
-"""Term-order pins for the sums of the tower and cotangent constructions.
+"""Value pins for the sums of the tower and cotangent constructions.
 
 Each construction sums its polynomials in one pass and forms each product
 once.  The oracles here are the plain chained formulas, ``out = out + term``
 one term at a time, written out in full; the constructions must give the
-same values with the same terms in the same insertion order, and the same
-reduced denominators.
+same values, term by term, and the same reduced denominators.
 
 Inputs: gl(2) in a seeded rational basis, and dense seeded antisymmetric
 constants in dimension 4 that violate Jacobi, each as a k = 3 tower, with
@@ -113,7 +112,7 @@ def case(request):
 
 
 def same(p, q):
-    assert list(p.terms.items()) == list(q.terms.items())
+    assert p.terms == q.terms
     assert p._den == q._den
 
 
