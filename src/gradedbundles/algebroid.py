@@ -79,9 +79,6 @@ class OddPoissonSpace:
                 raise ValueError(
                     f"pair ({q.name}, {qstar.name}) must have opposite parities"
                 )
-        # a pair's variables as bits of ``chart_support``; 0 for one off
-        # the space, which no operand on it holds
-        self._pairs = [(q, qs, self._bit(q), self._bit(qs)) for q, qs in self.pairs]
 
     def _bit(self, v: Variable) -> int:
         """The bit of ``v`` on this space, or 0 when ``v`` is not on it."""
@@ -89,35 +86,30 @@ class OddPoissonSpace:
         i = v.index
         return 1 << i if i < len(vs) and vs[i] == v else 0
 
-    def _check(self, p: SuperPolynomial, variables=()) -> int:
-        """The ``chart_support`` of ``p``, whose variables must all be on
-        this space, as must ``variables``."""
-        bits = chart_support(p, self.system.variables)
-        if bits is None or not all(map(self._bit, variables)):
+    def _check(self, p: SuperPolynomial, variables=()) -> None:
+        """Raise ``CoordinateMismatch`` unless the variables of ``p``, and
+        ``variables``, are all on this space."""
+        if chart_support(p, self.system.variables) is None \
+                or not all(map(self._bit, variables)):
             # name the first in chart order, of p when p has one
             foreign = ([v for v in p.variables() if not self._bit(v)]
                        or [v for v in variables if not self._bit(v)])
             v = min(foreign, key=lambda u: u.sort_key)
             raise CoordinateMismatch(f"variable {v.name} is not on this phase space")
-        return bits
 
     def bracket(self, f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-        return self._bracket(f, self._check(f), g, self._check(g))
-
-    def _bracket(self, f, fb, g, gb) -> SuperPolynomial:
-        """(f, g) for ``fb`` and ``gb`` the ``chart_support`` of f and g."""
-        # a pair adds a term only when f and g each hold one of its variables
-        return antibracket(f, g, [(q, qs) for q, qs, qb, qsb in self._pairs
-                                  if fb & qb and gb & qsb or fb & qsb and gb & qb])
+        self._check(f)
+        self._check(g)
+        return antibracket(f, g, self.pairs)
 
     def hamiltonian_field(self, h: SuperPolynomial, variables, weight_shift,
                           parity) -> Derivation:
         """The derivation v -> -(h, v) on the listed variables; h and the
         variables are checked once."""
-        hb = self._check(h, variables)
+        self._check(h, variables)
         action = {}
         for v in variables:
-            c = -self._bracket(h, hb, SuperPolynomial.from_var(v), self._bit(v))
+            c = -antibracket(h, SuperPolynomial.from_var(v), self.pairs)
             if not c.is_zero():
                 action[v] = c
         return Derivation(action, parity, weight_shift)

@@ -9,13 +9,11 @@ verification.
 Every construction keeps the atlas and changes the chart.  ``rechart`` is
 the one primitive for that: a ``spec_fn`` declares one new chart per old
 chart, and a ``component_fn`` carries each transition across, forward and
-inverse, once per direction: a transition held as the reversal of another
-(the swapped component dicts that ``two_chart_bundle`` stores) comes out
-as the reversal of that one's result.  The chart comes as role blocks, and
-``_chart`` builds it: a block maps each source key to a (name, weight,
-parity) triple, which declares a coordinate, or to a plain name, which maps
-the key onto a coordinate a triple declares, so each coordinate is declared
-once.  The result's ``provenance`` (a ``Provenance``) records the
+inverse, once per pair of charts, the way back being its reversal.  The
+chart comes as role blocks, and ``_chart`` builds it: a block maps each
+source key to a (name, weight, parity) triple, which declares a coordinate,
+or to a plain name, which maps the key onto a coordinate a triple declares,
+so each coordinate is declared once.  The result's ``provenance`` (a ``Provenance``) records the
 construction's tag, its source and, per role, one map per chart from source
 keys to new variables.  Transitions are carried when the atlas is made, so
 a refused law raises from the construction that hit it; the one exception
@@ -160,15 +158,17 @@ class Provenance:
 class GradedBundle:
     """An atlas of charts with weight-homogeneous polynomial transitions.
 
-    A lift that cannot refuse a law leaves its transitions unbuilt: its
-    builder, ``_pending``, runs once, on the first read of ``transitions``.
+    ``transitions`` gives one ``TransitionMap`` per pair of charts, under
+    either key; the opposite key holds its reversal.  A lift that cannot
+    refuse a law leaves its transitions unbuilt: its builder, ``_pending``,
+    runs once, on the first read of ``transitions``.
     """
 
     def __init__(self, charts, transitions=None, provenance=None):
         self.charts: list[CoordinateSystem] = list(charts)
         if not self.charts:
             raise ValueError("a bundle needs at least one chart")
-        self._transitions = dict(transitions or {})
+        self._transitions = _both_ways(transitions or {})
         self._pending = None
         self.provenance: Provenance = provenance or Provenance()
         arities = {c.arity for c in self.charts}
@@ -179,7 +179,7 @@ class GradedBundle:
     @property
     def transitions(self) -> dict[tuple[int, int], TransitionMap]:
         if self._pending is not None:
-            self._transitions, self._pending = self._pending(), None
+            self._transitions, self._pending = _both_ways(self._pending()), None
         return self._transitions
 
     @property
@@ -197,6 +197,20 @@ class GradedBundle:
         )
 
 
+def _both_ways(transitions) -> dict:
+    """Each given transition under its key and its reversal under the
+    opposite one; a pair of charts given twice, or a chart paired with
+    itself, raises ``ValueError``."""
+    out = {}
+    for (i, j), t in transitions.items():
+        if i == j:
+            raise ValueError(f"transition {(i, j)} pairs a chart with itself")
+        if (j, i) in transitions:
+            raise ValueError(f"transitions {(i, j)} and {(j, i)} give one pair of charts twice")
+        out[(i, j)], out[(j, i)] = t, t.reversed()
+    return out
+
+
 def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle,
                      provenance=None):
     """Convenience constructor for the default desk-scale atlas.
@@ -207,8 +221,7 @@ def two_chart_bundle(chart_a, chart_b, forward, inverse, cls=GradedBundle,
     fwd = {chart_b[name]: p for name, p in forward.items()}
     inv = {chart_a[name]: p for name, p in inverse.items()}
     t = TransitionMap(chart_a, chart_b, fwd, inv)
-    return cls([chart_a, chart_b], {(0, 1): t, (1, 0): t.reversed()},
-               provenance=provenance)
+    return cls([chart_a, chart_b], {(0, 1): t}, provenance=provenance)
 
 
 def single_chart_bundle(chart, cls=GradedBundle):
@@ -342,13 +355,8 @@ def rechart(bundle: GradedBundle, spec_fn, component_fn, cls=GradedBundle,
     variables) of its source and target charts, ``key`` their indices.  The
     role maps become the result's provenance; further keywords go to ``cls``.
 
-    ``component_fn`` runs once per direction of a transition.  Where the
-    transition under ``(j, i)`` is the reversal of the one under ``(i, j)``
-    (it holds the very dicts of ``(i, j)``, swapped, as ``two_chart_bundle``
-    and ``TransitionMap.reversed`` build it), the result's ``(j, i)`` is the
-    reversal of its ``(i, j)``, so the sharing carries on to every
-    construction built from the result.  Two directions held in distinct
-    dicts are each built.
+    ``component_fn`` runs once per direction of each pair ``i < j``, and
+    the result stores ``(j, i)`` as the reversal of its ``(i, j)``.
 
     ``rechart`` carries every transition before it returns, so a law that
     ``component_fn`` refuses (``IllDefinedProjection``, ``ParityMismatch``)
@@ -379,13 +387,10 @@ def _declare(bundle: GradedBundle, spec_fn, tag: str, source=None):
 
 def _carry(bundle: GradedBundle, charts, maps, component_fn) -> dict:
     """``bundle``'s transitions carried onto ``charts`` by ``component_fn``,
-    once per direction (see ``rechart``)."""
+    one per pair of charts (see ``rechart``)."""
     transitions = {}
     for (i, j), t in bundle.transitions.items():
-        back = bundle.transitions.get((j, i))
-        if (j, i) in transitions and back.forward is t.inverse \
-                and back.inverse is t.forward:
-            transitions[(i, j)] = transitions[(j, i)].reversed()
+        if i > j:
             continue
         fwd = component_fn(t.forward, t.inverse, maps[i], maps[j], (i, j))
         inv = component_fn(t.inverse, t.forward, maps[j], maps[i], (j, i))

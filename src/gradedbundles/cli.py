@@ -449,13 +449,15 @@ def parse_args(argv) -> tuple[str, str | None, str, str]:
 
 
 def _read(path: str) -> str:
-    """The text of the spec file ``path``, or a located SpecError if it is not UTF-8."""
+    """The text of the spec file ``path``, less a leading byte-order mark,
+    or a located SpecError if it is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the error's offset counts from after a byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise SpecSyntaxError(f"{path} is not valid UTF-8", line) from None
 
 

@@ -175,17 +175,14 @@ class AlgebroidData:
             if not (isinstance(p, SuperPolynomial) and p.is_zero())
         }
         self.constants = constants
-        self._pie = None
 
     def pie_system(self) -> tuple[CoordinateSystem, dict]:
         """The parity-reversed total space: base coordinates and odd xi's."""
-        if self._pie is None:
-            sys, (x_of, xi_of) = _chart(self.base.name + "_pie", 1, [
-                {v: (v.name, (0,), EVEN) for v in self.base.variables},
-                {n: ("xi" + n, (1,), ODD) for n in self.fiber_names},
-            ])
-            self._pie = (sys, {"x": x_of, "xi": xi_of})
-        return self._pie
+        sys, (x_of, xi_of) = _chart(self.base.name + "_pie", 1, [
+            {v: (v.name, (0,), EVEN) for v in self.base.variables},
+            {n: ("xi" + n, (1,), ODD) for n in self.fiber_names},
+        ])
+        return sys, {"x": x_of, "xi": xi_of}
 
     def q_field(self) -> Derivation:
         """The weight-one odd field xi P dx - 1/2 xi xi P dxi on the

@@ -77,10 +77,8 @@ Performance invariants, kept by every operation in this module:
   component, each lift one differential per transition direction
   (``bundle._lifted_laws``) or per chart, and the total derivative of the
   jet constructions is one differential.  ``bundle.rechart`` builds
-  each direction once: a transition held as the reversal of another (the
-  same two component dicts, swapped) is re-charted as the reversal of
-  that one's result, so the sharing carries on down a chain of
-  constructions;
+  one transition per pair of charts and stores the way back as its
+  reversal;
 * no per-term loop hashes a :class:`Variable`: a chart variable's field
   index is its ``index``, checked by identity, and ``chart_support``
   reads which chart variables a polynomial holds off its ring and support.

@@ -282,11 +282,7 @@ def test_cocycle_check_three_charts():
                charts[i][f"y{i}"]: charts[j].var(f"y{j}") / q}
         return TransitionMap(charts[i], charts[j], fwd, inv)
 
-    transitions = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                transitions[(i, j)] = tmap(i, j)
+    transitions = {(i, j): tmap(i, j) for i in range(3) for j in range(i + 1, 3)}
     bundle = GradedBundle(charts, transitions)
     assert validate(bundle).passed
 
@@ -299,7 +295,10 @@ def test_cocycle_check_three_charts():
     )
     broken = GradedBundle(charts, transitions)
     rep = validate(broken)
-    assert any("cocycle" in item.check_id for item in rep.failures())
+    # 0->2 and its reversal disagree with the way through chart 1
+    assert [item.check_id for item in rep.failures()] == [
+        "cocycle 0->1->2", "cocycle 0->2->1", "cocycle 1->0->2",
+        "cocycle 1->2->0", "cocycle 2->0->1", "cocycle 2->1->0"]
 
 
 def test_random_bundles_validate():
@@ -337,16 +336,18 @@ def test_mixed_parity_is_reported_not_raised():
         return TransitionMap(charts[i], charts[j], fwd, inv)
 
     bundle = GradedBundle(charts, {(i, j): tmap(i, j)
-                                   for i in range(3) for j in range(3) if i != j})
+                                   for i in range(3) for j in range(i + 1, 3)})
     rep = validate(bundle)
-    # the other two ways from chart 0 to chart 1 disagree with the mixed law
+    # the mixed law and its reversal fail their parity items, and the ways
+    # through chart 2 disagree with them
     assert [i.check_id for i in rep.failures()] == [
-        "transition 0->1: parity of z1-component", "cocycle 0->2->1", "cocycle 2->0->1"]
+        "transition 0->1: parity of z1-component", "transition 1->0: parity of z0-component",
+        "cocycle 0->2->1", "cocycle 1->2->0", "cocycle 2->0->1", "cocycle 2->1->0"]
     ids = {i.check_id for i in rep.items}
-    assert "transition 0->1: round trip on y0" not in ids
-    assert "transition 1->0: round trip on y1" in ids
-    assert not any(i.startswith("cocycle 0->1->") for i in ids)
-    assert "cocycle 1->0->2" in ids
+    assert not any(i.startswith(("transition 0->1: round trip", "transition 1->0: round trip"))
+                   for i in ids)
+    assert "transition 0->2: round trip on y0" in ids
+    assert not any(i.startswith(("cocycle 0->1->", "cocycle 1->0->")) for i in ids)
 
 
 def _copy_chart(i, chart):
@@ -390,28 +391,41 @@ def test_rechart_builds_each_direction_once():
     assert _reversal_shared(linear_dual(F))
 
 
-def test_rechart_builds_distinct_directions_each():
-    """Directions held in their own dicts, equal in value to the reversal,
-    are each built, with the components the shared atlas gets."""
-    F = degree2_example()
-    t = F.transitions[(0, 1)]
-    own = GradedBundle(F.charts, {
-        (0, 1): t,
-        (1, 0): TransitionMap(t.target, t.source, dict(t.inverse), dict(t.forward)),
-    })
-    assert not _reversal_shared(own)
-    keys = []
-    G = rechart(own, _copy_chart, _counting_rename(keys))
-    assert keys == [(0, 1), (1, 0), (1, 0), (0, 1)]
-    assert not _reversal_shared(G)
-    shared = rechart(F, _copy_chart, _counting_rename([]))
-    for key, g in G.transitions.items():
-        assert g.forward == shared.transitions[key].forward
-        assert g.inverse == shared.transitions[key].inverse
+LINE = (CoordinateSystem([("y", 1, 0)], name="line0"),
+        CoordinateSystem([("Y", 1, 0)], name="line1"))
+
+
+def _scaling(src, dst, q):
+    """The chart change dst = q * src between one-coordinate charts, with
+    its matching inverse."""
+    (s,), (d,) = src.variables, dst.variables
+    return TransitionMap(src, dst, {d: src.var(s.name) * q},
+                         {s: dst.var(d.name) / Fraction(q)})
+
+
+def test_a_pair_given_backwards_stores_its_reversal_forwards():
+    A, B = LINE
+    u = _scaling(B, A, 3)
+    G = GradedBundle([A, B], {(1, 0): u})
+    back = G.transitions[(0, 1)]
+    assert G.transitions[(1, 0)] is u
+    assert (back.source, back.target) == (A, B)
+    assert back.forward is u.inverse and back.inverse is u.forward
+    assert validate(G).passed
 
 
 # ------------------------------------------------------------ rejected input
 @pytest.mark.parametrize("build, message", [
+    # one transition per pair of charts: the way back is always the reversal,
+    # so an atlas whose two directions are not mutually inverse cannot be made
+    (lambda: GradedBundle(LINE, {(0, 1): _scaling(*LINE, 2),
+                                 (1, 0): _scaling(*LINE, 2).reversed()}),
+     r"^transitions \(0, 1\) and \(1, 0\) give one pair of charts twice$"),
+    (lambda: GradedBundle(LINE, {(0, 1): _scaling(*LINE, 2),
+                                 (1, 0): _scaling(*LINE[::-1], 3)}),
+     r"^transitions \(0, 1\) and \(1, 0\) give one pair of charts twice$"),
+    (lambda: GradedBundle(LINE[:1], {(0, 0): _scaling(LINE[0], LINE[0], 1)}),
+     r"^transition \(0, 0\) pairs a chart with itself$"),
     (lambda: CoordinateSystem([("x", 0, 0), ("x", 1, 0)], name="dup"),
      "^duplicate coordinate name 'x'$"),
     (lambda: CoordinateSystem([("x", 0, 0), ("v", (0, 1), 0)], name="mixed"),
@@ -425,7 +439,8 @@ def test_rechart_builds_distinct_directions_each():
      "^component -1 out of range for arity 1$"),
     (lambda: vertical_bundle(single_chart_bundle(CoordinateSystem([("x", 0, 0)], name="pt0"))),
      "^vertical bundle needs degree >= 1$"),
-], ids=["duplicate-name", "chart-arity", "bundle-arity", "euler-component",
+], ids=["both-orientations", "inconsistent-orientations", "self-pair",
+        "duplicate-name", "chart-arity", "bundle-arity", "euler-component",
         "euler-negative-component", "vertical-degree-0"])
 def test_malformed_bundle_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
@@ -439,7 +454,7 @@ def test_validate_reports_missing_components():
     A, B = F.charts
     t = F.transitions[(0, 1)]
     short = TransitionMap(A, B, {v: p for v, p in t.forward.items() if v.name != "Z"}, t.inverse)
-    rep = validate(GradedBundle([A, B], {(0, 1): short, (1, 0): short.reversed()}))
+    rep = validate(GradedBundle([A, B], {(0, 1): short}))
     # the forward law without Z gets no round trip, whose residual would mix
     # the two charts
     assert [item.check_id for item in rep.failures()] == [
@@ -464,11 +479,13 @@ def test_validate_skips_cocycles_through_a_missing_component():
                              {charts[i][f"x{i}"]: X, charts[i][f"v{i}"]: V})
 
     bundle = GradedBundle(charts, {(i, j): tmap(i, j)
-                                   for i in range(3) for j in range(3) if i != j})
+                                   for i in range(3) for j in range(i + 1, 3)})
     rep = validate(bundle)
-    assert [i.check_id for i in rep.failures()] == ["transition 1->2: component for v2 declared"]
+    assert [i.check_id for i in rep.failures()] == [
+        "transition 1->2: component for v2 declared",
+        "transition 2->1: inverse component for v2 declared"]
     ids = {i.check_id for i in rep.items}
     assert not any(i.startswith("transition 1->2: round trip") for i in ids)
-    assert "transition 2->1: round trip on v2" in ids
+    assert "transition 2->1: round trip on x2" in ids
     assert sorted(i for i in ids if i.startswith("cocycle")) == [
         "cocycle 0->2->1", "cocycle 2->0->1", "cocycle 2->1->0"]

@@ -409,6 +409,18 @@ def test_module_entry_point_reads_sys_argv():
     assert proc.stdout.startswith("usage: ")
 
 
+def test_spec_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys):
+    doc = tmp_path / "bom.spec"
+    doc.write_bytes(b"\xef\xbb\xbf" + (SPEC_DIR / "degree2.spec").read_bytes())
+    report = run_cli(["validate", "--spec", str(doc)])
+    assert report == run_cli(spec_args("degree2.spec", "validate"))
+    assert report[0] == 0
+    # a fault after the mark is located as in the same file without it
+    doc.write_bytes(b"\xef\xbb\xbf[chart a]\nx = weight 0\n\xe9\n")
+    assert run_cli(["validate", "--spec", str(doc)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {doc} is not valid UTF-8 at line 3\n"
+
+
 def test_spec_file_that_is_not_utf8_exits_two_located(tmp_path, capsys):
     doc = tmp_path / "latin1.spec"
     doc.write_bytes(b"[chart a]\nx = weight 0\n# caf\xe9\ny = weight 1\n")
@@ -449,7 +461,7 @@ def test_deep_unary_minus_exit_two(tmp_path, capsys):
     err = run_cli_hostile(tmp_path, capsys, ["validate"], TWO_CHARTS + (
         f"[map a -> b]\nX = {'-' * 3000}x\nY = y\n[map b -> a]\nx = X\ny = Y\n"
     ))
-    assert "nests deeper than" in err
+    assert "nests deeper than" in err and "line 8" in err
 
 
 def test_nesting_within_the_limit_parses():
@@ -457,18 +469,6 @@ def test_nesting_within_the_limit_parses():
     names = {"x": Variable("a", "x", (0,), 0, 0)}
     p = parse_expression("(" * depth + "x" + ")" * depth, names, 1, 1)
     assert p == parse_expression("x", names, 1, 1)
-
-
-def test_structure_constant_index_out_of_range_exit_two(tmp_path, capsys):
-    err = run_cli_hostile(tmp_path, capsys, ["check-q"],
-                          "[structure lie-tower]\nk = 2\ndim = 2\nc 1 2 7 = 1\n")
-    assert "index 7 is outside 1..2" in err and "line 4" in err
-
-
-def test_structure_constant_index_not_an_integer_exit_two(tmp_path, capsys):
-    err = run_cli_hostile(tmp_path, capsys, ["check-q"],
-                          "[structure lie-tower]\nk = 2\ndim = 2\nc 1 two 1 = 1\n")
-    assert "'two' is not an integer" in err
 
 
 def test_tk_key_not_an_integer_exit_two(tmp_path, capsys):
@@ -504,7 +504,7 @@ def test_overlong_numeral_exit_two(tmp_path, capsys):
         f"[map a -> b]\nX = x + {'9' * 6000}\nY = y\n"
         "[map b -> a]\nx = X\ny = Y\n"
     ))
-    assert "numeral is too long" in err
+    assert "numeral is too long" in err and "line 8" in err
 
 
 def test_duplicate_map_section_rejected(tmp_path, capsys):
@@ -771,7 +771,7 @@ def bad_y(expression):
 # line; the next six are the [bundle] section's bounds and integers of a
 # [bundle] or [structure] section not written in plain decimal, and the last
 # five weights and numerals of a chart or map that are not plain ASCII
-# decimal integers.
+# decimal integers, then two indices of structure constants.
 @pytest.mark.parametrize("command, text, message, line", [
     (["validate"], "# a\n[ ]\n", "empty section header", 2),
     (["validate"], "[bundle]\n = 1\n", "empty key", 2),
@@ -815,13 +815,17 @@ def bad_y(expression):
     (["validate"], bad_y("\u0662*y"), "cannot read expression near '\u0662*y'", 9),
     (["validate"], "[bundle]\narity = 2\n[chart a]\nx = weight (0, 0)\ny = weight (1 2)\n",
      "weight '1 2' must be an integer", 5),
+    (["check-q"], "[structure lie-tower]\nk = 2\ndim = 2\nc 1 2 7 = 1\n",
+     "index 7 is outside 1..2", 4),
+    (["check-q"], "[structure lie-tower]\nk = 2\ndim = 2\nc 1 two 1 = 1\n",
+     "'two' is not an integer", 4),
 ], ids=["empty-header", "empty-key", "chart-header", "map-header", "structure-kind",
         "unreadable", "unclosed", "trailing-token", "exponent", "zero-denominator",
         "leading-operator", "weight-entry", "arity-word", "no-charts", "unknown-chart",
         "three-charts", "one-map", "k-word", "unknown-fiber", "bracket-no-structure",
         "arity-zero", "degree-negative", "arity-underscore", "degree-plus", "k-underscore",
         "dim-plus", "arabic-indic-weight", "arabic-indic-weight-tuple", "zero-padded-weight",
-        "arabic-indic-numeral", "weight-without-comma"])
+        "arabic-indic-numeral", "weight-without-comma", "c-index-out-of-range", "c-index-word"])
 def test_spec_rejections_name_their_line(tmp_path, capsys, command, text, message, line):
     err = run_cli_hostile(tmp_path, capsys, command, text)
     assert message in err and f"at line {line}," in err
@@ -871,7 +875,7 @@ def test_section_duplicate_key_exit_two(tmp_path, capsys):
 def test_poisson_section_is_unknown_exit_two(tmp_path, capsys):
     err = run_cli_hostile(tmp_path, capsys, ["validate"],
                           TWO_CHARTS + "[poisson]\nP = 0\n")
-    assert "unknown section kind 'poisson'" in err
+    assert "unknown section kind 'poisson'" in err and "line 7" in err
 
 
 # -------------------------------------------------- expression size while parsing

@@ -93,7 +93,7 @@ def _declared_as(F, order):
         (i, j): TransitionMap(charts[i], charts[j],
                               {charts[j][v.name]: to[i](p) for v, p in t.forward.items()},
                               {charts[i][v.name]: to[j](p) for v, p in t.inverse.items()})
-        for (i, j), t in F.transitions.items()})
+        for (i, j), t in F.transitions.items() if i < j})
 
 
 OUT_OF_WEIGHT_ORDER = pytest.mark.parametrize("example, order", [
@@ -778,12 +778,7 @@ def three_chart_degree2():
         }
         return TransitionMap(src, dst, fwd, inv)
 
-    transitions = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                transitions[(i, j)] = tmap(i, j)
-    return GradedBundle(charts, transitions)
+    return GradedBundle(charts, {(i, j): tmap(i, j) for i in range(3) for j in range(i + 1, 3)})
 
 
 def test_three_chart_atlas_through_the_functor():
@@ -853,8 +848,7 @@ STRUCTURAL_DIFFERENCES = {
     "missing name": lambda: (_xy_atlas(), str.upper),
     "weight": lambda: (_xy_atlas(y_weight=2), None),
     "parity": lambda: (_xy_atlas(y_parity=ODD), None),
-    "transition keys": lambda: (GradedBundle(
-        _xy_atlas().charts, {(0, 1): _xy_atlas().transitions[(0, 1)]}), None),
+    "transition keys": lambda: (GradedBundle(_xy_atlas().charts), None),
     "inverse component": lambda: (_other_inverse(), None),
 }
 
