@@ -570,7 +570,10 @@ def bundles_structurally_equal(b1: GradedBundle, b2: GradedBundle,
         return False
     for (i, j), t1 in b1.transitions.items():
         t2 = b2.transitions[(i, j)]
+        if len(t1.forward) != len(t2.forward):
+            return False
         for v, p in t1.forward.items():
-            if renames[i](p) != t2.forward[renames[j].assignment[v]]:
+            q = t2.forward.get(renames[j].assignment[v])
+            if q is None or renames[i](p) != q:
                 return False
     return True

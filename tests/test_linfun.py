@@ -840,6 +840,12 @@ def _other_inverse():
     return F
 
 
+def _missing_component():
+    F = _xy_atlas()
+    del F.transitions[(0, 1)].forward[F.charts[1]["Y"]]
+    return F
+
+
 # Each way two atlases can differ, as (the other atlas, the name map).
 STRUCTURAL_DIFFERENCES = {
     "chart count": lambda: (GradedBundle(_xy_atlas().charts[:1]), None),
@@ -850,6 +856,7 @@ STRUCTURAL_DIFFERENCES = {
     "parity": lambda: (_xy_atlas(y_parity=ODD), None),
     "transition keys": lambda: (GradedBundle(_xy_atlas().charts), None),
     "inverse component": lambda: (_other_inverse(), None),
+    "missing component": lambda: (_missing_component(), None),
 }
 
 
@@ -858,6 +865,8 @@ def test_structural_equality_catches_each_difference(difference):
     other, names = STRUCTURAL_DIFFERENCES[difference]()
     assert bundles_structurally_equal(_xy_atlas(), _xy_atlas())
     assert not bundles_structurally_equal(_xy_atlas(), other, names=names)
+    if names is None:
+        assert not bundles_structurally_equal(other, _xy_atlas())
 
 
 def _perturbed_linearisation(component, extra):
